@@ -6,7 +6,9 @@ Subcommands: bound (one parameter point), table (sweep), verify
 file only parses configuration and serializes results.
 
 Exit codes: 0 success, 2 validation error, 3 no certified bound,
-4 internal numeric failure. The DELBOUND_TOL environment variable, when
+4 internal numeric failure. A table prints every row, marking a row that
+hit a numeric failure with status "numeric: ...", and then exits 4 if
+any row did. The DELBOUND_TOL environment variable, when
 set to a positive float, overrides the coefficient and sign tolerances of
 every certificate produced by the run (the strict positivity floor for
 fhat_0 stays at its default).
@@ -165,6 +167,21 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _table_row(row: dict, bound_fn, *args, **kwargs) -> dict:
+    """Fill one table row from bound_fn(*args, **kwargs); a refusal or a
+    numeric failure becomes the row's status instead of ending the table."""
+    try:
+        res = bound_fn(*args, **kwargs)
+    except (NotCertifiedError, DegreeBudgetError, SingularOperatorError) as exc:
+        row["status"] = "uncertified: %s" % exc
+    except NumericError as exc:
+        row["status"] = "numeric: %s" % exc
+    else:
+        row.update(method=res.method, degree=res.degree, bound=res.bound,
+                   certificate_id=res.certificate.certificate_id)
+    return row
+
+
 def cmd_table(args) -> int:
     spec = _parse_space(args.space)
     tol = _tolerances()
@@ -182,16 +199,8 @@ def cmd_table(args) -> int:
             for method in methods:
                 row = {"space": spec.label(), "d": d, "s": spec.nodes[d],
                        "method": method, "lp": lp_val, "status": "ok"}
-                try:
-                    res = constructions.bound_for_distance(
-                        spec, d, method=method, tolerances=tol
-                    )
-                    row.update(method=res.method, degree=res.degree, bound=res.bound,
-                               certificate_id=res.certificate.certificate_id)
-                except (NotCertifiedError, DegreeBudgetError,
-                        SingularOperatorError) as exc:
-                    row["status"] = "uncertified: %s" % exc
-                rows.append(row)
+                rows.append(_table_row(row, constructions.bound_for_distance,
+                                       spec, d, method=method, tolerances=tol))
     else:
         import numpy as np
 
@@ -200,21 +209,13 @@ def cmd_table(args) -> int:
             for method in methods:
                 row = {"space": spec.label(), "d": "", "s": float(s),
                        "method": method, "lp": "", "status": "ok"}
-                try:
-                    res = constructions.bound_for_s(
-                        spec, float(s), method=method, tolerances=tol
-                    )
-                    row.update(method=res.method, degree=res.degree, bound=res.bound,
-                               certificate_id=res.certificate.certificate_id)
-                except (NotCertifiedError, DegreeBudgetError,
-                        SingularOperatorError) as exc:
-                    row["status"] = "uncertified: %s" % exc
-                rows.append(row)
+                rows.append(_table_row(row, constructions.bound_for_s,
+                                       spec, float(s), method=method, tolerances=tol))
     if args.format == "json":
         print(json.dumps({"schema": 1, "rows": rows}, sort_keys=True))
     else:
         _emit_csv(rows)
-    return 0
+    return 4 if any(r["status"].startswith("numeric:") for r in rows) else 0
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,7 @@ passing certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,12 @@ from .spaces import MeasureSpec, Variant, max_degree, node_weights
 
 _WINDOW_TIE_TOL = 1e-12
 _LEV_DEGREE_CAP = 128
+# relative width within which two bound values are float-level ties
+_TIE_REL = 1e-9
+# widening of the rounding bounds that let the all-k MRRW pass decide
+_SCAN_GUARD = 4.0
+# degrees per block of the all-k MRRW pass
+_SCAN_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -133,31 +139,42 @@ def _finish_poly(spec, method, k, s, degree, raw_eval) -> BoundPolynomial:
     )
 
 
+def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
+    """c (x - s) (v . p(x))^2 over the basis system, times (x + 1) in the
+    plusminus basis. v defaults to p(s), which makes v . p(x) the kernel
+    K_k(x, s); any other v is an eigenvector from the spectral route."""
+    if s >= 1.0:
+        raise ValidationError("%s_poly needs s < 1" % method)
+    if v is None:
+        v = eval_basis_table(spec, basis, k, s)[:, 0]
+    extra_root = basis is Variant.PLUSMINUS
+
+    def raw(x):
+        kern = v @ eval_basis_table(spec, basis, k, x)
+        roots = (x - s) * (x + 1.0) if extra_root else x - s
+        return roots * kern * kern
+
+    return _finish_poly(spec, method, k, s, 2 * k + 1 + extra_root, raw)
+
+
 def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1."""
-    if s >= 1.0:
-        raise ValidationError("mrrw_poly needs s < 1")
-    ps = eval_basis_table(spec, Variant.BASE, k, s)[:, 0]
-
-    def raw(x, _ps=ps, _s=s):
-        kern = _ps @ eval_basis_table(spec, Variant.BASE, k, x)
-        return (x - _s) * kern * kern
-
-    return _finish_poly(spec, "mrrw", k, s, 2 * k + 1, raw)
+    return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw")
 
 
 def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
     """Closed-form value -(1-s) K_k(1,s)^2 / (a_k p_{k+1}(s) p_k(s)).
 
     Only meaningful strictly inside the window x_k < s < x_{k+1} between
-    consecutive largest zeros; outside it the expression is rejected.
+    consecutive largest zeros; outside it, or within _WINDOW_TIE_TOL of
+    either edge, the expression is rejected.
     """
     lo = largest_zero(spec, Variant.BASE, k)
     hi = largest_zero(spec, Variant.BASE, k + 1)
-    if not (lo < s < hi):
+    if not (lo + _WINDOW_TIE_TOL < s < hi - _WINDOW_TIE_TOL):
         raise ValidationError(
-            "closed-form bound needs x_k < s < x_{k+1}, got s=%r outside (%r, %r)"
-            % (s, lo, hi)
+            "closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
+            "got s=%r outside (%r, %r)" % (s, lo, hi)
         )
     table_s = eval_basis_table(spec, Variant.BASE, k + 1, s)[:, 0]
     kern_one = float(_kernel_values(spec, Variant.BASE, k, s, np.array([1.0]))[0])
@@ -170,28 +187,12 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
 
 def lev_odd_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s) K_k^-(x, s)^2 over the minus kernel, degree 2k + 1."""
-    if s >= 1.0:
-        raise ValidationError("lev_odd_poly needs s < 1")
-    ps = eval_basis_table(spec, Variant.MINUS, k, s)[:, 0]
-
-    def raw(x, _ps=ps, _s=s):
-        kern = _ps @ eval_basis_table(spec, Variant.MINUS, k, x)
-        return (x - _s) * kern * kern
-
-    return _finish_poly(spec, "lev_odd", k, s, 2 * k + 1, raw)
+    return _kernel_square_poly(spec, Variant.MINUS, k, s, "lev_odd")
 
 
 def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s)(x + 1) K_k^+-(x, s)^2 over the plusminus kernel, degree 2k + 2."""
-    if s >= 1.0:
-        raise ValidationError("lev_even_poly needs s < 1")
-    ps = eval_basis_table(spec, Variant.PLUSMINUS, k, s)[:, 0]
-
-    def raw(x, _ps=ps, _s=s):
-        kern = _ps @ eval_basis_table(spec, Variant.PLUSMINUS, k, x)
-        return (x - _s) * (x + 1.0) * kern * kern
-
-    return _finish_poly(spec, "lev_even", k, s, 2 * k + 2, raw)
+    return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
 
 
 def lev_degree_select(spec: MeasureSpec, s: float):
@@ -261,37 +262,122 @@ def classical_baselines(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
-    """All certified MRRW candidates at this s, cheapest check first.
+def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundResult:
+    """The certified bound of mrrw_poly(k) at s, with its closed form when
+    s lies inside the window of k."""
+    poly = mrrw_poly(spec, k, s)
+    cert = cone_certificate(spec, poly, s, tolerances)
+    if not cert.passed:
+        raise NotCertifiedError(
+            "MRRW polynomial failed certification at s=%r, k=%d on %s: %s"
+            % (s, k, spec.label(), cert.reason),
+            certificate=cert,
+        )
+    try:
+        closed = mrrw_bound_closed(spec, k, s)
+    except (ValidationError, SingularOperatorError):
+        closed = None
+    return BoundResult(
+        method="mrrw", space=spec, s=s, degree=poly.degree,
+        bound=bound_value(spec, poly), certificate=cert, closed_form=closed,
+    )
 
-    The mean of c (x - s) K_k^2 changes sign at the window edges, so a
-    vectorized sign precheck over every k narrows the field to the one or
-    two degrees worth a full certificate.
+
+def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
+    """Cone verdicts of c (x - s) K_k(x, s)^2 for every k < n in one pass.
+
+    From the node table P, K = cumsum(p(s) P) holds every kernel at every
+    node, so F = (x - s) K^2, c_k = 1 / F[k, 0] (node 0 is x = 1) and all
+    Fourier vectors fhat = (c F w) @ P^T come out of a few array
+    operations. Each quantity also gets a bound on the rounding by which
+    it can differ from what mrrw_poly and cone_certificate compute (a
+    cumulative sum here, a dot product there), widened _SCAN_GUARD times.
+    A condition is decided only when it holds or fails beyond that band.
+    Degrees go through in blocks of _SCAN_ROWS, which keeps the working
+    arrays to a few times the size of P.
+
+    Returns (lo, status): lo[k] is a lower bound on the value 1/fhat_0
+    that full certification would report, status[k] is 1 when all three
+    conditions surely hold, -1 when one surely fails and 0 when the band
+    leaves it open. Degrees whose unnormalized mean is not positive are
+    failed outright, as the per-degree scan always did.
     """
     n = spec.params[0]
     table = discrete_basis_table(spec, Variant.BASE)
-    ps = eval_basis_table(spec, Variant.BASE, n, s)[:, 0]
     x, w = node_weights(spec, Variant.BASE)
-    kinc = np.cumsum(ps[:, None] * table, axis=0)
-    raw_means = (kinc * kinc) @ (w * (x - s))
-    results = []
-    for k in range(n):
-        if raw_means[k] <= 0.0:
+    ps = eval_basis_table(spec, Variant.BASE, n, s)[:, 0]
+    kern = ps[:, None] * table
+    np.cumsum(kern, axis=0, out=kern)
+    raw_means = (kern * kern) @ (w * (x - s))
+    abs_table = np.abs(table)
+    # size[k, j] = sum_{i <= k} |p_i(s) p_i(x_j)|, the scale of K's rounding
+    size = np.zeros(n + 1)
+    gamma = _SCAN_GUARD * (n + 2) * np.finfo(float).eps
+    audit = x <= s
+    idx = np.arange(n + 1)
+    lo = np.empty(n)
+    status = np.empty(n, dtype=int)
+    for start in range(0, n, _SCAN_ROWS):
+        ks = np.arange(start, min(start + _SCAN_ROWS, n))
+        kb = kern[ks]
+        sb = size + np.cumsum(np.abs(ps[ks])[:, None] * abs_table[ks], axis=0)
+        size = sb[-1]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            big_f = (x - s) * kb * kb
+            c = 1.0 / big_f[:, :1]
+            f = c * big_f
+            # rounding of f: from K's (at x_j, and through c at x = 1) and
+            # from the products that form f
+            f_err = gamma * (2.0 * np.abs(c * (x - s) * kb) * sb
+                             + np.abs(f) * (1.0 + 2.0 * sb[:, :1] / np.abs(kb[:, :1])))
+            fhat = (f * w) @ table.T
+            fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table.T
+            lo[ks] = 1.0 / (fhat[:, 0] + fhat_err[:, 0])
+
+            tail = (idx >= 1) & (idx <= np.minimum(2 * ks + 1, n)[:, None])
+            f_audit, f_audit_err = f[:, audit], f_err[:, audit]
+            surely_pass = (
+                (fhat[:, 0] - fhat_err[:, 0] > tol.pos)
+                & np.all(~tail | (fhat - fhat_err >= -tol.coeff), axis=1)
+                & np.all(f_audit + f_audit_err <= tol.sign, axis=1)
+            )
+            surely_fail = (
+                ~(raw_means[ks] > 0.0)
+                | (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
+                | np.any(tail & (fhat + fhat_err < -tol.coeff), axis=1)
+                | np.any(f_audit - f_audit_err > tol.sign, axis=1)
+            )
+        status[ks] = np.where(surely_fail, -1, np.where(surely_pass, 1, 0))
+    return np.nan_to_num(lo, nan=0.0), status
+
+
+def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
+    """The certified MRRW candidate of least bound at this s, or None.
+
+    _mrrw_all_k rules on every degree at once; the survivors are then
+    fully certified through mrrw_poly and cone_certificate in order of
+    their least possible value, until the next one could no longer come
+    within the tie band of the best value found. The result is therefore
+    built from the same objects, bit for bit, as a full certification of
+    every degree would give: values within relative _TIE_REL of the best
+    are float-level ties, and the lowest degree among them wins.
+    """
+    tol = tolerances or Tolerances()
+    lo, status = _mrrw_all_k(spec, s, tol)
+    best, results = math.inf, []
+    for k in np.argsort(lo, kind="stable"):
+        if status[k] < 0:
             continue
+        if lo[k] > best * (1.0 + _TIE_REL):
+            break
         try:
-            poly = mrrw_poly(spec, k, s)
-        except (SingularOperatorError, NumericError):
+            res = _mrrw_result(spec, int(k), s, tolerances)
+        except (NotCertifiedError, SingularOperatorError, NumericError):
             continue
-        cert = cone_certificate(spec, poly, s, tolerances)
-        if not cert.passed:
-            continue
-        value = bound_value(spec, poly)
-        try:
-            closed = mrrw_bound_closed(spec, k, s)
-        except (ValidationError, SingularOperatorError):
-            closed = None
-        results.append((value, k, poly, cert, closed))
-    return results
+        results.append(res)
+        best = min(best, res.bound)
+    tied = [r for r in results if r.bound <= best * (1.0 + _TIE_REL)]
+    return min(tied, key=lambda r: r.degree) if tied else None
 
 
 def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
@@ -309,58 +395,15 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     if not (isinstance(d, int) and 1 <= d <= n):
         raise ValidationError("distance must satisfy 1 <= d <= n, got %r" % (d,))
     s = spec.nodes[d]
-    baselines = classical_baselines(n, d)
-
     if method == "mrrw":
-        results = _mrrw_scan(spec, s, tolerances)
-        if not results:
+        res = _mrrw_scan(spec, s, tolerances)
+        if res is None:
             raise NotCertifiedError(
                 "no MRRW degree certifies at n=%d, d=%d (s=%r)" % (n, d, s)
             )
-        best = min(r[0] for r in results)
-        # values within relative 1e-9 are float-level ties; report the
-        # lowest-degree certified candidate among them
-        tied = [r for r in results if r[0] <= best * (1.0 + 1e-9)]
-        value, k, poly, cert, closed = min(tied, key=lambda r: r[1])
-        return BoundResult(
-            method="mrrw", space=spec, s=s, degree=poly.degree, bound=value,
-            certificate=cert, d=d, closed_form=closed, baselines=baselines,
-        )
-
-    if method == "lev":
-        k, parity = lev_degree_select(spec, s)
-        poly = lev_odd_poly(spec, k, s) if parity == "odd" else lev_even_poly(spec, k, s)
-        cert = cone_certificate(spec, poly, s, tolerances)
-        if not cert.passed:
-            raise NotCertifiedError(
-                "Levenshtein polynomial failed certification at n=%d, d=%d: %s"
-                % (n, d, cert.reason),
-                certificate=cert,
-            )
-        return BoundResult(
-            method=poly.method, space=spec, s=s, degree=poly.degree,
-            bound=bound_value(spec, poly), certificate=cert, d=d,
-            baselines=baselines,
-        )
-
-    if method == "spectral":
-        from . import spectral
-
-        k = _base_window_index(spec, s)
-        if k is None:
-            raise NotCertifiedError(
-                "s=%r sits on a window boundary; no spectral bound at n=%d, d=%d"
-                % (s, n, d)
-            )
-        result = spectral.spectral_recover_bound(spec, Variant.BASE, k, s,
-                                                 tolerances=tolerances)
-        return BoundResult(
-            method=result.method, space=spec, s=s, degree=result.degree,
-            bound=result.bound, certificate=result.certificate, d=d,
-            closed_form=result.closed_form, baselines=baselines,
-        )
-
-    raise ValidationError("unknown method %r" % (method,))
+    else:
+        res = bound_for_s(spec, s, method, tolerances=tolerances)
+    return replace(res, d=d, baselines=classical_baselines(n, d))
 
 
 def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
@@ -397,37 +440,16 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
             bound=bound_value(spec, poly), certificate=cert,
         )
 
-    if method == "mrrw":
+    if method in ("mrrw", "spectral"):
         kk = k if k is not None else _base_window_index(spec, s)
         if kk is None:
             raise NotCertifiedError(
                 "s=%r is outside every open window of %s" % (s, spec.label())
             )
-        poly = mrrw_poly(spec, kk, s)
-        cert = cone_certificate(spec, poly, s, tolerances)
-        if not cert.passed:
-            raise NotCertifiedError(
-                "MRRW polynomial failed certification at s=%r, k=%d on %s: %s"
-                % (s, kk, spec.label(), cert.reason),
-                certificate=cert,
-            )
-        try:
-            closed = mrrw_bound_closed(spec, kk, s)
-        except (ValidationError, SingularOperatorError):
-            closed = None
-        return BoundResult(
-            method="mrrw", space=spec, s=s, degree=poly.degree,
-            bound=bound_value(spec, poly), certificate=cert, closed_form=closed,
-        )
-
-    if method == "spectral":
+        if method == "mrrw":
+            return _mrrw_result(spec, kk, s, tolerances)
         from . import spectral
 
-        kk = k if k is not None else _base_window_index(spec, s)
-        if kk is None:
-            raise NotCertifiedError(
-                "s=%r is outside every open window of %s" % (s, spec.label())
-            )
         return spectral.spectral_recover_bound(spec, Variant.BASE, kk, s,
                                                tolerances=tolerances)
 
@@ -435,15 +457,18 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
 
 
 def _base_window_index(spec: MeasureSpec, s: float):
-    """The unique k with x_k < s < x_{k+1}, or None on a boundary."""
+    """The unique k with x_k < s < x_{k+1}, or None when s is within
+    _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select)."""
     cap = max_degree(spec, Variant.BASE)
     top = cap - 1 if cap is not None else _LEV_DEGREE_CAP
     for k in range(top + 1):
         lo = largest_zero(spec, Variant.BASE, k)
         hi = largest_zero(spec, Variant.BASE, k + 1)
-        if lo < s < hi:
+        if s <= lo + _WINDOW_TIE_TOL:
+            return None
+        if s < hi - _WINDOW_TIE_TOL:
             return k
-        if s <= lo:
+        if s <= hi + _WINDOW_TIE_TOL:
             return None
     return None
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -122,15 +123,22 @@ def variant_multiplier(variant: Variant, x):
     raise ValidationError("unknown variant %r" % (variant,))
 
 
+@lru_cache(maxsize=None)
 def node_weights(spec: MeasureSpec, variant: Variant):
-    """Nodes and variant-adjusted weights of a discrete measure."""
+    """Nodes and variant-adjusted weights of a discrete measure.
+
+    Both arrays are built once per (spec, variant) and returned read-only.
+    """
     if not spec.discrete:
         raise ValidationError("node_weights is only defined for discrete measures")
     x = np.array(spec.nodes, dtype=float)
     w = np.array(spec.weights, dtype=float) * variant_multiplier(variant, x)
+    x.flags.writeable = False
+    w.flags.writeable = False
     return x, w
 
 
+@lru_cache(maxsize=None)
 def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     """Largest usable polynomial degree for the given system, or None.
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import (
-    BoundPolynomial,
     BoundResult,
-    _finish_poly,
+    _kernel_square_poly,
     bound_value,
     mrrw_bound_closed,
 )
@@ -158,21 +157,6 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     return EigenPair(eigenvalue=float(s), vector=v, residual=residual)
 
 
-def _eigenfunction_poly(spec, basis, k, s, vector, method) -> BoundPolynomial:
-    v = np.asarray(vector, dtype=float)
-    extra_root = basis is Variant.PLUSMINUS
-    degree = 2 * k + (2 if extra_root else 1)
-
-    def raw(x, _v=v, _s=s, _extra=extra_root):
-        f = _v @ eval_basis_table(spec, basis, k, x)
-        out = (x - _s) * f * f
-        if _extra:
-            out = out * (x + 1.0)
-        return out
-
-    return _finish_poly(spec, method, k, s, degree, raw)
-
-
 def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
                            tolerances=None) -> BoundResult:
     """Bound rebuilt from the top eigenfunction of T_k(s).
@@ -184,7 +168,7 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     """
     T = build_Tk(spec, basis, k, s)
     pair = top_eigenpair(T)
-    poly = _eigenfunction_poly(spec, basis, k, s, pair.vector, "spectral")
+    poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
     cert = cone_certificate(spec, poly, s, tolerances)
     if not cert.passed:
         raise NotCertifiedError(
@@ -237,8 +221,8 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
             "1 - lambda_k = %.3e is degenerate for the %s variant at k=%d"
             % (1.0 - lam, sign_variant, k)
         )
-    poly = _eigenfunction_poly(spec, Variant.BASE, k, lam, pair.vector,
-                               "spectral_fixed")
+    poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed",
+                               pair.vector)
     cert = cone_certificate(spec, poly, lam, tolerances)
     if not cert.passed:
         raise NotCertifiedError(

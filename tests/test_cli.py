@@ -215,3 +215,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(2.0)
+
+
+def test_table_numeric_row_keeps_other_rows(monkeypatch, capsys):
+    from delbound import constructions
+    from delbound.errors import NumericError
+
+    real = constructions.bound_for_distance
+
+    def flaky(spec, d, method="lev", tolerances=None):
+        if d == 3:
+            raise NumericError("injected failure at d=3")
+        return real(spec, d, method=method, tolerances=tolerances)
+
+    monkeypatch.setattr(constructions, "bound_for_distance", flaky)
+    code, out = run_cli(capsys, "table", "--space", "hamming:5")
+    assert code == 4
+    body = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(body) == 15
+    status = {(row[1], row[3]): row[8] for row in body}
+    for method in ("mrrw", "lev", "spectral"):
+        assert status[("3", method)] == "numeric: injected failure at d=3"
+    assert all(not s.startswith("numeric:")
+               for (d, _), s in status.items() if d != "3")
+    assert any(s == "ok" for s in status.values())
+
+
+def test_window_edge_spectral_refuses(capsys):
+    # s = 1 - 2/64 is an exact zero of p_32 on hamming:64, so it sits on a
+    # window edge: a clean refusal, never a numeric failure
+    code, out = run_cli(capsys, "bound", "--space", "hamming:64", "--d", "1",
+                        "--method", "spectral")
+    assert code == 3
+    assert "error" in json.loads(out)

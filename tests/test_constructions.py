@@ -245,3 +245,71 @@ def test_polynomial_from_fourier_roundtrip():
         polynomial_from_fourier(spec, list(range(9)), 0.0)
     with pytest.raises(ValidationError):
         polynomial_from_fourier(spec, [], 0.0)
+
+
+def test_window_edge_spectral_refuses():
+    # s = 1 - 2/64 is an exact zero of p_32, so it lies on the edge between
+    # the windows of k = 31 and k = 32
+    with pytest.raises(NotCertifiedError):
+        bound_for_distance(hamming_space(64), 1, "spectral")
+
+
+def _reference_mrrw_scan(spec, s):
+    """The per-degree loop the all-k pass replaced: build and fully certify
+    every degree whose unnormalized mean is positive."""
+    from delbound.errors import NumericError, SingularOperatorError
+    from delbound.orthopoly import discrete_basis_table, eval_basis_table
+    from delbound.spaces import node_weights
+
+    n = spec.params[0]
+    table = discrete_basis_table(spec, Variant.BASE)
+    ps = eval_basis_table(spec, Variant.BASE, n, s)[:, 0]
+    x, w = node_weights(spec, Variant.BASE)
+    kinc = np.cumsum(ps[:, None] * table, axis=0)
+    raw_means = (kinc * kinc) @ (w * (x - s))
+    results = []
+    for k in range(n):
+        if raw_means[k] <= 0.0:
+            continue
+        try:
+            poly = mrrw_poly(spec, k, s)
+        except (SingularOperatorError, NumericError):
+            continue
+        cert = cone_certificate(spec, poly, s)
+        if not cert.passed:
+            continue
+        try:
+            closed = mrrw_bound_closed(spec, k, s)
+        except (ValidationError, SingularOperatorError):
+            closed = None
+        results.append((bound_value(spec, poly), k, poly, cert, closed))
+    return results
+
+
+@pytest.mark.parametrize("n", [5, 8, 16, 33, 64])
+def test_mrrw_scan_matches_per_degree_reference(n):
+    from delbound.constructions import _mrrw_all_k
+    from delbound.feasibility import Tolerances
+
+    spec = hamming_space(n)
+    for d in range(1, n + 1):
+        s = spec.nodes[d]
+        ref = _reference_mrrw_scan(spec, s)
+        lo, status = _mrrw_all_k(spec, s, Tolerances())
+        # degrees the array pass leaves open are settled by full certification
+        settled = {k for k in np.nonzero(status == 0)[0]
+                   if cone_certificate(spec, mrrw_poly(spec, int(k), s), s).passed}
+        assert set(np.nonzero(status == 1)[0]) | settled == {r[1] for r in ref}, (n, d)
+        for value, k, *_ in ref:
+            assert lo[k] <= value, (n, d, k)
+
+        if not ref:
+            with pytest.raises(NotCertifiedError):
+                bound_for_distance(spec, d, "mrrw")
+            continue
+        best = min(r[0] for r in ref)
+        value, k, poly, cert, closed = min(
+            (r for r in ref if r[0] <= best * (1.0 + 1e-9)), key=lambda r: r[1])
+        res = bound_for_distance(spec, d, "mrrw")
+        assert (res.bound, res.degree, res.certificate.certificate_id, res.closed_form) \
+            == (value, poly.degree, cert.certificate_id, closed), (n, d)

@@ -147,7 +147,7 @@ def test_quadrature_exactness_degree():
         x, w = quadrature(spec, Variant.BASE, m)
         for deg in range(2 * m):
             exact = float(np.dot(ws, xs ** deg))
-            # nodes carry the 1e-13 bisection tolerance, so allow a little
+            # nodes carry the eigensolver's rounding, so allow a little
             # headroom beyond it
             assert float(np.dot(w, x ** deg)) == pytest.approx(exact, abs=5e-13)
 
