@@ -8,8 +8,8 @@ file only parses configuration and serializes results.
 Exit codes: 0 success, 2 validation error, 3 no certified bound,
 4 internal numeric failure. A table prints every row, marking a row that
 hit a numeric failure with status "numeric: ...", and then exits 4 if
-any row did. The DELBOUND_TOL environment variable, when
-set to a positive float, overrides the coefficient and sign tolerances of
+any row did. The DELBOUND_TOL environment variable, when set to a
+positive finite float, overrides the coefficient and sign tolerances of
 every certificate produced by the run (the strict positivity floor for
 fhat_0 stays at its default).
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -58,8 +59,8 @@ def _tolerances() -> Tolerances | None:
         val = float(raw)
     except ValueError:
         raise ValidationError("DELBOUND_TOL must be a float, got %r" % (raw,))
-    if val <= 0:
-        raise ValidationError("DELBOUND_TOL must be positive, got %r" % (raw,))
+    if not (math.isfinite(val) and val > 0):
+        raise ValidationError("DELBOUND_TOL must be a positive finite float, got %r" % (raw,))
     return Tolerances(coeff=val, sign=val)
 
 

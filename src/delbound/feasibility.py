@@ -34,6 +34,16 @@ class Tolerances:
     pos: float = 1e-12
     sign: float = 1e-9
 
+    def __post_init__(self):
+        for name in ("coeff", "pos", "sign"):
+            value = getattr(self, name)
+            # a NaN slack compares false against everything, so every check
+            # it guards would pass
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(
+                    "tolerance %s must be finite and nonnegative, got %r" % (name, value)
+                )
+
     def to_json(self) -> dict:
         return {"coeff": self.coeff, "pos": self.pos, "sign": self.sign}
 
@@ -114,7 +124,7 @@ def _audit_points(spec: MeasureSpec, f, s: float, degree: int) -> np.ndarray:
     derivative.
     """
     if spec.discrete:
-        x = np.array(spec.nodes)
+        x, _ = node_weights(spec, Variant.BASE)
         pts = x[x <= s]
         if pts.size == 0:
             pts = np.array([-1.0])

@@ -18,6 +18,7 @@ appear only in the test suite as cross-checks.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,31 +82,62 @@ def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
         )
 
 
+class _StieltjesRun:
+    """The discrete Stieltjes procedure for the measure sum w_j delta(x_j),
+    resumable: it runs as far as the highest index asked for so far, and a
+    later request continues the recurrence where it stopped. Each
+    coefficient depends only on those before it, so what a request gets
+    is bit for bit what a fresh run to its index would give. A run is
+    shared through a cache, so a lock keeps concurrent requests from
+    interleaving their steps."""
+
+    def __init__(self, x: np.ndarray, w: np.ndarray):
+        keep = w > 0.0
+        self.x = x[keep]
+        self.w = w[keep]
+        self.mass = float(np.sum(self.w))
+        self.a, self.b = [], []
+        self.prev = np.zeros_like(self.x)
+        self.cur = np.full_like(self.x, 1.0 / math.sqrt(self.mass))
+        self.lost = False
+        self._lock = threading.Lock()
+
+    def through(self, m: int):
+        """(a, b, mass) with arrays a_0..a_m, b_0..b_m, or shorter when the
+        measure loses positivity first: the arrays then end at the index
+        whose residual norm a_i vanished."""
+        x, w = self.x, self.w
+        with self._lock:
+            while len(self.a) <= m and not self.lost:
+                bi = float(np.dot(w, x * self.cur * self.cur))
+                resid = (x - bi) * self.cur - (self.a[-1] if self.a else 0.0) * self.prev
+                nrm = math.sqrt(float(np.dot(w, resid * resid)))
+                self.a.append(nrm)
+                self.b.append(bi)
+                if nrm < 1e-13:
+                    self.lost = True
+                else:
+                    self.prev, self.cur = self.cur, resid / nrm
+            return np.array(self.a[: m + 1]), np.array(self.b[: m + 1]), self.mass
+
+
 def _stieltjes(x: np.ndarray, w: np.ndarray, m: int):
-    """Recurrence coefficients of the measure sum w_j delta(x_j), by the
-    discrete Stieltjes procedure. Returns (a, b, mass) with arrays of
-    length m + 1."""
-    keep = w > 0.0
-    x = x[keep]
-    w = w[keep]
-    mass = float(np.sum(w))
-    a = np.zeros(m + 1)
-    b = np.zeros(m + 1)
-    prev = np.zeros_like(x)
-    cur = np.full_like(x, 1.0 / math.sqrt(mass))
-    for i in range(m + 1):
-        b[i] = float(np.dot(w, x * cur * cur))
-        resid = (x - b[i]) * cur - (a[i - 1] if i > 0 else 0.0) * prev
-        nrm = math.sqrt(float(np.dot(w, resid * resid)))
-        a[i] = nrm
-        if nrm < 1e-13:
-            if i < m:
-                raise ValidationError(
-                    "measure lost positivity at index %d; degree request too high" % i
-                )
-            break
-        prev, cur = cur, resid / nrm
-    return a, b, mass
+    """A fresh Stieltjes run to index m; see _StieltjesRun.through."""
+    return _StieltjesRun(x, w).through(m)
+
+
+@lru_cache(maxsize=None)
+def _discrete_stieltjes(spec: MeasureSpec, basis: Variant) -> _StieltjesRun:
+    """The one Stieltjes run of a discrete system, shared by every index."""
+    return _StieltjesRun(*node_weights(spec, basis))
+
+
+def _coeffs_from(a, b, mass, m: int) -> RecurrenceCoeffs:
+    if a.size <= m:
+        raise ValidationError(
+            "measure lost positivity at index %d; degree request too high" % (a.size - 1)
+        )
+    return RecurrenceCoeffs(a=tuple(a[: m + 1]), b=tuple(b[: m + 1]), mass=mass)
 
 
 @lru_cache(maxsize=None)
@@ -131,19 +163,17 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
         ca, cb = spec.ab
         return RecurrenceCoeffs(a=tuple(ca[: m + 1]), b=tuple(cb[: m + 1]), mass=1.0)
     if spec.discrete:
-        x, w = node_weights(spec, basis)
-        a, b, mass = _stieltjes(x, w, m)
-        return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
+        return _coeffs_from(*_discrete_stieltjes(spec, basis).through(m), m)
     # Continuous adjacent system: discretize the base measure by a Gauss
     # rule large enough that all Stieltjes inner products (degree 2m + 3
     # at most, multiplier included) are integrated exactly, then proceed
-    # as in the discrete case.
+    # as in the discrete case. The rule grows with m, so each m gets its
+    # own run.
     from .spaces import quadrature, variant_multiplier
 
     pts = m + 4
     x, w = quadrature(spec, Variant.BASE, pts)
-    a, b, mass = _stieltjes(x, w * variant_multiplier(basis, x), m)
-    return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
+    return _coeffs_from(*_stieltjes(x, w * variant_multiplier(basis, x), m), m)
 
 
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
@@ -155,7 +185,7 @@ def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCo
     """
     if m < 0:
         raise ValidationError("coefficient index must be nonnegative")
-    _check_degree(spec, basis, m if spec.discrete else m, "recurrence_coeffs")
+    _check_degree(spec, basis, m, "recurrence_coeffs")
     if spec.kind == "custom" and basis is Variant.BASE and m > len(spec.ab[0]) - 1:
         raise ValidationError("custom recurrence ends at index %d" % (len(spec.ab[0]) - 1))
     return _coeffs_cached(spec, basis, m)
@@ -208,7 +238,7 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
     if not spec.discrete:
         raise ValidationError("discrete_basis_table needs a discrete measure")
     cap = max_degree(spec, basis)
-    x = np.array(spec.nodes)
+    x, _ = node_weights(spec, Variant.BASE)
     table = eval_basis_table(spec, basis, cap, x)
     table.flags.writeable = False
     return table
@@ -267,8 +297,23 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     return _zeros_cached(spec, basis, k)
 
 
+@lru_cache(maxsize=None)
+def _largest_zeros(spec: MeasureSpec, basis: Variant) -> dict:
+    """Largest zeros of (spec, basis) by degree, as far as they were asked
+    for. A value is filled in once and never changes, so concurrent
+    readers can at worst compute it twice."""
+    return {0: -1.0}
+
+
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
-    """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0."""
-    if k == 0:
-        return -1.0
-    return float(zeros(spec, basis, k)[-1])
+    """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0.
+
+    Equal to the top of zeros(spec, basis, k), kept per (spec, basis) so
+    that the window searches, which read x_0, x_1, ... in turn, pay one
+    dictionary lookup for each degree already seen.
+    """
+    table = _largest_zeros(spec, basis)
+    x = table.get(k)
+    if x is None:
+        x = table[k] = float(zeros(spec, basis, k)[-1])
+    return x

@@ -50,6 +50,12 @@ class MeasureSpec:
     weights: tuple | None = None
     ab: tuple | None = None
 
+    def __hash__(self) -> int:
+        # Every constructor derives nodes and weights from params, so
+        # (kind, params, ab) separates unequal specs; hashing the two
+        # (n+1)-tuples on every cache lookup would dominate large spaces.
+        return hash((self.kind, self.params, self.ab))
+
     @property
     def discrete(self) -> bool:
         return self.nodes is not None

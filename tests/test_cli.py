@@ -201,6 +201,16 @@ def test_env_tolerance(monkeypatch, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN"])
+def test_env_tolerance_rejects_nonfinite(monkeypatch, capsys, raw):
+    # a NaN slack would pass every coefficient and sign check
+    monkeypatch.setenv("DELBOUND_TOL", raw)
+    code, out = run_cli(capsys, "bound", "--space", "hamming:8", "--method", "lev",
+                        "--d", "2")
+    assert code == 2
+    assert "DELBOUND_TOL" in json.loads(out)["error"]
+
+
 def test_text_format(capsys):
     code, out = run_cli(capsys, "bound", "--space", "hamming:3", "--method", "lev",
                         "--d", "2", "--format", "text")
@@ -248,3 +258,16 @@ def test_window_edge_spectral_refuses(capsys):
                         "--method", "spectral")
     assert code == 3
     assert "error" in json.loads(out)
+
+
+def test_spectral_explicit_degree_past_search_cap(capsys):
+    from delbound import Variant, largest_zero, sphere_space
+
+    spec = sphere_space(3)
+    s = 0.5 * (largest_zero(spec, Variant.BASE, 140) + largest_zero(spec, Variant.BASE, 141))
+    code, out = run_cli(capsys, "bound", "--space", "sphere:3", "--method", "spectral",
+                        "--k", "140", "--s", repr(s))
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["degree"] == 281
+    assert blob["bound"] == pytest.approx(blob["closed_form"], rel=1e-6)

@@ -313,3 +313,113 @@ def test_mrrw_scan_matches_per_degree_reference(n):
         res = bound_for_distance(spec, d, "mrrw")
         assert (res.bound, res.degree, res.certificate.certificate_id, res.closed_form) \
             == (value, poly.degree, cert.certificate_id, closed), (n, d)
+
+
+
+def _direct_zero(spec, basis, k):
+    """x_k straight from the eigenvalues, bypassing the table of largest zeros."""
+    from delbound.orthopoly import zeros
+
+    return -1.0 if k == 0 else float(zeros(spec, basis, k)[-1])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DelboundError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _probe_points(spec):
+    """Every node (or a 0.05 grid on a sphere), and every window edge of the
+    three systems shifted by half and by all of the tie tolerance either
+    way (the latter land exactly on the tie bounds)."""
+    from delbound.constructions import _WINDOW_TIE_TOL as tol
+    from delbound.spaces import max_degree
+
+    if spec.discrete:
+        points = list(spec.nodes)
+    else:
+        points = [i / 20 for i in range(-20, 20)]
+    for basis in Variant:
+        cap = max_degree(spec, basis)
+        for k in range(1, min(cap if cap is not None else 12, 130) + 1):
+            x = _direct_zero(spec, basis, k)
+            points += [x - tol, x - 0.5 * tol, x + 0.5 * tol, x + tol]
+    return [s for s in points if -1.0 <= s < 1.0]
+
+
+_WINDOW_SPACES = ["hamming:16", "hamming:33", "hamming:64", "hamming:100",
+                  "hamming:256", "sphere:4", "sphere:8", "sphere:24"]
+
+
+def _space(label):
+    kind, size = label.split(":")
+    return (hamming_space if kind == "hamming" else sphere_space)(int(size))
+
+
+@pytest.mark.parametrize("label", _WINDOW_SPACES)
+def test_window_lookups_match_direct_zeros(label, monkeypatch):
+    """The window searches give the same degree, or the same refusal, when
+    every largest zero is read from the eigenvalues instead of the table."""
+    from delbound import constructions
+    from delbound.constructions import _base_window_index
+
+    spec = _space(label)
+    points = _probe_points(spec)
+
+    def lookups():
+        return [(_outcome(_base_window_index, spec, s), _outcome(lev_degree_select, spec, s))
+                for s in points]
+
+    tabled = lookups()
+    monkeypatch.setattr(constructions, "largest_zero", _direct_zero)
+    assert tabled == lookups()
+
+
+@pytest.mark.parametrize("label", _WINDOW_SPACES)
+def test_largest_zero_table_strictly_increasing(label):
+    """As filled by lookups at every node (or grid point), each table holds
+    strictly increasing zeros by degree, each the top of its spectrum."""
+    from delbound.constructions import _base_window_index
+    from delbound.orthopoly import _largest_zeros
+
+    spec = _space(label)
+    points = spec.nodes if spec.discrete else [i / 20 for i in range(-20, 20)]
+    _largest_zeros.cache_clear()
+    for s in points[1:]:
+        _outcome(_base_window_index, spec, s)
+        _outcome(lev_degree_select, spec, s)
+    for basis in Variant:
+        table = _largest_zeros(spec, basis)
+        degrees = sorted(table)
+        assert degrees == list(range(len(degrees))) and len(degrees) > 1
+        x = np.array([table[k] for k in degrees])
+        assert np.all(np.diff(x) > 0.0), (label, basis)
+        assert all(x[k] == _direct_zero(spec, basis, k) for k in degrees)
+    _largest_zeros.cache_clear()
+
+
+def test_cold_largest_zero_computes_one_degree():
+    from delbound.orthopoly import _largest_zeros
+
+    spec = hamming_space(300)
+    _largest_zeros.cache_clear()
+    assert largest_zero(spec, Variant.BASE, 250) == _direct_zero(spec, Variant.BASE, 250)
+    assert sorted(_largest_zeros(spec, Variant.BASE)) == [0, 250]
+    _largest_zeros.cache_clear()
+
+
+@pytest.mark.parametrize("method", ["mrrw", "spectral"])
+def test_explicit_degree_past_search_cap_on_sphere(method):
+    """An explicit k above the window search's cap still gets its bound and
+    closed form when s lies in the window of k."""
+    from delbound.constructions import _LEV_DEGREE_CAP
+
+    spec = sphere_space(3)
+    k = _LEV_DEGREE_CAP + 12
+    s = 0.5 * (largest_zero(spec, Variant.BASE, k) + largest_zero(spec, Variant.BASE, k + 1))
+    res = bound_for_s(spec, s, method, k=k)
+    assert res.certificate.passed and res.degree == 2 * k + 1
+    assert res.closed_form == pytest.approx(mrrw_bound_closed(spec, k, s), rel=0)
+    assert res.bound == pytest.approx(res.closed_form, rel=1e-6)

@@ -153,3 +153,22 @@ def test_discrete_audit_is_node_based():
     cert = cone_certificate(spec, poly, 0.25)
     # nodes <= 0.25 for n=4 are {0, -0.5, -1}: audit size 3
     assert cert.audit_size == 3
+
+
+@pytest.mark.parametrize("field", ["coeff", "pos", "sign"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_tolerances_reject_nonfinite_and_negative(field, value):
+    with pytest.raises(ValidationError):
+        Tolerances(**{field: value})
+
+
+def test_nan_tolerances_cannot_pass_a_failing_polynomial():
+    from delbound import polynomial_from_fourier
+
+    spec = hamming_space(8)
+    poly = polynomial_from_fourier(spec, [1, -5, 0, 0], 0.0)
+    assert cone_certificate(spec, poly, 0.0).verdict == "fail"
+    with pytest.raises(ValidationError):
+        Tolerances(coeff=float("nan"), sign=float("nan"))
+    assert Tolerances(coeff=0.0, pos=0.0, sign=0.0).to_json() == \
+        {"coeff": 0.0, "pos": 0.0, "sign": 0.0}

@@ -217,3 +217,73 @@ def test_discrete_table_cached_and_frozen():
     t2 = discrete_basis_table(spec, Variant.BASE)
     assert t1 is t2
     assert not t1.flags.writeable
+
+
+@pytest.mark.parametrize("n", [5, 16, 64])
+def test_sliced_recurrence_matches_per_degree_stieltjes(n):
+    """One Stieltjes run to the maximal degree, sliced, equals a run to each
+    index m bit for bit, and so does the shared run that serves the
+    adjacent systems, whatever order the indices are asked for in."""
+    from delbound.orthopoly import _coeffs_cached, _discrete_stieltjes, _stieltjes
+    from delbound.spaces import max_degree
+
+    spec = hamming_space(n)
+    _coeffs_cached.cache_clear()
+    _discrete_stieltjes.cache_clear()
+    order = np.random.default_rng(n).permutation
+    for basis in Variant:
+        x, w = node_weights(spec, basis)
+        cap = max_degree(spec, basis)
+        full_a, full_b, full_mass = _stieltjes(x, w, cap)
+        for m in order(cap + 1):
+            a, b, mass = _stieltjes(x, w, m)
+            assert a.tobytes() == full_a[: m + 1].tobytes(), (n, basis, m)
+            assert b.tobytes() == full_b[: m + 1].tobytes(), (n, basis, m)
+            assert mass == full_mass
+            if basis is not Variant.BASE:
+                rc = recurrence_coeffs(spec, basis, int(m))
+                assert np.array(rc.a).tobytes() == a.tobytes(), (n, basis, m)
+                assert np.array(rc.b).tobytes() == b.tobytes(), (n, basis, m)
+                assert rc.mass == mass
+
+
+def test_stieltjes_stops_where_positivity_is_lost():
+    """A repeated node gives four weights but three points: the residual
+    vanishes at index 2, so indices up to 2 are served and 3 is refused."""
+    from delbound import MeasureSpec
+    from delbound.orthopoly import _stieltjes
+
+    spec = MeasureSpec(kind="points", params=(), nodes=(1.0, 0.5, 0.5, -1.0),
+                       weights=(0.25, 0.25, 0.25, 0.25))
+    x, w = node_weights(spec, Variant.BASE)
+    a, b, _ = _stieltjes(x, w, 3)
+    assert a.size == b.size == 3 and a[-1] < 1e-13
+    for m in range(3):
+        assert recurrence_coeffs(spec, Variant.BASE, m).a == tuple(_stieltjes(x, w, m)[0])
+    with pytest.raises(ValidationError, match="lost positivity at index 2"):
+        recurrence_coeffs(spec, Variant.BASE, 3)
+
+
+def test_shared_stieltjes_run_under_concurrent_requests():
+    """Threads asking one shared run for different indices get the same
+    coefficients as a single-threaded run."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from delbound.orthopoly import _StieltjesRun, _stieltjes
+
+    x, w = node_weights(hamming_space(200), Variant.MINUS)
+    full_a, full_b, _ = _stieltjes(x, w, 199)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            run = _StieltjesRun(x, w)
+            wanted = [int(m) for m in np.random.default_rng(trial).integers(0, 200, 64)]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(run.through, wanted, timeout=60))
+            for m, (a, b, _) in zip(wanted, got):
+                assert a.tobytes() == full_a[: m + 1].tobytes()
+                assert b.tobytes() == full_b[: m + 1].tobytes()
+    finally:
+        sys.setswitchinterval(interval)

@@ -170,3 +170,44 @@ def test_spec_is_hashable_and_frozen():
     with pytest.raises(Exception):
         a.kind = "other"
     assert isinstance(a.to_json(), dict)
+
+
+def test_separately_built_specs_share_cache_entries():
+    a = hamming_space(40)
+    b = hamming_space(40)
+    assert a is not b and a == b and hash(a) == hash(b)
+    before = node_weights.cache_info()
+    first = node_weights(a, Variant.MINUS)
+    assert node_weights(b, Variant.MINUS) is first
+    assert node_weights.cache_info().hits >= before.hits + 1
+    assert hamming_space(41) != a
+
+
+def test_spec_hash_survives_pickle_across_hash_seeds():
+    """The hash is recomputed from (kind, params, ab), never stored, so an
+    unpickled spec hashes like a fresh one even under another hash seed."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    for spec in (hamming_space(12), sphere_space(5), custom_space([0.5, 0.4], [0.0, 0.1])):
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec and hash(back) == hash(spec)
+    blob = pickle.dumps(hamming_space(12)).hex()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import pickle\n"
+        "from delbound import hamming_space, node_weights, Variant\n"
+        "spec = pickle.loads(bytes.fromhex(%r))\n"
+        "fresh = hamming_space(12)\n"
+        "assert spec == fresh and hash(spec) == hash(fresh)\n"
+        "assert node_weights(spec, Variant.BASE) is node_weights(fresh, Variant.BASE)\n"
+        % blob
+    )
+    for seed in ("1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
