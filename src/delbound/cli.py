@@ -237,14 +237,12 @@ def cmd_verify(args) -> int:
             raise ValidationError(
                 "%s must be an object with fields 'coeffs' and 's'" % (args.file,)
             )
-        s = float(data["s"])
-        poly = constructions.polynomial_from_fourier(spec, data["coeffs"], s)
+        poly = constructions.polynomial_from_fourier(spec, data["coeffs"], data["s"])
     else:
         if args.method is None or args.k is None or args.s is None:
             raise ValidationError(
                 "verify needs either --file or all of --method, --k, --s"
             )
-        s = args.s
         builders = {
             "mrrw": constructions.mrrw_poly,
             "lev_odd": constructions.lev_odd_poly,
@@ -254,8 +252,8 @@ def cmd_verify(args) -> int:
             raise ValidationError(
                 "verify descriptor method must be one of %s" % sorted(builders)
             )
-        poly = builders[args.method](spec, args.k, s)
-    cert = cone_certificate(spec, poly, s, tol)
+        poly = builders[args.method](spec, args.k, args.s)
+    cert = cone_certificate(spec, poly, poly.s, tol)
     payload = cert.to_json() | {"certificate_id": cert.certificate_id,
                                 "space": spec.label()}
     if args.format == "json":

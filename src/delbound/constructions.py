@@ -1,14 +1,19 @@
 """Extremal polynomials and the code-size bound f(1)/fhat_0.
 
-Three families are built here, all normalized to f(1) = 1:
+Every polynomial here is a kernel square, normalized to f(1) = 1:
 
-    mrrw      (x - s) K_k(x, s)^2            over the base kernel
-    lev_odd   (x - s) K_k^-(x, s)^2          over the minus kernel
-    lev_even  (x - s)(x + 1) K_k^+-(x, s)^2  over the plusminus kernel
+    mrrw      c (x - s) K_k(x, s)^2            over the base kernel
+    lev_odd   c (x - s) K_k^-(x, s)^2          over the minus kernel
+    lev_even  c (x - s)(x + 1) K_k^+-(x, s)^2  over the plusminus kernel
+
+and the spectral route squares other vectors than the kernel's. The
+product form is evaluated once, at x = 1 for c and at the expansion points
+for the coefficient vector fhat in the base orthonormal system; from then
+on a polynomial is that vector, which the certificate audits as it is and
+whose first entry gives the bound 1/fhat_0.
 
 Construction never asserts cone membership; the feasibility module owns
-that decision, and bound_for_distance refuses to return a value without a
-passing certificate.
+that decision, and no BoundResult is built without a passing certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import ConeCertificate, Tolerances, cone_certificate, fourier_expand
+from .feasibility import (ConeCertificate, Tolerances, _evaluate, cone_certificate,
+                          fourier_expand)
+from .kernels import KernelParams, cd_kernel
 from .orthopoly import (
     discrete_basis_table,
     eval_basis_table,
@@ -46,18 +53,25 @@ _SCAN_ROWS = 32
 
 @dataclass(frozen=True)
 class BoundPolynomial:
-    """A candidate polynomial for the code-size bound, with f(1) = 1."""
+    """A candidate polynomial for the code-size bound, with f(1) = 1.
+
+    It is carried as fhat, its coefficients in the base orthonormal system
+    of spec, and calling it evaluates sum_i fhat_i p_i(x). On a discrete
+    space fhat stops at max_degree even when degree is higher: it then
+    gives the polynomial exactly at every support node, which is all the
+    linear program looks at, and its interpolant between them.
+    """
 
     method: str
     degree: int
     s: float
     c: float
     fhat: tuple
-    eval_fn: object = field(repr=False, compare=False)
+    spec: MeasureSpec = field(repr=False, compare=False)
     k: int | None = None
 
     def __call__(self, x):
-        out = self.eval_fn(np.atleast_1d(np.asarray(x, dtype=float)))
+        out = _evaluate(self.spec, np.asarray(self.fhat), x)
         return float(out[0]) if np.isscalar(x) else out
 
 
@@ -103,42 +117,6 @@ class BoundResult:
         return out
 
 
-def _kernel_values(spec, basis, k, s, x):
-    ps = eval_basis_table(spec, basis, k, s)[:, 0]
-    return ps @ eval_basis_table(spec, basis, k, x)
-
-
-def _expand_degree(spec: MeasureSpec, degree: int) -> int:
-    if spec.discrete:
-        return min(degree, max_degree(spec, Variant.BASE))
-    return degree
-
-
-def _finish_poly(spec, method, k, s, degree, raw_eval) -> BoundPolynomial:
-    raw_at_one = float(raw_eval(np.array([1.0]))[0])
-    if raw_at_one == 0.0:
-        raise SingularOperatorError(
-            "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
-        )
-    c = 1.0 / raw_at_one
-    if not math.isfinite(c):
-        raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
-
-    def eval_fn(x, _c=c, _raw=raw_eval):
-        return _c * _raw(x)
-
-    fhat = fourier_expand(spec, eval_fn, _expand_degree(spec, degree))
-    return BoundPolynomial(
-        method=method,
-        degree=degree,
-        s=float(s),
-        c=c,
-        fhat=tuple(float(v) for v in fhat),
-        eval_fn=eval_fn,
-        k=k,
-    )
-
-
 def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     """c (x - s) (v . p(x))^2 over the basis system, times (x + 1) in the
     plusminus basis. v defaults to p(s), which makes v . p(x) the kernel
@@ -148,13 +126,27 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     if v is None:
         v = eval_basis_table(spec, basis, k, s)[:, 0]
     extra_root = basis is Variant.PLUSMINUS
+    degree = 2 * k + 1 + extra_root
 
-    def raw(x):
+    def product(x):
         kern = v @ eval_basis_table(spec, basis, k, x)
         roots = (x - s) * (x + 1.0) if extra_root else x - s
         return roots * kern * kern
 
-    return _finish_poly(spec, method, k, s, 2 * k + 1 + extra_root, raw)
+    at_one = float(product(np.array([1.0]))[0])
+    if at_one == 0.0:
+        raise SingularOperatorError(
+            "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
+        )
+    c = 1.0 / at_one
+    if not math.isfinite(c):
+        raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
+    kept = min(degree, max_degree(spec, Variant.BASE)) if spec.discrete else degree
+    fhat = fourier_expand(spec, lambda x: c * product(x), kept)
+    return BoundPolynomial(
+        method=method, degree=degree, s=float(s), c=c,
+        fhat=tuple(float(value) for value in fhat), spec=spec, k=k,
+    )
 
 
 def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
@@ -177,7 +169,7 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
             "got s=%r outside (%r, %r)" % (s, lo, hi)
         )
     table_s = eval_basis_table(spec, Variant.BASE, k + 1, s)[:, 0]
-    kern_one = float(_kernel_values(spec, Variant.BASE, k, s, np.array([1.0]))[0])
+    kern_one = cd_kernel(spec, KernelParams(Variant.BASE, k, s), 1.0)
     a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
     denom = a_k * table_s[k + 1] * table_s[k]
     if denom == 0.0:
@@ -249,6 +241,31 @@ def bound_value(spec: MeasureSpec, f: BoundPolynomial) -> float:
     return 1.0 / fhat0
 
 
+def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
+                      tolerances=None) -> BoundResult:
+    """The bound of poly at s, behind a passing certificate.
+
+    The value 1/fhat_0 is read from the certificate's fhat, and fhat_0
+    must also clear the default positivity floor that bound_value keeps,
+    whatever the tolerances. Raises NotCertifiedError otherwise.
+    """
+    cert = cone_certificate(spec, poly, s, tolerances)
+    floor = Tolerances().pos
+    reason = cert.reason
+    if cert.passed and not cert.fhat[0] > floor:
+        reason = "fhat_0 = %r is inside the positivity floor %g" % (cert.fhat[0], floor)
+    if reason is not None:
+        raise NotCertifiedError(
+            "%s polynomial of degree %d failed certification at s=%r on %s: %s"
+            % (poly.method, poly.degree, s, spec.label(), reason),
+            certificate=cert,
+        )
+    return BoundResult(
+        method=poly.method, space=spec, s=float(s), degree=poly.degree,
+        bound=1.0 / cert.fhat[0], certificate=cert,
+    )
+
+
 def classical_baselines(n: int, d: int) -> tuple:
     """Textbook upper bounds attached to reports for context."""
     e = (d - 1) // 2
@@ -265,22 +282,11 @@ def classical_baselines(n: int, d: int) -> tuple:
 def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundResult:
     """The certified bound of mrrw_poly(k) at s, with its closed form when
     s lies inside the window of k."""
-    poly = mrrw_poly(spec, k, s)
-    cert = cone_certificate(spec, poly, s, tolerances)
-    if not cert.passed:
-        raise NotCertifiedError(
-            "MRRW polynomial failed certification at s=%r, k=%d on %s: %s"
-            % (s, k, spec.label(), cert.reason),
-            certificate=cert,
-        )
+    res = _certified_result(spec, mrrw_poly(spec, k, s), s, tolerances)
     try:
-        closed = mrrw_bound_closed(spec, k, s)
+        return replace(res, closed_form=mrrw_bound_closed(spec, k, s))
     except (ValidationError, SingularOperatorError):
-        closed = None
-    return BoundResult(
-        method="mrrw", space=spec, s=s, degree=poly.degree,
-        bound=bound_value(spec, poly), certificate=cert, closed_form=closed,
-    )
+        return res
 
 
 def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
@@ -289,10 +295,14 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     From the node table P, K = cumsum(p(s) P) holds every kernel at every
     node, so F = (x - s) K^2, c_k = 1 / F[k, 0] (node 0 is x = 1) and all
     Fourier vectors fhat = (c F w) @ P^T come out of a few array
-    operations. Each quantity also gets a bound on the rounding by which
-    it can differ from what mrrw_poly and cone_certificate compute (a
-    cumulative sum here, a dot product there), widened _SCAN_GUARD times.
-    A condition is decided only when it holds or fails beyond that band.
+    operations. The sign audit reads f at the nodes x_j <= s back from
+    the coefficients mrrw_poly keeps, fhat_0..fhat_{2k+1}, as the
+    certificate does. Each quantity also gets a bound on the rounding by
+    which it can differ from what mrrw_poly and cone_certificate compute
+    (a cumulative sum here, a dot product there), widened _SCAN_GUARD
+    times; for the audited values that is the band of the coefficients
+    carried through P plus the rounding of the two dot products. A
+    condition is decided only when it holds or fails beyond that band.
     Degrees go through in blocks of _SCAN_ROWS, which keeps the working
     arrays to a few times the size of P.
 
@@ -314,6 +324,7 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     size = np.zeros(n + 1)
     gamma = _SCAN_GUARD * (n + 2) * np.finfo(float).eps
     audit = x <= s
+    table_audit, abs_table_audit = table[:, audit], abs_table[:, audit]
     idx = np.arange(n + 1)
     lo = np.empty(n)
     status = np.empty(n, dtype=int)
@@ -334,17 +345,21 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
             fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table.T
             lo[ks] = 1.0 / (fhat[:, 0] + fhat_err[:, 0])
 
-            tail = (idx >= 1) & (idx <= np.minimum(2 * ks + 1, n)[:, None])
-            f_audit, f_audit_err = f[:, audit], f_err[:, audit]
+            # the certificate reads only the coefficients mrrw_poly keeps
+            dropped = idx > np.minimum(2 * ks + 1, n)[:, None]
+            fhat[dropped] = 0.0
+            fhat_err[dropped] = 0.0
+            f_audit = fhat @ table_audit
+            f_audit_err = (fhat_err + gamma * np.abs(fhat)) @ abs_table_audit
             surely_pass = (
                 (fhat[:, 0] - fhat_err[:, 0] > tol.pos)
-                & np.all(~tail | (fhat - fhat_err >= -tol.coeff), axis=1)
+                & np.all(fhat[:, 1:] - fhat_err[:, 1:] >= -tol.coeff, axis=1)
                 & np.all(f_audit + f_audit_err <= tol.sign, axis=1)
             )
             surely_fail = (
                 ~(raw_means[ks] > 0.0)
                 | (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
-                | np.any(tail & (fhat + fhat_err < -tol.coeff), axis=1)
+                | np.any(fhat[:, 1:] + fhat_err[:, 1:] < -tol.coeff, axis=1)
                 | np.any(f_audit - f_audit_err > tol.sign, axis=1)
             )
         status[ks] = np.where(surely_fail, -1, np.where(surely_pass, 1, 0))
@@ -426,19 +441,8 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
                 "the Levenshtein construction picks its own degree; drop k"
             )
         k_sel, parity = lev_degree_select(spec, s)
-        poly = (lev_odd_poly(spec, k_sel, s) if parity == "odd"
-                else lev_even_poly(spec, k_sel, s))
-        cert = cone_certificate(spec, poly, s, tolerances)
-        if not cert.passed:
-            raise NotCertifiedError(
-                "Levenshtein polynomial failed certification at s=%r on %s: %s"
-                % (s, spec.label(), cert.reason),
-                certificate=cert,
-            )
-        return BoundResult(
-            method=poly.method, space=spec, s=s, degree=poly.degree,
-            bound=bound_value(spec, poly), certificate=cert,
-        )
+        build = lev_odd_poly if parity == "odd" else lev_even_poly
+        return _certified_result(spec, build(spec, k_sel, s), s, tolerances)
 
     if method in ("mrrw", "spectral"):
         kk = k if k is not None else _base_window_index(spec, s)
@@ -473,29 +477,30 @@ def _base_window_index(spec: MeasureSpec, s: float):
     return None
 
 
-def polynomial_from_fourier(spec: MeasureSpec, coeffs, s: float,
-                            normalize: bool = False) -> BoundPolynomial:
+def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:
     """Wrap explicit base-system coefficients as a BoundPolynomial.
 
-    Used by the verify front end; coefficients are taken as given unless
-    normalize is set, in which case the polynomial is rescaled to f(1)=1.
+    Used by the verify front end. The coefficients are taken as given, so
+    the fhat of an emitted certificate re-audits to the same certificate.
+    They must form a nonempty flat list of finite numbers that fits the
+    space's max degree, and s must be a number.
     """
-    coeffs = np.asarray(list(coeffs), dtype=float)
-    if coeffs.size == 0:
-        raise ValidationError("need at least one coefficient")
+    try:
+        coeffs = np.asarray(coeffs, dtype=float)
+        s = float(s)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("coefficients and s must be numbers: %s" % (exc,))
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise ValidationError("coefficients must be a nonempty flat list")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError("coefficients must be finite")
     degree = coeffs.size - 1
     cap = max_degree(spec, Variant.BASE)
     if cap is not None and degree > cap:
         raise ValidationError(
             "coefficient list of length %d overflows max degree %d" % (coeffs.size, cap)
         )
-
-    def raw(x, _c=coeffs, _deg=degree):
-        return _c @ eval_basis_table(spec, Variant.BASE, _deg, x)
-
-    if normalize:
-        return _finish_poly(spec, "custom", None, s, degree, raw)
     return BoundPolynomial(
-        method="custom", degree=degree, s=float(s), c=1.0,
-        fhat=tuple(float(v) for v in coeffs), eval_fn=raw, k=None,
+        method="custom", degree=degree, s=s, c=1.0,
+        fhat=tuple(float(value) for value in coeffs), spec=spec,
     )

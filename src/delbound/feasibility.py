@@ -4,7 +4,9 @@ A polynomial f qualifies at parameter s when f <= 0 on [-1, s], its mean
 fhat_0 is strictly positive, and every other Fourier coefficient in the
 base orthonormal system is nonnegative. cone_certificate audits all three
 conditions and returns an immutable, serializable verdict; nothing in this
-package reports a bound without a passing certificate attached.
+package reports a bound without a passing certificate attached. All
+three are read off the coefficient vector the certificate reports, so
+a certificate's own fhat re-audits to the same certificate.
 """
 
 from __future__ import annotations
@@ -112,37 +114,47 @@ class ConeCertificate:
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _audit_points(spec: MeasureSpec, f, s: float, degree: int) -> np.ndarray:
-    """Points of [-1, s] where the sign of f is checked.
+def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
+    """f = sum_i fhat_i p_i at the points x."""
+    return fhat @ eval_basis_table(spec, Variant.BASE, fhat.size - 1, x)
+
+
+def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
+    """Points of [-1, s] where the sign of f = sum_i fhat_i p_i is checked,
+    and f there.
 
     For a discrete measure the support nodes inside [-1, s] decide the
     question exactly: the bound theorem constrains f only at attainable
-    distances, so node values are necessary and sufficient there. On a
-    continuous measure the condition is interval-wide, so the audit takes
-    a 2048-point uniform grid, both endpoints, and every stationary point
-    of f inside the interval, located by bisection on sign changes of the
-    derivative.
+    distances, so node values are necessary and sufficient there, and the
+    cached node table holds every p_i at them. On a continuous measure
+    the condition is interval-wide, so the audit takes a 2048-point
+    uniform grid, both endpoints, and every stationary point of f inside
+    the interval, located by bisection on sign changes of the derivative.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
-        pts = x[x <= s]
-        if pts.size == 0:
-            pts = np.array([-1.0])
-        return pts
-    grid = np.linspace(-1.0, s, 2048)
-    stationary = _stationary_points(f, s, degree)
-    return np.concatenate([grid, stationary])
+        keep = x <= s
+        if keep.any():
+            return x[keep], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, keep]
+        pts = np.array([-1.0])
+    else:
+        pts = np.concatenate([np.linspace(-1.0, s, 2048), _stationary_points(spec, fhat, s)])
+    return pts, _evaluate(spec, fhat, pts)
 
 
-def _stationary_points(f, s: float, degree: int) -> np.ndarray:
+def _stationary_points(spec: MeasureSpec, fhat: np.ndarray, s: float) -> np.ndarray:
     """Roots of f' in [-1, s] via a fine sign grid plus bisection.
 
-    The derivative comes from an exact-degree Chebyshev fit of f, so for
-    the polynomials used here it is the true derivative up to rounding.
+    The derivative comes from an exact-degree Chebyshev fit of f, so it is
+    the true derivative up to rounding.
     """
-    deg = max(degree, 1)
+    deg = max(fhat.size - 1, 1)
     xs = np.cos(np.pi * np.arange(deg + 1) / deg)
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, np.asarray(f(xs)), deg)
+    fx = _evaluate(spec, fhat, xs)
+    if not np.all(np.isfinite(fx)):
+        # no derivative to fit; the certificate fails on the grid values
+        return np.empty(0)
+    cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, fx, deg)
     dcheb = cheb.deriv()
     fine = np.linspace(-1.0, s, 8192)
     vals = dcheb(fine)
@@ -173,10 +185,15 @@ def cone_certificate(
 ) -> ConeCertificate:
     """Audit f against the cone conditions at parameter s.
 
-    f must be callable on arrays. A degree attribute on f bounds the
-    expansion; without one, a discrete space expands over its full basis
-    (exact for any function on the nodes) while a continuous space has no
-    such fallback and refuses.
+    What is audited is the coefficient vector fhat that the certificate
+    reports, so the certificate's own fhat re-audits to the same
+    certificate. When f carries it as f.fhat, as a BoundPolynomial does,
+    it is taken as it is. Otherwise f must be callable on arrays and is
+    expanded: a degree attribute on f bounds the expansion; without one,
+    a discrete space expands over its full basis (exact for any function
+    on the nodes) while a continuous space has no such fallback and
+    refuses. A non-finite coefficient or audited value fails the
+    certificate: NaN compares false against every tolerance.
     """
     if not (-1.0 <= s < 1.0):
         raise ValidationError("cone parameter s must lie in [-1, 1), got %r" % (s,))
@@ -191,7 +208,8 @@ def cone_certificate(
         )
     else:
         degree = int(degree)
-    fhat = fourier_expand(spec, f, degree)
+    fhat = getattr(f, "fhat", None)
+    fhat = fourier_expand(spec, f, degree) if fhat is None else np.asarray(fhat, dtype=float)
 
     tail = fhat[1:]
     if tail.size:
@@ -200,25 +218,27 @@ def cone_certificate(
     else:
         min_idx, min_val = 0, float(fhat[0])
 
-    audit = _audit_points(spec, f, s, degree)
-    vals = np.asarray(f(audit), dtype=float)
+    # overflow is not an error here: a non-finite value fails the audit
+    with np.errstate(over="ignore", invalid="ignore"):
+        audit, vals = _audit(spec, fhat, s)
     arg = int(np.argmax(vals))
     max_val = float(vals[arg])
     argmax = float(audit[arg])
 
-    verdict, reason = "pass", None
-    if not (fhat[0] > tol.pos):
-        verdict = "fail"
+    reason = None
+    if not np.all(np.isfinite(fhat)):
+        reason = "fhat has a non-finite entry"
+    elif not np.all(np.isfinite(vals)):
+        reason = "f is not finite on the audit set"
+    elif not (fhat[0] > tol.pos):
         reason = "fhat_0 = %.6e is not positive beyond tolerance %g" % (fhat[0], tol.pos)
     elif tail.size and min_val < -tol.coeff:
-        verdict = "fail"
         reason = "fhat_%d = %.6e is negative beyond tolerance %g" % (
             min_idx,
             min_val,
             tol.coeff,
         )
     elif max_val > tol.sign:
-        verdict = "fail"
         reason = "f(%.6g) = %.6e exceeds 0 beyond tolerance %g on [-1, s]" % (
             argmax,
             max_val,
@@ -234,6 +254,6 @@ def cone_certificate(
         argmax=argmax,
         audit_size=int(audit.size),
         tolerances=tol,
-        verdict=verdict,
+        verdict="pass" if reason is None else "fail",
         reason=reason,
     )

@@ -71,9 +71,9 @@ def reproduce(spec: MeasureSpec, basis: Variant, k: int, y: float, f, f_degree: 
         raise ValidationError(
             "reproduce needs deg f <= k, got degree %d against k = %d" % (f_degree, k)
         )
-    ps = eval_basis_table(spec, basis, k, y)[:, 0]
+    params = KernelParams(basis, k, y)
 
     def integrand(x):
-        return (ps @ eval_basis_table(spec, basis, k, x)) * np.asarray(f(x), dtype=float)
+        return cd_kernel(spec, params, x) * np.asarray(f(x), dtype=float)
 
     return moment_functional(spec, basis, integrand, degree=k + f_degree)

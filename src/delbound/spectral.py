@@ -14,23 +14,17 @@ s-independent variant where the corner weight is pinned at x = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constructions import (
     BoundResult,
+    _certified_result,
     _kernel_square_poly,
-    bound_value,
     mrrw_bound_closed,
 )
-from .errors import (
-    NotCertifiedError,
-    NumericError,
-    SingularOperatorError,
-    ValidationError,
-)
-from .feasibility import cone_certificate
+from .errors import NumericError, SingularOperatorError, ValidationError
 from .orthopoly import (
     JacobiOperator,
     eval_basis_table,
@@ -169,25 +163,15 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     T = build_Tk(spec, basis, k, s)
     pair = top_eigenpair(T)
     poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
-    cert = cone_certificate(spec, poly, s, tolerances)
-    if not cert.passed:
-        raise NotCertifiedError(
-            "spectral polynomial failed certification at k=%d, s=%r: %s"
-            % (k, s, cert.reason),
-            certificate=cert,
+    res = _certified_result(spec, poly, s, tolerances)
+    if basis is not Variant.BASE:
+        return res
+    closed = mrrw_bound_closed(spec, k, s)
+    if not math.isclose(res.bound, closed, rel_tol=1e-7):
+        raise NumericError(
+            "spectral route %.12g disagrees with closed form %.12g" % (res.bound, closed)
         )
-    value = bound_value(spec, poly)
-    closed = None
-    if basis is Variant.BASE:
-        closed = mrrw_bound_closed(spec, k, s)
-        if not math.isclose(value, closed, rel_tol=1e-7):
-            raise NumericError(
-                "spectral route %.12g disagrees with closed form %.12g" % (value, closed)
-            )
-    return BoundResult(
-        method="spectral", space=spec, s=float(s), degree=poly.degree,
-        bound=value, certificate=cert, closed_form=closed,
-    )
+    return replace(res, closed_form=closed)
 
 
 def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtractive",
@@ -223,16 +207,6 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
         )
     poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed",
                                pair.vector)
-    cert = cone_certificate(spec, poly, lam, tolerances)
-    if not cert.passed:
-        raise NotCertifiedError(
-            "fixed-operator polynomial failed certification (variant %s, k=%d): %s"
-            % (sign_variant, k, cert.reason),
-            certificate=cert,
-        )
+    res = _certified_result(spec, poly, lam, tolerances)
     closed = 4.0 * a_k * pk1 * pk / (1.0 - lam)
-    value = min(closed, bound_value(spec, poly))
-    return BoundResult(
-        method="spectral_fixed", space=spec, s=lam, degree=poly.degree,
-        bound=value, certificate=cert, closed_form=closed,
-    )
+    return replace(res, bound=min(closed, res.bound), closed_form=closed)

@@ -271,3 +271,42 @@ def test_spectral_explicit_degree_past_search_cap(capsys):
     blob = json.loads(out)
     assert blob["degree"] == 281
     assert blob["bound"] == pytest.approx(blob["closed_form"], rel=1e-6)
+
+
+@pytest.mark.parametrize("space", ["hamming:6", "sphere:4"])
+@pytest.mark.parametrize("body", [
+    '{"coeffs": [1, 2], "s": "abc"}', '{"coeffs": [1, 2], "s": null}',
+    '{"coeffs": 5, "s": 0}', '{"coeffs": ["x"], "s": 0}', '{"coeffs": [[1, 2]], "s": 0}',
+    '{"coeffs": [1, NaN], "s": 0}', '{"coeffs": [0.5, Infinity], "s": 0}',
+])
+def test_verify_malformed_values_exit_2(tmp_path, capsys, space, body):
+    path = tmp_path / "poly.json"
+    path.write_text(body)
+    code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path))
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize("space", ["hamming:6", "sphere:4"])
+def test_verify_overflowing_coefficients_fail(tmp_path, capsys, space):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [1e308, 1e308, 1e308], "s": 0}))
+    code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path))
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["verdict"] == "fail" and "finite" in blob["reason"]
+
+
+def test_bound_certificate_reaudits_through_verify(tmp_path, capsys):
+    from delbound import bound_for_distance, hamming_space
+
+    code, out = run_cli(capsys, "bound", "--space", "hamming:33", "--method", "lev",
+                        "--d", "9", "--format", "json")
+    assert code == 0
+    emitted = json.loads(out)["certificate_id"]
+    res = bound_for_distance(hamming_space(33), 9, "lev")
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"coeffs": list(res.certificate.fhat), "s": res.s}))
+    code, out = run_cli(capsys, "verify", "--space", "hamming:33", "--file", str(path))
+    assert code == 0
+    assert json.loads(out)["certificate_id"] == emitted

@@ -423,3 +423,100 @@ def test_explicit_degree_past_search_cap_on_sphere(method):
     assert res.certificate.passed and res.degree == 2 * k + 1
     assert res.closed_form == pytest.approx(mrrw_bound_closed(spec, k, s), rel=0)
     assert res.bound == pytest.approx(res.closed_form, rel=1e-6)
+
+
+def test_bound_polynomial_is_its_coefficient_vector():
+    """Past max_degree on a discrete space fhat still gives the kernel
+    square exactly at every node."""
+    from delbound import BoundPolynomial
+    from delbound.orthopoly import eval_basis_table
+
+    spec = hamming_space(8)
+    s, k = spec.nodes[3], 5
+    poly = mrrw_poly(spec, k, s)
+    assert not hasattr(poly, "eval_fn")
+    assert "spec" not in repr(poly)
+    assert poly.degree == 11 and len(poly.fhat) == 9
+    x = np.array(spec.nodes)
+    kern = eval_basis_table(spec, Variant.BASE, k, s)[:, 0] @ eval_basis_table(
+        spec, Variant.BASE, k, x)
+    product = poly.c * (x - s) * kern * kern
+    assert np.max(np.abs(poly(x) - product)) < 1e-12 * np.max(np.abs(product))
+    # equality ignores the space, which the coefficients already live on
+    again = BoundPolynomial(method=poly.method, degree=poly.degree, s=poly.s, c=poly.c,
+                            fhat=poly.fhat, spec=hamming_space(8), k=poly.k)
+    assert again == poly and hash(again) == hash(poly)
+
+
+@pytest.mark.parametrize("coeffs, s", [
+    (5, 0.0), (["x"], 0.0), ([[1, 2]], 0.0),
+    ([1.0, float("nan")], 0.0), ([0.5, float("inf")], 0.0),
+    ([1.0, 0.5], "abc"), ([1.0, 0.5], None),
+])
+def test_polynomial_from_fourier_rejects_malformed(coeffs, s):
+    for spec in (hamming_space(6), sphere_space(4)):
+        with pytest.raises(ValidationError):
+            polynomial_from_fourier(spec, coeffs, s)
+
+
+def _certified_ops():
+    for n in (16, 33, 64):
+        spec = hamming_space(n)
+        for d in range(1, n + 1):
+            for method in ("mrrw", "lev", "spectral"):
+                yield spec, bound_for_distance, d, method
+    for dim in (4, 8):
+        spec = sphere_space(dim)
+        for s in np.linspace(-0.5, 0.5, 11):
+            for method in ("mrrw", "lev", "spectral"):
+                yield spec, bound_for_s, float(s), method
+
+
+def test_emitted_certificates_reaudit_to_the_same_id():
+    """A certificate's own fhat, wrapped back into a polynomial, gives the
+    certificate it came from."""
+    certified = 0
+    for spec, entry, arg, method in _certified_ops():
+        try:
+            res = entry(spec, arg, method)
+        except DelboundError:
+            continue
+        cert = res.certificate
+        poly = polynomial_from_fourier(spec, cert.fhat, res.s)
+        assert cone_certificate(spec, poly, res.s).certificate_id == cert.certificate_id, \
+            (spec.label(), arg, method)
+        certified += 1
+    assert certified > 300
+
+
+def test_certificate_audits_the_carried_coefficients(monkeypatch):
+    """A built polynomial is expanded once, by its constructor."""
+    from delbound import feasibility
+
+    spec = hamming_space(8)
+    poly = mrrw_poly(spec, 2, 0.4)
+
+    def refuse(*args):
+        raise AssertionError("expanded twice")
+
+    monkeypatch.setattr(feasibility, "fourier_expand", refuse)
+    cert = cone_certificate(spec, poly, poly.s)
+    assert cert.fhat == poly.fhat and cert.passed
+
+
+def test_certified_result_keeps_the_default_positivity_floor():
+    """Looser tolerances can pass a certificate whose mean is noise, but no
+    bound is read off it."""
+    from delbound.constructions import _certified_result
+    from delbound.feasibility import Tolerances
+
+    spec = hamming_space(6)
+    poly = polynomial_from_fourier(spec, [1e-14, 1.0], -1.0)
+    loose = Tolerances(pos=0.0)
+    assert cone_certificate(spec, poly, -1.0, loose).passed
+    with pytest.raises(NotCertifiedError, match="positivity floor") as info:
+        _certified_result(spec, poly, -1.0, loose)
+    assert info.value.certificate.passed
+    res = _certified_result(spec, polynomial_from_fourier(spec, [0.5, 1.0], -1.0),
+                            -1.0)
+    assert res.bound == 2.0 and res.method == "custom"

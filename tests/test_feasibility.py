@@ -172,3 +172,23 @@ def test_nan_tolerances_cannot_pass_a_failing_polynomial():
         Tolerances(coeff=float("nan"), sign=float("nan"))
     assert Tolerances(coeff=0.0, pos=0.0, sign=0.0).to_json() == \
         {"coeff": 0.0, "pos": 0.0, "sign": 0.0}
+
+
+@pytest.mark.parametrize("spec", [hamming_space(6), sphere_space(4)], ids=["hamming", "sphere"])
+@pytest.mark.parametrize("fhat", [(1e308, 1e308, 1e308), (1.0, float("nan")),
+                                  (0.5, float("inf"))])
+def test_nonfinite_values_fail_the_certificate(spec, fhat):
+    """NaN compares false against every tolerance, so without an explicit
+    check it would pass all three cone conditions."""
+    from dataclasses import replace
+
+    from delbound import polynomial_from_fourier
+
+    poly = replace(polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0), fhat=fhat)
+    cert = cone_certificate(spec, poly, 0.0)
+    assert cert.verdict == "fail" and "finite" in cert.reason
+    # the same values from a plain callable, which is expanded first
+    f = _poly_from(spec, fhat)
+    f.degree = len(fhat) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cone_certificate(spec, f, 0.0).verdict == "fail"
