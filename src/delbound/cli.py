@@ -3,7 +3,8 @@
 Subcommands: bound (one parameter point), table (sweep), verify
 (certificate audit of a supplied polynomial), lp (exact oracle), nrt
 (shape tables). All numeric work happens in the library modules; this
-file only parses configuration and serializes results.
+file only parses configuration and serializes results. JSON output is
+strict: a NaN or infinite float is written as null.
 
 Exit codes: 0 success, 2 validation error, 3 no certified bound,
 4 internal numeric failure. A table prints every row, marking a row that
@@ -64,9 +65,26 @@ def _tolerances() -> Tolerances | None:
     return Tolerances(coeff=val, sign=val)
 
 
+def _strict(value):
+    """value with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _print_json(payload):
+    """Every JSON output goes through here: strict JSON, with NaN and
+    infinities written as null."""
+    print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
+
+
 def _emit(args, payload):
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     elif args.format == "text":
         _emit_text(payload)
     else:
@@ -158,8 +176,8 @@ def cmd_bound(args) -> int:
             failures.append({"method": method, "error": str(exc)})
 
     if not results:
-        print(json.dumps({"schema": 1, "error": "no method certified",
-                          "failures": failures}, sort_keys=True))
+        _print_json({"schema": 1, "error": "no method certified",
+                     "failures": failures})
         return 3
     if len(methods) == 1:
         _emit(args, results[0])
@@ -213,7 +231,7 @@ def cmd_table(args) -> int:
                 rows.append(_table_row(row, constructions.bound_for_s,
                                        spec, float(s), method=method, tolerances=tol))
     if args.format == "json":
-        print(json.dumps({"schema": 1, "rows": rows}, sort_keys=True))
+        _print_json({"schema": 1, "rows": rows})
     else:
         _emit_csv(rows)
     return 4 if any(r["status"].startswith("numeric:") for r in rows) else 0
@@ -257,7 +275,7 @@ def cmd_verify(args) -> int:
     payload = cert.to_json() | {"certificate_id": cert.certificate_id,
                                 "space": spec.label()}
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print("verdict: %s" % cert.verdict)
         if cert.reason:
@@ -272,7 +290,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lp(args) -> int:
     sol = lp_oracle.delsarte_lp(args.n, args.d, mode=args.mode)
-    print(json.dumps(sol.to_json(), sort_keys=True))
+    _print_json(sol.to_json())
     return 0
 
 
@@ -353,13 +371,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}, sort_keys=True))
+        _print_json({"schema": 1, "error": str(exc)})
         return 2
     except (NotCertifiedError, DegreeBudgetError, SingularOperatorError) as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}, sort_keys=True))
+        _print_json({"schema": 1, "error": str(exc)})
         return 3
     except (NumericError, DelboundError) as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}, sort_keys=True))
+        _print_json({"schema": 1, "error": str(exc)})
         return 4
 
 

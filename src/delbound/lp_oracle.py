@@ -8,12 +8,15 @@ of any explicit code. The primal solved here is
     subject to B_j >= 0 and sum_j B_j K_i(j) >= -C(n, i) for i = 1..n,
 
 with integer Krawtchouk coefficients from the explicit alternating sum,
-so the rational mode is exact end to end. Sizes are capped at n <= 14
-where a dense Bland-rule simplex is instantaneous.
+tabled once per n and shared by every d and both modes. The rational
+mode is exact end to end: its simplex pivots on an integer tableau with
+one common denominator (see `_simplex_max`), so no step rounds. Sizes
+are capped at n <= 14.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -57,29 +60,39 @@ class LPSolution:
         }
         if self.mode == "exact":
             out["value_exact"] = str(self.value)
+            out["B_exact"] = {str(j): str(v) for j, v in self.B}
         return out
+
+
+@functools.lru_cache(maxsize=None)
+def _krawtchouk_rows(n: int) -> tuple:
+    """K_i(j) for i = 1..n (one row each) and j = 0..n, so that the
+    constraint rows of distance d are the slices row[d:]."""
+    return tuple(
+        tuple(krawtchouk(n, i, j) for j in range(n + 1)) for i in range(1, n + 1)
+    )
 
 
 def _simplex_max(A, b, c, exact: bool):
     """Dense tableau simplex for max c.x s.t. A.x <= b, x >= 0, b >= 0.
 
-    Bland's smallest-index rule throughout, which cannot cycle; speed is
-    irrelevant at these sizes. Returns (status, optimum, x).
+    Bland's smallest-index rule throughout, which cannot cycle. Returns
+    (status, optimum, x). With exact=True, A, b and c must be integers;
+    the tableau is then kept as integers T over one common denominator
+    D > 0, every division is exact, and the optimum and x come back as
+    Fractions (`_simplex_max_exact`).
     """
-    m, nv = len(A), len(c)
     if exact:
-        zero, eps = Fraction(0), Fraction(0)
-        conv = Fraction
-    else:
-        zero, eps = 0.0, 1e-10
-        conv = float
+        return _simplex_max_exact(A, b, c)
+    m, nv = len(A), len(c)
+    zero, eps = 0.0, 1e-10
     ncols = nv + m + 1
     tab = []
     for i in range(m):
-        row = [conv(v) for v in A[i]] + [zero] * m + [conv(b[i])]
-        row[nv + i] = conv(1)
+        row = [float(v) for v in A[i]] + [zero] * m + [float(b[i])]
+        row[nv + i] = 1.0
         tab.append(row)
-    obj = [-conv(v) for v in c] + [zero] * m + [zero]
+    obj = [-float(v) for v in c] + [zero] * m + [zero]
     basis = list(range(nv, nv + m))
 
     for _ in range(50000):
@@ -114,6 +127,74 @@ def _simplex_max(A, b, c, exact: bool):
     raise NumericError("simplex iteration cap exceeded")
 
 
+def _simplex_max_exact(A, b, c):
+    """The exact branch of `_simplex_max`, on an integer tableau.
+
+    The tableau holds integers T and one common denominator D > 0, and
+    its true entries are T/D (integer-preserving pivoting: Edmonds 1967,
+    Bareiss 1968). A pivot on row r, column c with p = T[r][c] > 0 maps
+    every other row, the objective row included, to
+
+        T[i][j] <- (T[i][j] * p - T[i][c] * T[r][j]) // D,
+
+    leaves row r as it is and sets D <- p. Rows with T[i][c] = 0 are
+    rescaled by p/D too. Every division is exact: by Cramer's rule D is
+    the determinant of the current basis matrix, and each T entry is a
+    minor of the starting integer tableau bordered by the objective row.
+    The pivots are those of a rational tableau: D > 0, so signs are read
+    off T, and the ratio test compares T[i][-1] / T[i][c] across rows by
+    cross-multiplication, ties going to the smaller basis index.
+    """
+    m, nv = len(A), len(c)
+    ncols = nv + m + 1
+    tab = []
+    for i in range(m):
+        row = list(A[i]) + [0] * m + [b[i]]
+        row[nv + i] = 1
+        tab.append(row)
+    obj = [-v for v in c] + [0] * (m + 1)
+    basis = list(range(nv, nv + m))
+    den = 1
+
+    for _ in range(50000):
+        col = next((j for j in range(ncols - 1) if obj[j] < 0), None)
+        if col is None:
+            x = [Fraction(0)] * (nv + m)
+            for i, bv in enumerate(basis):
+                x[bv] = Fraction(tab[i][-1], den)
+            return "optimal", Fraction(obj[-1], den), x[:nv]
+        pivot_row = None
+        for i in range(m):
+            a = tab[i][col]
+            if a > 0:
+                if pivot_row is None:
+                    pivot_row = i
+                    continue
+                lhs = tab[i][-1] * tab[pivot_row][col]
+                rhs = tab[pivot_row][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
+                    pivot_row = i
+        if pivot_row is None:
+            return "unbounded", None, None
+        prow = tab[pivot_row]
+        piv = prow[col]
+        for i in range(m):
+            if i != pivot_row:
+                tab[i] = _integer_eliminate(tab[i], prow, col, piv, den)
+        obj = _integer_eliminate(obj, prow, col, piv, den)
+        den = piv
+        basis[pivot_row] = col
+    raise NumericError("simplex iteration cap exceeded")
+
+
+def _integer_eliminate(row, prow, col, piv, den):
+    """One row of an integer pivot: (row * piv - row[col] * prow) // den."""
+    factor = row[col]
+    if factor == 0:
+        return row if piv == den else [v * piv // den for v in row]
+    return [(v * piv - factor * p) // den for v, p in zip(row, prow)]
+
+
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
     """LP optimum for binary codes of length n, minimum distance d."""
     if not (isinstance(n, int) and isinstance(d, int) and 1 <= d <= n <= 14):
@@ -123,7 +204,7 @@ def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
     if mode not in ("float", "exact"):
         raise ValidationError("mode must be 'float' or 'exact'")
     js = list(range(d, n + 1))
-    A = [[-krawtchouk(n, i, j) for j in js] for i in range(1, n + 1)]
+    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)]
     b = [math.comb(n, i) for i in range(1, n + 1)]
     c = [1] * len(js)
     status, opt, x = _simplex_max(A, b, c, exact=(mode == "exact"))

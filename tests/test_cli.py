@@ -310,3 +310,36 @@ def test_bound_certificate_reaudits_through_verify(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--space", "hamming:33", "--file", str(path))
     assert code == 0
     assert json.loads(out)["certificate_id"] == emitted
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
+
+
+@pytest.mark.parametrize("space", ["hamming:6", "sphere:4"])
+def test_verify_json_is_strict(tmp_path, capsys, space):
+    """A certificate with non-finite values prints null for them, never the
+    NaN or Infinity that strict JSON parsers reject."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [1e308, -1e308, 1e308, 1e308], "s": 0}))
+    code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path))
+    assert code == 3
+    blob = json.loads(out, parse_constant=_reject_constant)
+    assert blob["verdict"] == "fail"
+    assert blob["max_on_audit"] is None
+
+
+def test_lp_exact_json_carries_the_rational_optimum(capsys):
+    from fractions import Fraction
+
+    code, out = run_cli(capsys, "lp", "--n", "14", "--d", "5", "--mode", "exact")
+    assert code == 0
+    exact = json.loads(out, parse_constant=_reject_constant)
+    value = Fraction(exact["value_exact"])
+    assert sum(Fraction(v) for v in exact["B_exact"].values()) == value - 1
+    assert sorted(exact["B_exact"], key=int) == [str(j) for j in range(5, 15)]
+    code, out = run_cli(capsys, "lp", "--n", "14", "--d", "5", "--mode", "float")
+    assert code == 0
+    approx = json.loads(out, parse_constant=_reject_constant)
+    assert "B_exact" not in approx
+    assert approx["value"] == pytest.approx(float(value), rel=1e-9)

@@ -1,11 +1,24 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from delbound import ValidationError, delsarte_lp, krawtchouk, min_distance
+from delbound import (
+    DegreeBudgetError,
+    NotCertifiedError,
+    SingularOperatorError,
+    ValidationError,
+    bound_for_distance,
+    delsarte_lp,
+    hamming_space,
+    krawtchouk,
+    min_distance,
+)
+from delbound import lp_oracle
 from delbound.lp_oracle import (
+    _simplex_max,
     even_weight_code,
     hamming_code_7_4,
     hamming_distance,
@@ -151,3 +164,136 @@ def test_exhaustive_small_n_against_brute_force():
                     chosen.append(w)
             best = len(chosen)
             assert delsarte_lp(n, d).value_float >= best - 1e-9
+
+
+def _fraction_simplex_reference(A, b, c, pivots):
+    """The exact simplex as a tableau of Fractions, with the pivot rule of
+    `_simplex_max`: Bland's entering column, the minimum ratio, ties to
+    the smaller basis index. Appends (column, pivot row) to pivots."""
+    m, nv = len(A), len(c)
+    ncols = nv + m + 1
+    tab = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]] + [Fraction(0)] * m + [Fraction(b[i])]
+        row[nv + i] = Fraction(1)
+        tab.append(row)
+    obj = [-Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+    basis = list(range(nv, nv + m))
+    while True:
+        col = next((j for j in range(ncols - 1) if obj[j] < 0), None)
+        if col is None:
+            x = [Fraction(0)] * (nv + m)
+            for i, bv in enumerate(basis):
+                x[bv] = tab[i][-1]
+            return "optimal", obj[-1], x[:nv]
+        pivot_row, best = None, None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][-1] / tab[i][col]
+                if (best is None or ratio < best
+                        or (ratio == best and basis[i] < basis[pivot_row])):
+                    pivot_row, best = i, ratio
+        if pivot_row is None:
+            return "unbounded", None, None
+        pivots.append((col, tuple(tab[pivot_row])))
+        piv = tab[pivot_row][col]
+        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and tab[i][col] != 0:
+                factor = tab[i][col]
+                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[pivot_row])]
+        if obj[col] != 0:
+            factor = obj[col]
+            obj = [v - factor * p for v, p in zip(obj, tab[pivot_row])]
+        basis[pivot_row] = col
+
+
+def _integer_pivots(monkeypatch):
+    """Record (column, pivot row as Fractions) of each integer pivot; every
+    pivot eliminates at least the objective row."""
+    calls = []
+    eliminate = lp_oracle._integer_eliminate
+
+    def spy(row, prow, col, piv, den):
+        if not calls or calls[-1][0] != col or calls[-1][1] is not prow:
+            calls.append((col, prow, den))
+        return eliminate(row, prow, col, piv, den)
+
+    monkeypatch.setattr(lp_oracle, "_integer_eliminate", spy)
+    return calls
+
+
+def _assert_same_exact_run(monkeypatch, A, b, c, label):
+    """Same pivot sequence, status, optimum and x as the Fraction tableau."""
+    calls = _integer_pivots(monkeypatch)
+    got = _simplex_max(A, b, c, exact=True)
+    pivots = [(col, tuple(Fraction(v, den) for v in prow)) for col, prow, den in calls]
+    want_pivots = []
+    want = _fraction_simplex_reference(A, b, c, want_pivots)
+    assert pivots == want_pivots, label
+    assert got[0] == want[0], label
+    if want[0] != "optimal":
+        assert got[1:] == (None, None), label
+        return want[0]
+    assert type(got[1]) is Fraction and got[1] == want[1], label
+    assert all(type(v) is Fraction for v in got[2]), label
+    assert got[2] == want[2], label
+    return want[0]
+
+
+def test_integer_simplex_matches_fraction_reference(monkeypatch):
+    for n in range(1, 15):
+        for d in range(1, n + 1):
+            A = [[-krawtchouk(n, i, j) for j in range(d, n + 1)]
+                 for i in range(1, n + 1)]
+            b = [math.comb(n, i) for i in range(1, n + 1)]
+            c = [1] * (n - d + 1)
+            _assert_same_exact_run(monkeypatch, A, b, c, (n, d))
+
+
+def test_integer_simplex_matches_reference_on_random_programs(monkeypatch):
+    """Small integer programs with zeros in b (degenerate pivots and ratio
+    ties) and columns that may leave the program unbounded."""
+    rng = random.Random(20260)
+    statuses = set()
+    for trial in range(300):
+        m, nv = rng.randint(1, 6), rng.randint(1, 6)
+        A = [[rng.randint(-4, 4) for _ in range(nv)] for _ in range(m)]
+        b = [rng.choice((0, 0, 1, 2, 5)) for _ in range(m)]
+        c = [rng.randint(-2, 3) for _ in range(nv)]
+        statuses.add(_assert_same_exact_run(monkeypatch, A, b, c, trial))
+    assert statuses == {"optimal", "unbounded"}
+
+
+def test_exact_json_gives_the_optimum_in_rationals():
+    """B_exact is a feasible point whose objective is value_exact, checked
+    in Fractions with no tolerance."""
+    for n in range(1, 15):
+        for d in range(1, n + 1):
+            blob = delsarte_lp(n, d, mode="exact").to_json()
+            B = {int(j): Fraction(v) for j, v in blob["B_exact"].items()}
+            assert sorted(B) == list(range(d, n + 1)), (n, d)
+            assert all(v >= 0 for v in B.values()), (n, d)
+            for i in range(1, n + 1):
+                acc = sum(v * krawtchouk(n, i, j) for j, v in B.items())
+                assert acc >= -math.comb(n, i), (n, d, i)
+            assert 1 + sum(B.values()) == Fraction(blob["value_exact"]), (n, d)
+    assert "B_exact" not in delsarte_lp(8, 3).to_json()
+
+
+def test_exact_lp_below_every_certified_bound():
+    """The exact LP optimum never exceeds a certified bound, on every
+    hamming:n with n <= 14, every d and every method."""
+    checks = 0
+    for n in range(1, 15):
+        spec = hamming_space(n)
+        for d in range(1, n + 1):
+            lp = delsarte_lp(n, d, mode="exact").value
+            for method in ("mrrw", "lev", "spectral"):
+                try:
+                    res = bound_for_distance(spec, d, method=method)
+                except (NotCertifiedError, DegreeBudgetError, SingularOperatorError):
+                    continue
+                checks += 1
+                assert lp <= Fraction(res.bound) * Fraction(1 + 1e-9), (n, d, method)
+    assert checks >= 250
