@@ -33,7 +33,7 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import Tolerances, cone_certificate
+from .feasibility import Tolerances, cone_certificate, strict_json
 from .spaces import MeasureSpec, hamming_space, sphere_space
 
 _TABLE_COLUMNS = [
@@ -65,21 +65,10 @@ def _tolerances() -> Tolerances | None:
     return Tolerances(coeff=val, sign=val)
 
 
-def _strict(value):
-    """value with every non-finite float replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _strict(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_strict(v) for v in value]
-    return value
-
-
 def _print_json(payload):
     """Every JSON output goes through here: strict JSON, with NaN and
     infinities written as null."""
-    print(json.dumps(_strict(payload), sort_keys=True, allow_nan=False))
+    print(json.dumps(strict_json(payload), sort_keys=True, allow_nan=False))
 
 
 def _emit(args, payload):
@@ -109,17 +98,7 @@ def _emit_text(payload, indent=""):
 
 
 def _result_row(res: dict) -> list:
-    return [
-        res.get("space", ""),
-        res.get("d", ""),
-        res.get("s", ""),
-        res.get("method", ""),
-        res.get("degree", ""),
-        res.get("bound", ""),
-        res.get("certificate_id", ""),
-        res.get("lp", ""),
-        res.get("status", "ok"),
-    ]
+    return [res.get(col, "ok" if col == "status" else "") for col in _TABLE_COLUMNS]
 
 
 def _emit_csv(payload):

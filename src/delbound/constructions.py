@@ -318,7 +318,8 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     ps = eval_basis_table(spec, Variant.BASE, n, s)[:, 0]
     kern = ps[:, None] * table
     np.cumsum(kern, axis=0, out=kern)
-    raw_means = (kern * kern) @ (w * (x - s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw_means = (kern * kern) @ (w * (x - s))
     abs_table = np.abs(table)
     # size[k, j] = sum_{i <= k} |p_i(s) p_i(x_j)|, the scale of K's rounding
     size = np.zeros(n + 1)

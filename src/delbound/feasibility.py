@@ -6,7 +6,10 @@ base orthonormal system is nonnegative. cone_certificate audits all three
 conditions and returns an immutable, serializable verdict; nothing in this
 package reports a bound without a passing certificate attached. All
 three are read off the coefficient vector the certificate reports, so
-a certificate's own fhat re-audits to the same certificate.
+a certificate's own fhat re-audits to the same certificate. The sign
+condition is read at the support nodes in [-1, s] on a discrete space,
+and on a continuous one at -1, s and the roots of f' between them, which
+decides it exactly up to rounding, with no grid.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .orthopoly import discrete_basis_table, eval_basis_table
+from .orthopoly import chebyshev_table, discrete_basis_table, eval_basis_table
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 
 
@@ -74,6 +77,17 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
+def strict_json(value):
+    """value with every non-finite float replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: strict_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json(v) for v in value]
+    return value
+
+
 @dataclass(frozen=True)
 class ConeCertificate:
     """Auditable record of a cone membership decision."""
@@ -110,7 +124,12 @@ class ConeCertificate:
 
     @property
     def certificate_id(self) -> str:
-        canonical = json.dumps(self.to_json(), sort_keys=True)
+        """First 12 hex digits of the sha256 of what decides the verdict:
+        schema, s, fhat, tolerances and verdict, as strict JSON, so the id
+        re-hashes from the certificate as the CLI prints it."""
+        blob = self.to_json()
+        decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}
+        canonical = json.dumps(strict_json(decisive), sort_keys=True, allow_nan=False)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -125,11 +144,14 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
 
     For a discrete measure the support nodes inside [-1, s] decide the
     question exactly: the bound theorem constrains f only at attainable
-    distances, so node values are necessary and sufficient there, and the
-    cached node table holds every p_i at them. On a continuous measure
-    the condition is interval-wide, so the audit takes a 2048-point
-    uniform grid, both endpoints, and every stationary point of f inside
-    the interval, located by bisection on sign changes of the derivative.
+    distances, and the cached node table holds every p_i at them. On a
+    continuous measure f peaks on [-1, s] at an endpoint or at a root of
+    f', so the endpoints and the roots of f' decide it exactly up to
+    rounding. The roots are the eigenvalues of the colleague matrix of f'
+    in the Chebyshev basis, each audited at its real part clipped to
+    [-1, s]: an extra point can only tighten the check. A non-finite
+    Chebyshev coefficient skips the eigensolve, and the endpoint values
+    then fail the certificate.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
@@ -138,46 +160,18 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
             return x[keep], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, keep]
         pts = np.array([-1.0])
     else:
-        pts = np.concatenate([np.linspace(-1.0, s, 2048), _stationary_points(spec, fhat, s)])
+        # numpy.polynomial loads on first use; discrete runs never need it
+        chebyshev = np.polynomial.chebyshev
+        cheb = fhat @ chebyshev_table(spec, Variant.BASE, fhat.size - 1)
+        dcheb = chebyshev.chebder(cheb)
+        pts = np.array([-1.0, s])
+        if np.all(np.isfinite(cheb)) and np.all(np.isfinite(dcheb)):
+            # a top coefficient below 1e-300 of the largest only adds roots
+            # far outside [-1, 1]; dropping it keeps the colleague matrix finite
+            dcheb = chebyshev.chebtrim(dcheb, 1e-300 * np.max(np.abs(dcheb)))
+            roots = np.clip(chebyshev.chebroots(dcheb).real, -1.0, s)
+            pts = np.concatenate([pts, roots])
     return pts, _evaluate(spec, fhat, pts)
-
-
-def _stationary_points(spec: MeasureSpec, fhat: np.ndarray, s: float) -> np.ndarray:
-    """Roots of f' in [-1, s] via a fine sign grid plus bisection.
-
-    The derivative comes from an exact-degree Chebyshev fit of f, so it is
-    the true derivative up to rounding.
-    """
-    deg = max(fhat.size - 1, 1)
-    xs = np.cos(np.pi * np.arange(deg + 1) / deg)
-    fx = _evaluate(spec, fhat, xs)
-    if not np.all(np.isfinite(fx)):
-        # no derivative to fit; the certificate fails on the grid values
-        return np.empty(0)
-    cheb = np.polynomial.chebyshev.Chebyshev.fit(xs, fx, deg)
-    dcheb = cheb.deriv()
-    fine = np.linspace(-1.0, s, 8192)
-    vals = dcheb(fine)
-    sign = np.sign(vals)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = []
-    for i in flips:
-        lo, hi = fine[i], fine[i + 1]
-        flo = dcheb(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            fm = dcheb(mid)
-            if flo * fm <= 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-13:
-                break
-        roots.append(0.5 * (lo + hi))
-    exact_hits = fine[vals == 0.0]
-    if exact_hits.size:
-        roots.extend(exact_hits.tolist())
-    return np.array(roots) if roots else np.empty(0)
 
 
 def cone_certificate(

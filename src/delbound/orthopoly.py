@@ -244,6 +244,25 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
     return table
 
 
+@lru_cache(maxsize=None)
+def chebyshev_table(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
+    """Chebyshev coefficients M of p_0..p_deg, read-only: p_i = sum_j
+    M[i, j] T_j, so fhat @ M holds those of sum_i fhat_i p_i. Built by the
+    three-term recurrence run on Chebyshev coefficient vectors."""
+    _check_degree(spec, basis, max(deg - 1, 0), "chebyshev_table")
+    a, b, mass = _ab_arrays(spec, basis, max(deg - 1, 0))
+    out = np.zeros((deg + 1, deg + 1))
+    out[0, 0] = 1.0 / math.sqrt(mass)
+    for i in range(deg):
+        xp = np.polynomial.chebyshev.chebmulx(out[i, : i + 1])
+        row = np.zeros(deg + 1)
+        row[: xp.size] = xp
+        row -= b[i] * out[i] + (a[i - 1] * out[i - 1] if i else 0.0)
+        out[i + 1] = row / a[i]
+    out.flags.writeable = False
+    return out
+
+
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
     """The (k+1) x (k+1) truncation J_k of the Jacobi matrix."""
     if k < 0:

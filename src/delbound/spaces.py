@@ -194,6 +194,7 @@ def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> fl
     return out
 
 
+@lru_cache(maxsize=None)
 def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     """m-point Gauss rule for the (possibly unnormalized) variant measure.
 
@@ -201,6 +202,8 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     Jacobi matrix; weights are the Christoffel numbers 1 / K_{m-1}(x, x).
     Exact for polynomials of degree <= 2m - 1. The weights sum to the
     variant's total mass, so unnormalized variants integrate as such.
+    Both arrays are built once per (spec, variant, m) and returned
+    read-only.
     """
     if m < 1:
         raise ValidationError("quadrature needs m >= 1")
@@ -213,9 +216,9 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     from . import orthopoly
 
     rc = orthopoly.recurrence_coeffs(spec, variant, m - 1)
-    if m == 1:
-        return np.array([rc.b[0]]), np.array([rc.mass])
     nodes = orthopoly.tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
     table = orthopoly.eval_basis_table(spec, variant, m - 1, nodes)
     weights = 1.0 / np.sum(table * table, axis=0)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return nodes, weights

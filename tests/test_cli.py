@@ -343,3 +343,20 @@ def test_lp_exact_json_carries_the_rational_optimum(capsys):
     approx = json.loads(out, parse_constant=_reject_constant)
     assert "B_exact" not in approx
     assert approx["value"] == pytest.approx(float(value), rel=1e-9)
+
+
+@pytest.mark.parametrize("space", ["hamming:6", "sphere:4"])
+def test_verify_id_rehashes_from_printed_output(tmp_path, capsys, space):
+    """The id is the sha256 of the printed schema, s, fhat, tolerances and
+    verdict, as strict JSON, even where the certificate holds a NaN."""
+    import hashlib
+
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [1e308, -1e308, 1e308, 1e308], "s": 0}))
+    code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path))
+    assert code == 3
+    blob = json.loads(out, parse_constant=_reject_constant)
+    assert blob["max_on_audit"] is None
+    decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}
+    canonical = json.dumps(decisive, sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == blob["certificate_id"]

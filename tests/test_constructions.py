@@ -520,3 +520,14 @@ def test_certified_result_keeps_the_default_positivity_floor():
     res = _certified_result(spec, polynomial_from_fourier(spec, [0.5, 1.0], -1.0),
                             -1.0)
     assert res.bound == 2.0 and res.method == "custom"
+
+
+def test_all_k_mrrw_pass_does_not_warn_on_overflow():
+    """At hamming:384 the kernel squares of high degree overflow; the
+    all-k pass rules on them without letting a RuntimeWarning escape."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotCertifiedError):
+            bound_for_distance(hamming_space(384), 20, "mrrw")

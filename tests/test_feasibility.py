@@ -192,3 +192,125 @@ def test_nonfinite_values_fail_the_certificate(spec, fhat):
     f.degree = len(fhat) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         assert cone_certificate(spec, f, 0.0).verdict == "fail"
+
+
+def _max_on_grid(spec, fhat, s, points=100_001, chunk=20_001):
+    """max f and max |f| on a uniform grid of [-1, s], in chunks."""
+    grid = np.linspace(-1.0, s, points)
+    top, size = -np.inf, 0.0
+    for start in range(0, points, chunk):
+        vals = fhat @ eval_basis_table(spec, Variant.BASE, fhat.size - 1,
+                                       grid[start:start + chunk])
+        top, size = max(top, vals.max()), max(size, np.abs(vals).max())
+    return top, size
+
+
+@pytest.mark.parametrize("dim", [4, 24, 100])
+def test_root_audit_finds_the_grid_maximum(dim):
+    """On every certified sphere certificate the audit at the endpoints and
+    the roots of f' sees at least the maximum of f on a 100,001-point grid
+    of [-1, s], up to rounding."""
+    from delbound import NotCertifiedError, bound_for_s
+
+    spec = sphere_space(dim)
+    certified = 0
+    for s in (-0.5, -0.2, 0.0, 0.3, 0.5):
+        for method in ("mrrw", "lev", "spectral"):
+            try:
+                cert = bound_for_s(spec, s, method).certificate
+            except NotCertifiedError:
+                continue
+            certified += 1
+            top, size = _max_on_grid(spec, np.asarray(cert.fhat), s)
+            assert cert.max_on_audit >= top - 1e-15 * size, (s, method)
+    assert certified >= 10
+
+
+def test_root_audit_catches_a_bump_between_grid_points():
+    """A degree-21 polynomial with nonnegative coefficients that is
+    positive on [-1, 0] only within 1.1e-4 of x = -0.5, the midpoint of two
+    points of a 2048-point grid, is refused there."""
+    spec = sphere_space(4)
+
+    def f(t):
+        t = np.asarray(t, float)
+        return 1e-8 - (t + 0.5) ** 2 * (1.0 - 100.0 * t ** 19)
+
+    f.degree = 21
+    assert np.max(f(np.linspace(-1.0, 0.0, 2048))) < 0.0
+    cert = cone_certificate(spec, f, 0.0)
+    assert min(cert.fhat) > 0.0
+    assert not cert.passed and "exceeds" in cert.reason
+    assert cert.argmax == pytest.approx(-0.5, abs=1e-9)
+    assert cert.max_on_audit == pytest.approx(1e-8, rel=1e-5)
+
+
+@pytest.mark.parametrize("fhat", [(1e308, 1e308, 1e308), (1e308, -1e308, 1e308, 1e308),
+                                  (1.0, float("nan")), (0.5, float("inf")),
+                                  (1.0, 0.0, 1e308, -1e308)])
+def test_root_audit_of_nonfinite_sphere_coefficients(fhat):
+    """Non-finite Chebyshev coefficients skip the eigensolve, which would
+    raise LinAlgError, and the certificate fails on the endpoint values."""
+    from dataclasses import replace
+
+    from delbound import polynomial_from_fourier
+
+    spec = sphere_space(4)
+    poly = replace(polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0), fhat=fhat)
+    cert = cone_certificate(spec, poly, 0.0)
+    assert cert.verdict == "fail" and "finite" in cert.reason
+
+
+def test_root_audit_ignores_a_subnormal_top_coefficient():
+    """A top coefficient 1e-320 would overflow the colleague matrix of f';
+    the audit drops it and decides as without it."""
+    from delbound import bound_for_s, polynomial_from_fourier
+
+    spec = sphere_space(4)
+    plain = bound_for_s(spec, 0.3, "mrrw").certificate
+    padded = polynomial_from_fourier(spec, list(plain.fhat) + [1e-320], 0.3)
+    cert = cone_certificate(spec, padded, 0.3)
+    assert plain.passed and cert.passed
+    assert cert.max_on_audit == pytest.approx(plain.max_on_audit, abs=1e-15)
+
+
+def test_certificate_id_is_pinned():
+    """The id hashes schema, s, fhat, tolerances and verdict as strict
+    JSON; a change to what it hashes moves this literal."""
+    spec = hamming_space(8)
+    cert = cone_certificate(spec, mrrw_poly(spec, 1, 0.3), 0.3)
+    assert cert.certificate_id == "7ad6d40afc57"
+
+
+def test_certificate_id_ignores_where_the_maximum_sits():
+    """argmax, audit_size and max_on_audit follow rounding where max f = 0,
+    so they do not enter the id; fhat, s, tolerances and verdict do."""
+    from dataclasses import replace
+
+    from delbound import bound_for_s
+
+    cert = bound_for_s(sphere_space(8), 0.3, "mrrw").certificate
+    moved = replace(cert, argmax=-1.0, audit_size=cert.audit_size + 1,
+                    max_on_audit=cert.max_on_audit - 1e-17, reason="noted")
+    assert moved.certificate_id == cert.certificate_id
+    for change in ({"s": 0.31}, {"fhat": cert.fhat[:-1] + (cert.fhat[-1] * 2,)},
+                   {"verdict": "fail"}, {"tolerances": Tolerances(sign=1e-8)}):
+        assert replace(cert, **change).certificate_id != cert.certificate_id, change
+
+
+def test_certificate_id_hashes_strict_json():
+    """A NaN in fhat is hashed as the null that strict JSON output prints."""
+    import hashlib
+    from dataclasses import replace
+
+    from delbound import polynomial_from_fourier
+
+    spec = sphere_space(4)
+    poly = replace(polynomial_from_fourier(spec, [1.0, 1.0], 0.0), fhat=(1.0, float("nan")))
+    cert = cone_certificate(spec, poly, 0.0)
+    blob = cert.to_json()
+    decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}
+    assert decisive["fhat"][1] != decisive["fhat"][1]
+    decisive["fhat"][1] = None
+    canonical = json.dumps(decisive, sort_keys=True, allow_nan=False)
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == cert.certificate_id

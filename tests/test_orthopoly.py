@@ -287,3 +287,25 @@ def test_shared_stieltjes_run_under_concurrent_requests():
                 assert b.tobytes() == full_b[: m + 1].tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_chebyshev_table_reproduces_the_basis():
+    """Row i of the connection matrix, summed as a Chebyshev series, is
+    p_i: within 1e-13 of the recurrence's values, relative to the row's
+    largest value, on every sphere:4..200 through degree 60."""
+    from numpy.polynomial.chebyshev import chebval
+
+    from delbound.orthopoly import chebyshev_table
+
+    x = np.linspace(-1.0, 1.0, 257)
+    worst = 0.0
+    for dim in range(4, 201):
+        spec = sphere_space(dim)
+        table = chebyshev_table(spec, Variant.BASE, 60)
+        assert not table.flags.writeable
+        values = eval_basis_table(spec, Variant.BASE, 60, x)
+        err = np.max(np.abs(chebval(x, table.T) - values), axis=1)
+        worst = max(worst, float(np.max(err / np.max(np.abs(values), axis=1))))
+        # a lower degree is the leading block, bit for bit
+        assert np.array_equal(chebyshev_table(spec, Variant.BASE, 7), table[:8, :8])
+    assert worst < 1e-13, worst
