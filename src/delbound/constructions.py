@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .feasibility import (ConeCertificate, Tolerances, _evaluate, cone_certifica
                           fourier_expand)
 from .kernels import KernelParams, cd_kernel
 from .orthopoly import (
+    chebyshev_table,
     discrete_basis_table,
     eval_basis_table,
     largest_zero,
@@ -241,19 +243,38 @@ def bound_value(spec: MeasureSpec, f: BoundPolynomial) -> float:
     return 1.0 / fhat0
 
 
+@lru_cache(maxsize=None)
+def _basis_at_one(spec: MeasureSpec, deg: int) -> tuple:
+    """p_0(1)..p_deg(1) from the cached tables: node 0 of a discrete space
+    is x = 1, and on a continuous one T_j(1) = 1 sums the Chebyshev rows."""
+    if spec.discrete:
+        return tuple(discrete_basis_table(spec, Variant.BASE)[: deg + 1, 0].tolist())
+    return tuple(chebyshev_table(spec, Variant.BASE, deg).sum(axis=1).tolist())
+
+
 def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
                       tolerances=None) -> BoundResult:
     """The bound of poly at s, behind a passing certificate.
 
     The value 1/fhat_0 is read from the certificate's fhat, and fhat_0
     must also clear the default positivity floor that bound_value keeps,
-    whatever the tolerances. Raises NotCertifiedError otherwise.
+    whatever the tolerances. The certificate's slacks must leave the LP
+    inequality a bound: a code C gives |C| (fhat_0 - slack) <= f(1), with
+    slack = sum_{i>=1} max(0, -fhat_i) p_i(1) + max(0, max_on_audit), so
+    fhat_0 must exceed slack. Raises NotCertifiedError otherwise.
     """
     cert = cone_certificate(spec, poly, s, tolerances)
     floor = Tolerances().pos
     reason = cert.reason
-    if cert.passed and not cert.fhat[0] > floor:
-        reason = "fhat_0 = %r is inside the positivity floor %g" % (cert.fhat[0], floor)
+    if reason is None:
+        at_one = _basis_at_one(spec, len(cert.fhat) - 1)
+        slack = max(cert.max_on_audit, 0.0) - sum(
+            v * at_one[i] for i, v in enumerate(cert.fhat) if i and v < 0.0)
+        if not cert.fhat[0] > floor:
+            reason = "fhat_0 = %r is inside the positivity floor %g" % (cert.fhat[0], floor)
+        elif slack >= cert.fhat[0]:
+            reason = ("fhat_0 = %r is not above the slack %r of its negative "
+                      "coefficients and audit maximum" % (cert.fhat[0], slack))
     if reason is not None:
         raise NotCertifiedError(
             "%s polynomial of degree %d failed certification at s=%r on %s: %s"

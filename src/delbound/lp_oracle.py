@@ -8,10 +8,12 @@ of any explicit code. The primal solved here is
     subject to B_j >= 0 and sum_j B_j K_i(j) >= -C(n, i) for i = 1..n,
 
 with integer Krawtchouk coefficients from the explicit alternating sum,
-tabled once per n and shared by every d and both modes. The rational
-mode is exact end to end: its simplex pivots on an integer tableau with
-one common denominator (see `_simplex_max`), so no step rounds. Sizes
-are capped at n <= 14.
+tabled once per n. There is one simplex, and it is exact: it pivots on
+an integer tableau with one common denominator (see `_simplex_max`), so
+no step rounds. Each (n, d) is solved once and shared by both modes;
+exact mode returns the optimum and B as Fractions, float mode returns
+float() of each, the correctly rounded exact optimum. Sizes are capped
+at n <= 14.
 """
 
 from __future__ import annotations
@@ -73,64 +75,13 @@ def _krawtchouk_rows(n: int) -> tuple:
     )
 
 
-def _simplex_max(A, b, c, exact: bool):
-    """Dense tableau simplex for max c.x s.t. A.x <= b, x >= 0, b >= 0.
+def _simplex_max(A, b, c):
+    """Dense tableau simplex for max c.x s.t. A.x <= b, x >= 0, b >= 0,
+    with integer A, b and c. Returns (status, optimum, x), the optimum and
+    x as Fractions.
 
-    Bland's smallest-index rule throughout, which cannot cycle. Returns
-    (status, optimum, x). With exact=True, A, b and c must be integers;
-    the tableau is then kept as integers T over one common denominator
-    D > 0, every division is exact, and the optimum and x come back as
-    Fractions (`_simplex_max_exact`).
-    """
-    if exact:
-        return _simplex_max_exact(A, b, c)
-    m, nv = len(A), len(c)
-    zero, eps = 0.0, 1e-10
-    ncols = nv + m + 1
-    tab = []
-    for i in range(m):
-        row = [float(v) for v in A[i]] + [zero] * m + [float(b[i])]
-        row[nv + i] = 1.0
-        tab.append(row)
-    obj = [-float(v) for v in c] + [zero] * m + [zero]
-    basis = list(range(nv, nv + m))
-
-    for _ in range(50000):
-        col = next((j for j in range(ncols - 1) if obj[j] < -eps), None)
-        if col is None:
-            x = [zero] * (nv + m)
-            for i, bv in enumerate(basis):
-                x[bv] = tab[i][-1]
-            return "optimal", obj[-1], x[:nv]
-        pivot_row, best = None, None
-        for i in range(m):
-            if tab[i][col] > eps:
-                ratio = tab[i][-1] / tab[i][col]
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[pivot_row])
-                ):
-                    pivot_row, best = i, ratio
-        if pivot_row is None:
-            return "unbounded", None, None
-        piv = tab[pivot_row][col]
-        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tab[i][col] != zero:
-                factor = tab[i][col]
-                tab[i] = [v - factor * p for v, p in zip(tab[i], tab[pivot_row])]
-        if obj[col] != zero:
-            factor = obj[col]
-            obj = [v - factor * p for v, p in zip(obj, tab[pivot_row])]
-        basis[pivot_row] = col
-    raise NumericError("simplex iteration cap exceeded")
-
-
-def _simplex_max_exact(A, b, c):
-    """The exact branch of `_simplex_max`, on an integer tableau.
-
-    The tableau holds integers T and one common denominator D > 0, and
+    Bland's smallest-index rule throughout, which cannot cycle. The
+    tableau holds integers T and one common denominator D > 0, and
     its true entries are T/D (integer-preserving pivoting: Edmonds 1967,
     Bareiss 1968). A pivot on row r, column c with p = T[r][c] > 0 maps
     every other row, the objective row included, to
@@ -143,7 +94,8 @@ def _simplex_max_exact(A, b, c):
     minor of the starting integer tableau bordered by the objective row.
     The pivots are those of a rational tableau: D > 0, so signs are read
     off T, and the ratio test compares T[i][-1] / T[i][c] across rows by
-    cross-multiplication, ties going to the smaller basis index.
+    cross-multiplication, ties going to the smaller basis index. No step
+    rounds.
     """
     m, nv = len(A), len(c)
     ncols = nv + m + 1
@@ -195,25 +147,32 @@ def _integer_eliminate(row, prow, col, piv, den):
     return [(v * piv - factor * p) // den for v, p in zip(row, prow)]
 
 
+@functools.lru_cache(maxsize=None)
+def _solve(n: int, d: int) -> tuple:
+    """(status, optimum 1 + sum_j B_j, (B_d, ..., B_n)) of the instance
+    (n, d) in Fractions, solved once for both modes."""
+    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)]
+    b = [math.comb(n, i) for i in range(1, n + 1)]
+    status, opt, x = _simplex_max(A, b, [1] * (n - d + 1))
+    if status != "optimal":
+        return status, math.inf, ()
+    return status, 1 + opt, tuple(x)
+
+
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
-    """LP optimum for binary codes of length n, minimum distance d."""
+    """LP optimum for binary codes of length n, minimum distance d; float
+    mode gives the exact optimum, each value correctly rounded."""
     if not (isinstance(n, int) and isinstance(d, int) and 1 <= d <= n <= 14):
         raise ValidationError(
             "delsarte_lp needs integers 1 <= d <= n <= 14, got n=%r d=%r" % (n, d)
         )
     if mode not in ("float", "exact"):
         raise ValidationError("mode must be 'float' or 'exact'")
-    js = list(range(d, n + 1))
-    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)]
-    b = [math.comb(n, i) for i in range(1, n + 1)]
-    c = [1] * len(js)
-    status, opt, x = _simplex_max(A, b, c, exact=(mode == "exact"))
-    if status != "optimal":
-        return LPSolution(n=n, d=d, value=math.inf, B=(), status=status, mode=mode)
-    one = Fraction(1) if mode == "exact" else 1.0
-    value = one + opt
-    B = tuple((j, x[t]) for t, j in enumerate(js))
-    return LPSolution(n=n, d=d, value=value, B=B, status="optimal", mode=mode)
+    status, value, x = _solve(n, d)
+    if mode == "float":
+        value, x = float(value), [float(v) for v in x]
+    B = tuple(zip(range(d, n + 1), x))
+    return LPSolution(n=n, d=d, value=value, B=B, status=status, mode=mode)
 
 
 def hamming_distance(u, v) -> int:

@@ -186,8 +186,6 @@ def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCo
     if m < 0:
         raise ValidationError("coefficient index must be nonnegative")
     _check_degree(spec, basis, m, "recurrence_coeffs")
-    if spec.kind == "custom" and basis is Variant.BASE and m > len(spec.ab[0]) - 1:
-        raise ValidationError("custom recurrence ends at index %d" % (len(spec.ab[0]) - 1))
     return _coeffs_cached(spec, basis, m)
 
 

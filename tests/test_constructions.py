@@ -531,3 +531,38 @@ def test_all_k_mrrw_pass_does_not_warn_on_overflow():
         warnings.simplefilter("error")
         with pytest.raises(NotCertifiedError):
             bound_for_distance(hamming_space(384), 20, "mrrw")
+
+
+def test_mrrw_refuses_where_the_slack_swamps_the_mean():
+    """At hamming:100, d=27 the best MRRW degree passes the cone
+    tolerances with fhat_0 = 5.0e-12, while its negative coefficients,
+    weighted by p_i(1), sum to about 131: the LP inequality then proves no
+    bound, and its 1/fhat_0 = 2.0e11 is far below the Delsarte LP
+    optimum there (about 7e12)."""
+    spec = hamming_space(100)
+    with pytest.raises(NotCertifiedError):
+        bound_for_distance(spec, 27, "mrrw")
+    with pytest.raises(NotCertifiedError, match="slack") as info:
+        bound_for_s(spec, spec.nodes[27], "mrrw", k=90)
+    assert info.value.certificate.passed
+
+
+@pytest.mark.parametrize("spec", [hamming_space(6), sphere_space(4)],
+                         ids=["hamming:6", "sphere:4"])
+def test_certified_result_weighs_the_slack_at_one(spec):
+    """A tolerated negative coefficient counts with weight p_i(1): at
+    fhat_0 = 1e-11 it outweighs the mean, so no bound is read off the
+    passing certificate, whose f is negative on the audit set; at
+    fhat_0 = 0.5 it does not."""
+    from delbound.constructions import _certified_result
+    from delbound.orthopoly import eval_basis
+
+    poly = polynomial_from_fourier(spec, [1e-11, 1.0, -2e-10], -1.0)
+    cert = cone_certificate(spec, poly, -1.0)
+    assert cert.passed and cert.max_on_audit < 0.0
+    with pytest.raises(NotCertifiedError, match="slack") as info:
+        _certified_result(spec, poly, -1.0)
+    slack = float(str(info.value).rsplit("slack ", 1)[1].split()[0])
+    assert slack == pytest.approx(2e-10 * eval_basis(spec, Variant.BASE, 2, 1.0), rel=1e-12)
+    kept = polynomial_from_fourier(spec, [0.5, 1.0, -1e-10], -1.0)
+    assert _certified_result(spec, kept, -1.0).bound == 2.0

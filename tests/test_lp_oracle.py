@@ -226,7 +226,7 @@ def _integer_pivots(monkeypatch):
 def _assert_same_exact_run(monkeypatch, A, b, c, label):
     """Same pivot sequence, status, optimum and x as the Fraction tableau."""
     calls = _integer_pivots(monkeypatch)
-    got = _simplex_max(A, b, c, exact=True)
+    got = _simplex_max(A, b, c)
     pivots = [(col, tuple(Fraction(v, den) for v in prow)) for col, prow, den in calls]
     want_pivots = []
     want = _fraction_simplex_reference(A, b, c, want_pivots)
@@ -297,3 +297,35 @@ def test_exact_lp_below_every_certified_bound():
                 checks += 1
                 assert lp <= Fraction(res.bound) * Fraction(1 + 1e-9), (n, d, method)
     assert checks >= 250
+
+
+def test_float_mode_is_the_rounded_exact_optimum():
+    """Float mode reads the exact optimum: its value and every B_j are
+    float() of the exact ones, under ==."""
+    for n in range(1, 15):
+        for d in range(1, n + 1):
+            f = delsarte_lp(n, d, mode="float")
+            e = delsarte_lp(n, d, mode="exact")
+            assert (f.status, e.status) == ("optimal", "optimal"), (n, d)
+            assert type(f.value) is float and f.value == float(e.value), (n, d)
+            assert f.B == tuple((j, float(v)) for j, v in e.B), (n, d)
+
+
+def test_each_instance_is_solved_once_across_modes(monkeypatch):
+    calls = []
+    simplex = lp_oracle._simplex_max
+
+    def spy(A, b, c):
+        calls.append(len(c))
+        return simplex(A, b, c)
+
+    monkeypatch.setattr(lp_oracle, "_simplex_max", spy)
+    lp_oracle._solve.cache_clear()
+    try:
+        for mode in ("float", "exact", "float"):
+            for n in range(1, 15):
+                for d in range(1, n + 1):
+                    delsarte_lp(n, d, mode=mode)
+    finally:
+        lp_oracle._solve.cache_clear()
+    assert len(calls) == 105
