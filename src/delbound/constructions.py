@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .feasibility import (ConeCertificate, Tolerances, _evaluate, cone_certifica
                           fourier_expand)
 from .kernels import KernelParams, cd_kernel
 from .orthopoly import (
-    chebyshev_table,
     discrete_basis_table,
     eval_basis_table,
     largest_zero,
@@ -228,57 +226,21 @@ def lev_degree_select(spec: MeasureSpec, s: float):
 
 
 def bound_value(spec: MeasureSpec, f: BoundPolynomial) -> float:
-    """f(1)/fhat_0 with f(1) = 1 enforced, i.e. 1/fhat_0.
-
-    The mean must clear the same positivity floor the certificate uses;
-    a denominator inside the noise band would quietly turn roundoff into
-    an arbitrarily large "bound".
-    """
-    fhat0 = f.fhat[0]
-    if fhat0 <= Tolerances().pos:
-        cert = cone_certificate(spec, f, f.s)
-        raise NotCertifiedError(
-            "polynomial is outside the cone: fhat_0 = %r" % (fhat0,), certificate=cert
-        )
-    return 1.0 / fhat0
-
-
-@lru_cache(maxsize=None)
-def _basis_at_one(spec: MeasureSpec, deg: int) -> tuple:
-    """p_0(1)..p_deg(1) from the cached tables: node 0 of a discrete space
-    is x = 1, and on a continuous one T_j(1) = 1 sums the Chebyshev rows."""
-    if spec.discrete:
-        return tuple(discrete_basis_table(spec, Variant.BASE)[: deg + 1, 0].tolist())
-    return tuple(chebyshev_table(spec, Variant.BASE, deg).sum(axis=1).tolist())
+    """f(1)/fhat_0 with f(1) = 1 enforced, i.e. 1/fhat_0, behind the same
+    certificate every bound passes. Raises NotCertifiedError otherwise."""
+    return _certified_result(spec, f, f.s).bound
 
 
 def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
                       tolerances=None) -> BoundResult:
-    """The bound of poly at s, behind a passing certificate.
-
-    The value 1/fhat_0 is read from the certificate's fhat, and fhat_0
-    must also clear the default positivity floor that bound_value keeps,
-    whatever the tolerances. The certificate's slacks must leave the LP
-    inequality a bound: a code C gives |C| (fhat_0 - slack) <= f(1), with
-    slack = sum_{i>=1} max(0, -fhat_i) p_i(1) + max(0, max_on_audit), so
-    fhat_0 must exceed slack. Raises NotCertifiedError otherwise.
-    """
+    """The bound 1/fhat_0 of poly at s, read from a passing certificate's
+    fhat; cone_certificate alone decides. Raises NotCertifiedError on a
+    failed certificate."""
     cert = cone_certificate(spec, poly, s, tolerances)
-    floor = Tolerances().pos
-    reason = cert.reason
-    if reason is None:
-        at_one = _basis_at_one(spec, len(cert.fhat) - 1)
-        slack = max(cert.max_on_audit, 0.0) - sum(
-            v * at_one[i] for i, v in enumerate(cert.fhat) if i and v < 0.0)
-        if not cert.fhat[0] > floor:
-            reason = "fhat_0 = %r is inside the positivity floor %g" % (cert.fhat[0], floor)
-        elif slack >= cert.fhat[0]:
-            reason = ("fhat_0 = %r is not above the slack %r of its negative "
-                      "coefficients and audit maximum" % (cert.fhat[0], slack))
-    if reason is not None:
+    if not cert.passed:
         raise NotCertifiedError(
             "%s polynomial of degree %d failed certification at s=%r on %s: %s"
-            % (poly.method, poly.degree, s, spec.label(), reason),
+            % (poly.method, poly.degree, s, spec.label(), cert.reason),
             certificate=cert,
         )
     return BoundResult(
@@ -311,7 +273,8 @@ def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundR
 
 
 def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
-    """Cone verdicts of c (x - s) K_k(x, s)^2 for every k < n in one pass.
+    """Rules out the degrees k < n at which c (x - s) K_k(x, s)^2 surely
+    fails the cone conditions, all in one pass.
 
     From the node table P, K = cumsum(p(s) P) holds every kernel at every
     node, so F = (x - s) K^2, c_k = 1 / F[k, 0] (node 0 is x = 1) and all
@@ -323,15 +286,16 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     (a cumulative sum here, a dot product there), widened _SCAN_GUARD
     times; for the audited values that is the band of the coefficients
     carried through P plus the rounding of the two dot products. A
-    condition is decided only when it holds or fails beyond that band.
+    degree is ruled out only when a condition fails beyond that band.
     Degrees go through in blocks of _SCAN_ROWS, which keeps the working
     arrays to a few times the size of P.
 
     Returns (lo, status): lo[k] is a lower bound on the value 1/fhat_0
-    that full certification would report, status[k] is 1 when all three
-    conditions surely hold, -1 when one surely fails and 0 when the band
-    leaves it open. Degrees whose unnormalized mean is not positive are
-    failed outright, as the per-degree scan always did.
+    that full certification would report, status[k] is -1 when one of the
+    three conditions surely fails and 0 otherwise, for full certification
+    to decide. The certificate's floor and slack rules only add failures,
+    so -1 stays sound without them. Degrees whose unnormalized mean is not
+    positive are failed outright, as the per-degree scan always did.
     """
     n = spec.params[0]
     table = discrete_basis_table(spec, Variant.BASE)
@@ -373,18 +337,13 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
             fhat_err[dropped] = 0.0
             f_audit = fhat @ table_audit
             f_audit_err = (fhat_err + gamma * np.abs(fhat)) @ abs_table_audit
-            surely_pass = (
-                (fhat[:, 0] - fhat_err[:, 0] > tol.pos)
-                & np.all(fhat[:, 1:] - fhat_err[:, 1:] >= -tol.coeff, axis=1)
-                & np.all(f_audit + f_audit_err <= tol.sign, axis=1)
-            )
             surely_fail = (
                 ~(raw_means[ks] > 0.0)
                 | (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
                 | np.any(fhat[:, 1:] + fhat_err[:, 1:] < -tol.coeff, axis=1)
                 | np.any(f_audit - f_audit_err > tol.sign, axis=1)
             )
-        status[ks] = np.where(surely_fail, -1, np.where(surely_pass, 1, 0))
+        status[ks] = np.where(surely_fail, -1, 0)
     return np.nan_to_num(lo, nan=0.0), status
 
 

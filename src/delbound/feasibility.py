@@ -2,11 +2,13 @@
 
 A polynomial f qualifies at parameter s when f <= 0 on [-1, s], its mean
 fhat_0 is strictly positive, and every other Fourier coefficient in the
-base orthonormal system is nonnegative. cone_certificate audits all three
-conditions and returns an immutable, serializable verdict; nothing in this
-package reports a bound without a passing certificate attached. All
-three are read off the coefficient vector the certificate reports, so
-a certificate's own fhat re-audits to the same certificate. The sign
+base orthonormal system is nonnegative. Since each condition holds only
+up to a tolerance, a bound also needs fhat_0 above the default positivity
+floor and above the slack the tolerances leave. cone_certificate audits
+all of these and returns an immutable, serializable verdict, the one
+rule by which this package reports a bound or refuses it. All of them are
+read off the coefficient vector the certificate reports, so a
+certificate's own fhat re-audits to the same certificate. The sign
 condition is read at the support nodes in [-1, s] on a discrete space,
 and on a continuous one at -1, s and the roots of f' between them, which
 decides it exactly up to rounding, with no grid.
@@ -18,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -174,10 +177,26 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     return pts, _evaluate(spec, fhat, pts)
 
 
+@lru_cache(maxsize=None)
+def _basis_at_one(spec: MeasureSpec, deg: int) -> tuple:
+    """p_0(1)..p_deg(1) from the cached tables: node 0 of a discrete space
+    is x = 1, and on a continuous one T_j(1) = 1 sums the Chebyshev rows."""
+    if spec.discrete:
+        return tuple(discrete_basis_table(spec, Variant.BASE)[: deg + 1, 0].tolist())
+    return tuple(chebyshev_table(spec, Variant.BASE, deg).sum(axis=1).tolist())
+
+
 def cone_certificate(
     spec: MeasureSpec, f, s: float, tolerances: Tolerances | None = None
 ) -> ConeCertificate:
     """Audit f against the cone conditions at parameter s.
+
+    A passing certificate is one a bound 1/fhat_0 follows from. Besides
+    the three conditions within the tolerances, fhat_0 must clear the
+    default positivity floor, whatever the tolerances, and the slacks
+    must leave the LP inequality a bound: a code C gives
+    |C| (fhat_0 - slack) <= f(1), with slack = sum_{i>=1} max(0, -fhat_i)
+    p_i(1) + max(0, max_on_audit), so fhat_0 must exceed slack.
 
     What is audited is the coefficient vector fhat that the certificate
     reports, so the certificate's own fhat re-audits to the same
@@ -238,6 +257,16 @@ def cone_certificate(
             max_val,
             tol.sign,
         )
+    else:
+        floor = Tolerances().pos
+        at_one = _basis_at_one(spec, fhat.size - 1)
+        slack = max(max_val, 0.0) - sum(
+            v * at_one[i] for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
+        if not fhat[0] > floor:
+            reason = "fhat_0 = %r is inside the positivity floor %g" % (float(fhat[0]), floor)
+        elif slack >= fhat[0]:
+            reason = ("fhat_0 = %r is not above the slack %r of its negative "
+                      "coefficients and audit maximum" % (float(fhat[0]), slack))
 
     return ConeCertificate(
         s=float(s),

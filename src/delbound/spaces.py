@@ -77,13 +77,20 @@ def hamming_space(n: int) -> MeasureSpec:
     """Binary Hamming space of length n, as a measure on [-1, 1].
 
     Nodes are x_j = 1 - 2j/n for j = 0..n and the weight of x_j is
-    C(n, j) 2^-n, the distance distribution of the whole space.
+    C(n, j) 2^-n, the distance distribution of the whole space. From
+    n = 1075 on, 2^-n underflows to 0.0 in floating point, which would
+    silently drop nodes from the measure, so such n are refused.
     """
     if not isinstance(n, int) or n < 1:
         raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
     nodes = tuple((n - 2 * j) / n for j in range(n + 1))
     denom = 2 ** n
     weights = tuple(math.comb(n, j) / denom for j in range(n + 1))
+    if 0.0 in weights:
+        raise ValidationError(
+            "hamming_space(%d) has node weights C(n, j) 2^-n that underflow to "
+            "0.0; the largest supported n is 1074" % (n,)
+        )
     return MeasureSpec(kind="hamming", params=(n,), nodes=nodes, weights=weights)
 
 

@@ -182,9 +182,10 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
     and sigma chosen by sign_variant. The additive choice carries
     (p_i(1)) as top eigenvector with eigenvalue exactly 1, which makes the
     value formula degenerate, so it is rejected; the subtractive choice
-    lands the top eigenvalue lambda_k inside the top window and the
-    certified value min(4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k), 1/Fhat_0)
-    is returned. Uncertified variants are suppressed with a diagnostic.
+    lands the top eigenvalue lambda_k inside the top window. The certified
+    value 1/fhat_0 is returned, with the closed form
+    4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k) attached. Uncertified variants
+    are suppressed with a diagnostic.
     """
     if k < 1:
         raise ValidationError("spectral_bound_fixed needs k >= 1")
@@ -209,4 +210,4 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
                                pair.vector)
     res = _certified_result(spec, poly, lam, tolerances)
     closed = 4.0 * a_k * pk1 * pk / (1.0 - lam)
-    return replace(res, bound=min(closed, res.bound), closed_form=closed)
+    return replace(res, closed_form=closed)

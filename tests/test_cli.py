@@ -134,6 +134,27 @@ def test_verify_descriptor(capsys):
     assert len(blob["certificate_id"]) == 12
 
 
+def test_verify_refuses_what_bound_refuses(capsys):
+    """The MRRW polynomial of degree 181 at hamming:100, d=27 meets the three
+    cone tolerances, but its slack swamps fhat_0: no bound follows, so
+    verify fails it as bound does."""
+    code, out = run_cli(capsys, "verify", "--space", "hamming:100", "--method", "mrrw",
+                        "--k", "90", "--s", "0.46")
+    assert code == 3
+    blob = json.loads(out)
+    assert blob["verdict"] == "fail" and "slack" in blob["reason"]
+    code, _ = run_cli(capsys, "bound", "--space", "hamming:100", "--method", "mrrw",
+                      "--k", "90", "--s", "0.46")
+    assert code == 3
+
+
+def test_underflowing_hamming_space_exits_2(capsys):
+    code, out = run_cli(capsys, "bound", "--space", "hamming:2048", "--d", "410",
+                        "--method", "lev")
+    assert code == 2
+    assert "1074" in json.loads(out)["error"]
+
+
 def test_verify_file_roundtrip(tmp_path, capsys):
     good = tmp_path / "poly.json"
     good.write_text(json.dumps({"coeffs": [0.5, 0.5], "s": -1.0}))

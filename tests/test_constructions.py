@@ -505,18 +505,19 @@ def test_certificate_audits_the_carried_coefficients(monkeypatch):
 
 
 def test_certified_result_keeps_the_default_positivity_floor():
-    """Looser tolerances can pass a certificate whose mean is noise, but no
-    bound is read off it."""
+    """Looser tolerances cannot pass a certificate whose mean is noise, so
+    no bound is read off it."""
     from delbound.constructions import _certified_result
     from delbound.feasibility import Tolerances
 
     spec = hamming_space(6)
     poly = polynomial_from_fourier(spec, [1e-14, 1.0], -1.0)
     loose = Tolerances(pos=0.0)
-    assert cone_certificate(spec, poly, -1.0, loose).passed
+    cert = cone_certificate(spec, poly, -1.0, loose)
+    assert not cert.passed and "positivity floor" in cert.reason
     with pytest.raises(NotCertifiedError, match="positivity floor") as info:
         _certified_result(spec, poly, -1.0, loose)
-    assert info.value.certificate.passed
+    assert info.value.certificate == cert
     res = _certified_result(spec, polynomial_from_fourier(spec, [0.5, 1.0], -1.0),
                             -1.0)
     assert res.bound == 2.0 and res.method == "custom"
@@ -534,7 +535,7 @@ def test_all_k_mrrw_pass_does_not_warn_on_overflow():
 
 
 def test_mrrw_refuses_where_the_slack_swamps_the_mean():
-    """At hamming:100, d=27 the best MRRW degree passes the cone
+    """At hamming:100, d=27 the best MRRW degree meets the three cone
     tolerances with fhat_0 = 5.0e-12, while its negative coefficients,
     weighted by p_i(1), sum to about 131: the LP inequality then proves no
     bound, and its 1/fhat_0 = 2.0e11 is far below the Delsarte LP
@@ -544,25 +545,65 @@ def test_mrrw_refuses_where_the_slack_swamps_the_mean():
         bound_for_distance(spec, 27, "mrrw")
     with pytest.raises(NotCertifiedError, match="slack") as info:
         bound_for_s(spec, spec.nodes[27], "mrrw", k=90)
-    assert info.value.certificate.passed
+    assert not info.value.certificate.passed and "slack" in info.value.certificate.reason
 
 
 @pytest.mark.parametrize("spec", [hamming_space(6), sphere_space(4)],
                          ids=["hamming:6", "sphere:4"])
 def test_certified_result_weighs_the_slack_at_one(spec):
     """A tolerated negative coefficient counts with weight p_i(1): at
-    fhat_0 = 1e-11 it outweighs the mean, so no bound is read off the
-    passing certificate, whose f is negative on the audit set; at
-    fhat_0 = 0.5 it does not."""
+    fhat_0 = 1e-11 it outweighs the mean, so the certificate fails though
+    its coefficients are within tolerance and its f is negative on the
+    audit set; at fhat_0 = 0.5 it does not."""
     from delbound.constructions import _certified_result
     from delbound.orthopoly import eval_basis
 
     poly = polynomial_from_fourier(spec, [1e-11, 1.0, -2e-10], -1.0)
     cert = cone_certificate(spec, poly, -1.0)
-    assert cert.passed and cert.max_on_audit < 0.0
+    assert not cert.passed and "slack" in cert.reason and cert.max_on_audit < 0.0
     with pytest.raises(NotCertifiedError, match="slack") as info:
         _certified_result(spec, poly, -1.0)
     slack = float(str(info.value).rsplit("slack ", 1)[1].split()[0])
     assert slack == pytest.approx(2e-10 * eval_basis(spec, Variant.BASE, 2, 1.0), rel=1e-12)
     kept = polynomial_from_fourier(spec, [0.5, 1.0, -1e-10], -1.0)
     assert _certified_result(spec, kept, -1.0).bound == 2.0
+
+
+def _mrrw_cases():
+    for n in (33, 64):
+        spec = hamming_space(n)
+        for d in range(1, n + 1):
+            for k in range(n):
+                yield spec, k, spec.nodes[d]
+    spec = hamming_space(100)
+    yield spec, 90, spec.nodes[27]
+
+
+def test_certificate_and_bound_read_one_verdict():
+    """A certificate passes exactly when a bound is read off it, for every
+    MRRW degree at every d of hamming:33 and hamming:64."""
+    from delbound.constructions import _certified_result
+
+    checked = 0
+    for spec, k, s in _mrrw_cases():
+        try:
+            poly = mrrw_poly(spec, k, s)
+        except DelboundError:
+            continue
+        passed = cone_certificate(spec, poly, s).passed
+        try:
+            _certified_result(spec, poly, s)
+            bounded = True
+        except NotCertifiedError:
+            bounded = False
+        assert passed == bounded, (spec.label(), k, s)
+        checked += 1
+    assert checked > 5000
+
+
+def test_bound_value_refuses_where_the_slack_swamps_the_mean():
+    spec = hamming_space(100)
+    poly = mrrw_poly(spec, 90, spec.nodes[27])
+    with pytest.raises(NotCertifiedError, match="slack") as info:
+        bound_value(spec, poly)
+    assert not info.value.certificate.passed

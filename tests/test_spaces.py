@@ -42,6 +42,15 @@ def test_hamming_validation():
         hamming_space(-3)
 
 
+def test_hamming_weights_stay_nonzero_up_to_the_largest_supported_n():
+    """C(n, j) 2^-n is a nonzero double for every j up to n = 1074; from
+    n = 1075 on, 2^-n underflows to 0.0 and the space is refused rather
+    than built with nodes silently missing."""
+    assert max_degree(hamming_space(1074)) == 1074
+    with pytest.raises(ValidationError, match="1074"):
+        hamming_space(1075)
+
+
 def test_sphere_space_basics():
     spec = sphere_space(5)
     assert spec.label() == "sphere:5"

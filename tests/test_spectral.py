@@ -143,3 +143,14 @@ def test_eigenvector_matches_kernel_values():
     expected = eval_basis_table(spec, Variant.BASE, k, np.array([s]))[:, 0]
     expected = expected / np.linalg.norm(expected)
     assert np.max(np.abs(pair.vector - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 10, 14, 16])
+def test_spectral_fixed_reports_the_certified_value(n):
+    """The reported bound is 1/fhat_0 of the certificate, bit for bit; the
+    closed form rides along without lowering it."""
+    spec = hamming_space(n)
+    for k in range(1, 5):
+        res = spectral_bound_fixed(spec, k)
+        assert res.bound == 1.0 / res.certificate.fhat[0], (n, k)
+        assert res.closed_form is not None
