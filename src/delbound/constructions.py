@@ -10,7 +10,11 @@ and the spectral route squares other vectors than the kernel's. The
 product form is evaluated once, at x = 1 for c and at the expansion points
 for the coefficient vector fhat in the base orthonormal system; from then
 on a polynomial is that vector, which the certificate audits as it is and
-whose first entry gives the bound 1/fhat_0.
+whose first entry gives the bound 1/fhat_0. On a discrete space every value
+the product form needs is a node value: the kernel at the nodes is v times
+the cached node rows of its system, x = 1 is node 0, p(s) is a column of
+those rows when s is a node, and fhat is one product with the base table.
+Continuous spaces evaluate the recurrence at x = 1 and at a Gauss rule.
 
 Construction never asserts cone membership; the feasibility module owns
 that decision, and no BoundResult is built without a passing certificate.
@@ -18,8 +22,10 @@ that decision, and no BoundResult is built without a passing certificate.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,11 +38,11 @@ from .errors import (
 )
 from .feasibility import (ConeCertificate, Tolerances, _evaluate, cone_certificate,
                           fourier_expand)
-from .kernels import KernelParams, cd_kernel
 from .orthopoly import (
     discrete_basis_table,
     eval_basis_table,
     largest_zero,
+    largest_zeros_until,
     recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights
@@ -47,7 +53,8 @@ _LEV_DEGREE_CAP = 128
 _TIE_REL = 1e-9
 # widening of the rounding bounds that let the all-k MRRW pass decide
 _SCAN_GUARD = 4.0
-# degrees per block of the all-k MRRW pass
+# degrees per block of the all-k MRRW pass, and per step by which an
+# adjacent node table grows
 _SCAN_ROWS = 32
 
 
@@ -117,23 +124,79 @@ class BoundResult:
         return out
 
 
+@lru_cache(maxsize=None)
+def _node_index(spec: MeasureSpec) -> dict:
+    """Position of each support node of a discrete space in spec.nodes."""
+    return {x: j for j, x in enumerate(spec.nodes)}
+
+
+# node tables of the adjacent systems, by (spec, basis)
+_ADJACENT_ROWS = {}
+
+
+def _cached_node_rows(spec: MeasureSpec, basis: Variant, deg: int):
+    """p_0..p_deg of the basis at every node of a discrete space, read-only,
+    from a cached table, or None when the cache does not reach deg.
+
+    The base system's table is discrete_basis_table. An adjacent system's
+    grows on demand, in steps of _SCAN_ROWS degrees, as deep as the
+    Levenshtein windows reach (_LEV_DEGREE_CAP at most); rebuilding it
+    deeper gives its earlier rows bit for bit again, and a concurrent
+    reader at worst builds it twice.
+    """
+    if basis is Variant.BASE:
+        table = discrete_basis_table(spec, basis)
+        return table[: deg + 1] if deg < table.shape[0] else None
+    top = min(max_degree(spec, basis), _LEV_DEGREE_CAP)
+    if deg > top:
+        return None
+    rows = _ADJACENT_ROWS.get((spec, basis))
+    if rows is None or rows.shape[0] <= deg:
+        x, _ = node_weights(spec, Variant.BASE)
+        rows = eval_basis_table(spec, basis, min(top, -(-deg // _SCAN_ROWS) * _SCAN_ROWS), x)
+        rows.flags.writeable = False
+        _ADJACENT_ROWS[spec, basis] = rows
+    return rows[: deg + 1]
+
+
+def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
+    """p_0(s)..p_deg(s): a column of the cached node rows when s is a node
+    of a discrete space, else one run of the recurrence at s."""
+    j = _node_index(spec).get(s) if spec.discrete else None
+    rows = None if j is None else _cached_node_rows(spec, basis, deg)
+    return eval_basis_table(spec, basis, deg, s)[:, 0] if rows is None else rows[:, j]
+
+
 def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     """c (x - s) (v . p(x))^2 over the basis system, times (x + 1) in the
     plusminus basis. v defaults to p(s), which makes v . p(x) the kernel
-    K_k(x, s); any other v is an eigenvector from the spectral route."""
+    K_k(x, s); any other v is an eigenvector from the spectral route.
+
+    On a discrete space the product form is read from the node tables:
+    the kernel at every node is v times the cached rows of the basis
+    system, f(1) is its value at node 0 (x = 1), and fhat is one product
+    with the base table. A continuous space runs the recurrence at x = 1
+    and at the Gauss rule of fourier_expand.
+    """
     if s >= 1.0:
         raise ValidationError("%s_poly needs s < 1" % method)
     if v is None:
-        v = eval_basis_table(spec, basis, k, s)[:, 0]
+        v = _basis_at(spec, basis, k, s)
     extra_root = basis is Variant.PLUSMINUS
     degree = 2 * k + 1 + extra_root
 
-    def product(x):
-        kern = v @ eval_basis_table(spec, basis, k, x)
+    def product(x, table):
+        kern = v @ table
         roots = (x - s) * (x + 1.0) if extra_root else x - s
         return roots * kern * kern
 
-    at_one = float(product(np.array([1.0]))[0])
+    if spec.discrete:
+        x, w = node_weights(spec, Variant.BASE)
+        rows = _cached_node_rows(spec, basis, k)
+        on_nodes = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
+        at_one = float(on_nodes[0])
+    else:
+        at_one = float(product(1.0, eval_basis_table(spec, basis, k, 1.0))[0])
     if at_one == 0.0:
         raise SingularOperatorError(
             "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
@@ -141,11 +204,15 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     c = 1.0 / at_one
     if not math.isfinite(c):
         raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
-    kept = min(degree, max_degree(spec, Variant.BASE)) if spec.discrete else degree
-    fhat = fourier_expand(spec, lambda x: c * product(x), kept)
+    if spec.discrete:
+        kept = min(degree, max_degree(spec, Variant.BASE))
+        fhat = discrete_basis_table(spec, Variant.BASE)[: kept + 1] @ (w * (c * on_nodes))
+    else:
+        fhat = fourier_expand(
+            spec, lambda x: c * product(x, eval_basis_table(spec, basis, k, x)), degree)
     return BoundPolynomial(
         method=method, degree=degree, s=float(s), c=c,
-        fhat=tuple(float(value) for value in fhat), spec=spec, k=k,
+        fhat=tuple(fhat.tolist()), spec=spec, k=k,
     )
 
 
@@ -168,8 +235,8 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
             "closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
             "got s=%r outside (%r, %r)" % (s, lo, hi)
         )
-    table_s = eval_basis_table(spec, Variant.BASE, k + 1, s)[:, 0]
-    kern_one = cd_kernel(spec, KernelParams(Variant.BASE, k, s), 1.0)
+    table_s = _basis_at(spec, Variant.BASE, k + 1, s)
+    kern_one = float(table_s[: k + 1] @ _basis_at(spec, Variant.BASE, k, 1.0))
     a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
     denom = a_k * table_s[k + 1] * table_s[k]
     if denom == 0.0:
@@ -185,6 +252,23 @@ def lev_odd_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
 def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s)(x + 1) K_k^+-(x, s)^2 over the plusminus kernel, degree 2k + 2."""
     return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
+
+
+def _scan_start(spec: MeasureSpec, basis: Variant, s: float, top: int) -> int:
+    """Degree from which a window scan at s reading the largest zeros of
+    basis must start: no window below it can contain s.
+
+    The list of largest zeros x_0, x_1, ... is extended degree by degree,
+    as the scan itself reads them, until its last entry reaches s - tol or
+    its degree reaches top; a scan from degree 0 finds its window there at
+    the latest. With i the first degree whose zero is not below
+    s - tol, every window of degree k <= i - 3 ends below s - tol: the
+    base windows end at x_{k+1}, and the Levenshtein ones of degree k at
+    x_{k+1}^- and x_{k+1}^+- < x_{k+2}^-, as the systems interlace. So
+    the scan starts at i - 2.
+    """
+    xs = largest_zeros_until(spec, basis, s - _WINDOW_TIE_TOL, top)
+    return max(0, bisect.bisect_left(xs, s - _WINDOW_TIE_TOL) - 2)
 
 
 def lev_degree_select(spec: MeasureSpec, s: float):
@@ -203,7 +287,12 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     k_top = _LEV_DEGREE_CAP
     if cap_minus is not None:
         k_top = min(k_top, cap_minus - 1)
-    for k in range(k_top + 1):
+    start = _scan_start(spec, Variant.MINUS, s, k_top + 1)
+    # the plusminus zeros below the start are read in turn, as a scan from
+    # degree 0 reads them
+    largest_zeros_until(spec, Variant.PLUSMINUS, math.inf,
+                        start - 1 if cap_pm is None else min(start - 1, cap_pm))
+    for k in range(start, k_top + 1):
         left = largest_zero(spec, Variant.PLUSMINUS, k) if (
             cap_pm is None or k <= cap_pm
         ) else None
@@ -249,6 +338,7 @@ def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
     )
 
 
+@lru_cache(maxsize=None)
 def classical_baselines(n: int, d: int) -> tuple:
     """Textbook upper bounds attached to reports for context."""
     e = (d - 1) // 2
@@ -300,7 +390,7 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     n = spec.params[0]
     table = discrete_basis_table(spec, Variant.BASE)
     x, w = node_weights(spec, Variant.BASE)
-    ps = eval_basis_table(spec, Variant.BASE, n, s)[:, 0]
+    ps = _basis_at(spec, Variant.BASE, n, s)
     kern = ps[:, None] * table
     np.cumsum(kern, axis=0, out=kern)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,7 +536,7 @@ def _base_window_index(spec: MeasureSpec, s: float):
     _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select)."""
     cap = max_degree(spec, Variant.BASE)
     top = cap - 1 if cap is not None else _LEV_DEGREE_CAP
-    for k in range(top + 1):
+    for k in range(_scan_start(spec, Variant.BASE, s, top + 1), top + 1):
         lo = largest_zero(spec, Variant.BASE, k)
         hi = largest_zero(spec, Variant.BASE, k + 1)
         if s <= lo + _WINDOW_TIE_TOL:
@@ -483,5 +573,5 @@ def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:
         )
     return BoundPolynomial(
         method="custom", degree=degree, s=s, c=1.0,
-        fhat=tuple(float(value) for value in coeffs), spec=spec,
+        fhat=tuple(coeffs.tolist()), spec=spec,
     )

@@ -270,7 +270,7 @@ def cone_certificate(
 
     return ConeCertificate(
         s=float(s),
-        fhat=tuple(float(v) for v in fhat),
+        fhat=tuple(fhat.tolist()),
         min_coeff_index=min_idx,
         min_coeff_value=min_val,
         max_on_audit=max_val,

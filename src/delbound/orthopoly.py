@@ -133,9 +133,9 @@ def _discrete_stieltjes(spec: MeasureSpec, basis: Variant) -> _StieltjesRun:
 
 
 def _coeffs_from(a, b, mass, m: int) -> RecurrenceCoeffs:
-    if a.size <= m:
+    if len(a) <= m:
         raise ValidationError(
-            "measure lost positivity at index %d; degree request too high" % (a.size - 1)
+            "measure lost positivity at index %d; degree request too high" % (len(a) - 1)
         )
     return RecurrenceCoeffs(a=tuple(a[: m + 1]), b=tuple(b[: m + 1]), mass=mass)
 
@@ -144,6 +144,10 @@ def _coeffs_from(a, b, mass, m: int) -> RecurrenceCoeffs:
 def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
     if spec.kind == "hamming" and basis is Variant.BASE:
         n = spec.params[0]
+        if m < n:
+            # slices of the full tuples share their float objects
+            full = _coeffs_cached(spec, basis, n)
+            return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=1.0)
         a = tuple(math.sqrt((n - i) * (i + 1)) / n for i in range(m + 1))
         b = (0.0,) * (m + 1)
         return RecurrenceCoeffs(a=a, b=b, mass=1.0)
@@ -163,7 +167,10 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
         ca, cb = spec.ab
         return RecurrenceCoeffs(a=tuple(ca[: m + 1]), b=tuple(cb[: m + 1]), mass=1.0)
     if spec.discrete:
-        return _coeffs_from(*_discrete_stieltjes(spec, basis).through(m), m)
+        # slices of the shared run's lists share their float objects
+        run = _discrete_stieltjes(spec, basis)
+        run.through(m)
+        return _coeffs_from(run.a, run.b, run.mass, m)
     # Continuous adjacent system: discretize the base measure by a Gauss
     # rule large enough that all Stieltjes inner products (degree 2m + 3
     # at most, multiplier included) are integrated exactly, then proceed
@@ -293,10 +300,17 @@ def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     return np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
 
 
+def _spectrum(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
+    """Zeros of the degree-k polynomial, k >= 1, as the eigenvalues of
+    J_{k-1}, fresh on every call."""
+    _check_degree(spec, basis, k, "zeros")
+    rc = recurrence_coeffs(spec, basis, k - 1)
+    return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
+
+
 @lru_cache(maxsize=None)
 def _zeros_cached(spec: MeasureSpec, basis: Variant, k: int):
-    rc = recurrence_coeffs(spec, basis, k - 1)
-    vals = tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
+    vals = _spectrum(spec, basis, k)
     vals.flags.writeable = False
     return vals
 
@@ -310,16 +324,25 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
         raise ValidationError("zeros needs k >= 0")
     if k == 0:
         return np.array([])
-    _check_degree(spec, basis, k, "zeros")
     return _zeros_cached(spec, basis, k)
 
 
+class _ZeroTable(dict):
+    """Largest zeros by degree, as far as they were asked for. A value is
+    filled in once and never changes, so concurrent readers can at worst
+    compute it twice. prefix lists x_0, x_1, ... consecutively from degree
+    0, as far as largest_zeros_until has read them; its lock keeps two
+    readers from appending the same degree."""
+
+    def __init__(self):
+        super().__init__({0: -1.0})
+        self.prefix = [-1.0]
+        self.lock = threading.Lock()
+
+
 @lru_cache(maxsize=None)
-def _largest_zeros(spec: MeasureSpec, basis: Variant) -> dict:
-    """Largest zeros of (spec, basis) by degree, as far as they were asked
-    for. A value is filled in once and never changes, so concurrent
-    readers can at worst compute it twice."""
-    return {0: -1.0}
+def _largest_zeros(spec: MeasureSpec, basis: Variant) -> _ZeroTable:
+    return _ZeroTable()
 
 
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
@@ -327,10 +350,26 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
 
     Equal to the top of zeros(spec, basis, k), kept per (spec, basis) so
     that the window searches, which read x_0, x_1, ... in turn, pay one
-    dictionary lookup for each degree already seen.
+    dictionary lookup for each degree already seen. Only the top is kept:
+    the spectrum it is read from is not cached.
     """
     table = _largest_zeros(spec, basis)
     x = table.get(k)
     if x is None:
-        x = table[k] = float(zeros(spec, basis, k)[-1])
+        if k < 0:
+            raise ValidationError("zeros needs k >= 0")
+        x = table[k] = float(_spectrum(spec, basis, k)[-1])
     return x
+
+
+def largest_zeros_until(spec: MeasureSpec, basis: Variant, x: float, top: int) -> list:
+    """The shared list x_0, x_1, ... of largest zeros, read through
+    largest_zero degree by degree until its last entry reaches x or its
+    degree reaches top. The list only grows; callers must not change it."""
+    table = _largest_zeros(spec, basis)
+    xs = table.prefix
+    if xs[-1] < x and len(xs) <= top:
+        with table.lock:
+            while xs[-1] < x and len(xs) <= top:
+                xs.append(largest_zero(spec, basis, len(xs)))
+    return xs

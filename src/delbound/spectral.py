@@ -20,6 +20,7 @@ import numpy as np
 
 from .constructions import (
     BoundResult,
+    _basis_at,
     _certified_result,
     _kernel_square_poly,
     mrrw_bound_closed,
@@ -27,7 +28,6 @@ from .constructions import (
 from .errors import NumericError, SingularOperatorError, ValidationError
 from .orthopoly import (
     JacobiOperator,
-    eval_basis_table,
     jacobi_matrix,
     largest_zero,
     recurrence_coeffs,
@@ -59,7 +59,7 @@ class EigenPair:
 
 def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
     """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
-    table = eval_basis_table(spec, basis, k + 1, s)[:, 0]
+    table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
     if abs(pk) <= 1e-12:
         raise SingularOperatorError(
@@ -120,7 +120,7 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     violation raises NumericError rather than returning.
     """
     T = build_Tk(spec, basis, k, s)
-    v = _sign_fix(eval_basis_table(spec, basis, k, s)[:, 0].copy())
+    v = _sign_fix(_basis_at(spec, basis, k, s).copy())
     v /= np.linalg.norm(v)
     m = T.matrix()
     residual = float(np.linalg.norm(m @ v - s * v))
@@ -192,7 +192,7 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
     if sign_variant not in ("subtractive", "additive"):
         raise ValidationError("sign_variant must be 'subtractive' or 'additive'")
     sigma = -1.0 if sign_variant == "subtractive" else 1.0
-    table = eval_basis_table(spec, Variant.BASE, k + 1, 1.0)[:, 0]
+    table = _basis_at(spec, Variant.BASE, k + 1, 1.0)
     pk, pk1 = float(table[k]), float(table[k + 1])
     a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
     rho_one = a_k * pk1 / pk

@@ -607,3 +607,137 @@ def test_bound_value_refuses_where_the_slack_swamps_the_mean():
     with pytest.raises(NotCertifiedError, match="slack") as info:
         bound_value(spec, poly)
     assert not info.value.certificate.passed
+
+
+def _recurrence_squares(spec, basis, top, s):
+    """fhat of c (x - s) K_k(x, s)^2 (times x + 1 in the plusminus basis)
+    for k = 0..top, with p(s), f(1) and the kernel at every node read from
+    fresh runs of the three-term recurrence, not from the node tables.
+    Row k of a run to degree top is that of a run to degree k."""
+    from delbound.orthopoly import discrete_basis_table, eval_basis_table
+    from delbound.spaces import max_degree, node_weights
+
+    x, w = node_weights(spec, Variant.BASE)
+    ps = eval_basis_table(spec, basis, top, s)[:, 0]
+    at_x = eval_basis_table(spec, basis, top, x)
+    at_one = eval_basis_table(spec, basis, top, np.array([1.0]))
+    base = discrete_basis_table(spec, Variant.BASE)
+    extra = basis is Variant.PLUSMINUS
+    out = []
+    for k in range(top + 1):
+        def product(t, table):
+            kern = ps[: k + 1] @ table[: k + 1]
+            return ((t - s) * (t + 1.0) if extra else t - s) * kern * kern
+
+        c = 1.0 / float(product(np.array([1.0]), at_one)[0])
+        kept = min(2 * k + 1 + extra, max_degree(spec, Variant.BASE))
+        out.append(base[: kept + 1] @ (w * (c * product(x, at_x))))
+    return out
+
+
+_BUILDS = {Variant.BASE: mrrw_poly, Variant.MINUS: lev_odd_poly,
+           Variant.PLUSMINUS: lev_even_poly}
+
+
+@pytest.mark.parametrize("n", [33, 64, 256])
+def test_node_table_builds_match_the_recurrence(n):
+    """At every node s and every kernel degree k up to the window of s, the
+    build read from the node tables gives the product form's fhat within
+    1e-12 of its largest entry, and a certificate with the same verdict.
+    On hamming:256 the certificates are compared on every fourth degree."""
+    from delbound.constructions import _base_window_index
+
+    spec = hamming_space(n)
+    for s in spec.nodes[1:]:
+        try:
+            lev_top = lev_degree_select(spec, s)[0]
+        except DegreeBudgetError:
+            lev_top = None
+        base_top = _base_window_index(spec, s)
+        for basis, build in _BUILDS.items():
+            top = base_top if basis is Variant.BASE else lev_top
+            refs = _recurrence_squares(spec, basis, top if top is not None else 0, s)
+            for k, ref in enumerate(refs):
+                poly = build(spec, k, s)
+                fhat = np.array(poly.fhat)
+                assert np.max(np.abs(fhat - ref)) <= 1e-12 * np.max(np.abs(ref)), \
+                    (n, s, basis, k)
+                if n < 256 or k % 4 == 0:
+                    ref_poly = polynomial_from_fourier(spec, ref, s)
+                    assert (cone_certificate(spec, poly, s).verdict
+                            == cone_certificate(spec, ref_poly, s).verdict), (n, s, basis, k)
+
+
+@pytest.mark.parametrize("method", ["lev", "spectral"])
+def test_distance_bounds_read_the_node_tables(method, monkeypatch):
+    """Once the tables are built, a lev or spectral bound at a distance
+    runs the recurrence at no full set of n + 1 nodes."""
+    import sys
+
+    from delbound import orthopoly
+
+    n = 100
+    spec = hamming_space(n)
+    for d in range(1, n + 1):
+        _outcome(bound_for_distance, spec, d, method)
+    original = orthopoly.eval_basis_table
+    sizes = []
+
+    def counted(spec_, basis, deg, x):
+        sizes.append(np.size(x))
+        return original(spec_, basis, deg, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
+            monkeypatch.setattr(module, "eval_basis_table", counted)
+    outcomes = [_outcome(bound_for_distance, spec, d, method) for d in range(1, n + 1)]
+    assert sum(not isinstance(o, tuple) for o in outcomes) > 10
+    assert n + 1 not in sizes
+
+
+_BISECT_SPACES = ["hamming:33", "hamming:64", "hamming:100", "hamming:256",
+                  "sphere:4", "sphere:24"]
+
+
+@pytest.mark.parametrize("label", _BISECT_SPACES)
+def test_bisected_window_scans_match_full_scans(label, monkeypatch):
+    """Starting the window scans at the bisected degree gives the degree,
+    or the refusal, of a scan from degree 0, at every node or on a 41-point
+    s-grid, with the table of largest zeros cold or warm."""
+    from delbound import constructions
+    from delbound.constructions import _base_window_index
+    from delbound.orthopoly import _largest_zeros
+
+    spec = _space(label)
+    points = list(spec.nodes) if spec.discrete else [i / 20 for i in range(-20, 21)]
+
+    def lookups():
+        return [(_outcome(_base_window_index, spec, s), _outcome(lev_degree_select, spec, s))
+                for s in points]
+
+    _largest_zeros.cache_clear()
+    cold = lookups()
+    warm = lookups()
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_scan_start", lambda *args: 0)
+        full = lookups()
+    assert cold == warm == full
+    _largest_zeros.cache_clear()
+
+
+def test_largest_zero_keeps_no_spectrum():
+    """largest_zero reads the top of a fresh spectrum, bit for bit the top
+    of zeros(), and leaves no spectrum cached behind it."""
+    from delbound.orthopoly import _largest_zeros, _zeros_cached
+
+    spec = hamming_space(64)
+    _largest_zeros.cache_clear()
+    _zeros_cached.cache_clear()
+    values = [largest_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
+    assert _zeros_cached.cache_info().currsize == 0
+    assert values == [_direct_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
+    _largest_zeros.cache_clear()
+
+
+def test_classical_baselines_are_cached():
+    assert classical_baselines(256, 51) is classical_baselines(256, 51)
