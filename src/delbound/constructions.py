@@ -36,8 +36,8 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import (ConeCertificate, Tolerances, _evaluate, cone_certificate,
-                          fourier_expand)
+from .feasibility import (ConeCertificate, Tolerances, _audit_start, _evaluate,
+                          cone_certificate, fourier_expand)
 from .orthopoly import (
     discrete_basis_table,
     eval_basis_table,
@@ -362,53 +362,64 @@ def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundR
         return res
 
 
+@lru_cache(maxsize=None)
+def _abs_node_table(spec: MeasureSpec) -> np.ndarray:
+    """|p_i(x_j)| over the base node table of a discrete space, read-only."""
+    table = np.abs(discrete_basis_table(spec, Variant.BASE))
+    table.flags.writeable = False
+    return table
+
+
 def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
     """Rules out the degrees k < n at which c (x - s) K_k(x, s)^2 surely
     fails the cone conditions, all in one pass.
 
     From the node table P, K = cumsum(p(s) P) holds every kernel at every
-    node, so F = (x - s) K^2, c_k = 1 / F[k, 0] (node 0 is x = 1) and all
-    Fourier vectors fhat = (c F w) @ P^T come out of a few array
-    operations. The sign audit reads f at the nodes x_j <= s back from
-    the coefficients mrrw_poly keeps, fhat_0..fhat_{2k+1}, as the
-    certificate does. Each quantity also gets a bound on the rounding by
-    which it can differ from what mrrw_poly and cone_certificate compute
-    (a cumulative sum here, a dot product there), widened _SCAN_GUARD
-    times; for the audited values that is the band of the coefficients
-    carried through P plus the rounding of the two dot products. A
-    degree is ruled out only when a condition fails beyond that band.
-    Degrees go through in blocks of _SCAN_ROWS, which keeps the working
-    arrays to a few times the size of P.
+    node, so F = (x - s) K^2 and the unnormalized means come out of a few
+    array operations. A degree whose mean is not positive fails outright
+    and gets no Fourier row. The others go through in blocks of
+    _SCAN_ROWS, which keeps the working arrays small: c_k = 1 / F[k, 0]
+    (node 0 is x = 1), and fhat = (c F w) @ P^T only up to the 2k + 1
+    coefficients that mrrw_poly keeps for the block's highest degree k,
+    with those past each degree's own 2k + 1 zeroed. The sign audit reads
+    f at the nodes x_j <= s back from the kept coefficients, as the
+    certificate does; a degree with 2k + 1 >= n keeps all n + 1, so its
+    read-back is c (x - s) K^2 itself up to rounding, <= 0 there, and it
+    is left to full certification unaudited. Each quantity also gets a
+    bound on the rounding by which it can differ from what mrrw_poly and
+    cone_certificate compute (a cumulative sum here, a dot product
+    there), widened _SCAN_GUARD times; for the audited values that is the
+    band of the coefficients carried through P plus the rounding of the
+    two dot products. A degree is ruled out only when a condition fails
+    beyond that band.
 
     Returns (lo, status): lo[k] is a lower bound on the value 1/fhat_0
     that full certification would report, status[k] is -1 when one of the
-    three conditions surely fails and 0 otherwise, for full certification
-    to decide. The certificate's floor and slack rules only add failures,
-    so -1 stays sound without them. Degrees whose unnormalized mean is not
-    positive are failed outright, as the per-degree scan always did.
+    conditions surely fails and 0 otherwise, for full certification to
+    decide; lo is 0 where the mean fails. The certificate's floor and
+    slack rules only add failures, so -1 stays sound without them.
     """
     n = spec.params[0]
     table = discrete_basis_table(spec, Variant.BASE)
+    abs_table = _abs_node_table(spec)
     x, w = node_weights(spec, Variant.BASE)
     ps = _basis_at(spec, Variant.BASE, n, s)
     kern = ps[:, None] * table
     np.cumsum(kern, axis=0, out=kern)
+    # size[k, j] = sum_{i <= k} |p_i(s) p_i(x_j)|, the scale of K's rounding
+    size = np.cumsum(np.abs(ps)[:, None] * abs_table, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         raw_means = (kern * kern) @ (w * (x - s))
-    abs_table = np.abs(table)
-    # size[k, j] = sum_{i <= k} |p_i(s) p_i(x_j)|, the scale of K's rounding
-    size = np.zeros(n + 1)
     gamma = _SCAN_GUARD * (n + 2) * np.finfo(float).eps
-    audit = x <= s
-    table_audit, abs_table_audit = table[:, audit], abs_table[:, audit]
-    idx = np.arange(n + 1)
-    lo = np.empty(n)
-    status = np.empty(n, dtype=int)
-    for start in range(0, n, _SCAN_ROWS):
-        ks = np.arange(start, min(start + _SCAN_ROWS, n))
-        kb = kern[ks]
-        sb = size + np.cumsum(np.abs(ps[ks])[:, None] * abs_table[ks], axis=0)
-        size = sb[-1]
+    first = _audit_start(x, s)
+    lo = np.zeros(n)
+    status = np.full(n, -1)
+    open_ks = np.flatnonzero(raw_means[:n] > 0.0)
+    for start in range(0, open_ks.size, _SCAN_ROWS):
+        ks = open_ks[start:start + _SCAN_ROWS]
+        kept = np.minimum(2 * ks + 1, n)
+        rows = kept[-1] + 1
+        kb, sb = kern[ks], size[ks]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             big_f = (x - s) * kb * kb
             c = 1.0 / big_f[:, :1]
@@ -417,22 +428,23 @@ def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
             # from the products that form f
             f_err = gamma * (2.0 * np.abs(c * (x - s) * kb) * sb
                              + np.abs(f) * (1.0 + 2.0 * sb[:, :1] / np.abs(kb[:, :1])))
-            fhat = (f * w) @ table.T
-            fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table.T
+            fhat = (f * w) @ table[:rows].T
+            fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table[:rows].T
             lo[ks] = 1.0 / (fhat[:, 0] + fhat_err[:, 0])
 
             # the certificate reads only the coefficients mrrw_poly keeps
-            dropped = idx > np.minimum(2 * ks + 1, n)[:, None]
+            dropped = np.arange(rows) > kept[:, None]
             fhat[dropped] = 0.0
             fhat_err[dropped] = 0.0
-            f_audit = fhat @ table_audit
-            f_audit_err = (fhat_err + gamma * np.abs(fhat)) @ abs_table_audit
             surely_fail = (
-                ~(raw_means[ks] > 0.0)
-                | (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
+                (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
                 | np.any(fhat[:, 1:] + fhat_err[:, 1:] < -tol.coeff, axis=1)
-                | np.any(f_audit - f_audit_err > tol.sign, axis=1)
             )
+            short = kept < n
+            f_audit = fhat[short] @ table[:rows, first:]
+            f_audit_err = ((fhat_err[short] + gamma * np.abs(fhat[short]))
+                           @ abs_table[:rows, first:])
+            surely_fail[short] |= np.any(f_audit - f_audit_err > tol.sign, axis=1)
         status[ks] = np.where(surely_fail, -1, 0)
     return np.nan_to_num(lo, nan=0.0), status
 

@@ -141,26 +141,32 @@ def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
     return fhat @ eval_basis_table(spec, Variant.BASE, fhat.size - 1, x)
 
 
+def _audit_start(x: np.ndarray, s: float) -> int:
+    """Index of the first node x_j <= s. The nodes of a discrete space
+    descend, so the nodes in [-1, s] are the suffix from there."""
+    return int(np.searchsorted(-x, -s))
+
+
 def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     """Points of [-1, s] where the sign of f = sum_i fhat_i p_i is checked,
     and f there.
 
     For a discrete measure the support nodes inside [-1, s] decide the
     question exactly: the bound theorem constrains f only at attainable
-    distances, and the cached node table holds every p_i at them. On a
-    continuous measure f peaks on [-1, s] at an endpoint or at a root of
-    f', so the endpoints and the roots of f' decide it exactly up to
-    rounding. The roots are the eigenvalues of the colleague matrix of f'
-    in the Chebyshev basis, each audited at its real part clipped to
-    [-1, s]: an extra point can only tighten the check. A non-finite
-    Chebyshev coefficient skips the eigensolve, and the endpoint values
-    then fail the certificate.
+    distances, and the cached node table holds every p_i at them, in a
+    suffix of its columns. On a continuous measure f peaks on [-1, s] at
+    an endpoint or at a root of f', so the endpoints and the roots of f'
+    decide it exactly up to rounding. The roots are the eigenvalues of the
+    colleague matrix of f' in the Chebyshev basis, each audited at its
+    real part clipped to [-1, s]: an extra point can only tighten the
+    check. A non-finite Chebyshev coefficient skips the eigensolve, and
+    the endpoint values then fail the certificate.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
-        keep = x <= s
-        if keep.any():
-            return x[keep], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, keep]
+        first = _audit_start(x, s)
+        if first < x.size:
+            return x[first:], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, first:]
         pts = np.array([-1.0])
     else:
         # numpy.polynomial loads on first use; discrete runs never need it

@@ -285,10 +285,11 @@ def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
 def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    The lower triangle is assembled densely and its spectrum taken by
-    LAPACK through np.linalg.eigvalsh. The orders used here are at most a
-    few hundred, where the dense solver takes well under a millisecond and
-    is accurate to a small multiple of eps times the matrix norm.
+    The lower triangle is filled into one dense array and its spectrum
+    taken by LAPACK through np.linalg.eigvalsh. The orders used here are at
+    most a few hundred, where the dense solver takes well under a
+    millisecond and is accurate to a small multiple of eps times the
+    matrix norm.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -297,7 +298,10 @@ def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
         return np.array([])
     if e.size != n - 1:
         raise ValidationError("off-diagonal length must be order - 1")
-    return np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+    m = np.zeros((n, n))
+    m.flat[:: n + 1] = d
+    m.flat[n :: n + 1] = e
+    return np.linalg.eigvalsh(m)
 
 
 def _spectrum(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:

@@ -6,9 +6,12 @@ The kernel K_k(., s) is an eigenfunction of the operator
 
 with eigenvalue s, and for s between consecutive largest zeros it is the
 top (Perron-Frobenius) eigenfunction. That makes the extremal polynomial
-constructions recoverable from pure linear algebra: diagonalize, take the
-top eigenvector, square. This module exercises that route and the
-s-independent variant where the corner weight is pinned at x = 1.
+constructions recoverable from linear algebra: take the top eigenvalue,
+read its eigenvector, square. Rows 0..k-1 of T_k(s) are the three-term
+recurrence, so the eigenvector of any eigenvalue lambda is
+(p_0(lambda), ..., p_k(lambda)); only the eigenvalue needs a solver, the
+spectrum of the tridiagonal operator. This module exercises that route
+and the s-independent variant where the corner weight is pinned at x = 1.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .orthopoly import (
     jacobi_matrix,
     largest_zero,
     recurrence_coeffs,
+    tridiagonal_eigenvalues,
 )
 from .spaces import MeasureSpec, Variant
 
@@ -80,27 +84,58 @@ def _sign_fix(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _recurrence_top(T: JacobiOperator):
+    """Top eigenvalue of an irreducible Jacobi operator, and its eigenvector
+    read off rows 0..k-1 of (T - lambda) v = 0 from v_0 = 1.
+
+    Each entry comes from the previous two by the three-term recurrence at
+    lambda, so it carries a small relative error, where a dense
+    eigenvector holds the tiny leading entries of a Perron vector only to
+    eps times its norm, and with either sign.
+    """
+    diag = list(T.diag)
+    if T.rho is not None:
+        diag[-1] += T.rho
+    lam = float(tridiagonal_eigenvalues(diag, T.off)[-1])
+    v = [1.0]
+    prev = 0.0
+    for i, a in enumerate(T.off):
+        v.append(((lam - diag[i]) * v[i] - prev) / a)
+        prev = a * v[i]
+    v = np.array(v)
+    return lam, v / np.linalg.norm(v)
+
+
 def top_eigenpair(T) -> EigenPair:
     """Largest eigenvalue and unit eigenvector of a symmetric operator.
 
-    Accepts a JacobiOperator or a plain symmetric matrix. When the top of
-    the spectrum is tied within 1e-12 the entrywise positive candidate is
+    A JacobiOperator whose off-diagonal is positive is irreducible, so its
+    top eigenvalue is simple and its eigenvector is positive
+    (Perron-Frobenius). The eigenvalue is the top of its spectrum, with rho
+    added to the last diagonal entry, and the eigenvector is read from
+    the operator's own recurrence at it. Any other symmetric matrix, plain
+    or a JacobiOperator, goes through a full eigh; when the top of its
+    spectrum is tied within 1e-12 the entrywise positive candidate is
     preferred, matching the Perron-Frobenius pick for irreducible
-    operators.
+    operators. Either way the residual |T v - lambda v| must stay below
+    1e-9, or NumericError is raised.
     """
     m = T.matrix() if hasattr(T, "matrix") else np.asarray(T, dtype=float)
-    w, vecs = np.linalg.eigh(m)
-    idx = len(w) - 1
-    for j in range(len(w) - 2, -1, -1):
-        if w[idx] - w[j] > _TIE_TOL:
-            break
-        cand = _sign_fix(vecs[:, j])
-        if np.all(cand > 0.0):
-            idx = j
-    v = _sign_fix(vecs[:, idx].copy())
-    lam = float(w[idx])
+    if isinstance(T, JacobiOperator) and all(a > 0.0 for a in T.off):
+        lam, v = _recurrence_top(T)
+    else:
+        w, vecs = np.linalg.eigh(m)
+        idx = len(w) - 1
+        for j in range(len(w) - 2, -1, -1):
+            if w[idx] - w[j] > _TIE_TOL:
+                break
+            cand = _sign_fix(vecs[:, j])
+            if np.all(cand > 0.0):
+                idx = j
+        v = _sign_fix(vecs[:, idx].copy())
+        lam = float(w[idx])
     residual = float(np.linalg.norm(m @ v - lam * v))
-    if residual > _RESIDUAL_CONTRACT:
+    if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "eigenpair residual %.3e breaks the %.0e contract for order %d"
             % (residual, _RESIDUAL_CONTRACT, m.shape[0])

@@ -154,3 +154,75 @@ def test_spectral_fixed_reports_the_certified_value(n):
         res = spectral_bound_fixed(spec, k)
         assert res.bound == 1.0 / res.certificate.fhat[0], (n, k)
         assert res.closed_form is not None
+
+
+def _window_operators():
+    """build_Tk at the midpoint of every window of the three systems on
+    hamming:33 and sphere:8 (k up to 12 there), and the operators of
+    spectral_bound_fixed, subtractive, for k = 1..6 on both."""
+    from delbound import JacobiOperator
+    from delbound.constructions import _basis_at
+    from delbound.orthopoly import jacobi_matrix, recurrence_coeffs
+    from delbound.spaces import max_degree
+
+    ops = []
+    for spec in (hamming_space(33), sphere_space(8)):
+        for basis in Variant:
+            cap = max_degree(spec, basis)
+            for k in range(1, (cap - 1) if cap is not None else 13):
+                lo = largest_zero(spec, basis, k)
+                hi = largest_zero(spec, basis, k + 1)
+                ops.append(build_Tk(spec, basis, k, 0.5 * (lo + hi)))
+        for k in range(1, 7):
+            p = _basis_at(spec, Variant.BASE, k + 1, 1.0)
+            rho = recurrence_coeffs(spec, Variant.BASE, k).a[k] * p[k + 1] / p[k]
+            plain = jacobi_matrix(spec, Variant.BASE, k)
+            ops.append(JacobiOperator(diag=plain.diag, off=plain.off,
+                                      basis=Variant.BASE, rho=-rho))
+    return ops
+
+
+def test_recurrence_eigenpair_matches_a_dense_eigensolve():
+    """The eigenvector read off the recurrence at the top eigenvalue is the
+    one a dense eigh gives, and positive entry by entry."""
+    ops = _window_operators()
+    assert len(ops) > 100
+    for T in ops:
+        pair = top_eigenpair(T)
+        w, vecs = np.linalg.eigh(T.matrix())
+        ref = vecs[:, -1] * np.sign(vecs[:, -1] @ pair.vector)
+        assert abs(pair.eigenvalue - w[-1]) <= 1e-14, (T.order, T.basis)
+        assert np.max(np.abs(pair.vector - ref)) <= 1e-10, (T.order, T.basis)
+        assert np.all(pair.vector > 0.0), (T.order, T.basis)
+
+
+def test_kernel_eigenfunction_holds_at_every_window_node():
+    """At every node of hamming:256 inside a base window, the kernel vector
+    is the positive top eigenvector of T_k(s). Near s = 1 the leading
+    entries of that vector are as small as 1e-35 of its norm, which a
+    dense eigh gives only to rounding, and with either sign."""
+    from delbound.constructions import _base_window_index
+
+    spec = hamming_space(256)
+    checked = 0
+    for s in spec.nodes:
+        k = _base_window_index(spec, s)
+        if k is None:
+            continue
+        pair = verify_kernel_eigen(spec, Variant.BASE, k, s)
+        assert pair.residual <= 1e-9 and np.all(pair.vector > 0.0), s
+        checked += 1
+    assert checked > 200
+
+
+def test_reducible_jacobi_operator_takes_the_dense_eigensolve():
+    """A zero off-diagonal entry leaves no recurrence to read the
+    eigenvector from; the operator then goes through eigh like a matrix."""
+    from delbound import JacobiOperator
+
+    T = JacobiOperator(diag=(0.0, 1.0, 0.5), off=(0.0, 0.25), basis=Variant.BASE,
+                       rho=0.5)
+    pair = top_eigenpair(T)
+    w, vecs = np.linalg.eigh(T.matrix())
+    assert pair.eigenvalue == pytest.approx(w[-1], abs=1e-14)
+    assert np.max(np.abs(pair.vector - vecs[:, -1] * np.sign(vecs[1, -1]))) <= 1e-14
