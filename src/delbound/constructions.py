@@ -36,8 +36,7 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import (ConeCertificate, Tolerances, _audit_start, _evaluate,
-                          cone_certificate, fourier_expand)
+from .feasibility import ConeCertificate, _evaluate, cone_certificate, fourier_expand
 from .orthopoly import (
     discrete_basis_table,
     eval_basis_table,
@@ -49,13 +48,10 @@ from .spaces import MeasureSpec, Variant, max_degree, node_weights
 
 _WINDOW_TIE_TOL = 1e-12
 _LEV_DEGREE_CAP = 128
-# relative width within which two bound values are float-level ties
-_TIE_REL = 1e-9
-# widening of the rounding bounds that let the all-k MRRW pass decide
-_SCAN_GUARD = 4.0
-# degrees per block of the all-k MRRW pass, and per step by which an
-# adjacent node table grows
+# degrees per step by which an adjacent node table grows
 _SCAN_ROWS = 32
+# degrees, from e up, that the MRRW scan certifies when s is a largest zero x_e
+_EDGE_REACH = 4
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,9 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     def product(x, table):
         kern = v @ table
         roots = (x - s) * (x + 1.0) if extra_root else x - s
-        return roots * kern * kern
+        # an overflow here leaves a non-finite fhat, which the certificate refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return roots * kern * kern
 
     if spec.discrete:
         x, w = node_weights(spec, Variant.BASE)
@@ -206,7 +204,8 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
         raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
     if spec.discrete:
         kept = min(degree, max_degree(spec, Variant.BASE))
-        fhat = discrete_basis_table(spec, Variant.BASE)[: kept + 1] @ (w * (c * on_nodes))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fhat = discrete_basis_table(spec, Variant.BASE)[: kept + 1] @ (w * (c * on_nodes))
     else:
         fhat = fourier_expand(
             spec, lambda x: c * product(x, eval_basis_table(spec, basis, k, x)), degree)
@@ -362,120 +361,31 @@ def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundR
         return res
 
 
-@lru_cache(maxsize=None)
-def _abs_node_table(spec: MeasureSpec) -> np.ndarray:
-    """|p_i(x_j)| over the base node table of a discrete space, read-only."""
-    table = np.abs(discrete_basis_table(spec, Variant.BASE))
-    table.flags.writeable = False
-    return table
-
-
-def _mrrw_all_k(spec: MeasureSpec, s: float, tol: Tolerances):
-    """Rules out the degrees k < n at which c (x - s) K_k(x, s)^2 surely
-    fails the cone conditions, all in one pass.
-
-    From the node table P, K = cumsum(p(s) P) holds every kernel at every
-    node, so F = (x - s) K^2 and the unnormalized means come out of a few
-    array operations. A degree whose mean is not positive fails outright
-    and gets no Fourier row. The others go through in blocks of
-    _SCAN_ROWS, which keeps the working arrays small: c_k = 1 / F[k, 0]
-    (node 0 is x = 1), and fhat = (c F w) @ P^T only up to the 2k + 1
-    coefficients that mrrw_poly keeps for the block's highest degree k,
-    with those past each degree's own 2k + 1 zeroed. The sign audit reads
-    f at the nodes x_j <= s back from the kept coefficients, as the
-    certificate does; a degree with 2k + 1 >= n keeps all n + 1, so its
-    read-back is c (x - s) K^2 itself up to rounding, <= 0 there, and it
-    is left to full certification unaudited. Each quantity also gets a
-    bound on the rounding by which it can differ from what mrrw_poly and
-    cone_certificate compute (a cumulative sum here, a dot product
-    there), widened _SCAN_GUARD times; for the audited values that is the
-    band of the coefficients carried through P plus the rounding of the
-    two dot products. A degree is ruled out only when a condition fails
-    beyond that band.
-
-    Returns (lo, status): lo[k] is a lower bound on the value 1/fhat_0
-    that full certification would report, status[k] is -1 when one of the
-    conditions surely fails and 0 otherwise, for full certification to
-    decide; lo is 0 where the mean fails. The certificate's floor and
-    slack rules only add failures, so -1 stays sound without them.
-    """
-    n = spec.params[0]
-    table = discrete_basis_table(spec, Variant.BASE)
-    abs_table = _abs_node_table(spec)
-    x, w = node_weights(spec, Variant.BASE)
-    ps = _basis_at(spec, Variant.BASE, n, s)
-    kern = ps[:, None] * table
-    np.cumsum(kern, axis=0, out=kern)
-    # size[k, j] = sum_{i <= k} |p_i(s) p_i(x_j)|, the scale of K's rounding
-    size = np.cumsum(np.abs(ps)[:, None] * abs_table, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw_means = (kern * kern) @ (w * (x - s))
-    gamma = _SCAN_GUARD * (n + 2) * np.finfo(float).eps
-    first = _audit_start(x, s)
-    lo = np.zeros(n)
-    status = np.full(n, -1)
-    open_ks = np.flatnonzero(raw_means[:n] > 0.0)
-    for start in range(0, open_ks.size, _SCAN_ROWS):
-        ks = open_ks[start:start + _SCAN_ROWS]
-        kept = np.minimum(2 * ks + 1, n)
-        rows = kept[-1] + 1
-        kb, sb = kern[ks], size[ks]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            big_f = (x - s) * kb * kb
-            c = 1.0 / big_f[:, :1]
-            f = c * big_f
-            # rounding of f: from K's (at x_j, and through c at x = 1) and
-            # from the products that form f
-            f_err = gamma * (2.0 * np.abs(c * (x - s) * kb) * sb
-                             + np.abs(f) * (1.0 + 2.0 * sb[:, :1] / np.abs(kb[:, :1])))
-            fhat = (f * w) @ table[:rows].T
-            fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table[:rows].T
-            lo[ks] = 1.0 / (fhat[:, 0] + fhat_err[:, 0])
-
-            # the certificate reads only the coefficients mrrw_poly keeps
-            dropped = np.arange(rows) > kept[:, None]
-            fhat[dropped] = 0.0
-            fhat_err[dropped] = 0.0
-            surely_fail = (
-                (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
-                | np.any(fhat[:, 1:] + fhat_err[:, 1:] < -tol.coeff, axis=1)
-            )
-            short = kept < n
-            f_audit = fhat[short] @ table[:rows, first:]
-            f_audit_err = ((fhat_err[short] + gamma * np.abs(fhat[short]))
-                           @ abs_table[:rows, first:])
-            surely_fail[short] |= np.any(f_audit - f_audit_err > tol.sign, axis=1)
-        status[ks] = np.where(surely_fail, -1, 0)
-    return np.nan_to_num(lo, nan=0.0), status
-
-
 def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
-    """The certified MRRW candidate of least bound at this s, or None.
+    """The certified MRRW candidate at this s, or None.
 
-    _mrrw_all_k rules on every degree at once; the survivors are then
-    fully certified through mrrw_poly and cone_certificate in order of
-    their least possible value, until the next one could no longer come
-    within the tie band of the best value found. The result is therefore
-    built from the same objects, bit for bit, as a full certification of
-    every degree would give: values within relative _TIE_REL of the best
-    are float-level ties, and the lowest degree among them wins.
+    Inside a window x_k < s < x_{k+1} the kernel square of degree k is the
+    stationary point, so that degree alone is certified. When s sits on a
+    largest zero x_e, the degrees e..e + _EDGE_REACH - 1 are certified and
+    the least bound is kept, the lowest degree on a tie. They stop below
+    the top window degree n - 1, which at s = -1 only ties the bound 2 of
+    degree 0 up to rounding (on hamming:2 it undercuts it).
     """
-    tol = tolerances or Tolerances()
-    lo, status = _mrrw_all_k(spec, s, tol)
-    best, results = math.inf, []
-    for k in np.argsort(lo, kind="stable"):
-        if status[k] < 0:
-            continue
-        if lo[k] > best * (1.0 + _TIE_REL):
-            break
+    k = _base_window_index(spec, s)
+    if k is None:
+        cap = max_degree(spec, Variant.BASE)
+        xs = largest_zeros_until(spec, Variant.BASE, s - _WINDOW_TIE_TOL, cap)
+        e = bisect.bisect_left(xs, s - _WINDOW_TIE_TOL)
+        ks = range(e, min(e + _EDGE_REACH, cap - 1))
+    else:
+        ks = (k,)
+    results = []
+    for k in ks:
         try:
-            res = _mrrw_result(spec, int(k), s, tolerances)
+            results.append(_mrrw_result(spec, k, s, tolerances))
         except (NotCertifiedError, SingularOperatorError, NumericError):
             continue
-        results.append(res)
-        best = min(best, res.bound)
-    tied = [r for r in results if r.bound <= best * (1.0 + _TIE_REL)]
-    return min(tied, key=lambda r: r.degree) if tied else None
+    return min(results, key=lambda r: r.bound, default=None)
 
 
 def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
@@ -483,9 +393,10 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     """Certified bound for codes of minimum distance d in Hamming space.
 
     Maps d to s = 1 - 2d/n (a support node), picks the polynomial degree
-    (auto window for lev and spectral, a full scan minimized over k for
-    mrrw), and attaches classical baseline values for the report. Raises
-    NotCertifiedError rather than returning any uncertified number.
+    (the window containing s; for mrrw at a window edge x_e, the least
+    bound over degrees e..e+3), and attaches classical baseline values for
+    the report. Raises NotCertifiedError rather than returning any
+    uncertified number.
     """
     if spec.kind != "hamming":
         raise ValidationError("bound_for_distance applies to Hamming spaces only")

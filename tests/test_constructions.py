@@ -255,8 +255,8 @@ def test_window_edge_spectral_refuses():
 
 
 def _reference_mrrw_scan(spec, s):
-    """The per-degree loop the all-k pass replaced: build and fully certify
-    every degree whose unnormalized mean is positive."""
+    """Build and fully certify every degree k < n whose unnormalized mean
+    is positive: the search over all degrees."""
     from delbound.errors import NumericError, SingularOperatorError
     from delbound.orthopoly import discrete_basis_table, eval_basis_table
     from delbound.spaces import node_weights
@@ -286,23 +286,18 @@ def _reference_mrrw_scan(spec, s):
     return results
 
 
-@pytest.mark.parametrize("n", [5, 8, 16, 33, 64])
-def test_mrrw_scan_matches_per_degree_reference(n):
-    from delbound.constructions import _mrrw_all_k
-    from delbound.feasibility import Tolerances
+# sampled distances of the larger spaces, with every d whose s is a
+# largest zero x_e (hamming:100 d=45, hamming:128 d=64, ...)
+_REFERENCE_DISTANCES = {100: (1, 2, 10, 25, 33, 45, 50, 67, 100),
+                        128: (1, 16, 32, 50, 64, 96, 128)}
 
+
+@pytest.mark.parametrize("n", [5, 8, 16, 33, 64, 100, 128])
+def test_mrrw_scan_matches_per_degree_reference(n):
     spec = hamming_space(n)
-    for d in range(1, n + 1):
+    for d in _REFERENCE_DISTANCES.get(n, range(1, n + 1)):
         s = spec.nodes[d]
         ref = _reference_mrrw_scan(spec, s)
-        lo, status = _mrrw_all_k(spec, s, Tolerances())
-        # degrees the array pass leaves open are settled by full certification
-        settled = {k for k in np.nonzero(status == 0)[0]
-                   if cone_certificate(spec, mrrw_poly(spec, int(k), s), s).passed}
-        assert set(np.nonzero(status == 1)[0]) | settled == {r[1] for r in ref}, (n, d)
-        for value, k, *_ in ref:
-            assert lo[k] <= value, (n, d, k)
-
         if not ref:
             with pytest.raises(NotCertifiedError):
                 bound_for_distance(spec, d, "mrrw")
@@ -524,14 +519,16 @@ def test_certified_result_keeps_the_default_positivity_floor():
 
 
 def test_all_k_mrrw_pass_does_not_warn_on_overflow():
-    """At hamming:384 the kernel squares of high degree overflow; the
-    all-k pass rules on them without letting a RuntimeWarning escape."""
+    """MRRW refusals let no RuntimeWarning escape: at hamming:1024 d=150
+    the window kernel square overflows at the nodes, and the certificate
+    refuses its non-finite fhat."""
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotCertifiedError):
-            bound_for_distance(hamming_space(384), 20, "mrrw")
+        for n, d in ((384, 20), (1024, 150)):
+            with pytest.raises(NotCertifiedError):
+                bound_for_distance(hamming_space(n), d, "mrrw")
 
 
 def test_mrrw_refuses_where_the_slack_swamps_the_mean():
@@ -743,109 +740,23 @@ def test_classical_baselines_are_cached():
     assert classical_baselines(256, 51) is classical_baselines(256, 51)
 
 
-def _mrrw_all_k_reference(spec, s, tol):
-    """The all-k MRRW pass as one block loop over every degree k < n: each
-    block builds full Fourier rows, zeroes the coefficients past 2k + 1
-    and audits every row at the nodes x_j <= s, picked by a boolean mask."""
-    from delbound.constructions import _SCAN_GUARD, _SCAN_ROWS, _basis_at
-    from delbound.orthopoly import discrete_basis_table
-    from delbound.spaces import node_weights
+@pytest.mark.parametrize("n, d_min", [(31, 1), (53, 28)])
+def test_distance_bounds_never_undercut_the_delsarte_lp(n, d_min):
+    """A certified polynomial is feasible for the dual of the Delsarte LP,
+    so its bound is at least the LP optimum, up to the float rounding of
+    1/fhat_0."""
+    from fractions import Fraction
 
-    n = spec.params[0]
-    table = discrete_basis_table(spec, Variant.BASE)
-    x, w = node_weights(spec, Variant.BASE)
-    ps = _basis_at(spec, Variant.BASE, n, s)
-    kern = ps[:, None] * table
-    np.cumsum(kern, axis=0, out=kern)
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw_means = (kern * kern) @ (w * (x - s))
-    abs_table = np.abs(table)
-    size = np.zeros(n + 1)
-    gamma = _SCAN_GUARD * (n + 2) * np.finfo(float).eps
-    audit = x <= s
-    table_audit, abs_table_audit = table[:, audit], abs_table[:, audit]
-    idx = np.arange(n + 1)
-    lo = np.empty(n)
-    status = np.empty(n, dtype=int)
-    for start in range(0, n, _SCAN_ROWS):
-        ks = np.arange(start, min(start + _SCAN_ROWS, n))
-        kb = kern[ks]
-        sb = size + np.cumsum(np.abs(ps[ks])[:, None] * abs_table[ks], axis=0)
-        size = sb[-1]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            big_f = (x - s) * kb * kb
-            c = 1.0 / big_f[:, :1]
-            f = c * big_f
-            f_err = gamma * (2.0 * np.abs(c * (x - s) * kb) * sb
-                             + np.abs(f) * (1.0 + 2.0 * sb[:, :1] / np.abs(kb[:, :1])))
-            fhat = (f * w) @ table.T
-            fhat_err = ((f_err + gamma * np.abs(f)) * w) @ abs_table.T
-            lo[ks] = 1.0 / (fhat[:, 0] + fhat_err[:, 0])
-            dropped = idx > np.minimum(2 * ks + 1, n)[:, None]
-            fhat[dropped] = 0.0
-            fhat_err[dropped] = 0.0
-            f_audit = fhat @ table_audit
-            f_audit_err = (fhat_err + gamma * np.abs(fhat)) @ abs_table_audit
-            surely_fail = (
-                ~(raw_means[ks] > 0.0)
-                | (fhat[:, 0] + fhat_err[:, 0] <= tol.pos)
-                | np.any(fhat[:, 1:] + fhat_err[:, 1:] < -tol.coeff, axis=1)
-                | np.any(f_audit - f_audit_err > tol.sign, axis=1)
-            )
-        status[ks] = np.where(surely_fail, -1, 0)
-    return np.nan_to_num(lo, nan=0.0), status
-
-
-def _large_n_distances(n, count):
-    """The distances d = round(delta n), delta evenly spaced on [0.1, 0.5]."""
-    return sorted({round(n * (0.1 + 0.4 * i / (count - 1))) for i in range(count)})
-
-
-@pytest.mark.parametrize("n, distances", [
-    (33, None), (64, None), (100, None), (128, None),
-    (256, _large_n_distances(256, 48)), (384, _large_n_distances(384, 96)),
-])
-def test_all_k_mrrw_pass_matches_the_full_block_pass(n, distances):
-    """Building Fourier rows only for degrees with a positive mean, only up
-    to 2k + 1, and auditing only the rows that drop coefficients, rules on
-    every degree as the full block pass does, with the same lower bounds
-    on every degree left open. A lower bound is 1/(fhat_0 + band), and
-    where fhat_0 is a cancelled sum (at s = 0 it is about 1e-20) two
-    blockings may round it apart by up to (n + 1) eps sum_j |f w p_0|;
-    elsewhere the bounds agree to 1e-12 relative.
-
-    On the full tables, zero tolerances let the coefficient and sign
-    conditions rule out degrees the default ones leave open. There a degree that keeps all
-    n + 1 coefficients may be ruled out by the full block pass on the
-    rounding of its read-back at x = s, where f is 0; left open instead,
-    it must fail its certificate."""
-    from delbound.constructions import _basis_at, _mrrw_all_k
-    from delbound.feasibility import Tolerances
-    from delbound.orthopoly import discrete_basis_table
-    from delbound.spaces import node_weights
+    from delbound.lp_oracle import _solve
 
     spec = hamming_space(n)
-    table = discrete_basis_table(spec, Variant.BASE)
-    x, w = node_weights(spec, Variant.BASE)
-    zero = Tolerances(0.0, 0.0, 0.0)
-    short = 2 * np.arange(n) + 1 < n
-    for d in distances or range(1, n + 1):
-        s = spec.nodes[d]
-        lo, status = _mrrw_all_k(spec, s, Tolerances())
-        ref_lo, ref_status = _mrrw_all_k_reference(spec, s, Tolerances())
-        assert status.tolist() == ref_status.tolist(), (n, d)
-        ks = np.flatnonzero(status == 0)
-        kern = np.cumsum(_basis_at(spec, Variant.BASE, n, s)[:, None] * table, axis=0)[ks]
-        f = (x - s) * kern * kern
-        rounding = (n + 1) * np.finfo(float).eps * (np.abs(f / f[:, :1]) @ (w * table[0]))
-        gap = np.abs(1.0 / lo[ks] - 1.0 / ref_lo[ks])
-        assert np.all(gap <= 1e-12 / ref_lo[ks] + rounding), (n, d, ks[gap > 1e-12 / ref_lo[ks]])
-
-        if distances is not None:
-            continue
-        _, status = _mrrw_all_k(spec, s, zero)
-        _, ref_status = _mrrw_all_k_reference(spec, s, zero)
-        assert status[short].tolist() == ref_status[short].tolist(), (n, d)
-        for k in np.flatnonzero(status != ref_status):
-            assert status[k] == 0
-            assert not cone_certificate(spec, mrrw_poly(spec, int(k), s), s, zero).passed, (n, d, k)
+    for d in range(d_min, n + 1):
+        status, optimum, _ = _solve(n, d)
+        assert status == "optimal", (n, d)
+        for method in ("mrrw", "lev", "spectral"):
+            try:
+                res = bound_for_distance(spec, d, method)
+            except (NotCertifiedError, DegreeBudgetError):
+                continue
+            assert Fraction(res.bound) >= optimum * (1 - Fraction(1, 10 ** 12)), \
+                (n, d, method, res.degree, res.bound, float(optimum))
