@@ -23,6 +23,7 @@ that decision, and no BoundResult is built without a passing certificate.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -48,8 +49,6 @@ from .spaces import MeasureSpec, Variant, max_degree, node_weights
 
 _WINDOW_TIE_TOL = 1e-12
 _LEV_DEGREE_CAP = 128
-# degrees per step by which an adjacent node table grows
-_SCAN_ROWS = 32
 # degrees, from e up, that the MRRW scan certifies when s is a largest zero x_e
 _EDGE_REACH = 4
 
@@ -126,33 +125,31 @@ def _node_index(spec: MeasureSpec) -> dict:
     return {x: j for j, x in enumerate(spec.nodes)}
 
 
-# node tables of the adjacent systems, by (spec, basis)
-_ADJACENT_ROWS = {}
+@lru_cache(maxsize=None)
+def _adjacent_node_table(spec: MeasureSpec, basis: Variant) -> np.ndarray:
+    """p_0..p_top of an adjacent system at every node of a discrete space,
+    read-only, with top = min(max_degree, _LEV_DEGREE_CAP): as deep as the
+    Levenshtein windows reach."""
+    x, _ = node_weights(spec, Variant.BASE)
+    rows = eval_basis_table(spec, basis, min(max_degree(spec, basis), _LEV_DEGREE_CAP), x)
+    rows.flags.writeable = False
+    return rows
 
 
 def _cached_node_rows(spec: MeasureSpec, basis: Variant, deg: int):
     """p_0..p_deg of the basis at every node of a discrete space, read-only,
-    from a cached table, or None when the cache does not reach deg.
+    from a cached table, or None when the table does not reach deg.
 
-    The base system's table is discrete_basis_table. An adjacent system's
-    grows on demand, in steps of _SCAN_ROWS degrees, as deep as the
-    Levenshtein windows reach (_LEV_DEGREE_CAP at most); rebuilding it
-    deeper gives its earlier rows bit for bit again, and a concurrent
-    reader at worst builds it twice.
+    The base system's table is discrete_basis_table, an adjacent system's
+    _adjacent_node_table; each is built once, to its full depth. Row i of
+    a recurrence run depends only on rows before it, so these rows are bit
+    for bit those of a table built to deg.
     """
     if basis is Variant.BASE:
         table = discrete_basis_table(spec, basis)
-        return table[: deg + 1] if deg < table.shape[0] else None
-    top = min(max_degree(spec, basis), _LEV_DEGREE_CAP)
-    if deg > top:
-        return None
-    rows = _ADJACENT_ROWS.get((spec, basis))
-    if rows is None or rows.shape[0] <= deg:
-        x, _ = node_weights(spec, Variant.BASE)
-        rows = eval_basis_table(spec, basis, min(top, -(-deg // _SCAN_ROWS) * _SCAN_ROWS), x)
-        rows.flags.writeable = False
-        _ADJACENT_ROWS[spec, basis] = rows
-    return rows[: deg + 1]
+    else:
+        table = _adjacent_node_table(spec, basis)
+    return table[: deg + 1] if deg < table.shape[0] else None
 
 
 def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
@@ -253,21 +250,14 @@ def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
 
 
-def _scan_start(spec: MeasureSpec, basis: Variant, s: float, top: int) -> int:
-    """Degree from which a window scan at s reading the largest zeros of
-    basis must start: no window below it can contain s.
-
-    The list of largest zeros x_0, x_1, ... is extended degree by degree,
-    as the scan itself reads them, until its last entry reaches s - tol or
-    its degree reaches top; a scan from degree 0 finds its window there at
-    the latest. With i the first degree whose zero is not below
-    s - tol, every window of degree k <= i - 3 ends below s - tol: the
-    base windows end at x_{k+1}, and the Levenshtein ones of degree k at
-    x_{k+1}^- and x_{k+1}^+- < x_{k+2}^-, as the systems interlace. So
-    the scan starts at i - 2.
-    """
+def _first_zero_from(spec: MeasureSpec, basis: Variant, s: float, top: int):
+    """(i, xs): xs is the list x_0, x_1, ... of largest zeros of basis that
+    largest_zeros_until reads up to s - _WINDOW_TIE_TOL or degree top, and
+    i, by one bisect of it, the first degree with x_i >= s - _WINDOW_TIE_TOL;
+    i = len(xs) when s - _WINDOW_TIE_TOL lies above x_top. Every reader of
+    one basis passes the same top, so xs never runs past it."""
     xs = largest_zeros_until(spec, basis, s - _WINDOW_TIE_TOL, top)
-    return max(0, bisect.bisect_left(xs, s - _WINDOW_TIE_TOL) - 2)
+    return bisect.bisect_left(xs, s - _WINDOW_TIE_TOL), xs
 
 
 def lev_degree_select(spec: MeasureSpec, s: float):
@@ -276,8 +266,14 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     Windows tile the s axis: [x_k^+-, x_{k+1}^-] belongs to the odd
     polynomial with kernel degree k (endpoints included), and the open gap
     (x_{k+1}^-, x_{k+1}^+-) to the even one with the same kernel degree.
-    Ties at shared endpoints go to the odd variant. Raises when s lies
-    beyond every available window.
+    Ties at shared endpoints go to the odd variant, and each endpoint is
+    widened by _WINDOW_TIE_TOL. The zeros interlace, x_k^+- < x_{k+1}^- <
+    x_{k+1}^+- (Levenshtein 1995), so the window is read off one bisect:
+    with i the first degree where x_i^- >= s - tol and k = max(i, 1) - 1,
+    s lies in the odd window of k when s >= x_k^+- - tol and in the even
+    window of k - 1 otherwise. Past the last minus zero only the even
+    window of the top degree k_top can hold s. Raises when s lies beyond
+    every available window.
     """
     if s >= 1.0:
         raise ValidationError("lev_degree_select needs s < 1")
@@ -286,27 +282,14 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     k_top = _LEV_DEGREE_CAP
     if cap_minus is not None:
         k_top = min(k_top, cap_minus - 1)
-    start = _scan_start(spec, Variant.MINUS, s, k_top + 1)
-    # the plusminus zeros below the start are read in turn, as a scan from
-    # degree 0 reads them
-    largest_zeros_until(spec, Variant.PLUSMINUS, math.inf,
-                        start - 1 if cap_pm is None else min(start - 1, cap_pm))
-    for k in range(start, k_top + 1):
-        left = largest_zero(spec, Variant.PLUSMINUS, k) if (
-            cap_pm is None or k <= cap_pm
-        ) else None
-        right = largest_zero(spec, Variant.MINUS, k + 1)
-        if left is not None and left - _WINDOW_TIE_TOL <= s <= right + _WINDOW_TIE_TOL:
+    i, _ = _first_zero_from(spec, Variant.MINUS, s, k_top + 1)
+    k = max(i, 1) - 1
+    if cap_pm is None or k <= cap_pm:
+        x_pm = largest_zeros_until(spec, Variant.PLUSMINUS, math.inf, k)[k]
+        if s < x_pm - _WINDOW_TIE_TOL:
+            return k - 1, "even"
+        if k <= k_top:
             return k, "odd"
-        if left is None and s <= right + _WINDOW_TIE_TOL:
-            # No plusminus system this deep; the odd window degenerates to
-            # everything up to x_{k+1}^-.
-            return k, "odd"
-        even_ok = cap_pm is None or k + 1 <= cap_pm
-        if even_ok:
-            pm_right = largest_zero(spec, Variant.PLUSMINUS, k + 1)
-            if right + _WINDOW_TIE_TOL < s < pm_right - _WINDOW_TIE_TOL:
-                return k, "even"
     raise DegreeBudgetError(
         "degree budget exceeded: no Levenshtein window of %s reaches s=%r"
         % (spec.label(), s)
@@ -338,13 +321,27 @@ def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
 
 
 @lru_cache(maxsize=None)
+def _ball_sizes(n: int) -> tuple:
+    """sum_{j <= e} C(n, j) for e = 0..n: the Hamming ball sizes of space n."""
+    return tuple(itertools.accumulate(math.comb(n, j) for j in range(n + 1)))
+
+
+def _ratio_or_inf(num: int, den: int) -> float:
+    """num / den as a float, or inf where it leaves the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+@lru_cache(maxsize=None)
 def classical_baselines(n: int, d: int) -> tuple:
-    """Textbook upper bounds attached to reports for context."""
+    """Textbook upper bounds attached to reports for context; inf where a
+    bound leaves the float range."""
     e = (d - 1) // 2
-    ball = sum(math.comb(n, j) for j in range(e + 1))
     out = [
-        ("singleton", float(2 ** (n - d + 1))),
-        ("sphere_packing", (2 ** n) / ball),
+        ("singleton", _ratio_or_inf(2 ** (n - d + 1), 1)),
+        ("sphere_packing", _ratio_or_inf(2 ** n, _ball_sizes(n)[e])),
     ]
     if 2 * d > n:
         out.append(("plotkin", 2 * d / (2 * d - n)))
@@ -374,8 +371,7 @@ def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
     k = _base_window_index(spec, s)
     if k is None:
         cap = max_degree(spec, Variant.BASE)
-        xs = largest_zeros_until(spec, Variant.BASE, s - _WINDOW_TIE_TOL, cap)
-        e = bisect.bisect_left(xs, s - _WINDOW_TIE_TOL)
+        e, _ = _first_zero_from(spec, Variant.BASE, s, cap)
         ks = range(e, min(e + _EDGE_REACH, cap - 1))
     else:
         ks = (k,)
@@ -456,19 +452,14 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
 
 def _base_window_index(spec: MeasureSpec, s: float):
     """The unique k with x_k < s < x_{k+1}, or None when s is within
-    _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select)."""
+    _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select) or
+    past the last window. With i the first degree where x_i >= s - tol,
+    the window is k = i - 1 if s < x_i - tol; otherwise s is on the edge
+    x_i."""
     cap = max_degree(spec, Variant.BASE)
-    top = cap - 1 if cap is not None else _LEV_DEGREE_CAP
-    for k in range(_scan_start(spec, Variant.BASE, s, top + 1), top + 1):
-        lo = largest_zero(spec, Variant.BASE, k)
-        hi = largest_zero(spec, Variant.BASE, k + 1)
-        if s <= lo + _WINDOW_TIE_TOL:
-            return None
-        if s < hi - _WINDOW_TIE_TOL:
-            return k
-        if s <= hi + _WINDOW_TIE_TOL:
-            return None
-    return None
+    i, xs = _first_zero_from(spec, Variant.BASE, s,
+                             cap if cap is not None else _LEV_DEGREE_CAP + 1)
+    return i - 1 if i < len(xs) and s < xs[i] - _WINDOW_TIE_TOL else None
 
 
 def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:

@@ -312,23 +312,17 @@ def _spectrum(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
 
 
-@lru_cache(maxsize=None)
-def _zeros_cached(spec: MeasureSpec, basis: Variant, k: int):
-    vals = _spectrum(spec, basis, k)
-    vals.flags.writeable = False
-    return vals
-
-
 def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     """Zeros of the degree-k polynomial of the basis, ascending.
 
-    Computed as the spectrum of J_{k-1}; k = 0 gives an empty list.
+    Computed as the spectrum of J_{k-1}, fresh on every call; k = 0 gives
+    an empty list.
     """
     if k < 0:
         raise ValidationError("zeros needs k >= 0")
     if k == 0:
         return np.array([])
-    return _zeros_cached(spec, basis, k)
+    return _spectrum(spec, basis, k)
 
 
 class _ZeroTable(dict):

@@ -63,6 +63,7 @@ class EigenPair:
 
 def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
     """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
+    plain = jacobi_matrix(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
     if abs(pk) <= 1e-12:
@@ -71,7 +72,6 @@ def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOpera
             "polynomial); corner weight undefined" % (k, s, pk, k)
         )
     a_k = recurrence_coeffs(spec, basis, k).a[k]
-    plain = jacobi_matrix(spec, basis, k)
     return JacobiOperator(
         diag=plain.diag, off=plain.off, basis=basis, rho=a_k * pk1 / pk
     )
@@ -227,14 +227,9 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
     if sign_variant not in ("subtractive", "additive"):
         raise ValidationError("sign_variant must be 'subtractive' or 'additive'")
     sigma = -1.0 if sign_variant == "subtractive" else 1.0
-    table = _basis_at(spec, Variant.BASE, k + 1, 1.0)
-    pk, pk1 = float(table[k]), float(table[k + 1])
-    a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
-    rho_one = a_k * pk1 / pk
-    plain = jacobi_matrix(spec, Variant.BASE, k)
-    T = JacobiOperator(diag=plain.diag, off=plain.off, basis=Variant.BASE,
-                       rho=sigma * rho_one)
-    pair = top_eigenpair(T)
+    T = build_Tk(spec, Variant.BASE, k, 1.0)
+    rho_one = T.rho
+    pair = top_eigenpair(replace(T, rho=sigma * rho_one))
     lam = pair.eigenvalue
     if 1.0 - lam <= 1e-12:
         raise SingularOperatorError(
@@ -244,5 +239,6 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtrac
     poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed",
                                pair.vector)
     res = _certified_result(spec, poly, lam, tolerances)
-    closed = 4.0 * a_k * pk1 * pk / (1.0 - lam)
+    pk = float(_basis_at(spec, Variant.BASE, k, 1.0)[k])
+    closed = 4.0 * rho_one * pk * pk / (1.0 - lam)
     return replace(res, closed_form=closed)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -80,6 +81,15 @@ def test_fixed_spectral_via_k(capsys):
     blob = json.loads(out)
     assert blob["method"] == "spectral_fixed"
     assert blob["bound"] == pytest.approx(16.0, abs=1e-6)
+
+
+def test_fixed_spectral_at_the_max_degree_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, "bound", "--space", "hamming:4", "--method",
+                            "spectral", "--k", "4")
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_table_csv_shape_and_quoting(capsys):

@@ -86,28 +86,6 @@ def test_plotkin_fixed_point():
     assert names["plotkin"] == pytest.approx(4.0)
 
 
-def test_lev_window_parity_selection():
-    """The selected window actually contains s, with the odd/even bracket
-    conventions (odd closed, even open)."""
-    spec = hamming_space(12)
-    from delbound.orthopoly import largest_zero as lz
-
-    for d in range(2, 12):
-        s = spec.nodes[d]
-        try:
-            k, parity = lev_degree_select(spec, s)
-        except DegreeBudgetError:
-            continue
-        if parity == "odd":
-            lo = lz(spec, Variant.PLUSMINUS, k) if k > 0 else -1.0
-            hi = lz(spec, Variant.MINUS, k + 1)
-            assert lo - 1e-9 <= s <= hi + 1e-9
-        else:
-            lo = lz(spec, Variant.MINUS, k + 1)
-            hi = lz(spec, Variant.PLUSMINUS, k + 1)
-            assert lo - 1e-9 < s < hi + 1e-9
-
-
 def test_lev_beats_or_ties_quadratic_at_equal_degree():
     spec = hamming_space(10)
     for d in (3, 4, 5):
@@ -179,6 +157,22 @@ def test_classical_baselines_values():
     assert "plotkin" not in vals
     vals2 = dict(classical_baselines(6, 4))
     assert vals2["plotkin"] == pytest.approx(4.0)
+
+
+def test_classical_baselines_match_the_binomial_sums():
+    """Each ball size read from the cumulative list equals its fresh sum of
+    binomials, on every d of hamming:1-130, 256 and 384; on hamming:1024
+    the bounds past the float range at d = 1 and 2 read inf."""
+    for n in list(range(1, 131)) + [256, 384]:
+        for d in range(1, n + 1):
+            ball = sum(math.comb(n, j) for j in range(((d - 1) // 2) + 1))
+            expect = [("singleton", float(2 ** (n - d + 1))), ("sphere_packing", 2 ** n / ball)]
+            if 2 * d > n:
+                expect.append(("plotkin", 2 * d / (2 * d - n)))
+            assert classical_baselines(n, d) == tuple(expect), (n, d)
+    assert classical_baselines(1024, 1) == (("singleton", math.inf), ("sphere_packing", math.inf))
+    assert classical_baselines(1024, 2) == (("singleton", 2.0 ** 1023),
+                                            ("sphere_packing", math.inf))
 
 
 def test_lev_bound_monotone_in_distance():
@@ -354,22 +348,54 @@ def _space(label):
 
 
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
+def test_lev_window_parity_selection(label):
+    """The selected window actually contains s, with the odd/even bracket
+    conventions (odd closed, even open)."""
+    spec = _space(label)
+    from delbound.orthopoly import largest_zero as lz
+
+    for s in _probe_points(spec):
+        try:
+            k, parity = lev_degree_select(spec, s)
+        except DegreeBudgetError:
+            continue
+        if parity == "odd":
+            lo = lz(spec, Variant.PLUSMINUS, k) if k > 0 else -1.0
+            hi = lz(spec, Variant.MINUS, k + 1)
+            assert lo - 1e-9 <= s <= hi + 1e-9
+        else:
+            lo = lz(spec, Variant.MINUS, k + 1)
+            hi = lz(spec, Variant.PLUSMINUS, k + 1)
+            assert lo - 1e-9 < s < hi + 1e-9
+
+
+@pytest.mark.parametrize("label", _WINDOW_SPACES)
 def test_window_lookups_match_direct_zeros(label, monkeypatch):
     """The window searches give the same degree, or the same refusal, when
     every largest zero is read from the eigenvalues instead of the table."""
-    from delbound import constructions
+    from delbound import orthopoly
     from delbound.constructions import _base_window_index
 
     spec = _space(label)
     points = _probe_points(spec)
+    calls = []
+
+    def counted_zero(spec_, basis, k):
+        calls.append(k)
+        return _direct_zero(spec_, basis, k)
 
     def lookups():
         return [(_outcome(_base_window_index, spec, s), _outcome(lev_degree_select, spec, s))
                 for s in points]
 
     tabled = lookups()
-    monkeypatch.setattr(constructions, "largest_zero", _direct_zero)
-    assert tabled == lookups()
+    orthopoly._largest_zeros.cache_clear()
+    monkeypatch.setattr(orthopoly, "largest_zero", counted_zero)
+    try:
+        assert tabled == lookups()
+    finally:
+        orthopoly._largest_zeros.cache_clear()
+    assert calls
 
 
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
@@ -696,42 +722,85 @@ _BISECT_SPACES = ["hamming:33", "hamming:64", "hamming:100", "hamming:256",
                   "sphere:4", "sphere:24"]
 
 
+def _reference_base_window(spec, s):
+    """The base window of s by a scan from degree 0 over the largest zeros:
+    the first k with s <= x_{k+1} + tol, or None on an edge or past them."""
+    from delbound.constructions import _LEV_DEGREE_CAP
+    from delbound.constructions import _WINDOW_TIE_TOL as tol
+    from delbound.spaces import max_degree
+
+    cap = max_degree(spec, Variant.BASE)
+    top = cap - 1 if cap is not None else _LEV_DEGREE_CAP
+    for k in range(top + 1):
+        lo = largest_zero(spec, Variant.BASE, k)
+        hi = largest_zero(spec, Variant.BASE, k + 1)
+        if s <= lo + tol:
+            return None
+        if s < hi - tol:
+            return k
+        if s <= hi + tol:
+            return None
+    return None
+
+
+def _reference_lev_window(spec, s):
+    """The Levenshtein window of s by a scan from degree 0: odd k on
+    [x_k^+- - tol, x_{k+1}^- + tol], else even k on the open gap up to
+    x_{k+1}^+- - tol."""
+    from delbound.constructions import _LEV_DEGREE_CAP
+    from delbound.constructions import _WINDOW_TIE_TOL as tol
+    from delbound.spaces import max_degree
+
+    if s >= 1.0:
+        raise ValidationError("lev_degree_select needs s < 1")
+    cap_minus = max_degree(spec, Variant.MINUS)
+    cap_pm = max_degree(spec, Variant.PLUSMINUS)
+    k_top = _LEV_DEGREE_CAP if cap_minus is None else min(_LEV_DEGREE_CAP, cap_minus - 1)
+    for k in range(k_top + 1):
+        left = largest_zero(spec, Variant.PLUSMINUS, k) if (
+            cap_pm is None or k <= cap_pm) else None
+        right = largest_zero(spec, Variant.MINUS, k + 1)
+        if (left is None or left - tol <= s) and s <= right + tol:
+            return k, "odd"
+        if (cap_pm is None or k + 1 <= cap_pm) and \
+                right + tol < s < largest_zero(spec, Variant.PLUSMINUS, k + 1) - tol:
+            return k, "even"
+    raise DegreeBudgetError(
+        "degree budget exceeded: no Levenshtein window of %s reaches s=%r"
+        % (spec.label(), s)
+    )
+
+
 @pytest.mark.parametrize("label", _BISECT_SPACES)
-def test_bisected_window_scans_match_full_scans(label, monkeypatch):
-    """Starting the window scans at the bisected degree gives the degree,
-    or the refusal, of a scan from degree 0, at every node or on a 41-point
-    s-grid, with the table of largest zeros cold or warm."""
-    from delbound import constructions
+def test_bisected_window_scans_match_full_scans(label):
+    """The bisected window lookups give the degree, or the refusal, of a
+    scan from degree 0, at every node or on a 41-point s-grid, with the
+    table of largest zeros cold or warm."""
     from delbound.constructions import _base_window_index
     from delbound.orthopoly import _largest_zeros
 
     spec = _space(label)
     points = list(spec.nodes) if spec.discrete else [i / 20 for i in range(-20, 21)]
 
-    def lookups():
-        return [(_outcome(_base_window_index, spec, s), _outcome(lev_degree_select, spec, s))
-                for s in points]
+    def lookups(base, lev):
+        return [(_outcome(base, spec, s), _outcome(lev, spec, s)) for s in points]
 
     _largest_zeros.cache_clear()
-    cold = lookups()
-    warm = lookups()
-    with monkeypatch.context() as patch:
-        patch.setattr(constructions, "_scan_start", lambda *args: 0)
-        full = lookups()
+    cold = lookups(_base_window_index, lev_degree_select)
+    warm = lookups(_base_window_index, lev_degree_select)
+    full = lookups(_reference_base_window, _reference_lev_window)
     assert cold == warm == full
     _largest_zeros.cache_clear()
 
 
 def test_largest_zero_keeps_no_spectrum():
     """largest_zero reads the top of a fresh spectrum, bit for bit the top
-    of zeros(), and leaves no spectrum cached behind it."""
-    from delbound.orthopoly import _largest_zeros, _zeros_cached
+    of zeros()."""
+    from delbound.orthopoly import _largest_zeros
 
     spec = hamming_space(64)
     _largest_zeros.cache_clear()
-    _zeros_cached.cache_clear()
     values = [largest_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
-    assert _zeros_cached.cache_info().currsize == 0
     assert values == [_direct_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
     _largest_zeros.cache_clear()
 

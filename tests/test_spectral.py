@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,3 +228,15 @@ def test_reducible_jacobi_operator_takes_the_dense_eigensolve():
     w, vecs = np.linalg.eigh(T.matrix())
     assert pair.eigenvalue == pytest.approx(w[-1], abs=1e-14)
     assert np.max(np.abs(pair.vector - vecs[:, -1] * np.sign(vecs[1, -1]))) <= 1e-14
+
+
+def test_operator_at_the_max_degree_refuses_without_warning():
+    """k = n has no a_k on hamming:n: the operator is refused before any
+    recurrence divides by the trailing a_n = 0."""
+    spec = hamming_space(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError):
+            build_Tk(spec, Variant.BASE, 4, 0.5)
+        with pytest.raises(ValidationError):
+            spectral_bound_fixed(spec, 4)
