@@ -180,6 +180,20 @@ def _table_row(row: dict, bound_fn, *args, **kwargs) -> dict:
     return row
 
 
+def _s_grid(args) -> list:
+    """The --s-count evenly spaced points from --s-min to --s-max, checked
+    before any row is computed: at least one point, both ends in [-1, 1)."""
+    if args.s_count < 1:
+        raise ValidationError("--s-count must be at least 1, got %d" % (args.s_count,))
+    for name, value in (("--s-min", args.s_min), ("--s-max", args.s_max)):
+        # NaN fails this comparison too
+        if not -1.0 <= value < 1.0:
+            raise ValidationError("%s must lie in [-1, 1), got %r" % (name, value))
+    import numpy as np
+
+    return [float(s) for s in np.linspace(args.s_min, args.s_max, args.s_count)]
+
+
 def cmd_table(args) -> int:
     spec = _parse_space(args.space)
     tol = _tolerances()
@@ -200,15 +214,12 @@ def cmd_table(args) -> int:
                 rows.append(_table_row(row, constructions.bound_for_distance,
                                        spec, d, method=method, tolerances=tol))
     else:
-        import numpy as np
-
-        grid = np.linspace(args.s_min, args.s_max, args.s_count)
-        for s in grid:
+        for s in _s_grid(args):
             for method in methods:
-                row = {"space": spec.label(), "d": "", "s": float(s),
+                row = {"space": spec.label(), "d": "", "s": s,
                        "method": method, "lp": "", "status": "ok"}
                 rows.append(_table_row(row, constructions.bound_for_s,
-                                       spec, float(s), method=method, tolerances=tol))
+                                       spec, s, method=method, tolerances=tol))
     if args.format == "json":
         _print_json({"schema": 1, "rows": rows})
     else:

@@ -25,7 +25,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .orthopoly import chebyshev_table, discrete_basis_table, eval_basis_table
+from .orthopoly import (
+    chebyshev_table,
+    discrete_basis_table,
+    eval_basis_table,
+    gauss_basis_table,
+)
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 
 
@@ -60,8 +65,11 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     """Coefficients fhat_0..fhat_n of f in the base orthonormal system.
 
     Discrete measures are summed exactly over their nodes; continuous ones
-    use a Gauss rule exact through degree 2n, so the expansion of any
-    polynomial of degree <= n is exact up to rounding.
+    use the (n + 1)-point Gauss rule, exact through degree 2n + 1, so the
+    expansion of any polynomial of degree <= n is exact up to rounding.
+    Either way f is called once, on every node, and the base table there
+    is read from a cache: discrete_basis_table, or gauss_basis_table at
+    the rule.
     """
     if n < 0:
         raise ValidationError("expansion degree must be nonnegative")
@@ -76,7 +84,7 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
         table = discrete_basis_table(spec, Variant.BASE)[: n + 1]
         return table @ (w * np.asarray(f(x), dtype=float))
     x, w = quadrature(spec, Variant.BASE, n + 1)
-    table = eval_basis_table(spec, Variant.BASE, n, x)
+    table = gauss_basis_table(spec, Variant.BASE, n, n + 1)
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
@@ -147,6 +155,18 @@ def _audit_start(x: np.ndarray, s: float) -> int:
     return int(np.searchsorted(-x, -s))
 
 
+@lru_cache(maxsize=None)
+def _derivative_table(spec: MeasureSpec, deg: int) -> np.ndarray:
+    """Chebyshev coefficients D of p_0'..p_deg' on a continuous space,
+    read-only: fhat @ D holds those of f' for f = sum_i fhat_i p_i. Row i
+    is the derivative of row i of chebyshev_table, one column shorter (a
+    single zero column at deg = 0)."""
+    # numpy.polynomial loads on first use; discrete runs never need it
+    table = np.polynomial.chebyshev.chebder(chebyshev_table(spec, Variant.BASE, deg), axis=1)
+    table.flags.writeable = False
+    return table
+
+
 def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     """Points of [-1, s] where the sign of f = sum_i fhat_i p_i is checked,
     and f there.
@@ -156,11 +176,13 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     distances, and the cached node table holds every p_i at them, in a
     suffix of its columns. On a continuous measure f peaks on [-1, s] at
     an endpoint or at a root of f', so the endpoints and the roots of f'
-    decide it exactly up to rounding. The roots are the eigenvalues of the
-    colleague matrix of f' in the Chebyshev basis, each audited at its
-    real part clipped to [-1, s]: an extra point can only tighten the
-    check. A non-finite Chebyshev coefficient skips the eigensolve, and
-    the endpoint values then fail the certificate.
+    decide it exactly up to rounding. The Chebyshev coefficients of f' are
+    fhat times the cached _derivative_table, and its roots the eigenvalues
+    of their colleague matrix, each audited at its real part clipped to
+    [-1, s]: an extra point can only tighten the check. f itself is read
+    at those points by the recurrence, not through the Chebyshev form. A
+    non-finite coefficient of f' skips the eigensolve, and the endpoint
+    values then fail the certificate.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
@@ -169,16 +191,15 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
             return x[first:], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, first:]
         pts = np.array([-1.0])
     else:
-        # numpy.polynomial loads on first use; discrete runs never need it
-        chebyshev = np.polynomial.chebyshev
-        cheb = fhat @ chebyshev_table(spec, Variant.BASE, fhat.size - 1)
-        dcheb = chebyshev.chebder(cheb)
+        dcheb = fhat @ _derivative_table(spec, fhat.size - 1)
         pts = np.array([-1.0, s])
-        if np.all(np.isfinite(cheb)) and np.all(np.isfinite(dcheb)):
-            # a top coefficient below 1e-300 of the largest only adds roots
-            # far outside [-1, 1]; dropping it keeps the colleague matrix finite
-            dcheb = chebyshev.chebtrim(dcheb, 1e-300 * np.max(np.abs(dcheb)))
-            roots = np.clip(chebyshev.chebroots(dcheb).real, -1.0, s)
+        if np.all(np.isfinite(dcheb)):
+            # trailing coefficients at or below 1e-300 of the largest only add
+            # roots far outside [-1, 1]; dropping them keeps the colleague
+            # matrix finite
+            kept = np.flatnonzero(np.abs(dcheb) > 1e-300 * np.max(np.abs(dcheb)))
+            dcheb = dcheb[: kept[-1] + 1 if kept.size else 1]
+            roots = np.clip(np.polynomial.chebyshev.chebroots(dcheb).real, -1.0, s)
             pts = np.concatenate([pts, roots])
     return pts, _evaluate(spec, fhat, pts)
 

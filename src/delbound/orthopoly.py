@@ -26,7 +26,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import MeasureSpec, Variant, max_degree, node_weights
+from .spaces import (
+    MeasureSpec,
+    Variant,
+    max_degree,
+    node_weights,
+    quadrature,
+    variant_multiplier,
+)
 
 _EXTRAPOLATION_SLACK = 1e-12
 
@@ -176,8 +183,6 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
     # at most, multiplier included) are integrated exactly, then proceed
     # as in the discrete case. The rule grows with m, so each m gets its
     # own run.
-    from .spaces import quadrature, variant_multiplier
-
     pts = m + 4
     x, w = quadrature(spec, Variant.BASE, pts)
     return _coeffs_from(*_stieltjes(x, w * variant_multiplier(basis, x), m), m)
@@ -245,6 +250,17 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
     cap = max_degree(spec, basis)
     x, _ = node_weights(spec, Variant.BASE)
     table = eval_basis_table(spec, basis, cap, x)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def gauss_basis_table(spec: MeasureSpec, basis: Variant, deg: int, m: int) -> np.ndarray:
+    """Cached table of p_0..p_deg of the basis at the nodes of the m-point
+    Gauss rule of the base measure, read-only: the recurrence run of
+    eval_basis_table at quadrature(spec, BASE, m), done once."""
+    x, _ = quadrature(spec, Variant.BASE, m)
+    table = eval_basis_table(spec, basis, deg, x)
     table.flags.writeable = False
     return table
 

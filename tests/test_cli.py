@@ -121,6 +121,29 @@ def test_table_sphere_grid(capsys):
     assert all(row[7] == "" for row in rows[1:])  # no LP column on the sphere
 
 
+@pytest.mark.parametrize("grid", [
+    ("--s-count", "-3"),
+    ("--s-count", "0"),
+    ("--s-min", "0", "--s-max", "1"),
+    ("--s-min", "-1.5"),
+    ("--s-max", "nan"),
+    ("--s-min=-inf",),
+    ("--s-max", "inf"),
+])
+def test_table_sphere_grid_is_checked_before_any_row(capsys, monkeypatch, grid):
+    """A sphere s-grid with no point, or an end that is non-finite or
+    outside [-1, 1), exits 2 before any bound is computed."""
+    from delbound import constructions
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(constructions, "bound_for_s", refuse)
+    code, out = run_cli(capsys, "table", "--space", "sphere:4", *grid)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
 def test_table_json_mode(capsys):
     code, out = run_cli(capsys, "table", "--space", "hamming:4", "--format", "json")
     assert code == 0

@@ -829,3 +829,111 @@ def test_distance_bounds_never_undercut_the_delsarte_lp(n, d_min):
                 continue
             assert Fraction(res.bound) >= optimum * (1 - Fraction(1, 10 ** 12)), \
                 (n, d, method, res.degree, res.bound, float(optimum))
+
+
+_SPHERE_GRID = [i / 10 for i in range(-5, 6)]
+
+
+def _sphere_fingerprint(out):
+    """What a bound reports, field for field: the fields the benchmark
+    compares between a cold and a warm pass."""
+    if isinstance(out, tuple):
+        return out
+    cert = out.certificate
+    return (out.method, out.s, out.degree, out.bound, out.d, out.closed_form,
+            cert.verdict, cert.fhat, cert.max_on_audit, cert.min_coeff_value,
+            cert.audit_size)
+
+
+def _clear_caches():
+    """cache_clear() on every lru_cache of the package."""
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delbound"):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+def _fresh_sphere_fhat(spec, res):
+    """fhat of a sphere bound's kernel square from fresh recurrence runs:
+    p(s), or the spectral eigenvector, the rows at x = 1, and the kernel
+    and base rows at the nodes of quadrature(spec, BASE, degree + 1), in
+    the operation order of the library's build."""
+    from delbound import spectral
+    from delbound.orthopoly import eval_basis_table
+    from delbound.spaces import quadrature
+
+    basis = {"lev_odd": Variant.MINUS, "lev_even": Variant.PLUSMINUS}.get(
+        res.method, Variant.BASE)
+    extra = basis is Variant.PLUSMINUS
+    k = (res.degree - 1 - extra) // 2
+    s = res.s
+    if res.method == "spectral":
+        v = spectral.top_eigenpair(spectral.build_Tk(spec, basis, k, s)).vector
+    else:
+        v = eval_basis_table(spec, basis, k, s)[:, 0]
+
+    def product(t, table):
+        kern = v @ table
+        return ((t - s) * (t + 1.0) if extra else t - s) * kern * kern
+
+    c = 1.0 / float(product(1.0, eval_basis_table(spec, basis, k, 1.0))[0])
+    x, w = quadrature(spec, Variant.BASE, res.degree + 1)
+    on_rule = c * product(x, eval_basis_table(spec, basis, k, x))
+    return eval_basis_table(spec, Variant.BASE, res.degree, x) @ (w * on_rule)
+
+
+@pytest.mark.parametrize("dim", [4, 24, 100])
+def test_sphere_table_caches_are_transparent(dim):
+    """Built from cleared caches, every sphere bound of an s-grid equals
+    its warm rebuild field for field, and its fhat is bit for bit the one
+    fresh recurrence runs give."""
+    spec = sphere_space(dim)
+    cases = [(s, method) for s in _SPHERE_GRID for method in ("mrrw", "lev", "spectral")]
+    _clear_caches()
+    cold = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
+    warm = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
+    assert [_sphere_fingerprint(r) for r in cold] == [_sphere_fingerprint(r) for r in warm]
+    certified = [r for r in cold if not isinstance(r, tuple)]
+    assert len(certified) >= 20
+    for res in certified:
+        assert res.certificate.fhat == tuple(_fresh_sphere_fhat(spec, res).tolist()), \
+            (dim, res.s, res.method)
+
+
+def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypatch):
+    """Once the tables are built, a repeated sphere bound evaluates the
+    basis only at s and at the points its certificate audits."""
+    import sys
+
+    from delbound import orthopoly
+
+    spec = sphere_space(24)
+    cases = [(s, method) for s in _SPHERE_GRID for method in ("mrrw", "lev", "spectral")]
+    for s, method in cases:
+        _outcome(bound_for_s, spec, s, method)
+    original = orthopoly.eval_basis_table
+    calls = []
+
+    def counted(spec_, basis, deg, x):
+        calls.append(np.atleast_1d(np.asarray(x, dtype=float)))
+        return original(spec_, basis, deg, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
+            monkeypatch.setattr(module, "eval_basis_table", counted)
+    for s, method in cases:
+        calls.clear()
+        try:
+            cert = bound_for_s(spec, s, method).certificate
+        except NotCertifiedError as exc:
+            cert = exc.certificate
+        if cert is None:
+            # refused on a window edge, before any build
+            assert not calls, (s, method)
+            continue
+        audits = [x for x in calls if x.size == cert.audit_size and x[0] == -1.0 and x[1] == s]
+        assert len(audits) == 1, (s, method)
+        assert all(x.size == 1 and x[0] == s for x in calls if x is not audits[0]), (s, method)

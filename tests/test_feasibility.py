@@ -314,3 +314,22 @@ def test_certificate_id_hashes_strict_json():
     decisive["fhat"][1] = None
     canonical = json.dumps(decisive, sort_keys=True, allow_nan=False)
     assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == cert.certificate_id
+
+
+@pytest.mark.parametrize("dim", [3, 24, 200])
+def test_derivative_table_gives_the_chebyshev_derivative(dim):
+    """fhat @ D, with D the cached derivative table, holds the Chebyshev
+    coefficients of f' to 1e-13 of the largest, for random fhat of degree
+    0 to 60; at degree 0 f' is the zero polynomial and at degree 1 a
+    constant."""
+    from delbound.feasibility import _derivative_table
+    from delbound.orthopoly import chebyshev_table
+
+    spec = sphere_space(dim)
+    rng = np.random.default_rng(dim)
+    for deg in range(61):
+        fhat = rng.standard_normal(deg + 1)
+        got = fhat @ _derivative_table(spec, deg)
+        want = np.polynomial.chebyshev.chebder(fhat @ chebyshev_table(spec, Variant.BASE, deg))
+        assert got.shape == want.shape == (max(deg, 1),), (dim, deg)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, deg)
