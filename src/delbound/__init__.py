@@ -83,8 +83,10 @@ from .nrt import (
 
 __version__ = "0.1.0"
 
+# The names README documents, and the space, result and exception types
+# they take, return or raise. Every other import above stays reachable as
+# an attribute of the package.
 __all__ = [
-    "BoundPolynomial",
     "BoundResult",
     "ConeCertificate",
     "DegreeBudgetError",
@@ -104,49 +106,21 @@ __all__ = [
     "Variant",
     "bound_for_distance",
     "bound_for_s",
-    "bound_value",
     "build_Tk",
-    "cd_identity_residual",
     "cd_kernel",
-    "classical_baselines",
     "cone_certificate",
-    "custom_space",
     "delsarte_lp",
     "enumerate_shapes",
     "eval_basis",
-    "eval_basis_table",
-    "even_weight_code",
     "fourier_expand",
-    "hamming_code_7_4",
-    "hamming_distance",
     "hamming_space",
-    "jacobi_matrix",
-    "krawtchouk",
-    "largest_zero",
-    "lev_degree_select",
-    "lev_even_poly",
-    "lev_odd_poly",
-    "max_degree",
-    "min_distance",
-    "moment_functional",
     "mrrw_bound_closed",
-    "mrrw_poly",
-    "node_weights",
     "nrt_distance",
-    "nrt_weight",
-    "polynomial_from_fourier",
     "quadrature",
     "recurrence_coeffs",
-    "repetition_code",
-    "reproduce",
-    "shape_of",
     "shape_weight",
-    "spectral_bound_fixed",
     "spectral_recover_bound",
     "sphere_space",
     "top_eigenpair",
-    "tridiagonal_eigenvalues",
-    "variant_mass",
-    "verify_kernel_eigen",
     "zeros",
 ]

@@ -137,9 +137,7 @@ def cmd_bound(args) -> int:
                 sol = lp_oracle.delsarte_lp(spec.params[0], args.d, mode=args.mode)
                 results.append(sol.to_json() | {"method": "lp", "space": spec.label()})
             elif fixed_spectral:
-                res = spectral.spectral_bound_fixed(
-                    spec, args.k, sign_variant=args.sign_variant, tolerances=tol
-                )
+                res = spectral.spectral_bound_fixed(spec, args.k, tolerances=tol)
                 results.append(res.to_json())
             elif has_d:
                 res = constructions.bound_for_distance(
@@ -256,10 +254,6 @@ def cmd_verify(args) -> int:
             "lev_odd": constructions.lev_odd_poly,
             "lev_even": constructions.lev_even_poly,
         }
-        if args.method not in builders:
-            raise ValidationError(
-                "verify descriptor method must be one of %s" % sorted(builders)
-            )
         poly = builders[args.method](spec, args.k, args.s)
     cert = cone_certificate(spec, poly, poly.s, tol)
     payload = cert.to_json() | {"certificate_id": cert.certificate_id,
@@ -314,9 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--k", type=int, help="kernel degree override")
     p_bound.add_argument("--mode", default="float", choices=["float", "exact"],
                          help="LP arithmetic")
-    p_bound.add_argument("--sign-variant", default="subtractive",
-                         choices=["subtractive", "additive"],
-                         help="corner sign for the fixed spectral operator")
     p_bound.add_argument("--format", default="json",
                          choices=["json", "csv", "text"])
     p_bound.set_defaults(func=cmd_bound)

@@ -15,8 +15,8 @@ the product form needs is a node value: the kernel at the nodes is v times
 the cached node rows of its system, x = 1 is node 0, p(s) is a column of
 those rows when s is a node, and fhat is one product with the base table.
 A continuous space reads the same s-independent values from tables cached
-per space, basis and degree: the rows at x = 1 and at the Gauss rule of
-the expansion, so only p(s) runs the recurrence on each call.
+per space, basis and degree: basis_at_one at x = 1 and the rows at the
+Gauss rule of the expansion, so only p(s) runs the recurrence on each call.
 
 Construction never asserts cone membership; the feasibility module owns
 that decision, and no BoundResult is built without a passing certificate.
@@ -41,6 +41,7 @@ from .errors import (
 )
 from .feasibility import ConeCertificate, _evaluate, cone_certificate, fourier_expand
 from .orthopoly import (
+    basis_at_one,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
@@ -155,25 +156,15 @@ def _cached_node_rows(spec: MeasureSpec, basis: Variant, deg: int):
     return table[: deg + 1] if deg < table.shape[0] else None
 
 
-@lru_cache(maxsize=None)
-def _rows_at_one(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
-    """p_0(1)..p_deg(1) of the basis as a read-only (deg + 1, 1) table: the
-    recurrence run of eval_basis_table at x = 1, done once."""
-    rows = eval_basis_table(spec, basis, deg, 1.0)
-    rows.flags.writeable = False
-    return rows
-
-
 def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
-    """p_0(s)..p_deg(s): a column of the cached node rows when s is a node
-    of a discrete space, the cached _rows_at_one when s = 1 on a continuous
-    one, else one run of the recurrence at s."""
-    j, rows = 0, None
-    if spec.discrete:
-        j = _node_index(spec).get(s)
-        rows = None if j is None else _cached_node_rows(spec, basis, deg)
-    elif s == 1.0:
-        rows = _rows_at_one(spec, basis, deg)
+    """p_0(s)..p_deg(s), read-only when it comes from a cache: the cached
+    basis_at_one table when s = 1, a column of the cached node rows when s
+    is another node of a discrete space, else one run of the recurrence
+    at s."""
+    if s == 1.0:
+        return basis_at_one(spec, basis, deg)
+    j = _node_index(spec).get(s) if spec.discrete else None
+    rows = None if j is None else _cached_node_rows(spec, basis, deg)
     return eval_basis_table(spec, basis, deg, s)[:, 0] if rows is None else rows[:, j]
 
 
@@ -186,7 +177,7 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     the kernel at every node is v times the cached rows of the basis
     system, f(1) is its value at node 0 (x = 1), and fhat is one product
     with the base table. On a continuous space the kernel is v times the
-    cached rows at x = 1 (_rows_at_one) for f(1), and times the cached
+    cached basis_at_one table for f(1), and times the cached
     gauss_basis_table at the Gauss rule of fourier_expand for fhat; these
     are the values the recurrence gives there, bit for bit.
     """
@@ -210,7 +201,7 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
         on_nodes = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
         at_one = float(on_nodes[0])
     else:
-        at_one = float(product(1.0, _rows_at_one(spec, basis, k))[0])
+        at_one = float(product(1.0, basis_at_one(spec, basis, k)))
     if at_one == 0.0:
         raise SingularOperatorError(
             "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .orthopoly import (
+    basis_at_one,
     chebyshev_table,
     discrete_basis_table,
     eval_basis_table,
@@ -204,15 +205,6 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     return pts, _evaluate(spec, fhat, pts)
 
 
-@lru_cache(maxsize=None)
-def _basis_at_one(spec: MeasureSpec, deg: int) -> tuple:
-    """p_0(1)..p_deg(1) from the cached tables: node 0 of a discrete space
-    is x = 1, and on a continuous one T_j(1) = 1 sums the Chebyshev rows."""
-    if spec.discrete:
-        return tuple(discrete_basis_table(spec, Variant.BASE)[: deg + 1, 0].tolist())
-    return tuple(chebyshev_table(spec, Variant.BASE, deg).sum(axis=1).tolist())
-
-
 def cone_certificate(
     spec: MeasureSpec, f, s: float, tolerances: Tolerances | None = None
 ) -> ConeCertificate:
@@ -223,7 +215,8 @@ def cone_certificate(
     default positivity floor, whatever the tolerances, and the slacks
     must leave the LP inequality a bound: a code C gives
     |C| (fhat_0 - slack) <= f(1), with slack = sum_{i>=1} max(0, -fhat_i)
-    p_i(1) + max(0, max_on_audit), so fhat_0 must exceed slack.
+    p_i(1) + max(0, max_on_audit), so fhat_0 must exceed slack. p_i(1) is
+    read from basis_at_one, the table f(1) and the closed forms read too.
 
     What is audited is the coefficient vector fhat that the certificate
     reports, so the certificate's own fhat re-audits to the same
@@ -286,9 +279,11 @@ def cone_certificate(
         )
     else:
         floor = Tolerances().pos
-        at_one = _basis_at_one(spec, fhat.size - 1)
+        at_one = basis_at_one(spec, Variant.BASE, fhat.size - 1)
+        # item() reads one entry as a Python float, with no copy of the
+        # table, so sum() adds floats (compensated on Python 3.12+)
         slack = max(max_val, 0.0) - sum(
-            v * at_one[i] for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
+            v * at_one.item(i) for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
         if not fhat[0] > floor:
             reason = "fhat_0 = %r is inside the positivity floor %g" % (float(fhat[0]), floor)
         elif slack >= fhat[0]:

@@ -255,6 +255,20 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
 
 
 @lru_cache(maxsize=None)
+def basis_at_one(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
+    """p_0(1)..p_deg(1) of the basis, read-only: the one table of these
+    values. For the base system of a discrete space it is the node-0
+    column of discrete_basis_table (x = 1 is node 0), which holds the
+    values of a recurrence run at x = 1 without a run per degree;
+    otherwise it is that run of eval_basis_table at x = 1, done once."""
+    if spec.discrete and basis is Variant.BASE:
+        return discrete_basis_table(spec, basis)[: deg + 1, 0]
+    row = eval_basis_table(spec, basis, deg, 1.0)[:, 0]
+    row.flags.writeable = False
+    return row
+
+
+@lru_cache(maxsize=None)
 def gauss_basis_table(spec: MeasureSpec, basis: Variant, deg: int, m: int) -> np.ndarray:
     """Cached table of p_0..p_deg of the basis at the nodes of the m-point
     Gauss rule of the base measure, read-only: the recurrence run of

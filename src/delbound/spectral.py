@@ -38,18 +38,7 @@ from .orthopoly import (
 )
 from .spaces import MeasureSpec, Variant
 
-__all__ = [
-    "JacobiOperator",
-    "EigenPair",
-    "build_Tk",
-    "top_eigenpair",
-    "verify_kernel_eigen",
-    "spectral_recover_bound",
-    "spectral_bound_fixed",
-]
-
 _RESIDUAL_CONTRACT = 1e-9
-_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,22 +66,27 @@ def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOpera
     )
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    for entry in v:
-        if entry != 0.0:
-            return -v if entry < 0 else v
-    return v
+def top_eigenpair(T: JacobiOperator) -> EigenPair:
+    """Largest eigenvalue and unit eigenvector of an irreducible Jacobi
+    operator.
 
-
-def _recurrence_top(T: JacobiOperator):
-    """Top eigenvalue of an irreducible Jacobi operator, and its eigenvector
-    read off rows 0..k-1 of (T - lambda) v = 0 from v_0 = 1.
-
-    Each entry comes from the previous two by the three-term recurrence at
-    lambda, so it carries a small relative error, where a dense
-    eigenvector holds the tiny leading entries of a Perron vector only to
-    eps times its norm, and with either sign.
+    T must be a JacobiOperator whose off-diagonal a_0..a_{k-1} is all
+    positive, as every operator build_Tk makes is; anything else, a plain
+    matrix or a reducible operator, raises ValidationError. Such an
+    operator has a simple top eigenvalue with a positive eigenvector
+    (Perron-Frobenius). The eigenvalue is the top of its spectrum, with rho
+    added to the last diagonal entry, and the eigenvector is read off rows
+    0..k-1 of (T - lambda) v = 0 from v_0 = 1: each entry comes from the
+    previous two by the three-term recurrence at lambda, so it carries a
+    small relative error, where a dense eigenvector holds the tiny leading
+    entries of a Perron vector only to eps times its norm, and with either
+    sign. The residual |T v - lambda v| must stay below 1e-9, or
+    NumericError is raised.
     """
+    if not (isinstance(T, JacobiOperator) and all(a > 0.0 for a in T.off)):
+        raise ValidationError(
+            "top_eigenpair needs a Jacobi operator with a positive off-diagonal"
+        )
     diag = list(T.diag)
     if T.rho is not None:
         diag[-1] += T.rho
@@ -103,37 +97,8 @@ def _recurrence_top(T: JacobiOperator):
         v.append(((lam - diag[i]) * v[i] - prev) / a)
         prev = a * v[i]
     v = np.array(v)
-    return lam, v / np.linalg.norm(v)
-
-
-def top_eigenpair(T) -> EigenPair:
-    """Largest eigenvalue and unit eigenvector of a symmetric operator.
-
-    A JacobiOperator whose off-diagonal is positive is irreducible, so its
-    top eigenvalue is simple and its eigenvector is positive
-    (Perron-Frobenius). The eigenvalue is the top of its spectrum, with rho
-    added to the last diagonal entry, and the eigenvector is read from
-    the operator's own recurrence at it. Any other symmetric matrix, plain
-    or a JacobiOperator, goes through a full eigh; when the top of its
-    spectrum is tied within 1e-12 the entrywise positive candidate is
-    preferred, matching the Perron-Frobenius pick for irreducible
-    operators. Either way the residual |T v - lambda v| must stay below
-    1e-9, or NumericError is raised.
-    """
-    m = T.matrix() if hasattr(T, "matrix") else np.asarray(T, dtype=float)
-    if isinstance(T, JacobiOperator) and all(a > 0.0 for a in T.off):
-        lam, v = _recurrence_top(T)
-    else:
-        w, vecs = np.linalg.eigh(m)
-        idx = len(w) - 1
-        for j in range(len(w) - 2, -1, -1):
-            if w[idx] - w[j] > _TIE_TOL:
-                break
-            cand = _sign_fix(vecs[:, j])
-            if np.all(cand > 0.0):
-                idx = j
-        v = _sign_fix(vecs[:, idx].copy())
-        lam = float(w[idx])
+    v /= np.linalg.norm(v)
+    m = T.matrix()
     residual = float(np.linalg.norm(m @ v - lam * v))
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
@@ -150,13 +115,15 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
 
     v = (p_0(s), ..., p_k(s)) must satisfy T_k(s) v = s v, and when s lies
     strictly between the largest zeros x_k and x_{k+1} this v must also be
-    the top eigenvector with strictly positive entries. The residual is
-    taken on the unit-scaled vector and must stay below 1e-9; any
-    violation raises NumericError rather than returning.
+    the top eigenvector with strictly positive entries. v is taken as it
+    is, scaled to unit norm: its first entry p_0 = 1/sqrt(mass) is
+    positive, so it already has the sign of the Perron vector. The
+    residual must stay below 1e-9; any violation raises NumericError
+    rather than returning.
     """
     T = build_Tk(spec, basis, k, s)
-    v = _sign_fix(_basis_at(spec, basis, k, s).copy())
-    v /= np.linalg.norm(v)
+    v = _basis_at(spec, basis, k, s)
+    v = v / np.linalg.norm(v)
     m = T.matrix()
     residual = float(np.linalg.norm(m @ v - s * v))
     if residual > _RESIDUAL_CONTRACT:
@@ -209,32 +176,26 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     return replace(res, closed_form=closed)
 
 
-def spectral_bound_fixed(spec: MeasureSpec, k: int, sign_variant: str = "subtractive",
-                         tolerances=None) -> BoundResult:
+def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundResult:
     """s-independent bound from the corner weight pinned at x = 1.
 
-    Builds J_k + sigma rho_k(1) e_k e_k^T with rho_k(1) = a_k p_{k+1}(1)/p_k(1)
-    and sigma chosen by sign_variant. The additive choice carries
-    (p_i(1)) as top eigenvector with eigenvalue exactly 1, which makes the
-    value formula degenerate, so it is rejected; the subtractive choice
-    lands the top eigenvalue lambda_k inside the top window. The certified
-    value 1/fhat_0 is returned, with the closed form
-    4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k) attached. Uncertified variants
-    are suppressed with a diagnostic.
+    Builds J_k - rho_k(1) e_k e_k^T with rho_k(1) = a_k p_{k+1}(1)/p_k(1),
+    whose top eigenvalue lambda_k lands inside the top window; 1 - lambda_k
+    at or below 1e-12 is refused as degenerate. The certified value
+    1/fhat_0 of the square of its top eigenvector at lambda_k is returned,
+    with the closed form 4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k) attached.
+    p(1) is read from the cached basis_at_one table. An uncertified value
+    is refused with a diagnostic.
     """
     if k < 1:
         raise ValidationError("spectral_bound_fixed needs k >= 1")
-    if sign_variant not in ("subtractive", "additive"):
-        raise ValidationError("sign_variant must be 'subtractive' or 'additive'")
-    sigma = -1.0 if sign_variant == "subtractive" else 1.0
     T = build_Tk(spec, Variant.BASE, k, 1.0)
     rho_one = T.rho
-    pair = top_eigenpair(replace(T, rho=sigma * rho_one))
+    pair = top_eigenpair(replace(T, rho=-rho_one))
     lam = pair.eigenvalue
     if 1.0 - lam <= 1e-12:
         raise SingularOperatorError(
-            "1 - lambda_k = %.3e is degenerate for the %s variant at k=%d"
-            % (1.0 - lam, sign_variant, k)
+            "1 - lambda_k = %.3e is degenerate at k=%d" % (1.0 - lam, k)
         )
     poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed",
                                pair.vector)

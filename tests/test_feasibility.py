@@ -333,3 +333,26 @@ def test_derivative_table_gives_the_chebyshev_derivative(dim):
         want = np.polynomial.chebyshev.chebder(fhat @ chebyshev_table(spec, Variant.BASE, deg))
         assert got.shape == want.shape == (max(deg, 1),), (dim, deg)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, deg)
+
+
+@pytest.mark.parametrize("d", [3, 24, 200])
+def test_sphere_slack_refusal_prints_the_slack_from_the_p1_table(d):
+    """A certificate refused on its slack prints sum max(0, -fhat_i) p_i(1)
+    with p(1) from the cached basis_at_one table. The negative
+    coefficients sit at even degrees, within the coefficient tolerance,
+    where p_i(-1) = p_i(1), so f(-1) < 0 and only the slack refuses."""
+    from delbound import polynomial_from_fourier
+    from delbound.orthopoly import basis_at_one
+
+    spec = sphere_space(d)
+    deg = 40
+    fhat = [1e-11, 1.0] + [0.0 if i % 2 else -1e-10 * (1.0 + i / 7.0)
+                           for i in range(2, deg + 1)]
+    cert = cone_certificate(spec, polynomial_from_fourier(spec, fhat, -1.0), -1.0)
+    assert cert.verdict == "fail" and cert.max_on_audit < 0.0
+    at_one = basis_at_one(spec, Variant.BASE, deg)
+    slack = 0.0 - sum(v * float(at_one[i]) for i, v in enumerate(fhat) if i and v < 0.0)
+    assert cert.reason == (
+        "fhat_0 = %r is not above the slack %r of its negative coefficients "
+        "and audit maximum" % (fhat[0], slack))
+

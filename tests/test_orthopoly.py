@@ -309,3 +309,23 @@ def test_chebyshev_table_reproduces_the_basis():
         # a lower degree is the leading block, bit for bit
         assert np.array_equal(chebyshev_table(spec, Variant.BASE, 7), table[:8, :8])
     assert worst < 1e-13, worst
+
+
+def test_basis_at_one_is_the_node_column_or_the_recurrence_at_one():
+    """The one table of p_0(1)..p_deg(1): on a Hamming space the node-0
+    column of the node table, on a sphere the recurrence run at x = 1,
+    bit for bit either way."""
+    from delbound.orthopoly import basis_at_one
+
+    for n in (16, 64, 384):
+        spec = hamming_space(n)
+        column = discrete_basis_table(spec, Variant.BASE)[:, 0]
+        for deg in range(n + 1):
+            assert basis_at_one(spec, Variant.BASE, deg).tolist() == column[: deg + 1].tolist()
+    for d in (3, 24, 200):
+        spec = sphere_space(d)
+        for deg in range(61):
+            ref = eval_basis_table(spec, Variant.BASE, deg, 1.0)[:, 0]
+            got = basis_at_one(spec, Variant.BASE, deg)
+            assert got.tolist() == ref.tolist(), (d, deg)
+            assert not got.flags.writeable

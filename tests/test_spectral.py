@@ -31,7 +31,7 @@ def test_operator_fixed_point_exact():
     assert M.tolist() == [[0.0, 0.5], [0.5, -0.75]]
     assert T.rho == -0.75
 
-    pair = top_eigenpair(M)
+    pair = top_eigenpair(T)
     assert abs(pair.eigenvalue - 0.25) <= 1e-12
     v = pair.vector / pair.vector[0]
     assert v[0] == pytest.approx(1.0, abs=1e-12)
@@ -63,6 +63,41 @@ def test_adjacent_bases_supported():
         assert report.residual <= 1e-9
 
 
+def test_adjacent_spectral_route_equals_levenshtein():
+    """The Levenshtein polynomials are the top eigenfunctions of T_k(s)
+    over the adjacent systems: spectral_recover_bound over the minus
+    system (odd window) or the plusminus one (even window), at the degree
+    lev_degree_select picks, gives the lev bound to 1e-12 relative, and
+    refuses where lev refuses."""
+    from delbound import DegreeBudgetError, bound_for_s
+    from delbound.constructions import lev_degree_select
+
+    agreed = 0
+    specs = [hamming_space(n) for n in (12, 33, 64, 100)]
+    specs += [sphere_space(d) for d in (3, 4, 8, 24, 100)]
+    for spec in specs:
+        for s in np.linspace(-0.9, 0.9, 37):
+            s = float(s)
+            try:
+                k, parity = lev_degree_select(spec, s)
+            except DegreeBudgetError:
+                with pytest.raises(DegreeBudgetError):
+                    bound_for_s(spec, s, "lev")
+                continue
+            basis = Variant.MINUS if parity == "odd" else Variant.PLUSMINUS
+            try:
+                lev = bound_for_s(spec, s, "lev")
+            except NotCertifiedError:
+                with pytest.raises(NotCertifiedError):
+                    spectral_recover_bound(spec, basis, k, s)
+                continue
+            res = spectral_recover_bound(spec, basis, k, s)
+            assert res.bound == pytest.approx(lev.bound, rel=1e-12), (spec.label(), s)
+            assert res.degree == lev.degree
+            agreed += 1
+    assert agreed >= 300
+
+
 def test_singular_at_kernel_polynomial_zero():
     spec = hamming_space(8)
     s = float(largest_zero(spec, Variant.BASE, 2))
@@ -70,17 +105,14 @@ def test_singular_at_kernel_polynomial_zero():
         build_Tk(spec, Variant.BASE, 2, s)
 
 
-def test_top_eigenpair_residual_contract():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        n = int(rng.integers(2, 12))
-        A = rng.normal(size=(n, n))
-        A = 0.5 * (A + A.T)
-        pair = top_eigenpair(A)
-        assert pair.residual <= 1e-9
-        assert pair.vector.shape == (n,)
-        ref = np.linalg.eigvalsh(A)[-1]
-        assert pair.eigenvalue == pytest.approx(ref, rel=1e-12, abs=1e-12)
+def test_top_eigenpair_refuses_a_plain_matrix():
+    """Only a Jacobi operator has a recurrence to read the eigenvector
+    from; a matrix, even the operator's own, is refused."""
+    T = build_Tk(hamming_space(4), Variant.BASE, 1, 0.25)
+    with pytest.raises(ValidationError):
+        top_eigenpair(T.matrix())
+    with pytest.raises(ValidationError):
+        top_eigenpair(np.eye(3))
 
 
 def test_spectral_route_equals_closed_form():
@@ -106,20 +138,10 @@ def test_spectral_fixed_point_bound():
     assert res.certificate.passed
 
 
-def test_spectral_fixed_additive_is_degenerate():
-    """The additive corner sign pins an exact eigenpair at lambda = 1 and
-    the bound formula degenerates; the call must refuse, not emit."""
-    spec = hamming_space(6)
-    with pytest.raises((SingularOperatorError, NotCertifiedError)):
-        spectral_bound_fixed(spec, 2, sign_variant="additive")
-
-
 def test_spectral_fixed_validation():
     spec = hamming_space(8)
     with pytest.raises(ValidationError):
         spectral_bound_fixed(spec, 0)
-    with pytest.raises(ValidationError):
-        spectral_bound_fixed(spec, 2, sign_variant="sideways")
 
 
 def test_spectral_fixed_tracks_closed_form():
@@ -133,18 +155,19 @@ def test_spectral_fixed_tracks_closed_form():
 
 
 def test_eigenvector_matches_kernel_values():
-    """The unit top eigenvector of T_k(s) is proportional to
-    (p_0(s), ..., p_k(s))."""
+    """The unit top eigenvector of T_k(s), from a dense eigh of its matrix,
+    is proportional to (p_0(s), ..., p_k(s))."""
     spec = hamming_space(11)
     k = 3
     lo = largest_zero(spec, Variant.BASE, k)
     hi = largest_zero(spec, Variant.BASE, k + 1)
     s = 0.5 * (lo + hi)
     T = build_Tk(spec, Variant.BASE, k, s)
-    pair = top_eigenpair(T.matrix())
+    _, vecs = np.linalg.eigh(T.matrix())
+    top = vecs[:, -1] * np.sign(vecs[0, -1])
     expected = eval_basis_table(spec, Variant.BASE, k, np.array([s]))[:, 0]
     expected = expected / np.linalg.norm(expected)
-    assert np.max(np.abs(pair.vector - expected)) < 1e-10
+    assert np.max(np.abs(top - expected)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [6, 10, 14, 16])
@@ -217,17 +240,15 @@ def test_kernel_eigenfunction_holds_at_every_window_node():
     assert checked > 200
 
 
-def test_reducible_jacobi_operator_takes_the_dense_eigensolve():
+def test_reducible_jacobi_operator_is_refused():
     """A zero off-diagonal entry leaves no recurrence to read the
-    eigenvector from; the operator then goes through eigh like a matrix."""
+    eigenvector from, so the operator is refused."""
     from delbound import JacobiOperator
 
     T = JacobiOperator(diag=(0.0, 1.0, 0.5), off=(0.0, 0.25), basis=Variant.BASE,
                        rho=0.5)
-    pair = top_eigenpair(T)
-    w, vecs = np.linalg.eigh(T.matrix())
-    assert pair.eigenvalue == pytest.approx(w[-1], abs=1e-14)
-    assert np.max(np.abs(pair.vector - vecs[:, -1] * np.sign(vecs[1, -1]))) <= 1e-14
+    with pytest.raises(ValidationError):
+        top_eigenpair(T)
 
 
 def test_operator_at_the_max_degree_refuses_without_warning():
