@@ -222,17 +222,22 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     )
 
 
-def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
-    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1."""
-    return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw")
+def mrrw_poly(spec: MeasureSpec, k: int, s: float, at_s=None) -> BoundPolynomial:
+    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1. at_s,
+    when given, holds p_0(s)..p_k(s), or more, from the caller's own run
+    at s, which is then not run again."""
+    v = None if at_s is None else at_s[: k + 1]
+    return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw", v)
 
 
-def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
+def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
     """Closed-form value -(1-s) K_k(1,s)^2 / (a_k p_{k+1}(s) p_k(s)).
 
     Only meaningful strictly inside the window x_k < s < x_{k+1} between
     consecutive largest zeros; outside it, or within _WINDOW_TIE_TOL of
-    either edge, the expression is rejected.
+    either edge, the expression is rejected. at_s, when given, holds
+    p_0(s)..p_{k+1}(s) from the caller's own run at s, which is then not
+    run again.
     """
     lo = largest_zero(spec, Variant.BASE, k)
     hi = largest_zero(spec, Variant.BASE, k + 1)
@@ -241,7 +246,7 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
             "closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
             "got s=%r outside (%r, %r)" % (s, lo, hi)
         )
-    table_s = _basis_at(spec, Variant.BASE, k + 1, s)
+    table_s = _basis_at(spec, Variant.BASE, k + 1, s) if at_s is None else at_s
     kern_one = float(table_s[: k + 1] @ _basis_at(spec, Variant.BASE, k, 1.0))
     a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
     denom = a_k * table_s[k + 1] * table_s[k]
@@ -360,10 +365,13 @@ def classical_baselines(n: int, d: int) -> tuple:
 
 def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundResult:
     """The certified bound of mrrw_poly(k) at s, with its closed form when
-    s lies inside the window of k."""
-    res = _certified_result(spec, mrrw_poly(spec, k, s), s, tolerances)
+    s lies inside the window of k. One run of p(s) serves both, to degree
+    k + 1 wherever the closed form can be reached (k + 1 <= max_degree)."""
+    cap = max_degree(spec, Variant.BASE)
+    at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
+    res = _certified_result(spec, mrrw_poly(spec, k, s, at_s), s, tolerances)
     try:
-        return replace(res, closed_form=mrrw_bound_closed(spec, k, s))
+        return replace(res, closed_form=mrrw_bound_closed(spec, k, s, at_s))
     except (ValidationError, SingularOperatorError):
         return res
 

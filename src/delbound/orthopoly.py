@@ -319,7 +319,10 @@ def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     taken by LAPACK through np.linalg.eigvalsh. The orders used here are at
     most a few hundred, where the dense solver takes well under a
     millisecond and is accurate to a small multiple of eps times the
-    matrix norm.
+    matrix norm. Its callers are zeros and largest_zero (through
+    _spectrum) and the Gauss nodes of spaces.quadrature; the spectral
+    route finds its top eigenvalue from pivots instead
+    (spectral.top_eigenpair).
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)

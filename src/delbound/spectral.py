@@ -7,11 +7,12 @@ The kernel K_k(., s) is an eigenfunction of the operator
 with eigenvalue s, and for s between consecutive largest zeros it is the
 top (Perron-Frobenius) eigenfunction. That makes the extremal polynomial
 constructions recoverable from linear algebra: take the top eigenvalue,
-read its eigenvector, square. Rows 0..k-1 of T_k(s) are the three-term
-recurrence, so the eigenvector of any eigenvalue lambda is
-(p_0(lambda), ..., p_k(lambda)); only the eigenvalue needs a solver, the
-spectrum of the tridiagonal operator. This module exercises that route
-and the s-independent variant where the corner weight is pinned at x = 1.
+read its eigenvector, square. Both come from one O(k) pass over the LDL^T
+pivots of t - T_k(s): the top eigenvalue is the t at which the pivots of
+the leading block are all positive and the last one vanishes, and the
+eigenvector is the product of the pivots, so no dense matrix is formed
+and no spectrum is taken. This module exercises that route and the
+s-independent variant where the corner weight is pinned at x = 1.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .orthopoly import (
     jacobi_matrix,
     largest_zero,
     recurrence_coeffs,
-    tridiagonal_eigenvalues,
 )
 from .spaces import MeasureSpec, Variant
 
 _RESIDUAL_CONTRACT = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,8 +51,10 @@ class EigenPair:
     residual: float
 
 
-def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
-    """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
+def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
+    """T_k(s) and the run p_0(s)..p_{k+1}(s) its corner weight is read
+    from, so that a caller who needs p(s) as well runs the recurrence at s
+    once."""
     plain = jacobi_matrix(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
@@ -61,52 +64,130 @@ def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOpera
             "polynomial); corner weight undefined" % (k, s, pk, k)
         )
     a_k = recurrence_coeffs(spec, basis, k).a[k]
-    return JacobiOperator(
-        diag=plain.diag, off=plain.off, basis=basis, rho=a_k * pk1 / pk
-    )
+    T = JacobiOperator(diag=plain.diag, off=plain.off, basis=basis, rho=a_k * pk1 / pk)
+    return T, table
 
 
-def top_eigenpair(T: JacobiOperator) -> EigenPair:
+def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
+    """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
+    return _operator_at(spec, basis, k, s)[0]
+
+
+def _diagonal(T: JacobiOperator) -> list:
+    """The diagonal of T with rho added to its last entry."""
+    diag = list(T.diag)
+    if T.rho is not None:
+        diag[-1] += T.rho
+    return diag
+
+
+def _residual(diag, off, v: np.ndarray, lam: float) -> float:
+    """|T v - lam v| for the tridiagonal T with this diagonal and
+    off-diagonal, in O(k) without forming T."""
+    e = np.asarray(off, dtype=float)
+    res = (np.asarray(diag, dtype=float) - lam) * v
+    res[:-1] += e * v[1:]
+    res[1:] += e * v[:-1]
+    return math.sqrt(res @ res)
+
+
+def _pivots(diag: list, off, t: float):
+    """The LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1}
+    of t - T, and the derivative in t of the last one, from r_0' = 1 and
+    r_i' = 1 + e_{i-1}^2 r_{i-1}' / r_{i-1}^2. The list stops short of r_k
+    after the first pivot of the leading block that is not positive: t
+    then lies at or below the top eigenvalue of that block."""
+    ri, dri = t - diag[0], 1.0
+    r = [ri]
+    for di, e in zip(diag[1:], off):
+        if not ri > 0.0:
+            break
+        q = e * e / ri
+        dri = 1.0 + q * dri / ri
+        ri = t - di - q
+        r.append(ri)
+    return r, dri
+
+
+def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     """Largest eigenvalue and unit eigenvector of an irreducible Jacobi
-    operator.
+    operator, in O(k) per pass over its LDL^T pivots.
 
-    T must be a JacobiOperator whose off-diagonal a_0..a_{k-1} is all
-    positive, as every operator build_Tk makes is; anything else, a plain
-    matrix or a reducible operator, raises ValidationError. Such an
-    operator has a simple top eigenvalue with a positive eigenvector
-    (Perron-Frobenius). The eigenvalue is the top of its spectrum, with rho
-    added to the last diagonal entry, and the eigenvector is read off rows
-    0..k-1 of (T - lambda) v = 0 from v_0 = 1: each entry comes from the
-    previous two by the three-term recurrence at lambda, so it carries a
-    small relative error, where a dense eigenvector holds the tiny leading
-    entries of a Perron vector only to eps times its norm, and with either
-    sign. The residual |T v - lambda v| must stay below 1e-9, or
-    NumericError is raised.
+    T must be a JacobiOperator whose off-diagonal is all positive, as every
+    build_Tk operator is; anything else raises ValidationError. Its top
+    eigenvalue is simple, with a positive eigenvector (Perron-Frobenius).
+
+    The pivots of t - T are the Sturm ratios (Barth, Martin and Wilkinson
+    1967): where r_0..r_{k-1} are positive, t lies above the leading
+    block's spectrum, and there r_k is increasing and concave and vanishes
+    only at the top eigenvalue, the root of the secular equation of the
+    rank-one corner (Golub 1973). Newton's method on r_k from start finds
+    it inside a bisection bracket from the largest diagonal entry to the
+    Gershgorin bound, the default start; a step from below never passes
+    the root but by rounding. The search ends, with no iteration cap, once
+    a step is within eps of the bracket's scale, the bracket has closed to
+    that width, or a step from below lands above the root, and the pair
+    meets the residual contract or no Newton point is left strictly inside
+    the bracket. The s of T_k(s) in its window is the eigenvalue, so that
+    start takes one pass; a start changes only the count of passes, though
+    the result may differ in its last bits.
+
+    The eigenvector is read off the last pass's pivots, v_0 = 1 and
+    v_{i+1} = v_i r_i / e_i: positive, and accurate entry by entry even
+    where tiny next to its norm. Its residual |T v - lambda v|, taken from
+    the diagonals, must stay below 1e-9, or NumericError is raised.
     """
     if not (isinstance(T, JacobiOperator) and all(a > 0.0 for a in T.off)):
         raise ValidationError(
             "top_eigenpair needs a Jacobi operator with a positive off-diagonal"
         )
-    diag = list(T.diag)
-    if T.rho is not None:
-        diag[-1] += T.rho
-    lam = float(tridiagonal_eigenvalues(diag, T.off)[-1])
-    v = [1.0]
-    prev = 0.0
-    for i, a in enumerate(T.off):
-        v.append(((lam - diag[i]) * v[i] - prev) / a)
-        prev = a * v[i]
-    v = np.array(v)
-    v /= np.linalg.norm(v)
-    m = T.matrix()
-    residual = float(np.linalg.norm(m @ v - lam * v))
+    diag, off = _diagonal(T), T.off
+    k = len(off)
+    d, e = np.array(diag), np.array(off, dtype=float)
+    edges = np.zeros(k + 2)
+    edges[1:-1] = e
+    lo = float(d.max())
+    hi = float((d + edges[:-1] + edges[1:]).max())
+    if not math.isfinite(hi - lo):
+        raise NumericError("operator of order %d has a non-finite entry" % (k + 1))
+    tol = _EPS * max(abs(lo), abs(hi))
+    hi += tol
+    t = hi if start is None else min(max(float(start), lo), hi)
+    climbing = False
+    while True:
+        r, slope = _pivots(diag, off, t)
+        if len(r) == k + 1:
+            step = r[k] / slope
+            above = r[k] > 0.0
+            if above:
+                hi = t
+            elif r[k] < 0.0:
+                lo = t
+            inside = lo < t - step < hi
+            # a Newton step from below the root lands past it only by rounding
+            if abs(step) <= tol or hi - lo <= tol or (above and climbing):
+                v = np.ones(k + 1)
+                np.cumprod(np.array(r[:k]) / e, out=v[1:])
+                v /= math.sqrt(v @ v)
+                residual = _residual(d, e, v, t - step)
+                if residual <= _RESIDUAL_CONTRACT or not inside:
+                    break
+            if inside:
+                t, climbing = t - step, not above
+                continue
+        elif t == hi:
+            raise NumericError("pivots nonpositive at the Gershgorin bound %r" % hi)
+        else:
+            lo = t
+        mid = lo + 0.5 * (hi - lo)
+        t, climbing = (mid if hi - lo > tol and lo < mid < hi else hi), False
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "eigenpair residual %.3e breaks the %.0e contract for order %d"
-            % (residual, _RESIDUAL_CONTRACT, m.shape[0])
+            % (residual, _RESIDUAL_CONTRACT, k + 1)
         )
     v.flags.writeable = False
-    return EigenPair(eigenvalue=lam, vector=v, residual=residual)
+    return EigenPair(eigenvalue=t - step, vector=v, residual=residual)
 
 
 def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
@@ -115,25 +196,24 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
 
     v = (p_0(s), ..., p_k(s)) must satisfy T_k(s) v = s v, and when s lies
     strictly between the largest zeros x_k and x_{k+1} this v must also be
-    the top eigenvector with strictly positive entries. v is taken as it
-    is, scaled to unit norm: its first entry p_0 = 1/sqrt(mass) is
-    positive, so it already has the sign of the Perron vector. The
-    residual must stay below 1e-9; any violation raises NumericError
-    rather than returning.
+    the top eigenvector with strictly positive entries, found by
+    top_eigenpair from s. v is taken as it is, scaled to unit norm: its
+    first entry p_0 = 1/sqrt(mass) is positive, so it already has the sign
+    of the Perron vector. The residual, taken from the diagonals, must
+    stay below 1e-9; any violation raises NumericError rather than
+    returning.
     """
-    T = build_Tk(spec, basis, k, s)
-    v = _basis_at(spec, basis, k, s)
-    v = v / np.linalg.norm(v)
-    m = T.matrix()
-    residual = float(np.linalg.norm(m @ v - s * v))
-    if residual > _RESIDUAL_CONTRACT:
+    T, table = _operator_at(spec, basis, k, s)
+    v = table[: k + 1] / np.linalg.norm(table[: k + 1])
+    residual = _residual(_diagonal(T), T.off, v, s)
+    if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "kernel eigenfunction residual %.3e at k=%d, s=%r" % (residual, k, s)
         )
     lo = largest_zero(spec, basis, k)
     hi = largest_zero(spec, basis, k + 1)
     if lo < s < hi:
-        pair = top_eigenpair(T)
+        pair = top_eigenpair(T, start=s)
         if abs(pair.eigenvalue - s) > 1e-10:
             raise NumericError(
                 "top eigenvalue %r drifted from s=%r inside the window"
@@ -162,13 +242,13 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     constructions; for the base basis the result is checked against the
     closed form to 1e-7 relative before it is reported.
     """
-    T = build_Tk(spec, basis, k, s)
-    pair = top_eigenpair(T)
+    T, table = _operator_at(spec, basis, k, s)
+    pair = top_eigenpair(T, start=s)
     poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
     res = _certified_result(spec, poly, s, tolerances)
     if basis is not Variant.BASE:
         return res
-    closed = mrrw_bound_closed(spec, k, s)
+    closed = mrrw_bound_closed(spec, k, s, at_s=table)
     if not math.isclose(res.bound, closed, rel_tol=1e-7):
         raise NumericError(
             "spectral route %.12g disagrees with closed form %.12g" % (res.bound, closed)
@@ -180,8 +260,11 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundRes
     """s-independent bound from the corner weight pinned at x = 1.
 
     Builds J_k - rho_k(1) e_k e_k^T with rho_k(1) = a_k p_{k+1}(1)/p_k(1),
-    whose top eigenvalue lambda_k lands inside the top window; 1 - lambda_k
-    at or below 1e-12 is refused as degenerate. The certified value
+    whose top eigenvalue lambda_k lands inside the window x_k < lambda_k <
+    x_{k+1}: on that window the corner weight of T_k(s) runs over every
+    negative value once, -rho_k(1) among them. The eigensolve starts at the
+    window's midpoint. 1 - lambda_k at or below 1e-12 is refused as
+    degenerate. The certified value
     1/fhat_0 of the square of its top eigenvector at lambda_k is returned,
     with the closed form 4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k) attached.
     p(1) is read from the cached basis_at_one table. An uncertified value
@@ -191,7 +274,9 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundRes
         raise ValidationError("spectral_bound_fixed needs k >= 1")
     T = build_Tk(spec, Variant.BASE, k, 1.0)
     rho_one = T.rho
-    pair = top_eigenpair(replace(T, rho=-rho_one))
+    lo = largest_zero(spec, Variant.BASE, k)
+    hi = largest_zero(spec, Variant.BASE, k + 1)
+    pair = top_eigenpair(replace(T, rho=-rho_one), start=0.5 * (lo + hi))
     lam = pair.eigenvalue
     if 1.0 - lam <= 1e-12:
         raise SingularOperatorError(

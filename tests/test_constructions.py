@@ -858,9 +858,10 @@ def _clear_caches():
 
 def _fresh_sphere_fhat(spec, res):
     """fhat of a sphere bound's kernel square from fresh recurrence runs:
-    p(s), or the spectral eigenvector, the rows at x = 1, and the kernel
-    and base rows at the nodes of quadrature(spec, BASE, degree + 1), in
-    the operation order of the library's build."""
+    p(s), or the spectral eigenvector found from the library's start s,
+    the rows at x = 1, and the kernel and base rows at the nodes of
+    quadrature(spec, BASE, degree + 1), in the operation order of the
+    library's build."""
     from delbound import spectral
     from delbound.orthopoly import eval_basis_table
     from delbound.spaces import quadrature
@@ -871,7 +872,7 @@ def _fresh_sphere_fhat(spec, res):
     k = (res.degree - 1 - extra) // 2
     s = res.s
     if res.method == "spectral":
-        v = spectral.top_eigenpair(spectral.build_Tk(spec, basis, k, s)).vector
+        v = spectral.top_eigenpair(spectral.build_Tk(spec, basis, k, s), start=s).vector
     else:
         v = eval_basis_table(spec, basis, k, s)[:, 0]
 
@@ -905,7 +906,9 @@ def test_sphere_table_caches_are_transparent(dim):
 
 def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypatch):
     """Once the tables are built, a repeated sphere bound evaluates the
-    basis only at s and at the points its certificate audits."""
+    basis only at the points its certificate audits and once at s: the
+    mrrw and spectral closed forms read p(s) from the run that built the
+    polynomial or the operator."""
     import sys
 
     from delbound import orthopoly
@@ -936,4 +939,5 @@ def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypat
             continue
         audits = [x for x in calls if x.size == cert.audit_size and x[0] == -1.0 and x[1] == s]
         assert len(audits) == 1, (s, method)
-        assert all(x.size == 1 and x[0] == s for x in calls if x is not audits[0]), (s, method)
+        at_s = [x for x in calls if x is not audits[0]]
+        assert len(at_s) == 1 and at_s[0].size == 1 and at_s[0][0] == s, (s, method)

@@ -182,9 +182,11 @@ def test_spectral_fixed_reports_the_certified_value(n):
 
 
 def _window_operators():
-    """build_Tk at the midpoint of every window of the three systems on
-    hamming:33 and sphere:8 (k up to 12 there), and the operators of
-    spectral_bound_fixed, subtractive, for k = 1..6 on both."""
+    """(operator, window midpoint) pairs: build_Tk at the midpoint of every
+    window of the three systems on hamming:33 and sphere:8 (k up to 12
+    there), the operators of spectral_bound_fixed, subtractive, for
+    k = 1..6 on both, with the midpoint of the base window holding their
+    top eigenvalue, and an operator of order 1."""
     from delbound import JacobiOperator
     from delbound.constructions import _basis_at
     from delbound.orthopoly import jacobi_matrix, recurrence_coeffs
@@ -195,30 +197,35 @@ def _window_operators():
         for basis in Variant:
             cap = max_degree(spec, basis)
             for k in range(1, (cap - 1) if cap is not None else 13):
-                lo = largest_zero(spec, basis, k)
-                hi = largest_zero(spec, basis, k + 1)
-                ops.append(build_Tk(spec, basis, k, 0.5 * (lo + hi)))
+                mid = 0.5 * (largest_zero(spec, basis, k) + largest_zero(spec, basis, k + 1))
+                ops.append((build_Tk(spec, basis, k, mid), mid))
         for k in range(1, 7):
             p = _basis_at(spec, Variant.BASE, k + 1, 1.0)
             rho = recurrence_coeffs(spec, Variant.BASE, k).a[k] * p[k + 1] / p[k]
             plain = jacobi_matrix(spec, Variant.BASE, k)
-            ops.append(JacobiOperator(diag=plain.diag, off=plain.off,
-                                      basis=Variant.BASE, rho=-rho))
+            mid = 0.5 * (largest_zero(spec, Variant.BASE, k)
+                         + largest_zero(spec, Variant.BASE, k + 1))
+            ops.append((JacobiOperator(diag=plain.diag, off=plain.off,
+                                       basis=Variant.BASE, rho=-rho), mid))
+    ops.append((JacobiOperator(diag=(0.25,), off=(), basis=Variant.BASE, rho=0.5), 0.75))
     return ops
 
 
 def test_recurrence_eigenpair_matches_a_dense_eigensolve():
-    """The eigenvector read off the recurrence at the top eigenvalue is the
-    one a dense eigh gives, and positive entry by entry."""
+    """The eigenpair read off the pivots is the one a dense eigh gives,
+    its vector positive entry by entry, from the default start (the
+    Gershgorin bound), the window midpoint, a start below the leading
+    block's spectrum and one above the Gershgorin bound."""
     ops = _window_operators()
     assert len(ops) > 100
-    for T in ops:
-        pair = top_eigenpair(T)
+    for T, mid in ops:
         w, vecs = np.linalg.eigh(T.matrix())
-        ref = vecs[:, -1] * np.sign(vecs[:, -1] @ pair.vector)
-        assert abs(pair.eigenvalue - w[-1]) <= 1e-14, (T.order, T.basis)
-        assert np.max(np.abs(pair.vector - ref)) <= 1e-10, (T.order, T.basis)
-        assert np.all(pair.vector > 0.0), (T.order, T.basis)
+        for start in (None, mid, -2.0, 3.0):
+            pair = top_eigenpair(T, start=start)
+            ref = vecs[:, -1] * np.sign(vecs[:, -1] @ pair.vector)
+            assert abs(pair.eigenvalue - w[-1]) <= 1e-14, (T.order, T.basis, start)
+            assert np.max(np.abs(pair.vector - ref)) <= 1e-10, (T.order, T.basis, start)
+            assert np.all(pair.vector > 0.0), (T.order, T.basis, start)
 
 
 def test_kernel_eigenfunction_holds_at_every_window_node():
@@ -261,3 +268,75 @@ def test_operator_at_the_max_degree_refuses_without_warning():
             build_Tk(spec, Variant.BASE, 4, 0.5)
         with pytest.raises(ValidationError):
             spectral_bound_fixed(spec, 4)
+
+
+def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
+    """With the zero tables warm, the spectral bounds, the kernel check and
+    the fixed bound return what they returned before once every dense
+    eigensolve (np.linalg.eigvalsh, tridiagonal_eigenvalues in every
+    namespace of the package) and every dense matrix (JacobiOperator.matrix)
+    raises; a start at the s of T_k(s) takes one pass over the pivots."""
+    import sys
+
+    from delbound import JacobiOperator, bound_for_distance, bound_for_s, spectral
+    from delbound.constructions import _base_window_index
+    from delbound.orthopoly import tridiagonal_eigenvalues
+
+    h384 = hamming_space(384)
+    s24 = sphere_space(24)
+    # refused for their fhat_0 after the eigensolve, but for d = 180
+    cases = [lambda d=d: bound_for_distance(h384, d, "spectral") for d in (40, 60, 100, 180)]
+    cases.append(lambda: bound_for_s(s24, 0.3, "spectral"))
+    for spec, s in ((h384, h384.nodes[60]), (s24, 0.3)):
+        k = _base_window_index(spec, s)
+        cases.append(lambda spec=spec, k=k, s=s: verify_kernel_eigen(spec, Variant.BASE, k, s))
+    cases.append(lambda: spectral_bound_fixed(hamming_space(16), 3))
+
+    def outcome(case):
+        try:
+            out = case()
+        except NotCertifiedError as exc:
+            return ("refused", str(exc))
+        if hasattr(out, "certificate"):
+            return (out.bound, out.closed_form, out.certificate.certificate_id)
+        return (out.eigenvalue, out.vector.tolist(), out.residual)
+
+    before = [outcome(case) for case in cases]
+    assert sum(b[0] == "refused" for b in before) == 3
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense eigensolve on the spectral route")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", dense)
+    monkeypatch.setattr(JacobiOperator, "matrix", dense)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("delbound")
+                and getattr(module, "tridiagonal_eigenvalues", None) is tridiagonal_eigenvalues):
+            monkeypatch.setattr(module, "tridiagonal_eigenvalues", dense)
+    passes = []
+    original = spectral._pivots
+
+    def counted(*args):
+        passes.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_pivots", counted)
+    assert [outcome(case) for case in cases] == before
+    for spec, s in ((h384, h384.nodes[40]), (h384, h384.nodes[100]), (s24, 0.3)):
+        k = _base_window_index(spec, s)
+        passes.clear()
+        top_eigenpair(build_Tk(spec, Variant.BASE, k, s), start=s)
+        assert passes == [s], (spec.label(), s)
+
+
+@pytest.mark.parametrize("n, k, gap", [(49, 47, "1.562e-13"), (69, 65, "2.220e-16"),
+                                      (128, 107, "4.441e-16")])
+def test_fixed_bound_refuses_a_degenerate_eigenvalue_as_singular(n, k, gap):
+    """1 - lambda_k of the fixed operator is 1.5621e-13 at hamming:49,
+    k = 47, and 2.04e-16 and 4.35e-16 at the other two (60-digit
+    bisections on the pivots). The pivots give lambda_k to the last bit,
+    and their vector meets the residual contract there, so each call is
+    refused as degenerate, not for its residual; at the last two the
+    vector read one Newton step short of lambda_k misses the contract."""
+    with pytest.raises(SingularOperatorError, match=r"1 - lambda_k = %s is degenerate" % gap):
+        spectral_bound_fixed(hamming_space(n), k)
