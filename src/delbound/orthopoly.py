@@ -2,7 +2,8 @@
 
 Recurrence coefficients for the base and adjacent systems, forward-recurrence
 evaluation, truncated Jacobi matrices, and zeros as the eigenvalues of
-those matrices. Every orthonormal family {p_i} here satisfies
+those matrices (largest_zero from O(k) passes over their LDL^T pivots).
+Every orthonormal family {p_i} here satisfies
 
     x p_i(x) = a_i p_{i+1}(x) + b_i p_i(x) + a_{i-1} p_{i-1}(x)
 
@@ -36,6 +37,7 @@ from .spaces import (
 )
 
 _EXTRAPOLATION_SLACK = 1e-12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -182,10 +184,11 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
     # rule large enough that all Stieltjes inner products (degree 2m + 3
     # at most, multiplier included) are integrated exactly, then proceed
     # as in the discrete case. The rule grows with m, so each m gets its
-    # own run.
+    # own run. Its arrays become Python floats, as on every other system.
     pts = m + 4
     x, w = quadrature(spec, Variant.BASE, pts)
-    return _coeffs_from(*_stieltjes(x, w * variant_multiplier(basis, x), m), m)
+    a, b, mass = _stieltjes(x, w * variant_multiplier(basis, x), m)
+    return _coeffs_from(a.tolist(), b.tolist(), mass, m)
 
 
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
@@ -316,13 +319,9 @@ def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
     The lower triangle is filled into one dense array and its spectrum
-    taken by LAPACK through np.linalg.eigvalsh. The orders used here are at
-    most a few hundred, where the dense solver takes well under a
-    millisecond and is accurate to a small multiple of eps times the
-    matrix norm. Its callers are zeros and largest_zero (through
-    _spectrum) and the Gauss nodes of spaces.quadrature; the spectral
-    route finds its top eigenvalue from pivots instead
-    (spectral.top_eigenpair).
+    taken by LAPACK through np.linalg.eigvalsh, accurate to a small
+    multiple of eps times the matrix norm. It serves the public zeros and
+    the Gauss nodes of spaces.quadrature; no bound path takes a spectrum.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(off, dtype=float)
@@ -337,14 +336,6 @@ def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def _spectrum(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
-    """Zeros of the degree-k polynomial, k >= 1, as the eigenvalues of
-    J_{k-1}, fresh on every call."""
-    _check_degree(spec, basis, k, "zeros")
-    rc = recurrence_coeffs(spec, basis, k - 1)
-    return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
-
-
 def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     """Zeros of the degree-k polynomial of the basis, ascending.
 
@@ -355,7 +346,56 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
         raise ValidationError("zeros needs k >= 0")
     if k == 0:
         return np.array([])
-    return _spectrum(spec, basis, k)
+    _check_degree(spec, basis, k, "zeros")
+    rc = recurrence_coeffs(spec, basis, k - 1)
+    return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
+
+
+def _pivots(diag, off, t: float):
+    """The LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1}
+    of t - T, and the derivative in t of the last one, from r_0' = 1 and
+    r_i' = 1 + e_{i-1}^2 r_{i-1}' / r_{i-1}^2. The list stops short of r_k
+    after the first pivot of the leading block that is not positive: t
+    then lies at or below the top eigenvalue of that block."""
+    ri, dri = t - diag[0], 1.0
+    r = [ri]
+    for di, e in zip(diag[1:], off):
+        if not ri > 0.0:
+            break
+        q = e * e / ri
+        dri = 1.0 + q * dri / ri
+        ri = t - di - q
+        r.append(ri)
+    return r, dri
+
+
+def _top_zero(diag, off, lo=None, start=None) -> float:
+    """The greatest double t at which some LDL^T pivot of t - J is not
+    positive: the top eigenvalue of the tridiagonal J rounded down, so an
+    exact zero such as 0 or 1/2 stays exact. Newton's method on the last
+    pivot (see spectral.top_eigenpair) runs from start, the Gershgorin
+    bound by default, inside a bisection bracket from lo or the largest
+    diagonal entry up to that bound; once its step is within eps of the
+    bracket's scale, single ulps close the bracket to two adjacent
+    doubles, so the result does not depend on start."""
+    lo = max(diag) if lo is None else max(lo, max(diag))
+    hi = max(d + abs(p) + abs(q) for d, p, q in zip(diag, (0.0, *off), (*off, 0.0)))
+    tol = _EPS * max(abs(lo), abs(hi))
+    hi = math.nextafter(hi + tol, math.inf)
+    t = hi if start is None else min(max(start, lo), hi)
+    while True:
+        r, slope = _pivots(diag, off, t)
+        full = len(r) == len(diag)
+        lo, hi = (lo, t) if full and r[-1] > 0.0 else (t, hi)
+        if math.nextafter(lo, hi) == hi:
+            return lo
+        step = r[-1] / slope if full else math.inf
+        if lo < t - step < hi:
+            t -= step
+        elif abs(step) <= tol:
+            t = math.nextafter(t, lo if t == hi else hi)
+        else:
+            t = lo + 0.5 * (hi - lo)
 
 
 class _ZeroTable(dict):
@@ -379,17 +419,22 @@ def _largest_zeros(spec: MeasureSpec, basis: Variant) -> _ZeroTable:
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0.
 
-    Equal to the top of zeros(spec, basis, k), kept per (spec, basis) so
-    that the window searches, which read x_0, x_1, ... in turn, pay one
-    dictionary lookup for each degree already seen. Only the top is kept:
-    the spectrum it is read from is not cached.
+    The top eigenvalue of J_{k-1} rounded down (_top_zero), within a few eps
+    of the top of zeros(spec, basis, k), kept per (spec, basis) so that the
+    window searches, which read x_0, x_1, ... in turn, pay one dictionary
+    lookup for each degree already seen. x_{k-1} bounds the search from
+    below (interlacing); with x_{k-2}, too, it starts at 2 x_{k-1} - x_{k-2}.
     """
     table = _largest_zeros(spec, basis)
     x = table.get(k)
     if x is None:
         if k < 0:
             raise ValidationError("zeros needs k >= 0")
-        x = table[k] = float(_spectrum(spec, basis, k)[-1])
+        _check_degree(spec, basis, k, "zeros")
+        rc = recurrence_coeffs(spec, basis, k - 1)
+        below, before = table.get(k - 1), table.get(k - 2)
+        start = None if below is None or before is None else below + (below - before)
+        x = table[k] = _top_zero(rc.b[:k], rc.a[: k - 1], below, start)
     return x
 
 

@@ -119,8 +119,8 @@ def custom_space(a, b) -> MeasureSpec:
         raise ValidationError("custom_space needs equally long a and b sequences")
     if not a:
         raise ValidationError("custom_space needs at least one coefficient pair")
-    if any(v <= 0 for v in a):
-        raise ValidationError("custom_space off-diagonal coefficients must be positive")
+    if not all(math.isfinite(v) for v in a + b) or any(v <= 0 for v in a):
+        raise ValidationError("custom_space coefficients must be finite, a_i positive")
     return MeasureSpec(kind="custom", params=(), ab=(a, b))
 
 

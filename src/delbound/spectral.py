@@ -8,11 +8,11 @@ with eigenvalue s, and for s between consecutive largest zeros it is the
 top (Perron-Frobenius) eigenfunction. That makes the extremal polynomial
 constructions recoverable from linear algebra: take the top eigenvalue,
 read its eigenvector, square. Both come from one O(k) pass over the LDL^T
-pivots of t - T_k(s): the top eigenvalue is the t at which the pivots of
-the leading block are all positive and the last one vanishes, and the
-eigenvector is the product of the pivots, so no dense matrix is formed
-and no spectrum is taken. This module exercises that route and the
-s-independent variant where the corner weight is pinned at x = 1.
+pivots of t - T_k(s) (orthopoly._pivots): the top eigenvalue is the t at
+which the leading block's pivots are all positive and the last vanishes,
+and the eigenvector is the product of the pivots, so no dense matrix is
+formed and no spectrum is taken. This module exercises that route and
+the s-independent variant where the corner weight is pinned at x = 1.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import orthopoly
 from .constructions import (
     BoundResult,
     _basis_at,
@@ -31,6 +32,7 @@ from .constructions import (
 )
 from .errors import NumericError, SingularOperatorError, ValidationError
 from .orthopoly import (
+    _EPS,
     JacobiOperator,
     jacobi_matrix,
     largest_zero,
@@ -39,7 +41,6 @@ from .orthopoly import (
 from .spaces import MeasureSpec, Variant
 
 _RESIDUAL_CONTRACT = 1e-9
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,24 +92,6 @@ def _residual(diag, off, v: np.ndarray, lam: float) -> float:
     return math.sqrt(res @ res)
 
 
-def _pivots(diag: list, off, t: float):
-    """The LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1}
-    of t - T, and the derivative in t of the last one, from r_0' = 1 and
-    r_i' = 1 + e_{i-1}^2 r_{i-1}' / r_{i-1}^2. The list stops short of r_k
-    after the first pivot of the leading block that is not positive: t
-    then lies at or below the top eigenvalue of that block."""
-    ri, dri = t - diag[0], 1.0
-    r = [ri]
-    for di, e in zip(diag[1:], off):
-        if not ri > 0.0:
-            break
-        q = e * e / ri
-        dri = 1.0 + q * dri / ri
-        ri = t - di - q
-        r.append(ri)
-    return r, dri
-
-
 def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     """Largest eigenvalue and unit eigenvector of an irreducible Jacobi
     operator, in O(k) per pass over its LDL^T pivots.
@@ -155,7 +138,7 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     t = hi if start is None else min(max(float(start), lo), hi)
     climbing = False
     while True:
-        r, slope = _pivots(diag, off, t)
+        r, slope = orthopoly._pivots(diag, off, t)
         if len(r) == k + 1:
             step = r[k] / slope
             above = r[k] > 0.0

@@ -22,6 +22,7 @@ from delbound import (
     mrrw_poly,
     polynomial_from_fourier,
     sphere_space,
+    zeros,
 )
 from delbound.constructions import BoundResult
 from delbound.errors import DelboundError
@@ -306,10 +307,15 @@ def test_mrrw_scan_matches_per_degree_reference(n):
 
 
 def _direct_zero(spec, basis, k):
-    """x_k straight from the eigenvalues, bypassing the table of largest zeros."""
-    from delbound.orthopoly import zeros
+    """x_k from the pivot search of largest_zero run fresh, as with an empty
+    table: no lower bound but the diagonal, and the Gershgorin bound as the
+    start, bypassing the table of largest zeros."""
+    from delbound.orthopoly import _top_zero, recurrence_coeffs
 
-    return -1.0 if k == 0 else float(zeros(spec, basis, k)[-1])
+    if k == 0:
+        return -1.0
+    rc = recurrence_coeffs(spec, basis, k - 1)
+    return _top_zero(rc.b[:k], rc.a[: k - 1])
 
 
 def _outcome(fn, *args):
@@ -372,7 +378,7 @@ def test_lev_window_parity_selection(label):
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
 def test_window_lookups_match_direct_zeros(label, monkeypatch):
     """The window searches give the same degree, or the same refusal, when
-    every largest zero is read from the eigenvalues instead of the table."""
+    every largest zero comes from a fresh search instead of the table."""
     from delbound import orthopoly
     from delbound.constructions import _base_window_index
 
@@ -401,7 +407,8 @@ def test_window_lookups_match_direct_zeros(label, monkeypatch):
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
 def test_largest_zero_table_strictly_increasing(label):
     """As filled by lookups at every node (or grid point), each table holds
-    strictly increasing zeros by degree, each the top of its spectrum."""
+    strictly increasing zeros by degree, each bit for bit what a fresh
+    search with an empty table gives."""
     from delbound.constructions import _base_window_index
     from delbound.orthopoly import _largest_zeros
 
@@ -422,12 +429,26 @@ def test_largest_zero_table_strictly_increasing(label):
 
 
 def test_cold_largest_zero_computes_one_degree():
+    """A cold lookup computes its one degree; and at hamming:1024, for every
+    basis, a sequential fill to degree 512 (each search bracketed by the
+    degree below and started from the two below) and cold single-degree
+    lookups give the same values bit for bit."""
     from delbound.orthopoly import _largest_zeros
 
     spec = hamming_space(300)
     _largest_zeros.cache_clear()
     assert largest_zero(spec, Variant.BASE, 250) == _direct_zero(spec, Variant.BASE, 250)
     assert sorted(_largest_zeros(spec, Variant.BASE)) == [0, 250]
+    spec = hamming_space(1024)
+    sampled = list(range(1, 513, 27)) + [512]
+    for basis in Variant:
+        _largest_zeros.cache_clear()
+        filled = [largest_zero(spec, basis, k) for k in range(513)]
+        assert np.all(np.diff(filled) > 0.0), basis
+        for k in sampled:
+            _largest_zeros.cache_clear()
+            assert largest_zero(spec, basis, k) == filled[k], (basis, k)
+            assert sorted(_largest_zeros(spec, basis)) == [0, k]
     _largest_zeros.cache_clear()
 
 
@@ -794,14 +815,16 @@ def test_bisected_window_scans_match_full_scans(label):
 
 
 def test_largest_zero_keeps_no_spectrum():
-    """largest_zero reads the top of a fresh spectrum, bit for bit the top
-    of zeros()."""
+    """largest_zero keeps only its search's value, bit for bit what a fresh
+    search gives, and within 1e-13 of the top of zeros()."""
     from delbound.orthopoly import _largest_zeros
 
     spec = hamming_space(64)
     _largest_zeros.cache_clear()
     values = [largest_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
     assert values == [_direct_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
+    tops = [float(zeros(spec, basis, k)[-1]) for basis in Variant for k in range(1, 40)]
+    assert np.max(np.abs(np.subtract(values, tops))) < 1e-13
     _largest_zeros.cache_clear()
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from delbound import (
 )
 from delbound.lp_oracle import krawtchouk
 from delbound.orthopoly import discrete_basis_table, eval_basis_table
+from delbound.spaces import max_degree
 
 
 def test_recurrence_lengths_and_mass():
@@ -201,6 +203,45 @@ def test_zeros_conventions():
         zeros(spec, Variant.BASE, 7)
 
 
+def test_recurrence_coeffs_are_python_floats():
+    """Every system hands out Python floats, not numpy scalars, which the
+    pure-Python pivot loops would run on several times slower."""
+    for spec in (hamming_space(16), sphere_space(24)):
+        for basis in Variant:
+            rc = recurrence_coeffs(spec, basis, 10)
+            assert {type(v) for v in rc.a + rc.b} == {float}, (spec.label(), basis)
+
+
+def _exact_pivots_positive(diag, off, t) -> bool:
+    """Whether every LDL^T pivot of t - J is positive, in Fractions."""
+    t = Fraction(t)
+    r = t - Fraction(diag[0])
+    for d, e in zip(diag[1:], off):
+        if r <= 0:
+            return False
+        r = t - Fraction(d) - Fraction(e) ** 2 / r
+    return r > 0
+
+
+@pytest.mark.parametrize("spec", [hamming_space(64), hamming_space(256), sphere_space(24)],
+                         ids=lambda spec: spec.label())
+def test_largest_zero_against_exact_pivots(spec):
+    """In exact arithmetic, independent of LAPACK: two ulps above x_k every
+    pivot of t - J_{k-1} is positive and two ulps below one is not, at
+    sampled degrees of every basis; the top of zeros() agrees to 1e-13."""
+    for basis in Variant:
+        cap = max_degree(spec, basis) or 130
+        for k in sorted(set(range(1, cap + 1, max(1, cap // 10))) | {cap}):
+            x = largest_zero(spec, basis, k)
+            rc = recurrence_coeffs(spec, basis, k - 1)
+            above, below = x, x
+            for _ in range(2):
+                above, below = math.nextafter(above, 2.0), math.nextafter(below, -2.0)
+            assert _exact_pivots_positive(rc.b[:k], rc.a[: k - 1], above), (basis, k)
+            assert not _exact_pivots_positive(rc.b[:k], rc.a[: k - 1], below), (basis, k)
+            assert abs(zeros(spec, basis, k)[-1] - x) < 1e-13, (basis, k)
+
+
 def test_jacobi_matrix_spectrum_is_zero_set():
     spec = hamming_space(9)
     J = jacobi_matrix(spec, Variant.BASE, 3)
@@ -225,7 +266,6 @@ def test_sliced_recurrence_matches_per_degree_stieltjes(n):
     index m bit for bit, and so does the shared run that serves the
     adjacent systems, whatever order the indices are asked for in."""
     from delbound.orthopoly import _coeffs_cached, _discrete_stieltjes, _stieltjes
-    from delbound.spaces import max_degree
 
     spec = hamming_space(n)
     _coeffs_cached.cache_clear()

@@ -68,6 +68,10 @@ def test_custom_space_roundtrip():
         custom_space((0.5, -0.4), (0.0, 0.0))
     with pytest.raises(ValidationError):
         custom_space((0.5,), (0.0, 0.0, 0.0))
+    # a non-finite coefficient would leave no bracket for the zero search
+    for a, b in (((0.5, math.inf), (0.0, 0.0)), ((0.5, 0.4), (math.nan, 0.0))):
+        with pytest.raises(ValidationError):
+            custom_space(a, b)
 
 
 def test_minus_weights_match_shifted_binomial():

@@ -271,21 +271,25 @@ def test_operator_at_the_max_degree_refuses_without_warning():
 
 
 def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
-    """With the zero tables warm, the spectral bounds, the kernel check and
-    the fixed bound return what they returned before once every dense
-    eigensolve (np.linalg.eigvalsh, tridiagonal_eigenvalues in every
-    namespace of the package) and every dense matrix (JacobiOperator.matrix)
-    raises; a start at the s of T_k(s) takes one pass over the pivots."""
+    """The spectral bounds, the kernel check, the fixed bound and the mrrw
+    and lev bounds on a Hamming space return what they returned before once
+    every dense eigensolve (np.linalg.eigvalsh, tridiagonal_eigenvalues in
+    every namespace of the package) and every dense matrix
+    (JacobiOperator.matrix) raises, with the tables of largest zeros cold
+    and again warm; a start at the s of T_k(s) takes one pass over the
+    pivots."""
     import sys
 
-    from delbound import JacobiOperator, bound_for_distance, bound_for_s, spectral
+    from delbound import JacobiOperator, bound_for_distance, bound_for_s, orthopoly
     from delbound.constructions import _base_window_index
-    from delbound.orthopoly import tridiagonal_eigenvalues
+    from delbound.orthopoly import _largest_zeros, tridiagonal_eigenvalues
 
     h384 = hamming_space(384)
     s24 = sphere_space(24)
     # refused for their fhat_0 after the eigensolve, but for d = 180
     cases = [lambda d=d: bound_for_distance(h384, d, "spectral") for d in (40, 60, 100, 180)]
+    cases += [lambda d=d, m=m: bound_for_distance(h384, d, m)
+              for d in (60, 180) for m in ("mrrw", "lev")]
     cases.append(lambda: bound_for_s(s24, 0.3, "spectral"))
     for spec, s in ((h384, h384.nodes[60]), (s24, 0.3)):
         k = _base_window_index(spec, s)
@@ -301,11 +305,12 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
             return (out.bound, out.closed_form, out.certificate.certificate_id)
         return (out.eigenvalue, out.vector.tolist(), out.residual)
 
+    _largest_zeros.cache_clear()
     before = [outcome(case) for case in cases]
-    assert sum(b[0] == "refused" for b in before) == 3
+    assert sum(b[0] == "refused" for b in before) == 5
 
     def dense(*args, **kwargs):
-        raise AssertionError("dense eigensolve on the spectral route")
+        raise AssertionError("dense eigensolve on a bound path")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", dense)
     monkeypatch.setattr(JacobiOperator, "matrix", dense)
@@ -314,13 +319,16 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
                 and getattr(module, "tridiagonal_eigenvalues", None) is tridiagonal_eigenvalues):
             monkeypatch.setattr(module, "tridiagonal_eigenvalues", dense)
     passes = []
-    original = spectral._pivots
+    original = orthopoly._pivots
 
     def counted(*args):
         passes.append(args[2])
         return original(*args)
 
-    monkeypatch.setattr(spectral, "_pivots", counted)
+    monkeypatch.setattr(orthopoly, "_pivots", counted)
+    _largest_zeros.cache_clear()
+    assert [outcome(case) for case in cases] == before
+    assert all(len(_largest_zeros(h384, basis)) > 1 for basis in Variant)
     assert [outcome(case) for case in cases] == before
     for spec, s in ((h384, h384.nodes[40]), (h384, h384.nodes[100]), (s24, 0.3)):
         k = _base_window_index(spec, s)
