@@ -10,10 +10,10 @@ Every orthonormal family {p_i} here satisfies
 with p_{-1} = 0 and p_0 = 1/sqrt(mass), where mass is the total measure
 (1 for base measures, less for the unnormalized adjacent ones).
 
-Closed forms are used where the family is classical (Hamming base,
-sphere base). Adjacent systems are always derived numerically from their
-measure by the Stieltjes procedure; the classical closed forms for them
-appear only in the test suite as cross-checks.
+Every system of a Hamming space or a sphere is a closed form (Krawtchouk
+on n, n-1 and n-2 points; Jacobi on sphere:d). The Stieltjes procedure
+derives only the adjacent systems of custom spaces and the systems of any
+other discrete measure.
 """
 
 from __future__ import annotations
@@ -91,104 +91,69 @@ def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
         )
 
 
-class _StieltjesRun:
+def _stieltjes(x: np.ndarray, w: np.ndarray, m: int) -> RecurrenceCoeffs:
     """The discrete Stieltjes procedure for the measure sum w_j delta(x_j),
-    resumable: it runs as far as the highest index asked for so far, and a
-    later request continues the recurrence where it stopped. Each
-    coefficient depends only on those before it, so what a request gets
-    is bit for bit what a fresh run to its index would give. A run is
-    shared through a cache, so a lock keeps concurrent requests from
-    interleaving their steps."""
-
-    def __init__(self, x: np.ndarray, w: np.ndarray):
-        keep = w > 0.0
-        self.x = x[keep]
-        self.w = w[keep]
-        self.mass = float(np.sum(self.w))
-        self.a, self.b = [], []
-        self.prev = np.zeros_like(self.x)
-        self.cur = np.full_like(self.x, 1.0 / math.sqrt(self.mass))
-        self.lost = False
-        self._lock = threading.Lock()
-
-    def through(self, m: int):
-        """(a, b, mass) with arrays a_0..a_m, b_0..b_m, or shorter when the
-        measure loses positivity first: the arrays then end at the index
-        whose residual norm a_i vanished."""
-        x, w = self.x, self.w
-        with self._lock:
-            while len(self.a) <= m and not self.lost:
-                bi = float(np.dot(w, x * self.cur * self.cur))
-                resid = (x - bi) * self.cur - (self.a[-1] if self.a else 0.0) * self.prev
-                nrm = math.sqrt(float(np.dot(w, resid * resid)))
-                self.a.append(nrm)
-                self.b.append(bi)
-                if nrm < 1e-13:
-                    self.lost = True
-                else:
-                    self.prev, self.cur = self.cur, resid / nrm
-            return np.array(self.a[: m + 1]), np.array(self.b[: m + 1]), self.mass
-
-
-def _stieltjes(x: np.ndarray, w: np.ndarray, m: int):
-    """A fresh Stieltjes run to index m; see _StieltjesRun.through."""
-    return _StieltjesRun(x, w).through(m)
-
-
-@lru_cache(maxsize=None)
-def _discrete_stieltjes(spec: MeasureSpec, basis: Variant) -> _StieltjesRun:
-    """The one Stieltjes run of a discrete system, shared by every index."""
-    return _StieltjesRun(*node_weights(spec, basis))
-
-
-def _coeffs_from(a, b, mass, m: int) -> RecurrenceCoeffs:
-    if len(a) <= m:
-        raise ValidationError(
-            "measure lost positivity at index %d; degree request too high" % (len(a) - 1)
-        )
-    return RecurrenceCoeffs(a=tuple(a[: m + 1]), b=tuple(b[: m + 1]), mass=mass)
+    run to index m. A measure on fewer points than m + 1 loses positivity
+    first: the residual norm a_i vanishes at some i < m, and the request
+    is refused."""
+    keep = w > 0.0
+    x, w = x[keep], w[keep]
+    mass = float(np.sum(w))
+    a, b = [], []
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    for i in range(m + 1):
+        b.append(float(np.dot(w, x * cur * cur)))
+        resid = (x - b[-1]) * cur - (a[-1] if a else 0.0) * prev
+        a.append(math.sqrt(float(np.dot(w, resid * resid))))
+        if i < m:
+            if a[-1] < 1e-13:
+                raise ValidationError(
+                    "measure lost positivity at index %d; degree request too high" % i
+                )
+            prev, cur = cur, resid / a[-1]
+    return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
 
 
 @lru_cache(maxsize=None)
 def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
-    if spec.kind == "hamming" and basis is Variant.BASE:
-        n = spec.params[0]
-        if m < n:
+    plusminus = basis is Variant.PLUSMINUS
+    if spec.kind == "hamming":
+        # (1 - x) dmu and (1 - x^2) dmu are binomial(n - 1) and binomial(n - 2)
+        # under affine maps: Krawtchouk systems whose a_i vanish at the top.
+        n, top = spec.params[0], max_degree(spec, basis)
+        if m < top:
             # slices of the full tuples share their float objects
-            full = _coeffs_cached(spec, basis, n)
-            return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=1.0)
-        a = tuple(math.sqrt((n - i) * (i + 1)) / n for i in range(m + 1))
-        b = (0.0,) * (m + 1)
-        return RecurrenceCoeffs(a=a, b=b, mass=1.0)
-    if spec.kind == "sphere" and basis is Variant.BASE:
+            full = _coeffs_cached(spec, basis, top)
+            return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=full.mass)
+        a = tuple(math.sqrt((top - i) * (i + 1)) / n for i in range(m + 1))
+        b = (-1.0 / n if basis is Variant.MINUS else 0.0,) * (m + 1)
+        return RecurrenceCoeffs(a=a, b=b, mass=(n - 1) / n if plusminus else 1.0)
+    if spec.kind == "sphere":
+        # The base weight (1 - x)^al (1 + x)^be has al = be = (d - 3)/2, and
+        # the factors 1 - x and 1 + x raise al and be by one: orthonormal
+        # Jacobi (Szego, section 4.5) with t = 2i + al + be. The d = 3 base
+        # b_0 is 0/0, so b = 0 wherever al = be.
         d = spec.params[0]
-        # a_i^2 = (i+1)(d+i-2) / ((d+2i)(d+2i-2)). At i = 0 this equals
-        # 1/d, the second moment of the projected measure, which pins the
-        # formula down; the test suite checks it against a moment-based
-        # Gram-Schmidt oracle.
-        a = tuple(
-            math.sqrt((i + 1) * (d + i - 2) / ((d + 2 * i) * (d + 2 * i - 2)))
-            for i in range(m + 1)
-        )
-        b = (0.0,) * (m + 1)
-        return RecurrenceCoeffs(a=a, b=b, mass=1.0)
+        al = (d - 3) / 2 + (basis is not Variant.BASE)
+        be = (d - 3) / 2 + plusminus
+        a, b = [], []
+        for i in range(m + 1):
+            t = 2 * i + al + be
+            num = 4 * (i + 1) * (i + 1 + al) * (i + 1 + be) * (i + 1 + al + be)
+            a.append(math.sqrt(num / ((t + 2) ** 2 * (t + 3) * (t + 1))))
+            b.append(0.0 if al == be else (be * be - al * al) / (t * (t + 2)))
+        mass = (d - 1) / d if plusminus else 1.0
+        return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
     if spec.kind == "custom" and basis is Variant.BASE:
         ca, cb = spec.ab
         return RecurrenceCoeffs(a=tuple(ca[: m + 1]), b=tuple(cb[: m + 1]), mass=1.0)
     if spec.discrete:
-        # slices of the shared run's lists share their float objects
-        run = _discrete_stieltjes(spec, basis)
-        run.through(m)
-        return _coeffs_from(run.a, run.b, run.mass, m)
-    # Continuous adjacent system: discretize the base measure by a Gauss
-    # rule large enough that all Stieltjes inner products (degree 2m + 3
-    # at most, multiplier included) are integrated exactly, then proceed
-    # as in the discrete case. The rule grows with m, so each m gets its
-    # own run. Its arrays become Python floats, as on every other system.
-    pts = m + 4
-    x, w = quadrature(spec, Variant.BASE, pts)
-    a, b, mass = _stieltjes(x, w * variant_multiplier(basis, x), m)
-    return _coeffs_from(a.tolist(), b.tolist(), mass, m)
+        return _stieltjes(*node_weights(spec, basis), m)
+    # Adjacent system of a custom space: a Gauss rule of the base measure
+    # large enough that every Stieltjes inner product (degree 2m + 3 at
+    # most, multiplier included) is integrated exactly.
+    x, w = quadrature(spec, Variant.BASE, m + 4)
+    return _stieltjes(x, w * variant_multiplier(basis, x), m)
 
 
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:

@@ -170,12 +170,13 @@ def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
 
 
 def variant_mass(spec: MeasureSpec, variant: Variant) -> float:
-    """Total mass of the variant measure (1 for any base measure)."""
+    """Total mass of the variant measure (1 for any base measure), as the
+    variant's recurrence carries it."""
     if variant is Variant.BASE:
         return 1.0
-    return moment_functional(
-        spec, Variant.BASE, lambda x: variant_multiplier(variant, x), degree=2
-    )
+    from . import orthopoly
+
+    return orthopoly.recurrence_coeffs(spec, variant, 0).mass
 
 
 def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> float:

@@ -260,73 +260,162 @@ def test_discrete_table_cached_and_frozen():
     assert not t1.flags.writeable
 
 
-@pytest.mark.parametrize("n", [5, 16, 64])
-def test_sliced_recurrence_matches_per_degree_stieltjes(n):
-    """One Stieltjes run to the maximal degree, sliced, equals a run to each
-    index m bit for bit, and so does the shared run that serves the
-    adjacent systems, whatever order the indices are asked for in."""
-    from delbound.orthopoly import _coeffs_cached, _discrete_stieltjes, _stieltjes
+@pytest.mark.parametrize("spec", [hamming_space(5), hamming_space(16), hamming_space(64),
+                                  sphere_space(3), sphere_space(24)],
+                         ids=lambda spec: spec.label())
+def test_recurrence_is_a_prefix_of_the_top_tuple(spec):
+    """The coefficients to index m are the first m + 1 of those to the top
+    index, bit for bit, on every system and whatever order the indices are
+    asked for in."""
+    from delbound.orthopoly import _coeffs_cached
 
-    spec = hamming_space(n)
     _coeffs_cached.cache_clear()
-    _discrete_stieltjes.cache_clear()
-    order = np.random.default_rng(n).permutation
+    order = np.random.default_rng(0).permutation
     for basis in Variant:
-        x, w = node_weights(spec, basis)
-        cap = max_degree(spec, basis)
-        full_a, full_b, full_mass = _stieltjes(x, w, cap)
-        for m in order(cap + 1):
-            a, b, mass = _stieltjes(x, w, m)
-            assert a.tobytes() == full_a[: m + 1].tobytes(), (n, basis, m)
-            assert b.tobytes() == full_b[: m + 1].tobytes(), (n, basis, m)
-            assert mass == full_mass
-            if basis is not Variant.BASE:
-                rc = recurrence_coeffs(spec, basis, int(m))
-                assert np.array(rc.a).tobytes() == a.tobytes(), (n, basis, m)
-                assert np.array(rc.b).tobytes() == b.tobytes(), (n, basis, m)
-                assert rc.mass == mass
+        top = max_degree(spec, basis) or 120
+        for m in order(top + 1):
+            rc = recurrence_coeffs(spec, basis, int(m))
+            full = recurrence_coeffs(spec, basis, top)
+            assert np.array(rc.a).tobytes() == np.array(full.a[: m + 1]).tobytes(), (basis, m)
+            assert np.array(rc.b).tobytes() == np.array(full.b[: m + 1]).tobytes(), (basis, m)
+            assert rc.mass == full.mass
 
 
 def test_stieltjes_stops_where_positivity_is_lost():
     """A repeated node gives four weights but three points: the residual
     vanishes at index 2, so indices up to 2 are served and 3 is refused."""
     from delbound import MeasureSpec
-    from delbound.orthopoly import _stieltjes
 
     spec = MeasureSpec(kind="points", params=(), nodes=(1.0, 0.5, 0.5, -1.0),
                        weights=(0.25, 0.25, 0.25, 0.25))
-    x, w = node_weights(spec, Variant.BASE)
-    a, b, _ = _stieltjes(x, w, 3)
-    assert a.size == b.size == 3 and a[-1] < 1e-13
-    for m in range(3):
-        assert recurrence_coeffs(spec, Variant.BASE, m).a == tuple(_stieltjes(x, w, m)[0])
+    rc = recurrence_coeffs(spec, Variant.BASE, 2)
+    assert len(rc.a) == len(rc.b) == 3 and rc.a[-1] < 1e-13
+    for m in range(2):
+        assert recurrence_coeffs(spec, Variant.BASE, m).a == rc.a[: m + 1]
     with pytest.raises(ValidationError, match="lost positivity at index 2"):
         recurrence_coeffs(spec, Variant.BASE, 3)
 
 
-def test_shared_stieltjes_run_under_concurrent_requests():
-    """Threads asking one shared run for different indices get the same
-    coefficients as a single-threaded run."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
+def _exact_monic_stieltjes(nodes, weights):
+    """b_i and beta_i = <pi_i, pi_i> / <pi_{i-1}, pi_{i-1}> of the monic
+    orthogonal polynomials of sum w_j delta(x_j), in Fractions, through
+    the index where pi_i vanishes on every node."""
+    prev = [Fraction(0)] * len(nodes)
+    cur = [Fraction(1)] * len(nodes)
+    norm_prev, beta = None, Fraction(0)
+    bs, betas = [], []
+    while True:
+        norm = sum(w * p * p for w, p in zip(weights, cur))
+        if norm == 0:
+            return bs, betas
+        if norm_prev is not None:
+            beta = norm / norm_prev
+            betas.append(beta)
+        b = sum(w * x * p * p for w, x, p in zip(weights, nodes, cur)) / norm
+        bs.append(b)
+        prev, cur = cur, [(x - b) * p - beta * q for x, p, q in zip(nodes, cur, prev)]
+        norm_prev = norm
 
-    from delbound.orthopoly import _StieltjesRun, _stieltjes
 
-    x, w = node_weights(hamming_space(200), Variant.MINUS)
-    full_a, full_b, _ = _stieltjes(x, w, 199)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for trial in range(5):
-            run = _StieltjesRun(x, w)
-            wanted = [int(m) for m in np.random.default_rng(trial).integers(0, 200, 64)]
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                got = list(pool.map(run.through, wanted, timeout=60))
-            for m, (a, b, _) in zip(wanted, got):
-                assert a.tobytes() == full_a[: m + 1].tobytes()
-                assert b.tobytes() == full_b[: m + 1].tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.parametrize("n", [64, 128])
+def test_hamming_adjacent_against_exact_stieltjes(n):
+    """The minus and plusminus systems of hamming:n against an exact
+    Stieltjes run on their integer weights C(n-1, j-1) and C(n-2, j-1), up
+    to the top index N. The run takes the integer nodes n x_j = n - 2j, so
+    its beta_i and b_i are n^2 a_{i-1}^2 and n b_i; they agree to 1e-14,
+    and the top a_N = 0 and the mass exactly."""
+    spec = hamming_space(n)
+    for basis, shift in ((Variant.MINUS, 1), (Variant.PLUSMINUS, 2)):
+        top = n - shift
+        nodes = [n - 2 * j for j in range(1, top + 2)]
+        weights = [math.comb(top, j - 1) for j in range(1, top + 2)]
+        bs, betas = _exact_monic_stieltjes(nodes, weights)
+        assert len(bs) == top + 1 and len(betas) == top
+        rc = recurrence_coeffs(spec, basis, top)
+        for i in range(top):
+            beta = float(betas[i] / n ** 2)
+            assert abs(rc.a[i] ** 2 - beta) <= 1e-14 * beta, (basis, i)
+        for i in range(top + 1):
+            assert abs(rc.b[i] - float(bs[i] / n)) <= 1e-14, (basis, i)
+        assert rc.a[top] == 0.0
+        mass = sum(Fraction(math.comb(n, j), 2 ** n) * (1 - x) * (1 + x if shift == 2 else 1)
+                   for j, x in enumerate(Fraction(n - 2 * j, n) for j in range(n + 1)))
+        assert rc.mass == float(mass)
+
+
+def _gauss_stieltjes(x, w, m):
+    """Orthonormal a_0..a_m, b_0..b_m and the mass of sum w_j delta(x_j)."""
+    mass = float(np.sum(w))
+    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
+    a, b = [], []
+    for _ in range(m + 1):
+        b.append(float(np.dot(w, x * cur * cur)))
+        resid = (x - b[-1]) * cur - (a[-1] if a else 0.0) * prev
+        a.append(math.sqrt(float(np.dot(w, resid * resid))))
+        prev, cur = cur, resid / a[-1]
+    return np.array(a), np.array(b), mass
+
+
+@pytest.mark.parametrize("d", [3, 4, 24, 200])
+def test_sphere_adjacent_against_gauss_stieltjes(d):
+    """The Jacobi closed forms of the minus and plusminus systems of
+    sphere:d against a Stieltjes run on a 200-point Gauss rule of the base
+    measure, which integrates every inner product through index 120
+    exactly: a_i, b_i and the mass to 1e-13."""
+    from delbound.spaces import quadrature, variant_multiplier
+
+    spec = sphere_space(d)
+    x, w = quadrature(spec, Variant.BASE, 200)
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        a, b, mass = _gauss_stieltjes(x, w * variant_multiplier(basis, x), 120)
+        rc = recurrence_coeffs(spec, basis, 120)
+        assert np.max(np.abs(np.array(rc.a) - a) / a) < 1e-13, basis
+        assert np.max(np.abs(np.array(rc.b) - b)) < 1e-13, basis
+        assert abs(rc.mass - mass) < 1e-13, basis
+
+
+@pytest.mark.parametrize("d", [3, 24, 200])
+def test_custom_adjacent_systems_match_the_sphere(d):
+    """A custom space given sphere:d's base coefficients derives its minus
+    and plusminus systems by the Stieltjes procedure; they agree with
+    sphere:d's closed forms to 1e-13."""
+    from delbound import custom_space
+
+    sphere = sphere_space(d)
+    base = recurrence_coeffs(sphere, Variant.BASE, 59)
+    spec = custom_space(base.a, base.b)
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        got = recurrence_coeffs(spec, basis, 40)
+        ref = recurrence_coeffs(sphere, basis, 40)
+        assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-13, basis
+        assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-13, basis
+        assert abs(got.mass - ref.mass) < 1e-13, basis
+
+
+def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
+    """With the Stieltjes procedure disabled and the coefficient cache
+    cold, every system of hamming:256, sphere:24 and sphere:100 is served
+    to a high index, and mrrw, lev and spectral bounds on them still run:
+    every coefficient they read is a closed form."""
+    from delbound import NotCertifiedError, bound_for_distance, bound_for_s
+    from delbound import orthopoly
+
+    def refuse(*args):
+        raise AssertionError("Stieltjes procedure called")
+
+    monkeypatch.setattr(orthopoly, "_stieltjes", refuse)
+    orthopoly._coeffs_cached.cache_clear()
+    for spec in (hamming_space(256), sphere_space(24), sphere_space(100)):
+        for basis in Variant:
+            recurrence_coeffs(spec, basis, max_degree(spec, basis) or 200)
+    for method in ("mrrw", "lev", "spectral"):
+        for bound in (lambda: bound_for_distance(hamming_space(256), 77, method),
+                      lambda: bound_for_s(sphere_space(24), 0.3, method),
+                      lambda: bound_for_s(sphere_space(100), 0.2, method)):
+            try:
+                bound()
+            except NotCertifiedError:
+                pass
 
 
 def test_chebyshev_table_reproduces_the_basis():

@@ -87,14 +87,20 @@ def test_minus_weights_match_shifted_binomial():
 
 
 def test_plusminus_mass():
-    for n in (2, 6, 11):
+    """The adjacent masses are 1 and (n-1)/n on hamming:n and 1 and
+    1 - 1/d on sphere:d, exactly: they come from the closed forms, not from
+    summing weights (which gives 0.9843750000000001 at n = 64)."""
+    for n in (2, 6, 11, 64):
         spec = hamming_space(n)
         x, w = node_weights(spec, Variant.PLUSMINUS)
         assert w[0] == 0.0 and w[-1] == 0.0
         assert math.fsum(w) == pytest.approx((n - 1) / n, rel=1e-15)
-        assert variant_mass(spec, Variant.PLUSMINUS) == pytest.approx((n - 1) / n)
-    assert variant_mass(hamming_space(7), Variant.MINUS) == pytest.approx(1.0)
+        assert variant_mass(spec, Variant.PLUSMINUS) == (n - 1) / n
+        assert variant_mass(spec, Variant.MINUS) == 1.0
     assert variant_mass(hamming_space(7), Variant.BASE) == 1.0
+    for d in (3, 4, 24, 200):
+        assert variant_mass(sphere_space(d), Variant.PLUSMINUS) == (d - 1) / d
+        assert variant_mass(sphere_space(d), Variant.MINUS) == 1.0
 
 
 def test_max_degree_per_variant():
