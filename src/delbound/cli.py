@@ -4,7 +4,9 @@ Subcommands: bound (one parameter point), table (sweep), verify
 (certificate audit of a supplied polynomial), lp (exact oracle), nrt
 (shape tables). All numeric work happens in the library modules; this
 file only parses configuration and serializes results. JSON output is
-strict: a NaN or infinite float is written as null.
+strict: a NaN or infinite float is written as null. Only bound, table
+and verify load the numpy-backed modules, inside their handlers; lp and
+nrt, like argument errors, run without them.
 
 Exit codes: 0 success, 2 validation error, 3 no certified bound,
 4 internal numeric failure. A table prints every row, marking a row that
@@ -23,8 +25,9 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import constructions, lp_oracle, nrt, spectral
+from . import lp_oracle, nrt
 from .errors import (
     DegreeBudgetError,
     DelboundError,
@@ -33,8 +36,11 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import Tolerances, cone_certificate, strict_json
-from .spaces import MeasureSpec, hamming_space, sphere_space
+from .strictjson import strict_json
+
+if TYPE_CHECKING:
+    from .feasibility import Tolerances
+    from .spaces import MeasureSpec
 
 _TABLE_COLUMNS = [
     "space", "d", "s", "method", "degree", "bound", "certificate_id", "lp", "status",
@@ -42,6 +48,8 @@ _TABLE_COLUMNS = [
 
 
 def _parse_space(text: str) -> MeasureSpec:
+    from .spaces import hamming_space, sphere_space
+
     parts = text.split(":")
     if len(parts) == 2 and parts[0] == "hamming" and parts[1].isdigit():
         return hamming_space(int(parts[1]))
@@ -53,6 +61,8 @@ def _parse_space(text: str) -> MeasureSpec:
 
 
 def _tolerances() -> Tolerances | None:
+    from .feasibility import Tolerances
+
     raw = os.environ.get("DELBOUND_TOL")
     if raw is None:
         return None
@@ -110,6 +120,8 @@ def _emit_csv(payload):
 
 
 def cmd_bound(args) -> int:
+    from . import constructions, spectral
+
     spec = _parse_space(args.space)
     tol = _tolerances()
     has_d, has_s = args.d is not None, args.s is not None
@@ -193,6 +205,8 @@ def _s_grid(args) -> list:
 
 
 def cmd_table(args) -> int:
+    from . import constructions
+
     spec = _parse_space(args.space)
     tol = _tolerances()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -226,6 +240,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import constructions
+    from .feasibility import cone_certificate
+
     spec = _parse_space(args.space)
     tol = _tolerances()
     if args.file:

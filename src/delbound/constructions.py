@@ -187,6 +187,16 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
         v = _basis_at(spec, basis, k, s)
     extra_root = basis is Variant.PLUSMINUS
     degree = 2 * k + 1 + extra_root
+    if spec.kind == "custom":
+        # fourier_expand takes degree + 1 Gauss points, and M coefficient
+        # pairs build rules of at most M points
+        points = max_degree(spec, Variant.BASE)
+        if degree >= points:
+            raise DegreeBudgetError(
+                "degree budget exceeded: the degree-%d %s polynomial needs a %d-point "
+                "Gauss rule, and %s's coefficients build at most %d points"
+                % (degree, method, degree + 1, spec.label(), points)
+            )
 
     def product(x, table):
         kern = v @ table

@@ -16,8 +16,6 @@ decides it exactly up to rounding, with no grid.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,6 +31,7 @@ from .orthopoly import (
     gauss_basis_table,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
+from .strictjson import strict_json
 
 
 @dataclass(frozen=True)
@@ -89,17 +88,6 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
-def strict_json(value):
-    """value with every non-finite float replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: strict_json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [strict_json(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
 class ConeCertificate:
     """Auditable record of a cone membership decision."""
@@ -139,6 +127,10 @@ class ConeCertificate:
         """First 12 hex digits of the sha256 of what decides the verdict:
         schema, s, fhat, tolerances and verdict, as strict JSON, so the id
         re-hashes from the certificate as the CLI prints it."""
+        # only printed output needs an id, so these load on first use
+        import hashlib
+        import json
+
         blob = self.to_json()
         decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}
         canonical = json.dumps(strict_json(decisive), sort_keys=True, allow_nan=False)

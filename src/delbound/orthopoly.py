@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .spaces import (
     MeasureSpec,
     Variant,
+    adjacent_rule_points,
     max_degree,
     node_weights,
     quadrature,
@@ -150,9 +151,8 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
     if spec.discrete:
         return _stieltjes(*node_weights(spec, basis), m)
     # Adjacent system of a custom space: a Gauss rule of the base measure
-    # large enough that every Stieltjes inner product (degree 2m + 3 at
-    # most, multiplier included) is integrated exactly.
-    x, w = quadrature(spec, Variant.BASE, m + 4)
+    # large enough that every Stieltjes inner product is integrated exactly.
+    x, w = quadrature(spec, Variant.BASE, adjacent_rule_points(basis, m))
     return _stieltjes(x, w * variant_multiplier(basis, x), m)
 
 

@@ -159,14 +159,26 @@ def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     polynomials up to degree m - 1 only; the minus and plusminus variants
     kill one and two support points respectively. Continuous measures have
     no cap (None), except custom recurrences which end where the supplied
-    coefficients do.
+    coefficients do: M pairs give the base system to degree M, and an
+    adjacent one to the last index whose Stieltjes rule (see
+    adjacent_rule_points) has at most the M points they determine.
     """
     if spec.discrete:
         _, w = node_weights(spec, variant)
         return int(np.count_nonzero(w > 0.0)) - 1
     if spec.kind == "custom":
-        return len(spec.ab[0])
+        top = len(spec.ab[0])
+        return top if variant is Variant.BASE else top - adjacent_rule_points(variant, 0)
     return None
+
+
+def adjacent_rule_points(variant: Variant, m: int) -> int:
+    """Points of the base Gauss rule on which the Stieltjes procedure runs
+    an adjacent system to index m. Its last inner product, a_m^2, weighs
+    the square of a residual of degree m + 1 by the multiplier 1 - x or
+    1 - x^2: degree 2m + 3 or 2m + 4, which m + 2 or m + 3 points, exact
+    through degree 2m + 3 or 2m + 5, integrate exactly."""
+    return m + (2 if variant is Variant.MINUS else 3)
 
 
 def variant_mass(spec: MeasureSpec, variant: Variant) -> float:

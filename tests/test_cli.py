@@ -281,6 +281,46 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["value"] == pytest.approx(2.0)
 
 
+def test_lp_and_nrt_load_no_numpy():
+    """In a fresh interpreter, the package, the LP oracle, the NRT tables
+    and the lp and nrt commands run without numpy. One access of
+    hamming_space then loads all six numpy-backed modules and binds every
+    __all__ name; dir() lists them all, a star import binds them, and an
+    unknown name still raises AttributeError."""
+    import os
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = """
+import contextlib, io, sys
+import delbound
+from delbound import cli
+delbound.delsarte_lp(14, 5, "exact")
+delbound.enumerate_shapes(2, 3)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["lp", "--n", "14", "--d", "5"]) == 0
+    assert cli.main(["nrt", "--r", "2", "--n", "3"]) == 0
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("delbound"))
+assert set(delbound.__all__) <= set(dir(delbound))
+delbound.hamming_space
+stack = ("spaces", "orthopoly", "kernels", "feasibility", "constructions", "spectral")
+assert all("delbound." + name in sys.modules for name in stack)
+assert all(name in vars(delbound) for name in delbound.__all__ + list(stack))
+star = {}
+exec("from delbound import *", star)
+assert all(star[name] is getattr(delbound, name) for name in delbound.__all__)
+try:
+    delbound.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_table_numeric_row_keeps_other_rows(monkeypatch, capsys):
     from delbound import constructions
     from delbound.errors import NumericError

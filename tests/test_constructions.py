@@ -21,6 +21,7 @@ from delbound import (
     mrrw_bound_closed,
     mrrw_poly,
     polynomial_from_fourier,
+    recurrence_coeffs,
     sphere_space,
     zeros,
 )
@@ -465,6 +466,24 @@ def test_explicit_degree_past_search_cap_on_sphere(method):
     assert res.certificate.passed and res.degree == 2 * k + 1
     assert res.closed_form == pytest.approx(mrrw_bound_closed(spec, k, s), rel=0)
     assert res.bound == pytest.approx(res.closed_form, rel=1e-6)
+
+
+def test_custom_space_refuses_past_its_coefficients():
+    """On a custom space given sphere:8's first 12 coefficient pairs, s up to
+    0.7 still certifies, matching sphere:8 to 1e-9, while at 0.8 and 0.9 each
+    method refuses on its degree budget: no Levenshtein window, or a
+    polynomial that needs a Gauss rule of more than 12 points."""
+    from delbound import custom_space
+
+    sphere = sphere_space(8)
+    base = recurrence_coeffs(sphere, Variant.BASE, 11)
+    spec = custom_space(base.a, base.b)
+    for method in ("lev", "mrrw", "spectral"):
+        got = bound_for_s(spec, 0.7, method)
+        assert got.bound == pytest.approx(bound_for_s(sphere, 0.7, method).bound, rel=1e-9)
+        for s in (0.8, 0.9):
+            with pytest.raises(DegreeBudgetError, match="degree budget exceeded"):
+                bound_for_s(spec, s, method)
 
 
 def test_bound_polynomial_is_its_coefficient_vector():

@@ -392,6 +392,34 @@ def test_custom_adjacent_systems_match_the_sphere(d):
         assert abs(got.mass - ref.mass) < 1e-13, basis
 
 
+@pytest.mark.parametrize("d", [3, 8, 200])
+def test_custom_adjacent_systems_reach_their_max_degree(d):
+    """max_degree of a custom space's minus and plusminus systems is the
+    last index its coefficients integrate exactly: with M pairs, M - 2 and
+    M - 3. Every index from 0 to there is served and agrees with sphere:d's
+    closed forms to 1e-13, the top one included, so the Stieltjes rule is
+    large enough at each; one index more is refused as that index."""
+    from delbound import custom_space
+
+    sphere = sphere_space(d)
+    base = recurrence_coeffs(sphere, Variant.BASE, 11)
+    spec = custom_space(base.a, base.b)
+    for basis, top in ((Variant.MINUS, 10), (Variant.PLUSMINUS, 9)):
+        assert max_degree(spec, basis) == top
+        for m in range(top + 1):
+            got = recurrence_coeffs(spec, basis, m)
+            ref = recurrence_coeffs(sphere, basis, m)
+            assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-13, (basis, m)
+            assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-13, (basis, m)
+            assert abs(got.mass - ref.mass) < 1e-13, (basis, m)
+        with pytest.raises(ValidationError, match="index %d but custom/%s" % (top + 1, basis.value)):
+            recurrence_coeffs(spec, basis, top + 1)
+    flat = custom_space([0.5] * 10, [0.0] * 10)
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        for m in range(max_degree(flat, basis) + 1):
+            assert len(recurrence_coeffs(flat, basis, m).a) == m + 1
+
+
 def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
     """With the Stieltjes procedure disabled and the coefficient cache
     cold, every system of hamming:256, sphere:24 and sphere:100 is served
