@@ -42,6 +42,9 @@ if TYPE_CHECKING:
     from .feasibility import Tolerances
     from .spaces import MeasureSpec
 
+# the refusals that mean "no certified bound" (exit 3, or a table row's status)
+_REFUSALS = (NotCertifiedError, DegreeBudgetError, SingularOperatorError)
+
 _TABLE_COLUMNS = [
     "space", "d", "s", "method", "degree", "bound", "certificate_id", "lp", "status",
 ]
@@ -135,7 +138,7 @@ def cmd_bound(args) -> int:
 
     if args.method == "all":
         methods = ["mrrw", "lev", "spectral"]
-        if has_d and spec.params[0] <= 14:
+        if has_d and spec.params[0] <= lp_oracle.MAX_N:
             methods.append("lp")
     else:
         methods = [args.method]
@@ -161,7 +164,7 @@ def cmd_bound(args) -> int:
                     spec, args.s, method=method, k=args.k, tolerances=tol
                 )
                 results.append(res.to_json())
-        except (NotCertifiedError, DegreeBudgetError, SingularOperatorError) as exc:
+        except _REFUSALS as exc:
             failures.append({"method": method, "error": str(exc)})
 
     if not results:
@@ -180,7 +183,7 @@ def _table_row(row: dict, bound_fn, *args, **kwargs) -> dict:
     numeric failure becomes the row's status instead of ending the table."""
     try:
         res = bound_fn(*args, **kwargs)
-    except (NotCertifiedError, DegreeBudgetError, SingularOperatorError) as exc:
+    except _REFUSALS as exc:
         row["status"] = "uncertified: %s" % exc
     except NumericError as exc:
         row["status"] = "numeric: %s" % exc
@@ -218,7 +221,7 @@ def cmd_table(args) -> int:
         n = spec.params[0]
         for d in range(1, n + 1):
             lp_val = ""
-            if n <= 14:
+            if n <= lp_oracle.MAX_N:
                 lp_val = lp_oracle.delsarte_lp(n, d).value_float
             for method in methods:
                 row = {"space": spec.label(), "d": d, "s": spec.nodes[d],
@@ -371,7 +374,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         _print_json({"schema": 1, "error": str(exc)})
         return 2
-    except (NotCertifiedError, DegreeBudgetError, SingularOperatorError) as exc:
+    except _REFUSALS as exc:
         _print_json({"schema": 1, "error": str(exc)})
         return 3
     except (NumericError, DelboundError) as exc:

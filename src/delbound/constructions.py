@@ -39,7 +39,7 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import ConeCertificate, _evaluate, cone_certificate, fourier_expand
+from .feasibility import ConeCertificate, _audit_start, _evaluate, cone_certificate
 from .orthopoly import (
     basis_at_one,
     discrete_basis_table,
@@ -49,7 +49,7 @@ from .orthopoly import (
     largest_zeros_until,
     recurrence_coeffs,
 )
-from .spaces import MeasureSpec, Variant, max_degree, node_weights
+from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 
 _WINDOW_TIE_TOL = 1e-12
 _LEV_DEGREE_CAP = 128
@@ -124,12 +124,6 @@ class BoundResult:
 
 
 @lru_cache(maxsize=None)
-def _node_index(spec: MeasureSpec) -> dict:
-    """Position of each support node of a discrete space in spec.nodes."""
-    return {x: j for j, x in enumerate(spec.nodes)}
-
-
-@lru_cache(maxsize=None)
 def _adjacent_node_table(spec: MeasureSpec, basis: Variant) -> np.ndarray:
     """p_0..p_top of an adjacent system at every node of a discrete space,
     read-only, with top = min(max_degree, _LEV_DEGREE_CAP): as deep as the
@@ -159,12 +153,16 @@ def _cached_node_rows(spec: MeasureSpec, basis: Variant, deg: int):
 def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
     """p_0(s)..p_deg(s), read-only when it comes from a cache: the cached
     basis_at_one table when s = 1, a column of the cached node rows when s
-    is another node of a discrete space, else one run of the recurrence
-    at s."""
+    is another node of a discrete space (found by _audit_start), else one
+    run of the recurrence at s."""
     if s == 1.0:
         return basis_at_one(spec, basis, deg)
-    j = _node_index(spec).get(s) if spec.discrete else None
-    rows = None if j is None else _cached_node_rows(spec, basis, deg)
+    rows = None
+    if spec.discrete:
+        x, _ = node_weights(spec, Variant.BASE)
+        j = _audit_start(x, s)
+        if j < x.size and x[j] == s:
+            rows = _cached_node_rows(spec, basis, deg)
     return eval_basis_table(spec, basis, deg, s)[:, 0] if rows is None else rows[:, j]
 
 
@@ -173,13 +171,13 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     plusminus basis. v defaults to p(s), which makes v . p(x) the kernel
     K_k(x, s); any other v is an eigenvector from the spectral route.
 
-    On a discrete space the product form is read from the node tables:
-    the kernel at every node is v times the cached rows of the basis
-    system, f(1) is its value at node 0 (x = 1), and fhat is one product
-    with the base table. On a continuous space the kernel is v times the
-    cached basis_at_one table for f(1), and times the cached
-    gauss_basis_table at the Gauss rule of fourier_expand for fhat; these
-    are the values the recurrence gives there, bit for bit.
+    fhat is one expansion on a rule, base rows times the weighted product
+    form: the nodes of a discrete space, where the kernel is v times the
+    cached rows of the basis system and f(1) its value at node 0 (x = 1),
+    or the (degree + 1)-point Gauss rule of fourier_expand on a continuous
+    one, where the kernel is v times the cached gauss_basis_table rows and
+    f(1) reads the cached basis_at_one table. These are the values the
+    recurrence gives there, bit for bit.
     """
     if s >= 1.0:
         raise ValidationError("%s_poly needs s < 1" % method)
@@ -188,7 +186,7 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     extra_root = basis is Variant.PLUSMINUS
     degree = 2 * k + 1 + extra_root
     if spec.kind == "custom":
-        # fourier_expand takes degree + 1 Gauss points, and M coefficient
+        # the expansion takes degree + 1 Gauss points, and M coefficient
         # pairs build rules of at most M points
         points = max_degree(spec, Variant.BASE)
         if degree >= points:
@@ -208,10 +206,15 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     if spec.discrete:
         x, w = node_weights(spec, Variant.BASE)
         rows = _cached_node_rows(spec, basis, k)
-        on_nodes = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
-        at_one = float(on_nodes[0])
+        on_rule = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
+        at_one = float(on_rule[0])
+        kept = min(degree, max_degree(spec, Variant.BASE))
+        base_rows = discrete_basis_table(spec, Variant.BASE)[: kept + 1]
     else:
+        x, w = quadrature(spec, Variant.BASE, degree + 1)
+        on_rule = product(x, gauss_basis_table(spec, basis, k, degree + 1))
         at_one = float(product(1.0, basis_at_one(spec, basis, k)))
+        base_rows = gauss_basis_table(spec, Variant.BASE, degree, degree + 1)
     if at_one == 0.0:
         raise SingularOperatorError(
             "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
@@ -219,13 +222,8 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     c = 1.0 / at_one
     if not math.isfinite(c):
         raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
-    if spec.discrete:
-        kept = min(degree, max_degree(spec, Variant.BASE))
-        with np.errstate(over="ignore", invalid="ignore"):
-            fhat = discrete_basis_table(spec, Variant.BASE)[: kept + 1] @ (w * (c * on_nodes))
-    else:
-        rows = gauss_basis_table(spec, basis, k, degree + 1)
-        fhat = fourier_expand(spec, lambda x: c * product(x, rows), degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fhat = base_rows @ (w * (c * on_rule))
     return BoundPolynomial(
         method=method, degree=degree, s=float(s), c=c,
         fhat=tuple(fhat.tolist()), spec=spec, k=k,

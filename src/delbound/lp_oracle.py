@@ -13,7 +13,7 @@ an integer tableau with one common denominator (see `_simplex_max`), so
 no step rounds. Each (n, d) is solved once and shared by both modes;
 exact mode returns the optimum and B as Fractions, float mode returns
 float() of each, the correctly rounded exact optimum. Sizes are capped
-at n <= 14.
+at n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NumericError, ValidationError
+
+MAX_N = 14
 
 
 def krawtchouk(n: int, i: int, j: int) -> int:
@@ -162,9 +164,9 @@ def _solve(n: int, d: int) -> tuple:
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
     """LP optimum for binary codes of length n, minimum distance d; float
     mode gives the exact optimum, each value correctly rounded."""
-    if not (isinstance(n, int) and isinstance(d, int) and 1 <= d <= n <= 14):
+    if not (isinstance(n, int) and isinstance(d, int) and 1 <= d <= n <= MAX_N):
         raise ValidationError(
-            "delsarte_lp needs integers 1 <= d <= n <= 14, got n=%r d=%r" % (n, d)
+            "delsarte_lp needs integers 1 <= d <= n <= %d, got n=%r d=%r" % (MAX_N, n, d)
         )
     if mode not in ("float", "exact"):
         raise ValidationError("mode must be 'float' or 'exact'")

@@ -169,31 +169,21 @@ def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCo
     return _coeffs_cached(spec, basis, m)
 
 
-@lru_cache(maxsize=None)
-def _ab_arrays(spec: MeasureSpec, basis: Variant, m: int):
-    rc = _coeffs_cached(spec, basis, m)
-    a = np.array(rc.a)
-    b = np.array(rc.b)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return a, b, rc.mass
-
-
 def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarray:
     """Values of p_0..p_deg at the points x, as a (deg+1, len(x)) array."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if deg < 0:
         raise ValidationError("degree must be nonnegative")
-    _check_degree(spec, basis, max(deg - 1, 0), "eval_basis_table")
+    rc = recurrence_coeffs(spec, basis, max(deg - 1, 0))
     if np.any(np.abs(x) > 1.0 + _EXTRAPOLATION_SLACK):
         warnings.warn(
             "evaluating orthonormal system outside [-1, 1] (extrapolation)",
             RuntimeWarning,
             stacklevel=2,
         )
-    a, b, mass = _ab_arrays(spec, basis, max(deg - 1, 0))
+    a, b = rc.a, rc.b
     out = np.empty((deg + 1, x.size))
-    out[0] = 1.0 / math.sqrt(mass)
+    out[0] = 1.0 / math.sqrt(rc.mass)
     if deg >= 1:
         out[1] = (x - b[0]) * out[0] / a[0]
     for i in range(1, deg):
@@ -252,10 +242,10 @@ def chebyshev_table(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
     """Chebyshev coefficients M of p_0..p_deg, read-only: p_i = sum_j
     M[i, j] T_j, so fhat @ M holds those of sum_i fhat_i p_i. Built by the
     three-term recurrence run on Chebyshev coefficient vectors."""
-    _check_degree(spec, basis, max(deg - 1, 0), "chebyshev_table")
-    a, b, mass = _ab_arrays(spec, basis, max(deg - 1, 0))
+    rc = recurrence_coeffs(spec, basis, max(deg - 1, 0))
+    a, b = rc.a, rc.b
     out = np.zeros((deg + 1, deg + 1))
-    out[0, 0] = 1.0 / math.sqrt(mass)
+    out[0, 0] = 1.0 / math.sqrt(rc.mass)
     for i in range(deg):
         xp = np.polynomial.chebyshev.chebmulx(out[i, : i + 1])
         row = np.zeros(deg + 1)

@@ -223,18 +223,16 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     Exact for polynomials of degree <= 2m - 1. The weights sum to the
     variant's total mass, so unnormalized variants integrate as such.
     Both arrays are built once per (spec, variant, m) and returned
-    read-only.
+    read-only. The rule reads coefficients to index m - 1, so an m whose
+    index the system does not reach is refused, naming the m-point rule:
+    more points than a discrete support has, or on the base system of a
+    custom space more than its M coefficient pairs.
     """
     if m < 1:
         raise ValidationError("quadrature needs m >= 1")
-    cap = max_degree(spec, variant)
-    if cap is not None and m > cap + 1:
-        raise ValidationError(
-            "quadrature order %d exceeds the %d-point support of %s/%s"
-            % (m, cap + 1, spec.label(), variant.value)
-        )
     from . import orthopoly
 
+    orthopoly._check_degree(spec, variant, m - 1, "the %d-point quadrature rule" % m)
     rc = orthopoly.recurrence_coeffs(spec, variant, m - 1)
     nodes = orthopoly.tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
     table = orthopoly.eval_basis_table(spec, variant, m - 1, nodes)

@@ -454,3 +454,22 @@ def test_verify_id_rehashes_from_printed_output(tmp_path, capsys, space):
     decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}
     canonical = json.dumps(decisive, sort_keys=True, allow_nan=False)
     assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == blob["certificate_id"]
+
+
+def test_lp_joins_at_the_oracle_cap_and_not_past_it(capsys):
+    """The LP oracle takes n <= 14: bound --method all adds an lp result on
+    hamming:14 and none on hamming:15, and the table fills its lp column
+    on hamming:14 and leaves it empty on hamming:15."""
+    for n, has_lp in ((14, True), (15, False)):
+        code, out = run_cli(capsys, "bound", "--space", "hamming:%d" % n,
+                            "--method", "all", "--d", "5")
+        assert code == 0
+        blob = json.loads(out)
+        methods = [r["method"] for r in blob["results"] + blob["failures"]]
+        assert ("lp" in methods) == has_lp, (n, methods)
+
+        code, out = run_cli(capsys, "table", "--space", "hamming:%d" % n, "--methods", "lev")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == n
+        assert all((row["lp"] != "") == has_lp for row in rows), n

@@ -983,3 +983,35 @@ def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypat
         assert len(audits) == 1, (s, method)
         at_s = [x for x in calls if x is not audits[0]]
         assert len(at_s) == 1 and at_s[0].size == 1 and at_s[0][0] == s, (s, method)
+
+
+@pytest.mark.parametrize("label", ["sphere:3", "sphere:24", "sphere:100", "custom:8:30"])
+def test_continuous_fhat_is_the_fourier_expansion_of_its_product_form(label):
+    """On a continuous space each kernel square is expanded in place on the
+    (degree + 1)-point Gauss rule; its fhat matches fourier_expand of the
+    product form c (x - s)(x + 1)^e (p(s) . p(x))^2 to 1e-14 of max |fhat|.
+    A wrong rule or point count is off by 1e-2 of it or more."""
+    from delbound import custom_space, fourier_expand
+    from delbound.orthopoly import eval_basis_table
+
+    if label.startswith("custom"):
+        base = recurrence_coeffs(sphere_space(8), Variant.BASE, 29)
+        spec = custom_space(base.a, base.b)
+    else:
+        spec = sphere_space(int(label.split(":")[1]))
+    builds = ((mrrw_poly, Variant.BASE, 0), (lev_odd_poly, Variant.MINUS, 0),
+              (lev_even_poly, Variant.PLUSMINUS, 1))
+    for build, basis, e in builds:
+        for k, s in ((0, -0.3), (2, 0.1), (5, 0.45), (9, 0.7)):
+            poly = build(spec, k, s)
+            at_s = eval_basis_table(spec, basis, k, s)[:, 0]
+
+            def f(x):
+                kern = at_s @ eval_basis_table(spec, basis, k, x)
+                return poly.c * (x - s) * (x + 1.0) ** e * kern * kern
+
+            ref = fourier_expand(spec, f, poly.degree)
+            fhat = np.array(poly.fhat)
+            assert fhat.shape == ref.shape
+            err = np.max(np.abs(fhat - ref)) / np.max(np.abs(fhat))
+            assert err < 1e-14, (label, build.__name__, k, s, err)

@@ -230,3 +230,30 @@ def test_spec_hash_survives_pickle_across_hash_seeds():
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_custom_quadrature_refuses_as_the_rule_it_cannot_build():
+    """With M = 10 coefficient pairs, every m-point rule of the base system
+    to m = M, and of the minus and plusminus systems to max_degree + 1,
+    integrates p_i p_j exactly (orthonormal to 1e-12 through degree m - 1);
+    one point more is refused as that rule, not as an internal coefficient
+    index. fourier_expand to degree M needs the (M + 1)-point rule and is
+    refused the same way."""
+    from delbound import fourier_expand
+    from delbound.orthopoly import eval_basis_table
+
+    M = 10
+    spec = custom_space([0.5] * M, [0.0] * M)
+    for variant, top in ((Variant.BASE, M), (Variant.MINUS, max_degree(spec, Variant.MINUS) + 1),
+                         (Variant.PLUSMINUS, max_degree(spec, Variant.PLUSMINUS) + 1)):
+        for m in range(1, top + 2):
+            if m > top:
+                with pytest.raises(ValidationError, match="the %d-point quadrature rule" % m):
+                    quadrature(spec, variant, m)
+                continue
+            x, w = quadrature(spec, variant, m)
+            table = eval_basis_table(spec, variant, m - 1, x)
+            gram = (table * w) @ table.T
+            assert np.max(np.abs(gram - np.eye(m))) < 1e-12, (variant, m)
+    with pytest.raises(ValidationError, match="the %d-point quadrature rule" % (M + 1)):
+        fourier_expand(spec, lambda x: x, M)
