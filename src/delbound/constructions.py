@@ -27,7 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import ConeCertificate, _audit_start, _evaluate, cone_certificate
+from .feasibility import ConeCertificate, _audit_start, _certificate, _evaluate, cone_certificate
 from .orthopoly import (
     basis_at_one,
     discrete_basis_table,
@@ -83,7 +83,8 @@ class BoundPolynomial:
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A certified bound value together with everything needed to audit it."""
+    """A certified bound value together with everything needed to audit it,
+    built once, with every field set, on a passing certificate."""
 
     method: str
     space: MeasureSpec
@@ -159,9 +160,8 @@ def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarr
         return basis_at_one(spec, basis, deg)
     rows = None
     if spec.discrete:
-        x, _ = node_weights(spec, Variant.BASE)
-        j = _audit_start(x, s)
-        if j < x.size and x[j] == s:
+        j = _audit_start(spec.nodes, s)
+        if j < len(spec.nodes) and spec.nodes[j] == s:
             rows = _cached_node_rows(spec, basis, deg)
     return eval_basis_table(spec, basis, deg, s)[:, 0] if rows is None else rows[:, j]
 
@@ -177,7 +177,8 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     or the (degree + 1)-point Gauss rule of fourier_expand on a continuous
     one, where the kernel is v times the cached gauss_basis_table rows and
     f(1) reads the cached basis_at_one table. These are the values the
-    recurrence gives there, bit for bit.
+    recurrence gives there, bit for bit. Callers hold an np.errstate: an
+    overflow leaves a non-finite fhat, which the certificate refuses.
     """
     if s >= 1.0:
         raise ValidationError("%s_poly needs s < 1" % method)
@@ -198,18 +199,14 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
 
     def product(x, table):
         kern = v @ table
-        roots = (x - s) * (x + 1.0) if extra_root else x - s
-        # an overflow here leaves a non-finite fhat, which the certificate refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            return roots * kern * kern
+        return ((x - s) * (x + 1.0) if extra_root else x - s) * kern * kern
 
     if spec.discrete:
         x, w = node_weights(spec, Variant.BASE)
         rows = _cached_node_rows(spec, basis, k)
         on_rule = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
         at_one = float(on_rule[0])
-        kept = min(degree, max_degree(spec, Variant.BASE))
-        base_rows = discrete_basis_table(spec, Variant.BASE)[: kept + 1]
+        base_rows = discrete_basis_table(spec, Variant.BASE)[: degree + 1]
     else:
         x, w = quadrature(spec, Variant.BASE, degree + 1)
         on_rule = product(x, gauss_basis_table(spec, basis, k, degree + 1))
@@ -222,20 +219,17 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     c = 1.0 / at_one
     if not math.isfinite(c):
         raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
-    with np.errstate(over="ignore", invalid="ignore"):
-        fhat = base_rows @ (w * (c * on_rule))
+    fhat = base_rows @ (w * (c * on_rule))
     return BoundPolynomial(
         method=method, degree=degree, s=float(s), c=c,
         fhat=tuple(fhat.tolist()), spec=spec, k=k,
     )
 
 
-def mrrw_poly(spec: MeasureSpec, k: int, s: float, at_s=None) -> BoundPolynomial:
-    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1. at_s,
-    when given, holds p_0(s)..p_k(s), or more, from the caller's own run
-    at s, which is then not run again."""
-    v = None if at_s is None else at_s[: k + 1]
-    return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw", v)
+def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
+    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw")
 
 
 def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
@@ -265,12 +259,14 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
 
 def lev_odd_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s) K_k^-(x, s)^2 over the minus kernel, degree 2k + 1."""
-    return _kernel_square_poly(spec, Variant.MINUS, k, s, "lev_odd")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_square_poly(spec, Variant.MINUS, k, s, "lev_odd")
 
 
 def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s)(x + 1) K_k^+-(x, s)^2 over the plusminus kernel, degree 2k + 2."""
-    return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
 
 
 def _first_zero_from(spec: MeasureSpec, basis: Variant, s: float, top: int):
@@ -326,11 +322,11 @@ def bound_value(spec: MeasureSpec, f: BoundPolynomial) -> float:
 
 
 def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
-                      tolerances=None) -> BoundResult:
-    """The bound 1/fhat_0 of poly at s, read from a passing certificate's
-    fhat; cone_certificate alone decides. Raises NotCertifiedError on a
-    failed certificate."""
-    cert = cone_certificate(spec, poly, s, tolerances)
+                      tolerances=None, cert=None, **fields) -> BoundResult:
+    """The bound 1/fhat_0 of poly at s, with the other fields, read from a
+    passing certificate's fhat: cert, or cone_certificate's verdict. Raises
+    NotCertifiedError on a failed certificate."""
+    cert = cert or cone_certificate(spec, poly, s, tolerances)
     if not cert.passed:
         raise NotCertifiedError(
             "%s polynomial of degree %d failed certification at s=%r on %s: %s"
@@ -339,8 +335,15 @@ def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
         )
     return BoundResult(
         method=poly.method, space=spec, s=float(s), degree=poly.degree,
-        bound=1.0 / cert.fhat[0], certificate=cert,
+        bound=1.0 / cert.fhat[0], certificate=cert, **fields,
     )
+
+
+def _audited_square(spec, basis, k, s, method, v, tolerances):
+    """_kernel_square_poly and its certificate, under one np.errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = _kernel_square_poly(spec, basis, k, s, method, v)
+        return poly, _certificate(spec, poly, s, tolerances)
 
 
 @lru_cache(maxsize=None)
@@ -371,20 +374,21 @@ def classical_baselines(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances=None) -> BoundResult:
+def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances, fields) -> BoundResult:
     """The certified bound of mrrw_poly(k) at s, with its closed form when
     s lies inside the window of k. One run of p(s) serves both, to degree
     k + 1 wherever the closed form can be reached (k + 1 <= max_degree)."""
     cap = max_degree(spec, Variant.BASE)
     at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
-    res = _certified_result(spec, mrrw_poly(spec, k, s, at_s), s, tolerances)
+    poly, cert = _audited_square(spec, Variant.BASE, k, s, "mrrw", at_s[: k + 1], tolerances)
     try:
-        return replace(res, closed_form=mrrw_bound_closed(spec, k, s, at_s))
+        closed = mrrw_bound_closed(spec, k, s, at_s) if cert.passed else None
     except (ValidationError, SingularOperatorError):
-        return res
+        closed = None
+    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
 
 
-def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
+def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
     """The certified MRRW candidate at this s, or None.
 
     Inside a window x_k < s < x_{k+1} the kernel square of degree k is the
@@ -404,7 +408,7 @@ def _mrrw_scan(spec: MeasureSpec, s: float, tolerances=None):
     results = []
     for k in ks:
         try:
-            results.append(_mrrw_result(spec, k, s, tolerances))
+            results.append(_mrrw_result(spec, k, s, tolerances, fields))
         except (NotCertifiedError, SingularOperatorError, NumericError):
             continue
     return min(results, key=lambda r: r.bound, default=None)
@@ -426,15 +430,13 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     if not (isinstance(d, int) and 1 <= d <= n):
         raise ValidationError("distance must satisfy 1 <= d <= n, got %r" % (d,))
     s = spec.nodes[d]
-    if method == "mrrw":
-        res = _mrrw_scan(spec, s, tolerances)
-        if res is None:
-            raise NotCertifiedError(
-                "no MRRW degree certifies at n=%d, d=%d (s=%r)" % (n, d, s)
-            )
-    else:
-        res = bound_for_s(spec, s, method, tolerances=tolerances)
-    return replace(res, d=d, baselines=classical_baselines(n, d))
+    fields = {"d": d, "baselines": classical_baselines(n, d)}
+    if method != "mrrw":
+        return _bound_at(spec, s, method, None, tolerances, fields)
+    res = _mrrw_scan(spec, s, tolerances, fields)
+    if res is None:
+        raise NotCertifiedError("no MRRW degree certifies at n=%d, d=%d (s=%r)" % (n, d, s))
+    return res
 
 
 def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
@@ -450,15 +452,20 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
     s = float(s)
     if not (-1.0 <= s < 1.0):
         raise ValidationError("s must lie in [-1, 1), got %r" % (s,))
+    return _bound_at(spec, s, method, k, tolerances, {})
 
+
+def _bound_at(spec: MeasureSpec, s: float, method: str, k, tolerances, fields):
+    """bound_for_s at a checked float s, with the other fields given."""
     if method == "lev":
         if k is not None:
             raise ValidationError(
                 "the Levenshtein construction picks its own degree; drop k"
             )
         k_sel, parity = lev_degree_select(spec, s)
-        build = lev_odd_poly if parity == "odd" else lev_even_poly
-        return _certified_result(spec, build(spec, k_sel, s), s, tolerances)
+        basis = Variant.MINUS if parity == "odd" else Variant.PLUSMINUS
+        poly, cert = _audited_square(spec, basis, k_sel, s, "lev_" + parity, None, tolerances)
+        return _certified_result(spec, poly, s, tolerances, cert, **fields)
 
     if method in ("mrrw", "spectral"):
         kk = k if k is not None else _base_window_index(spec, s)
@@ -467,11 +474,10 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
                 "s=%r is outside every open window of %s" % (s, spec.label())
             )
         if method == "mrrw":
-            return _mrrw_result(spec, kk, s, tolerances)
+            return _mrrw_result(spec, kk, s, tolerances, fields)
         from . import spectral
 
-        return spectral.spectral_recover_bound(spec, Variant.BASE, kk, s,
-                                               tolerances=tolerances)
+        return spectral._recovered(spec, Variant.BASE, kk, s, tolerances, fields)
 
     raise ValidationError("unknown method %r" % (method,))
 

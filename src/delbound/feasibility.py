@@ -16,9 +16,11 @@ decides it exactly up to rounding, with no grid.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 import numpy as np
 
@@ -59,6 +61,9 @@ class Tolerances:
 
     def to_json(self) -> dict:
         return {"coeff": self.coeff, "pos": self.pos, "sign": self.sign}
+
+
+_DEFAULT_TOLERANCES = Tolerances()
 
 
 def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
@@ -142,10 +147,11 @@ def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
     return fhat @ eval_basis_table(spec, Variant.BASE, fhat.size - 1, x)
 
 
-def _audit_start(x: np.ndarray, s: float) -> int:
-    """Index of the first node x_j <= s. The nodes of a discrete space
-    descend, so the nodes in [-1, s] are the suffix from there."""
-    return int(np.searchsorted(-x, -s))
+def _audit_start(nodes: tuple, s: float) -> int:
+    """Index of the first node x_j <= s, by one bisect of spec.nodes. The
+    nodes of a discrete space descend, so the nodes in [-1, s] are the
+    suffix from there."""
+    return bisect.bisect_left(nodes, -s, key=neg)
 
 
 @lru_cache(maxsize=None)
@@ -179,14 +185,14 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
-        first = _audit_start(x, s)
+        first = _audit_start(spec.nodes, s)
         if first < x.size:
             return x[first:], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, first:]
         pts = np.array([-1.0])
     else:
         dcheb = fhat @ _derivative_table(spec, fhat.size - 1)
         pts = np.array([-1.0, s])
-        if np.all(np.isfinite(dcheb)):
+        if np.isfinite(dcheb).all():
             # trailing coefficients at or below 1e-300 of the largest only add
             # roots far outside [-1, 1]; dropping them keeps the colleague
             # matrix finite
@@ -213,16 +219,23 @@ def cone_certificate(
     What is audited is the coefficient vector fhat that the certificate
     reports, so the certificate's own fhat re-audits to the same
     certificate. When f carries it as f.fhat, as a BoundPolynomial does,
-    it is taken as it is. Otherwise f must be callable on arrays and is
-    expanded: a degree attribute on f bounds the expansion; without one,
-    a discrete space expands over its full basis (exact for any function
-    on the nodes) while a continuous space has no such fallback and
-    refuses. A non-finite coefficient or audited value fails the
-    certificate: NaN compares false against every tolerance.
+    it is taken as it is: a tuple f.fhat is kept as the certificate's fhat.
+    Otherwise f must be callable on arrays and is expanded: a degree
+    attribute on f bounds the expansion; without one, a discrete space
+    expands over its full basis (exact for any function on the nodes)
+    while a continuous space has no such fallback and refuses. A
+    non-finite coefficient or audited value fails the certificate (NaN
+    compares false against every tolerance), with no overflow warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _certificate(spec, f, s, tolerances)
+
+
+def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
+    """cone_certificate, under the caller's np.errstate."""
     if not (-1.0 <= s < 1.0):
         raise ValidationError("cone parameter s must lie in [-1, 1), got %r" % (s,))
-    tol = tolerances or Tolerances()
+    tol = tolerances or _DEFAULT_TOLERANCES
     degree = getattr(f, "degree", None)
     if spec.discrete:
         cap = max_degree(spec, Variant.BASE)
@@ -233,27 +246,25 @@ def cone_certificate(
         )
     else:
         degree = int(degree)
-    fhat = getattr(f, "fhat", None)
-    fhat = fourier_expand(spec, f, degree) if fhat is None else np.asarray(fhat, dtype=float)
+    given = getattr(f, "fhat", None)
+    fhat = fourier_expand(spec, f, degree) if given is None else np.asarray(given, dtype=float)
 
     tail = fhat[1:]
     if tail.size:
-        min_idx = int(np.argmin(tail)) + 1
+        min_idx = int(tail.argmin()) + 1
         min_val = float(tail[min_idx - 1])
     else:
         min_idx, min_val = 0, float(fhat[0])
 
-    # overflow is not an error here: a non-finite value fails the audit
-    with np.errstate(over="ignore", invalid="ignore"):
-        audit, vals = _audit(spec, fhat, s)
-    arg = int(np.argmax(vals))
+    audit, vals = _audit(spec, fhat, s)
+    arg = int(vals.argmax())
     max_val = float(vals[arg])
     argmax = float(audit[arg])
 
     reason = None
-    if not np.all(np.isfinite(fhat)):
+    if not np.isfinite(fhat).all():
         reason = "fhat has a non-finite entry"
-    elif not np.all(np.isfinite(vals)):
+    elif not np.isfinite(vals).all():
         reason = "f is not finite on the audit set"
     elif not (fhat[0] > tol.pos):
         reason = "fhat_0 = %.6e is not positive beyond tolerance %g" % (fhat[0], tol.pos)
@@ -270,7 +281,7 @@ def cone_certificate(
             tol.sign,
         )
     else:
-        floor = Tolerances().pos
+        floor = _DEFAULT_TOLERANCES.pos
         at_one = basis_at_one(spec, Variant.BASE, fhat.size - 1)
         # item() reads one entry as a Python float, with no copy of the
         # table, so sum() adds floats (compensated on Python 3.12+)
@@ -284,7 +295,7 @@ def cone_certificate(
 
     return ConeCertificate(
         s=float(s),
-        fhat=tuple(fhat.tolist()),
+        fhat=given if type(given) is tuple else tuple(fhat.tolist()),
         min_coeff_index=min_idx,
         min_coeff_value=min_val,
         max_on_audit=max_val,

@@ -23,6 +23,7 @@ import threading
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -170,11 +171,15 @@ def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCo
 
 
 def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarray:
-    """Values of p_0..p_deg at the points x, as a (deg+1, len(x)) array."""
+    """Values of p_0..p_deg (deg <= max_degree) at x, a (deg+1, len(x)) array."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if deg < 0:
         raise ValidationError("degree must be nonnegative")
-    rc = recurrence_coeffs(spec, basis, max(deg - 1, 0))
+    cap = max_degree(spec, basis)
+    if cap is not None and deg > cap:
+        raise ValidationError("eval_basis_table degree %d exceeds %s/%s (max degree %d)"
+                              % (deg, spec.label(), basis.value, cap))
+    rc = _coeffs_cached(spec, basis, max(deg - 1, 0))
     if np.any(np.abs(x) > 1.0 + _EXTRAPOLATION_SLACK):
         warnings.warn(
             "evaluating orthonormal system outside [-1, 1] (extrapolation)",
@@ -334,7 +339,8 @@ def _top_zero(diag, off, lo=None, start=None) -> float:
     bracket's scale, single ulps close the bracket to two adjacent
     doubles, so the result does not depend on start."""
     lo = max(diag) if lo is None else max(lo, max(diag))
-    hi = max(d + abs(p) + abs(q) for d, p, q in zip(diag, (0.0, *off), (*off, 0.0)))
+    # Gershgorin: max_i d_i + |e_{i-1}| + |e_i|, in one C-level pass
+    hi = max(map(add, map(add, diag, map(abs, (0.0, *off))), map(abs, (*off, 0.0))))
     tol = _EPS * max(abs(lo), abs(hi))
     hi = math.nextafter(hi + tol, math.inf)
     t = hi if start is None else min(max(start, lo), hi)

@@ -32,6 +32,7 @@ class Variant(enum.Enum):
     BASE = "base"
     MINUS = "minus"
     PLUSMINUS = "plusminus"
+    __hash__ = object.__hash__  # members equal only themselves: hash at C level
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,14 @@ class MeasureSpec:
     def __hash__(self) -> int:
         # Every constructor derives nodes and weights from params, so
         # (kind, params, ab) separates unequal specs; hashing the two
-        # (n+1)-tuples on every cache lookup would dominate large spaces.
-        return hash((self.kind, self.params, self.ab))
+        # (n+1)-tuples on every cache lookup would dominate large spaces. The
+        # hash is kept per instance but never pickled: it varies by hash seed.
+        if "_hash" not in self.__dict__:
+            self.__dict__["_hash"] = hash((self.kind, self.params, self.ab))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        return {key: v for key, v in self.__dict__.items() if key != "_hash"}
 
     @property
     def discrete(self) -> bool:

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import add
 
 import numpy as np
 
 from . import orthopoly
 from .constructions import (
     BoundResult,
+    _audited_square,
     _basis_at,
     _certified_result,
-    _kernel_square_poly,
     mrrw_bound_closed,
 )
 from .errors import NumericError, SingularOperatorError, ValidationError
@@ -120,18 +121,14 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     where tiny next to its norm. Its residual |T v - lambda v|, taken from
     the diagonals, must stay below 1e-9, or NumericError is raised.
     """
-    if not (isinstance(T, JacobiOperator) and all(a > 0.0 for a in T.off)):
+    if not (isinstance(T, JacobiOperator) and all(map((0.0).__lt__, T.off))):
         raise ValidationError(
             "top_eigenpair needs a Jacobi operator with a positive off-diagonal"
         )
     diag, off = _diagonal(T), T.off
     k = len(off)
-    d, e = np.array(diag), np.array(off, dtype=float)
-    edges = np.zeros(k + 2)
-    edges[1:-1] = e
-    lo = float(d.max())
-    hi = float((d + edges[:-1] + edges[1:]).max())
-    if not math.isfinite(hi - lo):
+    lo, hi = max(diag), max(map(add, map(add, diag, (0.0, *off)), (*off, 0.0)))
+    if not (all(map(math.isfinite, diag)) and math.isfinite(hi - lo)):
         raise NumericError("operator of order %d has a non-finite entry" % (k + 1))
     tol = _EPS * max(abs(lo), abs(hi))
     hi += tol
@@ -150,9 +147,9 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
             # a Newton step from below the root lands past it only by rounding
             if abs(step) <= tol or hi - lo <= tol or (above and climbing):
                 v = np.ones(k + 1)
-                np.cumprod(np.array(r[:k]) / e, out=v[1:])
+                np.cumprod(np.divide(r[:k], off), out=v[1:])
                 v /= math.sqrt(v @ v)
-                residual = _residual(d, e, v, t - step)
+                residual = _residual(diag, off, v, t - step)
                 if residual <= _RESIDUAL_CONTRACT or not inside:
                     break
             if inside:
@@ -225,18 +222,21 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     constructions; for the base basis the result is checked against the
     closed form to 1e-7 relative before it is reported.
     """
+    return _recovered(spec, basis, k, s, tolerances, {})
+
+
+def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, fields):
+    """spectral_recover_bound, with the other fields given."""
     T, table = _operator_at(spec, basis, k, s)
     pair = top_eigenpair(T, start=s)
-    poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
-    res = _certified_result(spec, poly, s, tolerances)
-    if basis is not Variant.BASE:
-        return res
-    closed = mrrw_bound_closed(spec, k, s, at_s=table)
-    if not math.isclose(res.bound, closed, rel_tol=1e-7):
-        raise NumericError(
-            "spectral route %.12g disagrees with closed form %.12g" % (res.bound, closed)
-        )
-    return replace(res, closed_form=closed)
+    poly, cert = _audited_square(spec, basis, k, s, "spectral", pair.vector, tolerances)
+    closed = None
+    if basis is Variant.BASE and cert.passed:
+        closed = mrrw_bound_closed(spec, k, s, at_s=table)
+        if not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7):
+            raise NumericError("spectral route %.12g disagrees with closed form %.12g"
+                               % (1.0 / cert.fhat[0], closed))
+    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
 
 
 def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundResult:
@@ -265,9 +265,8 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundRes
         raise SingularOperatorError(
             "1 - lambda_k = %.3e is degenerate at k=%d" % (1.0 - lam, k)
         )
-    poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed",
-                               pair.vector)
-    res = _certified_result(spec, poly, lam, tolerances)
+    poly, cert = _audited_square(spec, Variant.BASE, k, lam, "spectral_fixed", pair.vector,
+                                 tolerances)
     pk = float(_basis_at(spec, Variant.BASE, k, 1.0)[k])
     closed = 4.0 * rho_one * pk * pk / (1.0 - lam)
-    return replace(res, closed_form=closed)
+    return _certified_result(spec, poly, lam, tolerances, cert, closed_form=closed)

@@ -92,6 +92,21 @@ def test_fixed_spectral_at_the_max_degree_exits_2(capsys):
     assert "error" in json.loads(out)
 
 
+def test_mrrw_degree_past_the_max_degree_exits_2_under_w_error():
+    """k = n + 1 on hamming:n asks for p_{n+1}(s), past the last degree
+    the n + 1 nodes determine. It is refused up front (exit 2), as the
+    spectral route refuses k = n, before any recurrence step divides by
+    the trailing a_n = 0: under -W error such a step would abort the
+    command with a RuntimeWarning instead."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "delbound.cli", "bound", "--space",
+         "hamming:6", "--method", "mrrw", "--s", "0.1", "--k", "7"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stderr == "", proc.stderr
+    assert "max degree 6" in json.loads(proc.stdout)["error"]
+
+
 def test_table_csv_shape_and_quoting(capsys):
     code, out = run_cli(capsys, "table", "--space", "hamming:5")
     assert code == 0

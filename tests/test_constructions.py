@@ -1015,3 +1015,42 @@ def test_continuous_fhat_is_the_fourier_expansion_of_its_product_form(label):
             assert fhat.shape == ref.shape
             err = np.max(np.abs(fhat - ref)) / np.max(np.abs(fhat))
             assert err < 1e-14, (label, build.__name__, k, s, err)
+
+
+# (bound, degree, certificate id) of certified results, recorded with
+# numpy 2.4: the id hashes every bit of fhat, so a change that moves one
+# bit of a coefficient, or the verdict, fails here
+_PINNED = {
+    ("hamming:64", 14, "mrrw"): (328477547262.7948, 19, "efa7b5ff6f93"),
+    ("hamming:64", 14, "lev"): (255748326022.30426, 20, "d770a1ea0589"),
+    ("hamming:64", 14, "spectral"): (328477547262.7948, 19, "3f48824e7068"),
+    ("hamming:64", 20, "mrrw"): (54464779.05189002, 11, "56510512c7d3"),
+    ("hamming:64", 20, "lev"): (46897522.47716349, 11, "fa735af99c18"),
+    ("hamming:64", 20, "spectral"): (54464779.05189006, 11, "d5026ce6454e"),
+    ("hamming:64", 33, "mrrw"): (33.00000000000001, 1, "c9285883079c"),
+    ("hamming:64", 33, "lev"): (33.00000000000001, 1, "c9285883079c"),
+    ("hamming:64", 33, "spectral"): (33.00000000000001, 1, "c9285883079c"),
+    ("hamming:384", 162, "mrrw"): (706149318202.2792, 11, "a4e01bb65fda"),
+    ("hamming:384", 162, "lev"): (683811611147.5503, 11, "e69ca7768fcb"),
+    ("hamming:384", 162, "spectral"): (706149318202.2793, 11, "48000a520c97"),
+    ("hamming:384", 175, "mrrw"): (136402264.25714836, 7, "388ae8819bdc"),
+    ("hamming:384", 175, "lev"): (20532983.37480182, 7, "b43368a716c3"),
+    ("hamming:384", 175, "spectral"): (136402264.25714713, 7, "3b60a214bcf5"),
+    ("hamming:384", 200, "mrrw"): (25.000000000000004, 1, "999fa03c0fef"),
+    ("hamming:384", 200, "lev"): (25.000000000000004, 1, "999fa03c0fef"),
+    ("hamming:384", 200, "spectral"): (25.000000000000004, 1, "999fa03c0fef"),
+    ("sphere:24", 0.5, "mrrw"): (290974.2105263088, 9, "e69ba175e97e"),
+    ("sphere:24", 0.5, "lev"): (196559.99999999953, 11, "93f2b9ce8f17"),
+    ("sphere:24", 0.5, "spectral"): (290974.2105263087, 9, "b0924717e93d"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED, key=str), ids=lambda k: "%s/%s/%s" % k)
+def test_certified_results_are_pinned_to_the_bit(key):
+    space, at, method = key
+    kind, size = space.split(":")
+    if kind == "hamming":
+        res = bound_for_distance(hamming_space(int(size)), at, method)
+    else:
+        res = bound_for_s(sphere_space(int(size)), at, method)
+    assert (res.bound, res.degree, res.certificate.certificate_id) == _PINNED[key]

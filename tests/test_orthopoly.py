@@ -149,6 +149,23 @@ def test_eval_extrapolation_warns():
         eval_basis(spec, Variant.BASE, 2, 1.5)
 
 
+def test_eval_refuses_a_degree_past_max_degree_without_warning():
+    """On hamming:6 every system evaluates through its max_degree with
+    finite values; one degree more would divide by the trailing a = 0, so
+    it is refused before any step runs, at a node and between nodes."""
+    import warnings
+
+    spec = hamming_space(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in Variant:
+            cap = max_degree(spec, basis)
+            assert np.all(np.isfinite(eval_basis_table(spec, basis, cap, [0.1, 1.0 / 3.0])))
+            for x in (0.1, 1.0 / 3.0):
+                with pytest.raises(ValidationError, match="max degree %d" % cap):
+                    eval_basis_table(spec, basis, cap + 1, x)
+
+
 def test_tridiagonal_eigenvalues_against_dense():
     rng = np.random.default_rng(2024)
     for _ in range(40):

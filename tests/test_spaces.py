@@ -203,8 +203,8 @@ def test_separately_built_specs_share_cache_entries():
 
 
 def test_spec_hash_survives_pickle_across_hash_seeds():
-    """The hash is recomputed from (kind, params, ab), never stored, so an
-    unpickled spec hashes like a fresh one even under another hash seed."""
+    """The hash is computed from (kind, params, ab) and never pickled, so
+    an unpickled spec hashes like a fresh one even under another hash seed."""
     import os
     import pickle
     import subprocess
@@ -225,6 +225,44 @@ def test_spec_hash_survives_pickle_across_hash_seeds():
         % blob
     )
     for seed in ("1", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+
+
+def test_cached_spec_hash_stays_out_of_the_pickle():
+    """A spec keeps its hash once it has been a cache key, but its pickle
+    does not carry it: unpickled under other hash seeds, a spec that was a
+    cache key before pickling hashes and caches like a fresh one."""
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    specs = (hamming_space(12), sphere_space(5), custom_space([0.5, 0.4], [0.0, 0.1]))
+    for spec in specs:
+        max_degree(spec, Variant.BASE)
+        assert "_hash" in vars(spec)
+        blob = pickle.dumps(spec)
+        assert b"_hash" not in blob
+        assert "_hash" not in vars(pickle.loads(blob))
+    blob = pickle.dumps(specs[0]).hex()
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import pickle\n"
+        "from delbound import hamming_space, node_weights, Variant\n"
+        "fresh = hamming_space(12)\n"
+        "first = node_weights(fresh, Variant.MINUS)\n"
+        "spec = pickle.loads(bytes.fromhex(%r))\n"
+        "hits = node_weights.cache_info().hits\n"
+        "assert spec is not fresh and hash(spec) == hash(fresh)\n"
+        "assert node_weights(spec, Variant.MINUS) is first\n"
+        "assert node_weights.cache_info().hits == hits + 1\n"
+        % blob
+    )
+    for seed in ("2", "54321"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", code], env=env,
