@@ -7,10 +7,13 @@ of any explicit code. The primal solved here is
     maximize 1 + sum_{j=d}^{n} B_j
     subject to B_j >= 0 and sum_j B_j K_i(j) >= -C(n, i) for i = 1..n,
 
-with integer Krawtchouk coefficients from the explicit alternating sum,
-tabled once per n. There is one simplex, and it is exact: it pivots on
-an integer tableau with one common denominator (see `_simplex_max`), so
-no step rounds. Each (n, d) is solved once and shared by both modes;
+with integer Krawtchouk coefficients from one table per n, rows 0..n,
+built by the three-term recurrence in O(n^2) integer steps (the public
+`krawtchouk` is the explicit alternating sum). There is one simplex, and
+it is exact: it pivots on a condensed integer tableau, the nonbasic
+columns only, each labelled by its variable, with one common denominator
+(see `_simplex_max`), so no step rounds. Each (n, d) is solved once and
+shared by both modes;
 exact mode returns the optimum and B as Fractions, float mode returns
 float() of each, the correctly rounded exact optimum. Sizes are capped
 at n <= MAX_N.
@@ -31,6 +34,11 @@ MAX_N = 14
 
 def krawtchouk(n: int, i: int, j: int) -> int:
     """Integer Krawtchouk value K_i(j) = sum_l (-1)^l C(j,l) C(n-j, i-l)."""
+    if not (type(n) is type(i) is type(j) is int and i >= 0 and 0 <= j <= n):
+        raise ValidationError(
+            "krawtchouk needs integers n >= 0, i >= 0 and 0 <= j <= n, "
+            "got n=%r i=%r j=%r" % (n, i, j)
+        )
     return sum(
         (-1) ** l * math.comb(j, l) * math.comb(n - j, i - l)
         for l in range(max(0, i - (n - j)), min(i, j) + 1)
@@ -70,53 +78,63 @@ class LPSolution:
 
 @functools.lru_cache(maxsize=None)
 def _krawtchouk_rows(n: int) -> tuple:
-    """K_i(j) for i = 1..n (one row each) and j = 0..n, so that the
-    constraint rows of distance d are the slices row[d:]."""
-    return tuple(
-        tuple(krawtchouk(n, i, j) for j in range(n + 1)) for i in range(1, n + 1)
-    )
+    """K_i(j) for i = 0..n (one row each) and j = 0..n, by the three-term
+    recurrence (i + 1) K_{i+1}(j) = (n - 2j) K_i(j) - (n - i + 1) K_{i-1}(j)
+    from K_0 = 1 and K_1(j) = n - 2j: O(n^2) integer steps, each division
+    exact, since K_{i+1}(j) is an integer."""
+    t = [n - 2 * j for j in range(n + 1)]
+    rows = [(1,) * (n + 1), tuple(t)][: n + 1]
+    for i in range(1, n):
+        prev, cur, w = rows[i - 1], rows[i], n - i + 1
+        rows.append(tuple((a * x - w * y) // (i + 1) for a, x, y in zip(t, cur, prev)))
+    return tuple(rows)
 
 
 def _simplex_max(A, b, c):
-    """Dense tableau simplex for max c.x s.t. A.x <= b, x >= 0, b >= 0,
+    """Condensed tableau simplex for max c.x s.t. A.x <= b, x >= 0, b >= 0,
     with integer A, b and c. Returns (status, optimum, x), the optimum and
     x as Fractions.
 
-    Bland's smallest-index rule throughout, which cannot cycle. The
-    tableau holds integers T and one common denominator D > 0, and
-    its true entries are T/D (integer-preserving pivoting: Edmonds 1967,
-    Bareiss 1968). A pivot on row r, column c with p = T[r][c] > 0 maps
-    every other row, the objective row included, to
+    The tableau keeps only the nonbasic columns: m rows, one per basic
+    variable, and the objective row last, each holding the nonbasic
+    columns and then the right-hand side. Every column and every row carries its
+    variable's label (0..nv-1 for x, nv..nv+m-1 for the slacks), and
+    Bland's smallest-label rule picks both the entering column and, among
+    ratio ties, the leaving row, which cannot cycle. The tableau holds
+    integers T and one common denominator D > 0, and its true entries are
+    T/D (integer-preserving pivoting: Edmonds 1967, Bareiss 1968). A pivot
+    on row r, column c with p = T[r][c] > 0 maps every other row, the
+    objective row included, to
 
-        T[i][j] <- (T[i][j] * p - T[i][c] * T[r][j]) // D,
+        T[i][j] <- (T[i][j] * p - T[i][c] * T[r][j]) // D   for j != c,
+        T[i][c] <- -T[i][c],
 
-    leaves row r as it is and sets D <- p. Rows with T[i][c] = 0 are
-    rescaled by p/D too. Every division is exact: by Cramer's rule D is
-    the determinant of the current basis matrix, and each T entry is a
-    minor of the starting integer tableau bordered by the objective row.
-    The pivots are those of a rational tableau: D > 0, so signs are read
-    off T, and the ratio test compares T[i][-1] / T[i][c] across rows by
-    cross-multiplication, ties going to the smaller basis index. No step
-    rounds.
+    leaves row r as it is except T[r][c] <- D, swaps the labels of row r
+    and column c, and sets D <- p; column c then holds the leaving
+    variable, whose full-tableau column was D times a unit vector. Every
+    division is exact: by Cramer's rule D is the determinant of the
+    current basis matrix, and each T entry is a minor of the starting
+    integer tableau bordered by the objective row. The pivots are those of
+    a rational tableau: D > 0, so signs are read off T, and the ratio test
+    compares T[i][-1] / T[i][c] across rows by cross-multiplication. No
+    step rounds.
     """
     m, nv = len(A), len(c)
-    ncols = nv + m + 1
-    tab = []
-    for i in range(m):
-        row = list(A[i]) + [0] * m + [b[i]]
-        row[nv + i] = 1
-        tab.append(row)
-    obj = [-v for v in c] + [0] * (m + 1)
+    tab = [list(A[i]) + [b[i]] for i in range(m)]
+    tab.append([-v for v in c] + [0])
+    cols = list(range(nv))
     basis = list(range(nv, nv + m))
     den = 1
 
     for _ in range(50000):
-        col = next((j for j in range(ncols - 1) if obj[j] < 0), None)
+        obj = tab[m]
+        col = min((j for j in range(nv) if obj[j] < 0), key=cols.__getitem__, default=None)
         if col is None:
-            x = [Fraction(0)] * (nv + m)
-            for i, bv in enumerate(basis):
-                x[bv] = Fraction(tab[i][-1], den)
-            return "optimal", Fraction(obj[-1], den), x[:nv]
+            x = [Fraction(0)] * nv
+            for i, label in enumerate(basis):
+                if label < nv:
+                    x[label] = Fraction(tab[i][-1], den)
+            return "optimal", Fraction(obj[-1], den), x
         pivot_row = None
         for i in range(m):
             a = tab[i][col]
@@ -130,30 +148,36 @@ def _simplex_max(A, b, c):
                     pivot_row = i
         if pivot_row is None:
             return "unbounded", None, None
-        prow = tab[pivot_row]
-        piv = prow[col]
-        for i in range(m):
-            if i != pivot_row:
-                tab[i] = _integer_eliminate(tab[i], prow, col, piv, den)
-        obj = _integer_eliminate(obj, prow, col, piv, den)
-        den = piv
-        basis[pivot_row] = col
+        den = _pivot(tab, cols, basis, pivot_row, col, den)
     raise NumericError("simplex iteration cap exceeded")
 
 
-def _integer_eliminate(row, prow, col, piv, den):
-    """One row of an integer pivot: (row * piv - row[col] * prow) // den."""
-    factor = row[col]
-    if factor == 0:
-        return row if piv == den else [v * piv // den for v in row]
-    return [(v * piv - factor * p) // den for v, p in zip(row, prow)]
+def _pivot(tab, cols, basis, r, c, den):
+    """One integer pivot of the condensed tableau at row r, column c, in
+    place (see `_simplex_max`); returns the new denominator."""
+    prow = tab[r]
+    piv = prow[c]
+    for i, row in enumerate(tab):
+        if i == r:
+            continue
+        factor = row[c]
+        if factor == 0:
+            if piv != den:
+                tab[i] = [v * piv // den for v in row]
+            continue
+        new = [(v * piv - factor * p) // den for v, p in zip(row, prow)]
+        new[c] = -factor
+        tab[i] = new
+    prow[c] = den
+    cols[c], basis[r] = basis[r], cols[c]
+    return piv
 
 
 @functools.lru_cache(maxsize=None)
 def _solve(n: int, d: int) -> tuple:
     """(status, optimum 1 + sum_j B_j, (B_d, ..., B_n)) of the instance
     (n, d) in Fractions, solved once for both modes."""
-    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)]
+    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)[1:]]
     b = [math.comb(n, i) for i in range(1, n + 1)]
     status, opt, x = _simplex_max(A, b, [1] * (n - d + 1))
     if status != "optimal":
@@ -164,7 +188,7 @@ def _solve(n: int, d: int) -> tuple:
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
     """LP optimum for binary codes of length n, minimum distance d; float
     mode gives the exact optimum, each value correctly rounded."""
-    if not (isinstance(n, int) and isinstance(d, int) and 1 <= d <= n <= MAX_N):
+    if not (type(n) is type(d) is int and 1 <= d <= n <= MAX_N):
         raise ValidationError(
             "delsarte_lp needs integers 1 <= d <= n <= %d, got n=%r d=%r" % (MAX_N, n, d)
         )
@@ -185,7 +209,10 @@ def hamming_distance(u, v) -> int:
 
 def min_distance(code) -> int:
     """Smallest pairwise Hamming distance, by exhaustive comparison."""
-    return min(hamming_distance(u, v) for u, v in itertools.combinations(code, 2))
+    words = list(code)
+    if len(words) < 2:
+        raise ValidationError("min_distance needs at least two words, got %d" % len(words))
+    return min(hamming_distance(u, v) for u, v in itertools.combinations(words, 2))
 
 
 def repetition_code(n: int):

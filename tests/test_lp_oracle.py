@@ -53,6 +53,41 @@ def test_krawtchouk_reciprocity_exact():
                     math.comb(n, i) * krawtchouk(n, j, i)
 
 
+def test_krawtchouk_refuses_arguments_off_its_domain():
+    for args in ((4, 1, 5), (4, 1, -1), (-1, 0, 0), (4, -1, 1), (4, 2.0, 1),
+                 (4.0, 2, 1), (4, 2, 1.0), (True, 0, 0), (4, True, 1), (4, 1, False)):
+        with pytest.raises(ValidationError):
+            krawtchouk(*args)
+    assert krawtchouk(0, 0, 0) == 1
+    assert krawtchouk(4, 5, 1) == 0
+
+
+def test_krawtchouk_table_is_the_explicit_sum():
+    """Rows 0..n of the recurrence table equal the alternating sum, entry
+    for entry, for every n <= 40."""
+    for n in range(41):
+        want = tuple(tuple(krawtchouk(n, i, j) for j in range(n + 1)) for i in range(n + 1))
+        assert lp_oracle._krawtchouk_rows(n) == want, n
+
+
+def test_krawtchouk_table_at_n256():
+    """200 sampled entries equal the alternating sum, and sampled rows are
+    orthogonal in integers: sum_j C(n,j) K_i(j) K_l(j) = 2^n C(n,i) delta_il."""
+    n = 256
+    rows = lp_oracle._krawtchouk_rows(n)
+    assert len(rows) == n + 1 and {len(row) for row in rows} == {n + 1}
+    rng = random.Random(256)
+    for _ in range(200):
+        i, j = rng.randint(0, n), rng.randint(0, n)
+        assert rows[i][j] == krawtchouk(n, i, j), (i, j)
+    weights = [math.comb(n, j) for j in range(n + 1)]
+    picked = (0, 1, 2, 77, 128, 255, 256)
+    for i in picked:
+        for l in picked:
+            acc = sum(w * a * b for w, a, b in zip(weights, rows[i], rows[l]))
+            assert acc == ((1 << n) * math.comb(n, i) if i == l else 0), (i, l)
+
+
 def test_lp_frozen_values():
     cases = {
         (3, 2): 4.0,
@@ -121,6 +156,9 @@ def test_lp_validation():
         delsarte_lp(6, 2.5)
     with pytest.raises(ValidationError):
         delsarte_lp(6, 3, mode="quantum")
+    for n, d in ((True, True), (True, 1), (2, True)):
+        with pytest.raises(ValidationError):
+            delsarte_lp(n, d)
 
 
 def test_code_zoo_distances():
@@ -131,6 +169,10 @@ def test_code_zoo_distances():
     ham = hamming_code_7_4()
     assert len(ham) == 16 and min_distance(ham) == 3
     assert hamming_distance((0, 1, 1), (1, 1, 0)) == 2
+    assert min_distance(iter(repetition_code(3))) == 3
+    for code in ([], [(0, 1, 1)]):
+        with pytest.raises(ValidationError):
+            min_distance(code)
 
 
 def test_lp_dominates_code_zoo():
@@ -208,26 +250,34 @@ def _fraction_simplex_reference(A, b, c, pivots):
         basis[pivot_row] = col
 
 
+# The spy wraps the real pivot, never an earlier spy: each program patches anew.
+_PIVOT = lp_oracle._pivot
+
+
 def _integer_pivots(monkeypatch):
-    """Record (column, pivot row as Fractions) of each integer pivot; every
-    pivot eliminates at least the objective row."""
+    """Record (entering label, pivot row as Fractions) of each integer pivot,
+    before it runs. The condensed pivot row is expanded to the columns of
+    the full tableau by variable label: the nonbasic entries where their
+    labels say, D at the row's own basic variable, 0 at the other basic
+    variables, and the right-hand side last."""
     calls = []
-    eliminate = lp_oracle._integer_eliminate
 
-    def spy(row, prow, col, piv, den):
-        if not calls or calls[-1][0] != col or calls[-1][1] is not prow:
-            calls.append((col, prow, den))
-        return eliminate(row, prow, col, piv, den)
+    def spy(tab, cols, basis, r, c, den):
+        full = [0] * (len(cols) + len(basis)) + [tab[r][-1]]
+        for label, v in zip(cols, tab[r]):
+            full[label] = v
+        full[basis[r]] = den
+        calls.append((cols[c], tuple(Fraction(v, den) for v in full)))
+        return _PIVOT(tab, cols, basis, r, c, den)
 
-    monkeypatch.setattr(lp_oracle, "_integer_eliminate", spy)
+    monkeypatch.setattr(lp_oracle, "_pivot", spy)
     return calls
 
 
 def _assert_same_exact_run(monkeypatch, A, b, c, label):
     """Same pivot sequence, status, optimum and x as the Fraction tableau."""
-    calls = _integer_pivots(monkeypatch)
+    pivots = _integer_pivots(monkeypatch)
     got = _simplex_max(A, b, c)
-    pivots = [(col, tuple(Fraction(v, den) for v in prow)) for col, prow, den in calls]
     want_pivots = []
     want = _fraction_simplex_reference(A, b, c, want_pivots)
     assert pivots == want_pivots, label
@@ -263,6 +313,20 @@ def test_integer_simplex_matches_reference_on_random_programs(monkeypatch):
         c = [rng.randint(-2, 3) for _ in range(nv)]
         statuses.add(_assert_same_exact_run(monkeypatch, A, b, c, trial))
     assert statuses == {"optimal", "unbounded"}
+
+
+def test_solve_matches_fraction_reference_past_the_cap():
+    """Every d at n = 16 and n = 20, above delsarte_lp's MAX_N: `_solve`
+    on the recurrence table gives the status, optimum and B of the Fraction
+    tableau on the explicit sums."""
+    for n in (16, 20):
+        for d in range(1, n + 1):
+            A = [[-krawtchouk(n, i, j) for j in range(d, n + 1)]
+                 for i in range(1, n + 1)]
+            b = [math.comb(n, i) for i in range(1, n + 1)]
+            status, opt, x = _fraction_simplex_reference(A, b, [1] * (n - d + 1), [])
+            assert status == "optimal", (n, d)
+            assert lp_oracle._solve(n, d) == (status, 1 + opt, tuple(x)), (n, d)
 
 
 def test_exact_json_gives_the_optimum_in_rationals():
