@@ -24,7 +24,6 @@ that decision, and no BoundResult is built without a passing certificate.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -41,12 +40,12 @@ from .errors import (
 )
 from .feasibility import ConeCertificate, _audit_start, _certificate, _evaluate, cone_certificate
 from .orthopoly import (
+    _check_degree,
+    _zeros_below,
     basis_at_one,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
-    largest_zero,
-    largest_zeros_until,
     recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
@@ -241,17 +240,13 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
     p_0(s)..p_{k+1}(s) from the caller's own run at s, which is then not
     run again.
     """
-    lo = largest_zero(spec, Variant.BASE, k)
-    hi = largest_zero(spec, Variant.BASE, k + 1)
-    if not (lo + _WINDOW_TIE_TOL < s < hi - _WINDOW_TIE_TOL):
-        raise ValidationError(
-            "closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
-            "got s=%r outside (%r, %r)" % (s, lo, hi)
-        )
+    _check_degree(spec, Variant.BASE, k + 1, "zeros")
+    if not (0 <= k and _base_window(spec, s, k + 1) == (k + 1, True)):
+        raise ValidationError("closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
+                              "got s=%r outside the window of k=%d" % (s, k))
     table_s = _basis_at(spec, Variant.BASE, k + 1, s) if at_s is None else at_s
     kern_one = float(table_s[: k + 1] @ _basis_at(spec, Variant.BASE, k, 1.0))
-    a_k = recurrence_coeffs(spec, Variant.BASE, k).a[k]
-    denom = a_k * table_s[k + 1] * table_s[k]
+    denom = recurrence_coeffs(spec, Variant.BASE, k).a[k] * table_s[k + 1] * table_s[k]
     if denom == 0.0:
         raise SingularOperatorError("closed-form denominator vanished at s=%r" % (s,))
     return -(1.0 - s) * kern_one * kern_one / denom
@@ -269,14 +264,9 @@ def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
         return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
 
 
-def _first_zero_from(spec: MeasureSpec, basis: Variant, s: float, top: int):
-    """(i, xs): xs is the list x_0, x_1, ... of largest zeros of basis that
-    largest_zeros_until reads up to s - _WINDOW_TIE_TOL or degree top, and
-    i, by one bisect of it, the first degree with x_i >= s - _WINDOW_TIE_TOL;
-    i = len(xs) when s - _WINDOW_TIE_TOL lies above x_top. Every reader of
-    one basis passes the same top, so xs never runs past it."""
-    xs = largest_zeros_until(spec, basis, s - _WINDOW_TIE_TOL, top)
-    return bisect.bisect_left(xs, s - _WINDOW_TIE_TOL), xs
+def _above(spec: MeasureSpec, basis: Variant, k: int, s: float, top: int) -> bool:
+    """x_k > s + tol, as rounded: one Sturm pass over J_{top-1}, top >= k fixed per system."""
+    return _zeros_below(spec, basis, math.nextafter(s + _WINDOW_TIE_TOL, math.inf), top) <= k
 
 
 def lev_degree_select(spec: MeasureSpec, s: float):
@@ -287,25 +277,22 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     (x_{k+1}^-, x_{k+1}^+-) to the even one with the same kernel degree.
     Ties at shared endpoints go to the odd variant, and each endpoint is
     widened by _WINDOW_TIE_TOL. The zeros interlace, x_k^+- < x_{k+1}^- <
-    x_{k+1}^+- (Levenshtein 1995), so the window is read off one bisect:
-    with i the first degree where x_i^- >= s - tol and k = max(i, 1) - 1,
-    s lies in the odd window of k when s >= x_k^+- - tol and in the even
-    window of k - 1 otherwise. Past the last minus zero only the even
-    window of the top degree k_top can hold s. Raises when s lies beyond
-    every available window.
+    x_{k+1}^+- (Levenshtein 1995), so two Sturm passes settle the window:
+    with i the first degree where x_i^- >= s - tol (_zeros_below) and
+    k = max(i, 1) - 1, s lies in the odd window of k when s >= x_k^+- - tol
+    and in the even window of k - 1 otherwise. Past the last minus zero
+    only the even window of the top degree k_top can hold s. Raises when s
+    lies beyond every available window.
     """
-    if s >= 1.0:
+    if not s < 1.0:
         raise ValidationError("lev_degree_select needs s < 1")
     cap_minus = max_degree(spec, Variant.MINUS)
     cap_pm = max_degree(spec, Variant.PLUSMINUS)
-    k_top = _LEV_DEGREE_CAP
-    if cap_minus is not None:
-        k_top = min(k_top, cap_minus - 1)
-    i, _ = _first_zero_from(spec, Variant.MINUS, s, k_top + 1)
+    k_top = _LEV_DEGREE_CAP if cap_minus is None else min(_LEV_DEGREE_CAP, cap_minus - 1)
+    i = _zeros_below(spec, Variant.MINUS, s - _WINDOW_TIE_TOL, k_top + 1)
     k = max(i, 1) - 1
     if cap_pm is None or k <= cap_pm:
-        x_pm = largest_zeros_until(spec, Variant.PLUSMINUS, math.inf, k)[k]
-        if s < x_pm - _WINDOW_TIE_TOL:
+        if _above(spec, Variant.PLUSMINUS, k, s, k_top + 1 if cap_pm is None else cap_pm):
             return k - 1, "even"
         if k <= k_top:
             return k, "odd"
@@ -398,13 +385,9 @@ def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
     the top window degree n - 1, which at s = -1 only ties the bound 2 of
     degree 0 up to rounding (on hamming:2 it undercuts it).
     """
-    k = _base_window_index(spec, s)
-    if k is None:
-        cap = max_degree(spec, Variant.BASE)
-        e, _ = _first_zero_from(spec, Variant.BASE, s, cap)
-        ks = range(e, min(e + _EDGE_REACH, cap - 1))
-    else:
-        ks = (k,)
+    cap = max_degree(spec, Variant.BASE)
+    e, inside = _base_window(spec, s, cap)
+    ks = (e - 1,) if inside else range(e, min(e + _EDGE_REACH, cap - 1))
     results = []
     for k in ks:
         try:
@@ -485,13 +468,21 @@ def _bound_at(spec: MeasureSpec, s: float, method: str, k, tolerances, fields):
 def _base_window_index(spec: MeasureSpec, s: float):
     """The unique k with x_k < s < x_{k+1}, or None when s is within
     _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select) or
-    past the last window. With i the first degree where x_i >= s - tol,
-    the window is k = i - 1 if s < x_i - tol; otherwise s is on the edge
-    x_i."""
+    past the last window."""
     cap = max_degree(spec, Variant.BASE)
-    i, xs = _first_zero_from(spec, Variant.BASE, s,
-                             cap if cap is not None else _LEV_DEGREE_CAP + 1)
-    return i - 1 if i < len(xs) and s < xs[i] - _WINDOW_TIE_TOL else None
+    i, inside = _base_window(spec, s, cap if cap is not None else _LEV_DEGREE_CAP + 1)
+    return i - 1 if inside else None
+
+
+def _base_window(spec: MeasureSpec, s: float, top: int):
+    """(i, inside): i, the first degree up to top with x_i >= s - tol (top + 1
+    past them all), and whether x_i > s + tol too, so s is in window i - 1.
+    On a custom space a lower count that reaches top reads x_top, whose
+    degree is checked as largest_zero checks it."""
+    i = _zeros_below(spec, Variant.BASE, s - _WINDOW_TIE_TOL, top)
+    if i >= top and spec.kind == "custom":
+        _check_degree(spec, Variant.BASE, top, "zeros")
+    return i, i <= top and _above(spec, Variant.BASE, i, s, top)
 
 
 def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:

@@ -2,7 +2,7 @@
 
 Recurrence coefficients for the base and adjacent systems, forward-recurrence
 evaluation, truncated Jacobi matrices, and zeros as the eigenvalues of
-those matrices (largest_zero from O(k) passes over their LDL^T pivots).
+those matrices (largest_zero and _zeros_below, O(k) passes over LDL^T pivots).
 Every orthonormal family {p_i} here satisfies
 
     x p_i(x) = a_i p_{i+1}(x) + b_i p_i(x) + a_{i-1} p_{i-1}(x)
@@ -19,10 +19,9 @@ other discrete measure.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 import numpy as np
@@ -49,6 +48,11 @@ class RecurrenceCoeffs:
     a: tuple
     b: tuple
     mass: float
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """(b_i, a_{i-1}^2) for i = 1..m: what a step of _zeros_below reads."""
+        return tuple(zip(self.b[1:], [e * e for e in self.a]))
 
 
 @dataclass(frozen=True)
@@ -263,6 +267,12 @@ def chebyshev_table(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
 
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
     """The (k+1) x (k+1) truncation J_k of the Jacobi matrix."""
+    rc = _jacobi_coeffs(spec, basis, k)
+    return JacobiOperator(diag=rc.b[: k + 1], off=rc.a[:k], basis=basis)
+
+
+def _jacobi_coeffs(spec: MeasureSpec, basis: Variant, k: int) -> RecurrenceCoeffs:
+    """a_0..a_k and b_0..b_k behind the order check of jacobi_matrix."""
     if k < 0:
         raise ValidationError("jacobi_matrix needs k >= 0")
     cap = max_degree(spec, basis)
@@ -271,8 +281,7 @@ def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
             "jacobi_matrix order %d exceeds %s/%s (max degree %d)"
             % (k, spec.label(), basis.value, cap)
         )
-    rc = recurrence_coeffs(spec, basis, k)
-    return JacobiOperator(diag=rc.b[: k + 1], off=rc.a[:k], basis=basis)
+    return _coeffs_cached(spec, basis, k)
 
 
 def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
@@ -359,32 +368,19 @@ def _top_zero(diag, off, lo=None, start=None) -> float:
             t = lo + 0.5 * (hi - lo)
 
 
-class _ZeroTable(dict):
-    """Largest zeros by degree, as far as they were asked for. A value is
-    filled in once and never changes, so concurrent readers can at worst
-    compute it twice. prefix lists x_0, x_1, ... consecutively from degree
-    0, as far as largest_zeros_until has read them; its lock keeps two
-    readers from appending the same degree."""
-
-    def __init__(self):
-        super().__init__({0: -1.0})
-        self.prefix = [-1.0]
-        self.lock = threading.Lock()
-
-
 @lru_cache(maxsize=None)
-def _largest_zeros(spec: MeasureSpec, basis: Variant) -> _ZeroTable:
-    return _ZeroTable()
+def _largest_zeros(spec: MeasureSpec, basis: Variant) -> dict:
+    return {0: -1.0}
 
 
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0.
 
     The top eigenvalue of J_{k-1} rounded down (_top_zero), within a few eps
-    of the top of zeros(spec, basis, k), kept per (spec, basis) so that the
-    window searches, which read x_0, x_1, ... in turn, pay one dictionary
-    lookup for each degree already seen. x_{k-1} bounds the search from
-    below (interlacing); with x_{k-2}, too, it starts at 2 x_{k-1} - x_{k-2}.
+    of the top of zeros(spec, basis, k), kept per (spec, basis) in a dict
+    filled once per degree (concurrent readers at worst compute one twice).
+    x_{k-1} bounds the search from below (interlacing); with x_{k-2}, too,
+    it starts at 2 x_{k-1} - x_{k-2}.
     """
     table = _largest_zeros(spec, basis)
     x = table.get(k)
@@ -399,14 +395,20 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     return x
 
 
-def largest_zeros_until(spec: MeasureSpec, basis: Variant, x: float, top: int) -> list:
-    """The shared list x_0, x_1, ... of largest zeros, read through
-    largest_zero degree by degree until its last entry reaches x or its
-    degree reaches top. The list only grows; callers must not change it."""
-    table = _largest_zeros(spec, basis)
-    xs = table.prefix
-    if xs[-1] < x and len(xs) <= top:
-        with table.lock:
-            while xs[-1] < x and len(xs) <= top:
-                xs.append(largest_zero(spec, basis, len(xs)))
-    return xs
+def _zeros_below(spec: MeasureSpec, basis: Variant, t: float, top: int) -> int:
+    """#{m <= top : x_m < t}, from one Sturm pass (Barth, Martin and Wilkinson
+    1967): one plus the leading pivots of t - J_{top-1} that are positive, in
+    the arithmetic of _pivots. Each step is monotone in t, so r_0..r_{m-1}
+    are all positive exactly when t > x_m, for the x_m of largest_zero
+    wherever a_i and b_i do not depend on the index they are read to. On a
+    custom space's adjacent systems they do (a Gauss rule grows with it),
+    and the count is exact for zeros of J_{top-1}'s own coefficients."""
+    if top == 0 or not t > -1.0:
+        return int(t > -1.0)
+    rc = _coeffs_cached(spec, basis, top - 1)
+    r = t - rc.b[0]
+    for m, (d, ee) in enumerate(rc._steps, 1):
+        if not r > 0.0:
+            return m
+        r = t - d - ee / r
+    return top + (r > 0.0)

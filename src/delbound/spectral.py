@@ -32,13 +32,7 @@ from .constructions import (
     mrrw_bound_closed,
 )
 from .errors import NumericError, SingularOperatorError, ValidationError
-from .orthopoly import (
-    _EPS,
-    JacobiOperator,
-    jacobi_matrix,
-    largest_zero,
-    recurrence_coeffs,
-)
+from .orthopoly import _EPS, JacobiOperator, largest_zero
 from .spaces import MeasureSpec, Variant
 
 _RESIDUAL_CONTRACT = 1e-9
@@ -56,8 +50,8 @@ class EigenPair:
 def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
     """T_k(s) and the run p_0(s)..p_{k+1}(s) its corner weight is read
     from, so that a caller who needs p(s) as well runs the recurrence at s
-    once."""
-    plain = jacobi_matrix(spec, basis, k)
+    once. One read of the coefficients gives J_k and a_k."""
+    rc = orthopoly._jacobi_coeffs(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
     if abs(pk) <= 1e-12:
@@ -65,8 +59,7 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
             "p_%d(%r) = %.3e vanishes (s sits on a zero of the degree-%d "
             "polynomial); corner weight undefined" % (k, s, pk, k)
         )
-    a_k = recurrence_coeffs(spec, basis, k).a[k]
-    T = JacobiOperator(diag=plain.diag, off=plain.off, basis=basis, rho=a_k * pk1 / pk)
+    T = JacobiOperator(diag=rc.b[: k + 1], off=rc.a[:k], basis=basis, rho=rc.a[k] * pk1 / pk)
     return T, table
 
 
@@ -83,11 +76,10 @@ def _diagonal(T: JacobiOperator) -> list:
     return diag
 
 
-def _residual(diag, off, v: np.ndarray, lam: float) -> float:
-    """|T v - lam v| for the tridiagonal T with this diagonal and
-    off-diagonal, in O(k) without forming T."""
-    e = np.asarray(off, dtype=float)
-    res = (np.asarray(diag, dtype=float) - lam) * v
+def _residual(d: np.ndarray, e: np.ndarray, v: np.ndarray, lam: float) -> float:
+    """|T v - lam v| for the tridiagonal T with the diagonal d and the
+    off-diagonal e, both arrays, in O(k) without forming T."""
+    res = (d - lam) * v
     res[:-1] += e * v[1:]
     res[1:] += e * v[:-1]
     return math.sqrt(res @ res)
@@ -125,7 +117,7 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
         raise ValidationError(
             "top_eigenpair needs a Jacobi operator with a positive off-diagonal"
         )
-    diag, off = _diagonal(T), T.off
+    diag, off, e = _diagonal(T), T.off, np.array(T.off)
     k = len(off)
     lo, hi = max(diag), max(map(add, map(add, diag, (0.0, *off)), (*off, 0.0)))
     if not (all(map(math.isfinite, diag)) and math.isfinite(hi - lo)):
@@ -147,9 +139,9 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
             # a Newton step from below the root lands past it only by rounding
             if abs(step) <= tol or hi - lo <= tol or (above and climbing):
                 v = np.ones(k + 1)
-                np.cumprod(np.divide(r[:k], off), out=v[1:])
+                np.cumprod(np.divide(r[:k], e), out=v[1:])
                 v /= math.sqrt(v @ v)
-                residual = _residual(diag, off, v, t - step)
+                residual = _residual(np.array(diag), e, v, t - step)
                 if residual <= _RESIDUAL_CONTRACT or not inside:
                     break
             if inside:
@@ -185,7 +177,7 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     """
     T, table = _operator_at(spec, basis, k, s)
     v = table[: k + 1] / np.linalg.norm(table[: k + 1])
-    residual = _residual(_diagonal(T), T.off, v, s)
+    residual = _residual(np.array(_diagonal(T)), np.array(T.off), v, s)
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "kernel eigenfunction residual %.3e at k=%d, s=%r" % (residual, k, s)

@@ -377,49 +377,41 @@ def test_lev_window_parity_selection(label):
 
 
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
-def test_window_lookups_match_direct_zeros(label, monkeypatch):
-    """The window searches give the same degree, or the same refusal, when
-    every largest zero comes from a fresh search instead of the table."""
-    from delbound import orthopoly
+def test_window_lookups_match_direct_zeros(label):
+    """The window searches give the same degree, or the same refusal, as a
+    scan from degree 0 over the largest zeros, at every node or grid point
+    and every window edge shifted by the tie tolerance."""
     from delbound.constructions import _base_window_index
 
     spec = _space(label)
     points = _probe_points(spec)
-    calls = []
 
-    def counted_zero(spec_, basis, k):
-        calls.append(k)
-        return _direct_zero(spec_, basis, k)
+    def lookups(base, lev):
+        return [(_outcome(base, spec, s), _outcome(lev, spec, s)) for s in points]
 
-    def lookups():
-        return [(_outcome(_base_window_index, spec, s), _outcome(lev_degree_select, spec, s))
-                for s in points]
-
-    tabled = lookups()
-    orthopoly._largest_zeros.cache_clear()
-    monkeypatch.setattr(orthopoly, "largest_zero", counted_zero)
-    try:
-        assert tabled == lookups()
-    finally:
-        orthopoly._largest_zeros.cache_clear()
-    assert calls
+    assert lookups(_base_window_index, lev_degree_select) \
+        == lookups(_reference_base_window, _reference_lev_window)
 
 
 @pytest.mark.parametrize("label", _WINDOW_SPACES)
 def test_largest_zero_table_strictly_increasing(label):
-    """As filled by lookups at every node (or grid point), each table holds
-    strictly increasing zeros by degree, each bit for bit what a fresh
-    search with an empty table gives."""
-    from delbound.constructions import _base_window_index
+    """As filled by largest_zero degree by degree, as far as the window
+    searches reach for every node but x = 1 (or every grid point): to the
+    first zero at or above the last of them less the tie tolerance. Each
+    table holds strictly increasing zeros by degree, each bit for bit what
+    a fresh search with an empty table gives."""
+    from delbound.constructions import _WINDOW_TIE_TOL as tol
     from delbound.orthopoly import _largest_zeros
+    from delbound.spaces import max_degree
 
     spec = _space(label)
     points = spec.nodes if spec.discrete else [i / 20 for i in range(-20, 20)]
     _largest_zeros.cache_clear()
-    for s in points[1:]:
-        _outcome(_base_window_index, spec, s)
-        _outcome(lev_degree_select, spec, s)
     for basis in Variant:
+        cap = max_degree(spec, basis)
+        k = 1
+        while largest_zero(spec, basis, k) < max(points[1:]) - tol and k != cap:
+            k += 1
         table = _largest_zeros(spec, basis)
         degrees = sorted(table)
         assert degrees == list(range(len(degrees))) and len(degrees) > 1
@@ -484,6 +476,26 @@ def test_custom_space_refuses_past_its_coefficients():
         for s in (0.8, 0.9):
             with pytest.raises(DegreeBudgetError, match="degree budget exceeded"):
                 bound_for_s(spec, s, method)
+
+
+def test_custom_space_refuses_on_its_last_zero():
+    """On a custom space given sphere:8's first 3 coefficient pairs, s on
+    or just under its last available zero x_2 lies on a window edge, and
+    mrrw and spectral refuse it as outside every window: telling whether
+    x_2 > s + tol needs no zero past x_2. The closed form of k = 2, which
+    needs x_3, is refused for x_3's degree."""
+    from delbound import custom_space
+    from delbound.constructions import _WINDOW_TIE_TOL as tol
+
+    base = recurrence_coeffs(sphere_space(8), Variant.BASE, 2)
+    spec = custom_space(base.a, base.b)
+    x = largest_zero(spec, Variant.BASE, 2)
+    for s in (x, math.nextafter(x, -1.0), x - tol / 2, x - tol):
+        for method in ("mrrw", "spectral"):
+            with pytest.raises(NotCertifiedError, match="outside every open window"):
+                bound_for_s(spec, s, method)
+        with pytest.raises(ValidationError, match="zeros needs coefficient index 3"):
+            mrrw_bound_closed(spec, 2, s)
 
 
 def test_bound_polynomial_is_its_coefficient_vector():
@@ -831,6 +843,71 @@ def test_bisected_window_scans_match_full_scans(label):
     full = lookups(_reference_base_window, _reference_lev_window)
     assert cold == warm == full
     _largest_zeros.cache_clear()
+
+
+@pytest.mark.parametrize("label", _WINDOW_SPACES + ["hamming:1024"])
+def test_zeros_below_counts_the_direct_zeros(label):
+    """_zeros_below(t, top) is the number of largest zeros x_0 = -1, x_1,
+    ..., x_top from fresh searches that lie below t, and with half the top
+    the same count capped at half + 1, at every x_m, at the doubles either
+    side of it and at every probe point, for each system up to degree 130
+    (12 on a sphere)."""
+    from delbound.orthopoly import _zeros_below
+    from delbound.spaces import max_degree
+
+    spec = _space(label)
+    points = _probe_points(spec)
+    for basis in Variant:
+        cap = max_degree(spec, basis)
+        top = min(cap if cap is not None else 12, 130)
+        xs = [_direct_zero(spec, basis, m) for m in range(top + 1)]
+        edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+        for t in points + xs + edges:
+            below = sum(x < t for x in xs)
+            assert _zeros_below(spec, basis, t, top) == below, (basis, t)
+            assert _zeros_below(spec, basis, t, top // 2) == min(below, top // 2 + 1), (basis, t)
+
+
+def test_lev_window_refuses_a_nan_threshold():
+    """No window holds a NaN s: lev_degree_select refuses it as it refuses
+    s >= 1, where a Sturm count, which no NaN clears, would read the even
+    window of degree -1."""
+    for s in (math.nan, 1.0):
+        with pytest.raises(ValidationError, match="needs s < 1"):
+            lev_degree_select(hamming_space(16), s)
+
+
+def test_bound_paths_compute_no_largest_zero(monkeypatch):
+    """The hamming:64 table sweep, every method at hamming:1024 for d = 102
+    and 205, and every method on an s-grid of sphere:24 and sphere:100 give
+    the same bounds, degrees, closed forms, certificate ids and refusals
+    when computing a largest zero raises: every window is read off Sturm
+    counts, with no zero computed."""
+    from delbound import orthopoly
+
+    methods = ("mrrw", "lev", "spectral")
+    h64, h1024 = hamming_space(64), hamming_space(1024)
+    cases = [(bound_for_distance, h64, d, m) for d in range(1, 65) for m in methods]
+    cases += [(bound_for_distance, h1024, d, m) for d in (102, 205) for m in methods]
+    cases += [(bound_for_s, sphere_space(dim), i / 20, m)
+              for dim in (24, 100) for i in range(-19, 20) for m in methods]
+
+    def fingerprint(fn, *args):
+        try:
+            res = fn(*args)
+        except DelboundError as exc:
+            return type(exc).__name__, str(exc)
+        return res.bound, res.degree, res.closed_form, res.certificate.certificate_id
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a largest zero was computed on a bound path")
+
+    before = [fingerprint(*case) for case in cases]
+    assert sum(len(b) == 2 for b in before) > 10
+    assert sum(len(b) == 4 and b[2] is not None for b in before) > 50
+    monkeypatch.setattr(orthopoly, "_top_zero", refuse)
+    orthopoly._largest_zeros.cache_clear()
+    assert [fingerprint(*case) for case in cases] == before
 
 
 def test_largest_zero_keeps_no_spectrum():
