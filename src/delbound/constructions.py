@@ -174,8 +174,9 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
     form: the nodes of a discrete space, where the kernel is v times the
     cached rows of the basis system and f(1) its value at node 0 (x = 1),
     or the (degree + 1)-point Gauss rule of fourier_expand on a continuous
-    one, where the kernel is v times the cached gauss_basis_table rows and
-    f(1) reads the cached basis_at_one table. These are the values the
+    one, where the kernel is v times the cached gauss_basis_table rows (in
+    the base system the leading rows of the expansion's table) and f(1)
+    reads the cached basis_at_one table. These are the values the
     recurrence gives there, bit for bit. Callers hold an np.errstate: an
     overflow leaves a non-finite fhat, which the certificate refuses.
     """
@@ -477,11 +478,9 @@ def _base_window_index(spec: MeasureSpec, s: float):
 def _base_window(spec: MeasureSpec, s: float, top: int):
     """(i, inside): i, the first degree up to top with x_i >= s - tol (top + 1
     past them all), and whether x_i > s + tol too, so s is in window i - 1.
-    On a custom space a lower count that reaches top reads x_top, whose
-    degree is checked as largest_zero checks it."""
+    Both counts read J_{top-1}, which M coefficient pairs of a custom space
+    determine up to top = M."""
     i = _zeros_below(spec, Variant.BASE, s - _WINDOW_TIE_TOL, top)
-    if i >= top and spec.kind == "custom":
-        _check_degree(spec, Variant.BASE, top, "zeros")
     return i, i <= top and _above(spec, Variant.BASE, i, s, top)
 
 

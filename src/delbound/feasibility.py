@@ -10,8 +10,9 @@ rule by which this package reports a bound or refuses it. All of them are
 read off the coefficient vector the certificate reports, so a
 certificate's own fhat re-audits to the same certificate. The sign
 condition is read at the support nodes in [-1, s] on a discrete space,
-and on a continuous one at -1, s and the roots of f' between them, which
-decides it exactly up to rounding, with no grid.
+and on a continuous one at -1, s and the roots of f' between them (the
+eigenvalues of its comrade matrix in the base system), which decides it
+exactly up to rounding, with no grid.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .orthopoly import (
+    JacobiOperator,
     basis_at_one,
-    chebyshev_table,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
+    recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 from .strictjson import strict_json
@@ -155,15 +157,21 @@ def _audit_start(nodes: tuple, s: float) -> int:
 
 
 @lru_cache(maxsize=None)
-def _derivative_table(spec: MeasureSpec, deg: int) -> np.ndarray:
-    """Chebyshev coefficients D of p_0'..p_deg' on a continuous space,
-    read-only: fhat @ D holds those of f' for f = sum_i fhat_i p_i. Row i
-    is the derivative of row i of chebyshev_table, one column shorter (a
-    single zero column at deg = 0)."""
-    # numpy.polynomial loads on first use; discrete runs never need it
-    table = np.polynomial.chebyshev.chebder(chebyshev_table(spec, Variant.BASE, deg), axis=1)
-    table.flags.writeable = False
-    return table
+def _derivative_table(spec: MeasureSpec, deg: int):
+    """(D, J), read-only: row i of D holds the coefficients of p_i' on
+    p_0..p_{deg-1} in the base system, so fhat @ D holds those of f' for
+    f = sum_i fhat_i p_i, and J is the Jacobi matrix J_{deg-1}, as which x
+    acts on coefficient vectors. D is the derivative of the recurrence,
+    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}'."""
+    rc = recurrence_coeffs(spec, Variant.BASE, max(deg - 1, 0))
+    jac = JacobiOperator(rc.b[:deg], rc.a[: deg - 1], Variant.BASE).matrix()
+    out = np.zeros((deg + 1, deg))
+    for i in range(deg):
+        row = jac @ out[i] - rc.b[i] * out[i] - (rc.a[i - 1] * out[i - 1] if i else 0.0)
+        row[i] += 1.0
+        out[i + 1] = row / rc.a[i]
+    out.flags.writeable = jac.flags.writeable = False
+    return out, jac
 
 
 def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
@@ -175,13 +183,16 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     distances, and the cached node table holds every p_i at them, in a
     suffix of its columns. On a continuous measure f peaks on [-1, s] at
     an endpoint or at a root of f', so the endpoints and the roots of f'
-    decide it exactly up to rounding. The Chebyshev coefficients of f' are
-    fhat times the cached _derivative_table, and its roots the eigenvalues
-    of their colleague matrix, each audited at its real part clipped to
+    decide it exactly up to rounding. The coefficients g of f' in the base
+    system are fhat times the cached _derivative_table D; with g_m the last
+    one kept, the roots of f' are the eigenvalues of the comrade matrix
+    J_{m-1} - (a_{m-1} / g_m) e_{m-1} g_{0..m-1}^T (Barnett 1975): the
+    leading block of the J cached beside D, a_{m-1} = J[m-1, m], with its
+    last row corrected. Each root is audited at its real part clipped to
     [-1, s]: an extra point can only tighten the check. f itself is read
-    at those points by the recurrence, not through the Chebyshev form. A
-    non-finite coefficient of f' skips the eigensolve, and the endpoint
-    values then fail the certificate.
+    at those points by the recurrence. A non-finite coefficient of f'
+    skips the eigensolve, and the endpoint values then fail the
+    certificate.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
@@ -190,16 +201,20 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
             return x[first:], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, first:]
         pts = np.array([-1.0])
     else:
-        dcheb = fhat @ _derivative_table(spec, fhat.size - 1)
+        deriv, jac = _derivative_table(spec, fhat.size - 1)
+        g = fhat @ deriv
         pts = np.array([-1.0, s])
-        if np.isfinite(dcheb).all():
+        if np.isfinite(g).all():
             # trailing coefficients at or below 1e-300 of the largest only add
-            # roots far outside [-1, 1]; dropping them keeps the colleague
-            # matrix finite
-            kept = np.flatnonzero(np.abs(dcheb) > 1e-300 * np.max(np.abs(dcheb)))
-            dcheb = dcheb[: kept[-1] + 1 if kept.size else 1]
-            roots = np.clip(np.polynomial.chebyshev.chebroots(dcheb).real, -1.0, s)
-            pts = np.concatenate([pts, roots])
+            # roots far outside [-1, 1]; dropping them keeps g_j / g_m, and so
+            # the comrade matrix, finite
+            kept = np.flatnonzero(np.abs(g) > 1e-300 * np.max(np.abs(g), initial=0.0))
+            m = int(kept[-1]) if kept.size else 0
+            if m:
+                comrade = jac[:m, :m].copy()
+                comrade[m - 1] -= jac[m - 1, m] * (g[:m] / g[m])
+                roots = np.clip(np.linalg.eigvals(comrade).real, -1.0, s)
+                pts = np.concatenate([pts, roots])
     return pts, _evaluate(spec, fhat, pts)
 
 

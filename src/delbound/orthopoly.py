@@ -30,6 +30,7 @@ from .errors import ValidationError
 from .spaces import (
     MeasureSpec,
     Variant,
+    _gauss_rule,
     adjacent_rule_points,
     max_degree,
     node_weights,
@@ -238,31 +239,15 @@ def basis_at_one(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gauss_basis_table(spec: MeasureSpec, basis: Variant, deg: int, m: int) -> np.ndarray:
     """Cached table of p_0..p_deg of the basis at the nodes of the m-point
-    Gauss rule of the base measure, read-only: the recurrence run of
-    eval_basis_table at quadrature(spec, BASE, m), done once."""
-    x, _ = quadrature(spec, Variant.BASE, m)
-    table = eval_basis_table(spec, basis, deg, x)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
-def chebyshev_table(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
-    """Chebyshev coefficients M of p_0..p_deg, read-only: p_i = sum_j
-    M[i, j] T_j, so fhat @ M holds those of sum_i fhat_i p_i. Built by the
-    three-term recurrence run on Chebyshev coefficient vectors."""
-    rc = recurrence_coeffs(spec, basis, max(deg - 1, 0))
-    a, b = rc.a, rc.b
-    out = np.zeros((deg + 1, deg + 1))
-    out[0, 0] = 1.0 / math.sqrt(rc.mass)
-    for i in range(deg):
-        xp = np.polynomial.chebyshev.chebmulx(out[i, : i + 1])
-        row = np.zeros(deg + 1)
-        row[: xp.size] = xp
-        row -= b[i] * out[i] + (a[i - 1] * out[i - 1] if i else 0.0)
-        out[i + 1] = row / a[i]
-    out.flags.writeable = False
-    return out
+    Gauss rule of the base measure, read-only. In the base system it is a
+    slice of the table the rule's weights were read from (rows past m - 1
+    aside), so every base table at one rule is one recurrence run; another
+    basis takes one run of eval_basis_table at the rule's nodes."""
+    x, _, table = _gauss_rule(spec, Variant.BASE, m)
+    if basis is not Variant.BASE or deg >= m:
+        table = eval_basis_table(spec, basis, deg, x)
+        table.flags.writeable = False
+    return table[: deg + 1]
 
 
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:

@@ -221,7 +221,6 @@ def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> fl
     return out
 
 
-@lru_cache(maxsize=None)
 def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     """m-point Gauss rule for the (possibly unnormalized) variant measure.
 
@@ -229,12 +228,19 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     Jacobi matrix; weights are the Christoffel numbers 1 / K_{m-1}(x, x).
     Exact for polynomials of degree <= 2m - 1. The weights sum to the
     variant's total mass, so unnormalized variants integrate as such.
-    Both arrays are built once per (spec, variant, m) and returned
-    read-only. The rule reads coefficients to index m - 1, so an m whose
-    index the system does not reach is refused, naming the m-point rule:
-    more points than a discrete support has, or on the base system of a
-    custom space more than its M coefficient pairs.
+    Both arrays are built once per (spec, variant, m), by _gauss_rule, and
+    returned read-only. The rule reads coefficients to index m - 1, so an
+    m whose index the system does not reach is refused, naming the m-point
+    rule: more points than a discrete support has, or on the base system
+    of a custom space more than its M coefficient pairs.
     """
+    return _gauss_rule(spec, variant, m)[:2]
+
+
+@lru_cache(maxsize=None)
+def _gauss_rule(spec: MeasureSpec, variant: Variant, m: int):
+    """quadrature's nodes and weights, and the table of p_0..p_{m-1} of the
+    variant at the nodes that the weights are read from, all read-only."""
     if m < 1:
         raise ValidationError("quadrature needs m >= 1")
     from . import orthopoly
@@ -244,6 +250,6 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     nodes = orthopoly.tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
     table = orthopoly.eval_basis_table(spec, variant, m - 1, nodes)
     weights = 1.0 / np.sum(table * table, axis=0)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    for out in (nodes, weights, table):
+        out.flags.writeable = False
+    return nodes, weights, table

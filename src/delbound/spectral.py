@@ -26,12 +26,13 @@ import numpy as np
 from . import orthopoly
 from .constructions import (
     BoundResult,
-    _audited_square,
     _basis_at,
     _certified_result,
+    _kernel_square_poly,
     mrrw_bound_closed,
 )
 from .errors import NumericError, SingularOperatorError, ValidationError
+from .feasibility import _certificate
 from .orthopoly import _EPS, JacobiOperator, largest_zero
 from .spaces import MeasureSpec, Variant
 
@@ -220,8 +221,11 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
 def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, fields):
     """spectral_recover_bound, with the other fields given."""
     T, table = _operator_at(spec, basis, k, s)
-    pair = top_eigenpair(T, start=s)
-    poly, cert = _audited_square(spec, basis, k, s, "spectral", pair.vector, tolerances)
+    # an eigenvector product that overflows is refused for its NaN residual
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = top_eigenpair(T, start=s)
+        poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
+        cert = _certificate(spec, poly, s, tolerances)
     closed = None
     if basis is Variant.BASE and cert.passed:
         closed = mrrw_bound_closed(spec, k, s, at_s=table)
@@ -251,14 +255,15 @@ def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundRes
     rho_one = T.rho
     lo = largest_zero(spec, Variant.BASE, k)
     hi = largest_zero(spec, Variant.BASE, k + 1)
-    pair = top_eigenpair(replace(T, rho=-rho_one), start=0.5 * (lo + hi))
-    lam = pair.eigenvalue
-    if 1.0 - lam <= 1e-12:
-        raise SingularOperatorError(
-            "1 - lambda_k = %.3e is degenerate at k=%d" % (1.0 - lam, k)
-        )
-    poly, cert = _audited_square(spec, Variant.BASE, k, lam, "spectral_fixed", pair.vector,
-                                 tolerances)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = top_eigenpair(replace(T, rho=-rho_one), start=0.5 * (lo + hi))
+        lam = pair.eigenvalue
+        if 1.0 - lam <= 1e-12:
+            raise SingularOperatorError(
+                "1 - lambda_k = %.3e is degenerate at k=%d" % (1.0 - lam, k)
+            )
+        poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed", pair.vector)
+        cert = _certificate(spec, poly, lam, tolerances)
     pk = float(_basis_at(spec, Variant.BASE, k, 1.0)[k])
     closed = 4.0 * rho_one * pk * pk / (1.0 - lam)
     return _certified_result(spec, poly, lam, tolerances, cert, closed_form=closed)

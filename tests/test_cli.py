@@ -488,3 +488,61 @@ def test_lp_joins_at_the_oracle_cap_and_not_past_it(capsys):
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == n
         assert all((row["lp"] != "") == has_lp for row in rows), n
+
+
+def _cli_process(*argv, code=None):
+    """delbound.cli, or the script code, run with argv in a fresh
+    interpreter on this checkout's sources; stdout and stderr captured."""
+    import os
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = ["-m", "delbound.cli"] if code is None else ["-c", code]
+    return subprocess.run([sys.executable, *cmd, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_overflowing_spectral_eigenvector_exits_4_with_nothing_on_stderr():
+    """k = 36 is far from the window of s = 0.9375 on hamming:64: the
+    eigenvector product overflows, and the pair is refused for its NaN
+    residual (exit 4) without a RuntimeWarning on stderr."""
+    proc = _cli_process("bound", "--space", "hamming:64", "--method", "spectral",
+                        "--s", "0.9375", "--k", "36")
+    assert proc.returncode == 4 and proc.stderr == "", proc.stderr
+    assert "eigenpair residual nan" in json.loads(proc.stdout)["error"]
+
+
+def test_sphere_verify_of_an_overflowing_polynomial_exits_3_in_strict_json(tmp_path):
+    """On sphere:4 the derivative of 1e308 (p_0 - p_1 + p_2 + p_3) is not
+    finite, so the audit skips its eigensolve and f fails at the
+    endpoints: exit 3 with the certificate id the coefficients always
+    had, strict JSON, and nothing on stderr."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [1e308, -1e308, 1e308, 1e308], "s": 0}))
+    proc = _cli_process("verify", "--space", "sphere:4", "--file", str(path))
+    assert proc.returncode == 3 and proc.stderr == "", proc.stderr
+    blob = json.loads(proc.stdout, parse_constant=_reject_constant)
+    assert blob["reason"] == "f is not finite on the audit set"
+    assert blob["certificate_id"] == "ab8bcea566ce"
+
+
+def test_sphere_bounds_and_verify_load_no_numpy_polynomial(tmp_path):
+    """The sphere certificate finds the roots of f' in the base system,
+    so mrrw, lev and spectral bounds on sphere:24 and sphere:100 and a
+    sphere verify never load numpy.polynomial."""
+    code = """
+import contextlib, io, json, sys
+from delbound import NotCertifiedError, bound_for_s, cli, sphere_space
+for dim in (24, 100):
+    for method in ("mrrw", "lev", "spectral"):
+        try:
+            res = bound_for_s(sphere_space(dim), 0.2, method)
+        except NotCertifiedError:
+            pass
+json.dump({"coeffs": list(res.certificate.fhat), "s": res.s}, open(sys.argv[1], "w"))
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "--space", "sphere:100", "--file", sys.argv[1]]) == 0
+assert "numpy.polynomial" not in sys.modules
+"""
+    proc = _cli_process(str(tmp_path / "cert.json"), code=code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr

@@ -498,6 +498,22 @@ def test_custom_space_refuses_on_its_last_zero():
             mrrw_bound_closed(spec, 2, s)
 
 
+def test_custom_space_refuses_past_its_last_zero_on_the_degree_budget():
+    """On a custom space given sphere:8's first 3 coefficient pairs, s =
+    0.36 lies in the window x_2 < s < x_3, which the 3 pairs determine
+    (J_2 reads a_0, a_1 and b_0..b_2). Its degree-5 mrrw and spectral
+    polynomials need a 6-point Gauss rule, so every method refuses on the
+    degree budget, as lev does."""
+    from delbound import custom_space
+
+    base = recurrence_coeffs(sphere_space(8), Variant.BASE, 2)
+    spec = custom_space(base.a, base.b)
+    assert largest_zero(spec, Variant.BASE, 2) < 0.36 < zeros(sphere_space(8), Variant.BASE, 3)[-1]
+    for method in ("lev", "mrrw", "spectral"):
+        with pytest.raises(DegreeBudgetError, match="degree budget exceeded"):
+            bound_for_s(spec, 0.36, method)
+
+
 def test_bound_polynomial_is_its_coefficient_vector():
     """Past max_degree on a discrete space fhat still gives the kernel
     square exactly at every node."""
@@ -1060,6 +1076,37 @@ def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypat
         assert len(audits) == 1, (s, method)
         at_s = [x for x in calls if x is not audits[0]]
         assert len(at_s) == 1 and at_s[0].size == 1 and at_s[0][0] == s, (s, method)
+
+
+@pytest.mark.parametrize("method", ["mrrw", "spectral", "lev"])
+def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch, method):
+    """From cleared caches a sphere bound runs the base recurrence at the
+    nodes of its (degree + 1)-point Gauss rule once, in the rule itself:
+    the expansion rows and, for mrrw and spectral, the kernel rows are
+    slices of the table the weights were read from. lev runs its own
+    basis there once as well."""
+    import sys
+
+    from delbound import orthopoly
+    from delbound.spaces import quadrature
+
+    spec = sphere_space(24)
+    _clear_caches()
+    original = orthopoly.eval_basis_table
+    calls = []
+
+    def counted(spec_, basis, deg, x):
+        calls.append((basis, np.atleast_1d(np.asarray(x, dtype=float))))
+        return original(spec_, basis, deg, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
+            monkeypatch.setattr(module, "eval_basis_table", counted)
+    res = bound_for_s(spec, 0.3, method)
+    nodes, _ = quadrature(spec, Variant.BASE, res.degree + 1)
+    at_rule = [basis.value for basis, x in calls if np.array_equal(x, nodes)]
+    own = {"lev_odd": ["minus"], "lev_even": ["plusminus"]}.get(res.method, [])
+    assert sorted(at_rule) == sorted(["base"] + own), res.method
 
 
 @pytest.mark.parametrize("label", ["sphere:3", "sphere:24", "sphere:100", "custom:8:30"])

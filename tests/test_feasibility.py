@@ -249,7 +249,7 @@ def test_root_audit_catches_a_bump_between_grid_points():
                                   (1.0, float("nan")), (0.5, float("inf")),
                                   (1.0, 0.0, 1e308, -1e308)])
 def test_root_audit_of_nonfinite_sphere_coefficients(fhat):
-    """Non-finite Chebyshev coefficients skip the eigensolve, which would
+    """Non-finite coefficients of f' skip the eigensolve, which would
     raise LinAlgError, and the certificate fails on the endpoint values."""
     from dataclasses import replace
 
@@ -262,7 +262,7 @@ def test_root_audit_of_nonfinite_sphere_coefficients(fhat):
 
 
 def test_root_audit_ignores_a_subnormal_top_coefficient():
-    """A top coefficient 1e-320 would overflow the colleague matrix of f';
+    """A top coefficient 1e-320 would overflow the comrade matrix of f';
     the audit drops it and decides as without it."""
     from delbound import bound_for_s, polynomial_from_fourier
 
@@ -272,6 +272,21 @@ def test_root_audit_ignores_a_subnormal_top_coefficient():
     cert = cone_certificate(spec, padded, 0.3)
     assert plain.passed and cert.passed
     assert cert.max_on_audit == pytest.approx(plain.max_on_audit, abs=1e-15)
+
+
+@pytest.mark.parametrize("fhat, reason", [((0.0, 1e-10, 5e-310), "fhat_0 = 0"),
+                                          ((1.0, 1e-10, 3e-310), "f(0) = 1")])
+def test_root_audit_keeps_a_subnormal_top_coefficient_finite(fhat, reason):
+    """A subnormal top coefficient of f' within 1e-300 of the largest is
+    kept: a_{m-1} / g_m would overflow, but the last row of the comrade
+    matrix is a_{m-1} (g_j / g_m), which the trim keeps finite, so the
+    eigensolve runs and the certificate is decided."""
+    from delbound import polynomial_from_fourier
+
+    spec = sphere_space(4)
+    cert = cone_certificate(spec, polynomial_from_fourier(spec, fhat, 0.0), 0.0)
+    assert cert.verdict == "fail" and cert.reason.startswith(reason)
+    assert cert.audit_size == 3
 
 
 def test_certificate_id_is_pinned():
@@ -316,23 +331,127 @@ def test_certificate_id_hashes_strict_json():
     assert hashlib.sha256(canonical.encode()).hexdigest()[:12] == cert.certificate_id
 
 
-@pytest.mark.parametrize("dim", [3, 24, 200])
-def test_derivative_table_gives_the_chebyshev_derivative(dim):
-    """fhat @ D, with D the cached derivative table, holds the Chebyshev
-    coefficients of f' to 1e-13 of the largest, for random fhat of degree
-    0 to 60; at degree 0 f' is the zero polynomial and at degree 1 a
-    constant."""
-    from delbound.feasibility import _derivative_table
-    from delbound.orthopoly import chebyshev_table
+def _chebyshev_rows(spec, deg):
+    """Chebyshev coefficients of p_0..p_deg of the base system: the
+    three-term recurrence run on Chebyshev coefficient vectors."""
+    from numpy.polynomial.chebyshev import chebmulx
 
-    spec = sphere_space(dim)
-    rng = np.random.default_rng(dim)
+    from delbound.orthopoly import recurrence_coeffs
+
+    rc = recurrence_coeffs(spec, Variant.BASE, max(deg - 1, 0))
+    out = np.zeros((deg + 1, deg + 1))
+    out[0, 0] = 1.0 / np.sqrt(rc.mass)
+    for i in range(deg):
+        row = np.zeros(deg + 1)
+        xp = chebmulx(out[i, : i + 1])
+        row[: xp.size] = xp
+        row -= rc.b[i] * out[i] + (rc.a[i - 1] * out[i - 1] if i else 0.0)
+        out[i + 1] = row / rc.a[i]
+    return out
+
+
+def _continuous_space(dim):
+    """sphere:dim, or for "custom" a custom space with b_i != 0: the first
+    60 coefficient pairs of sphere:7's minus system."""
+    from delbound import custom_space
+    from delbound.orthopoly import recurrence_coeffs
+
+    if dim != "custom":
+        return sphere_space(dim)
+    minus = recurrence_coeffs(sphere_space(7), Variant.MINUS, 59)
+    return custom_space(minus.a, minus.b)
+
+
+@pytest.mark.parametrize("dim", [3, 24, 200, "custom"])
+def test_derivative_table_gives_the_chebyshev_derivative(dim):
+    """f' = (fhat @ D) . p, with D the cached derivative table, is within
+    1e-13 of the largest |f'| of numpy's derivative of f's Chebyshev
+    form at 50 points, for random fhat of degree 0 to 60; at degree 0 f'
+    is the zero polynomial and at degree 1 a constant. D and the J beside
+    it are read-only, and a lower degree's D is the leading block of the
+    degree-60 one to 1e-15 of its largest entry."""
+    from numpy.polynomial.chebyshev import chebder, chebval
+
+    from delbound.feasibility import _derivative_table
+
+    spec = _continuous_space(dim)
+    x = np.linspace(-1.0, 1.0, 50)
+    rng = np.random.default_rng(60)
+    top, jac = _derivative_table(spec, 60)
+    assert not top.flags.writeable and not jac.flags.writeable
     for deg in range(61):
         fhat = rng.standard_normal(deg + 1)
-        got = fhat @ _derivative_table(spec, deg)
-        want = np.polynomial.chebyshev.chebder(fhat @ chebyshev_table(spec, Variant.BASE, deg))
-        assert got.shape == want.shape == (max(deg, 1),), (dim, deg)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (dim, deg)
+        table, _ = _derivative_table(spec, deg)
+        assert table.shape == (deg + 1, deg)
+        lead = top[: deg + 1, :deg]
+        gap = np.max(np.abs(table - lead), initial=0.0)
+        assert gap <= 1e-15 * np.max(np.abs(lead), initial=0.0), deg
+        got = (fhat @ table) @ eval_basis_table(spec, Variant.BASE, 60, x)[:deg]
+        want = chebval(x, chebder(fhat @ _chebyshev_rows(spec, deg)))
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0), deg
+
+
+def test_derivative_rows_are_the_basis_derivatives():
+    """Row i of the derivative table, summed as a series in the base
+    system, is p_i': within 1e-13 of numpy's derivative of p_i's
+    Chebyshev form, relative to the row's largest value, at 257 points
+    on every sphere:4..200 through degree 60."""
+    from numpy.polynomial.chebyshev import chebder, chebval
+
+    from delbound.feasibility import _derivative_table
+
+    x = np.linspace(-1.0, 1.0, 257)
+    worst = 0.0
+    for dim in range(4, 201):
+        spec = sphere_space(dim)
+        got = _derivative_table(spec, 60)[0] @ eval_basis_table(spec, Variant.BASE, 59, x)
+        want = chebval(x, chebder(_chebyshev_rows(spec, 60), axis=1).T)
+        scale = np.max(np.abs(want), axis=1)
+        scale[0] = 1.0  # p_0' = 0
+        worst = max(worst, float(np.max(np.max(np.abs(got - want), axis=1) / scale)))
+    assert worst < 1e-13, worst
+
+
+# space: (last degree compared with chebroots, tolerance), looser as the
+# measure concentrates, which costs the Chebyshev form its accuracy
+_CHEBROOTS_AGREE = {3: (60, 1e-10), 24: (60, 1e-6), 200: (15, 1e-7), "custom": (60, 1e-10)}
+
+
+@pytest.mark.parametrize("dim", [3, 24, 200, "custom"])
+def test_comrade_roots_match_chebroots(dim):
+    """The audit points past -1 and s are the roots of f', clipped to
+    [-1, s]. With s = 1, for random fhat of degree 2 to 60, they match
+    numpy's chebroots of f's Chebyshev derivative, clipped the same way:
+    to 1e-10 on sphere:3 and the custom space, to 1e-6 on sphere:24, and
+    to 1e-7 through degree 15 on sphere:200. Past that the Chebyshev form
+    loses roots (at sphere:200, degree 60, chebroots puts 4 in (-1, 1),
+    where f' changes sign 40 times). At every degree the audit points
+    include a root of f' in each cell of a 20001-point grid where f'
+    changes sign: a point whose backward error |f'(r)| / sum_j |g_j p_j(r)|
+    is below 1e-11, and there are no more such points than sign changes."""
+    from numpy.polynomial.chebyshev import chebder, chebroots
+
+    from delbound.feasibility import _audit, _derivative_table
+
+    spec = _continuous_space(dim)
+    grid = np.linspace(-1.0, 1.0, 20001)
+    rng = np.random.default_rng(60)
+    for deg in range(2, 61):
+        fhat = rng.standard_normal(deg + 1)
+        pts, _ = _audit(spec, fhat, 1.0)
+        assert pts.size == deg + 1 and pts[0] == -1.0 and pts[1] == 1.0, deg
+        last, tol = _CHEBROOTS_AGREE[dim]
+        if deg <= last:
+            want = np.clip(chebroots(chebder(fhat @ _chebyshev_rows(spec, deg))).real, -1.0, 1.0)
+            assert np.max(np.abs(np.sort(pts[2:]) - np.sort(want))) <= tol, deg
+        g = fhat @ _derivative_table(spec, deg)[0]
+        rows = eval_basis_table(spec, Variant.BASE, deg - 1, pts[2:])
+        roots = pts[2:][np.abs(g @ rows) <= 1e-11 * (np.abs(g) @ np.abs(rows))]
+        values = g @ eval_basis_table(spec, Variant.BASE, deg - 1, grid)
+        cells = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+        assert roots.size == cells.size, deg
+        for j in cells:
+            assert np.any((grid[j] <= roots) & (roots <= grid[j + 1])), (deg, grid[j])
 
 
 @pytest.mark.parametrize("d", [3, 24, 200])

@@ -463,26 +463,29 @@ def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
                 pass
 
 
-def test_chebyshev_table_reproduces_the_basis():
-    """Row i of the connection matrix, summed as a Chebyshev series, is
-    p_i: within 1e-13 of the recurrence's values, relative to the row's
-    largest value, on every sphere:4..200 through degree 60."""
-    from numpy.polynomial.chebyshev import chebval
+def test_base_gauss_table_is_a_slice_of_the_rule():
+    """In the base system gauss_basis_table is a read-only slice of the
+    table the m-point rule's weights were read from, on sphere:4..200
+    through m = 61, and equals a fresh recurrence run at the rule's nodes
+    bit for bit; an adjacent system's table is its own run there."""
+    from delbound.orthopoly import gauss_basis_table
+    from delbound.spaces import _gauss_rule, quadrature
 
-    from delbound.orthopoly import chebyshev_table
-
-    x = np.linspace(-1.0, 1.0, 257)
-    worst = 0.0
     for dim in range(4, 201):
         spec = sphere_space(dim)
-        table = chebyshev_table(spec, Variant.BASE, 60)
-        assert not table.flags.writeable
-        values = eval_basis_table(spec, Variant.BASE, 60, x)
-        err = np.max(np.abs(chebval(x, table.T) - values), axis=1)
-        worst = max(worst, float(np.max(err / np.max(np.abs(values), axis=1))))
-        # a lower degree is the leading block, bit for bit
-        assert np.array_equal(chebyshev_table(spec, Variant.BASE, 7), table[:8, :8])
-    assert worst < 1e-13, worst
+        for m in (1, 2, 8, 61):
+            nodes, weights, rule = _gauss_rule(spec, Variant.BASE, m)
+            x, w = quadrature(spec, Variant.BASE, m)
+            assert x is nodes and w is weights
+            assert not rule.flags.writeable
+            for deg in {0, m // 2, m - 1}:
+                table = gauss_basis_table(spec, Variant.BASE, deg, m)
+                assert np.shares_memory(table, rule) and not table.flags.writeable
+                fresh = eval_basis_table(spec, Variant.BASE, deg, nodes)
+                assert np.array_equal(table, fresh), (dim, m, deg)
+        minus = gauss_basis_table(spec, Variant.MINUS, 30, 61)
+        assert not np.shares_memory(minus, rule) and not minus.flags.writeable
+        assert np.array_equal(minus, eval_basis_table(spec, Variant.MINUS, 30, nodes))
 
 
 def test_basis_at_one_is_the_node_column_or_the_recurrence_at_one():

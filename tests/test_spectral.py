@@ -347,3 +347,15 @@ def test_fixed_bound_refuses_a_degenerate_eigenvalue_as_singular(n, k, gap):
     vector read one Newton step short of lambda_k misses the contract."""
     with pytest.raises(SingularOperatorError, match=r"1 - lambda_k = %s is degenerate" % gap):
         spectral_bound_fixed(hamming_space(n), k)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_eigenvector_is_refused_without_a_warning():
+    """An explicit k far from the window of s makes the pivots of T_k(s)
+    huge: at hamming:64, s = 0.9375, k = 36 the eigenvector product
+    overflows, and the pair is refused for its NaN residual with no
+    RuntimeWarning, under the np.errstate the spectral op holds."""
+    from delbound import NumericError, bound_for_s
+
+    with pytest.raises(NumericError, match="eigenpair residual nan breaks"):
+        bound_for_s(hamming_space(64), 0.9375, "spectral", k=36)
