@@ -63,8 +63,8 @@ _POLYNOMIAL_STACK = {
         "lev_odd_poly", "mrrw_bound_closed", "mrrw_poly", "polynomial_from_fourier",
     ),
     "spectral": (
-        "EigenPair", "build_Tk", "spectral_bound_fixed", "spectral_recover_bound",
-        "top_eigenpair", "verify_kernel_eigen",
+        "EigenPair", "build_Tk", "spectral_recover_bound", "top_eigenpair",
+        "verify_kernel_eigen",
     ),
 }
 _DEFERRED = frozenset(_POLYNOMIAL_STACK).union(*_POLYNOMIAL_STACK.values())

@@ -123,15 +123,12 @@ def _emit_csv(payload):
 
 
 def cmd_bound(args) -> int:
-    from . import constructions, spectral
+    from . import constructions
 
     spec = _parse_space(args.space)
     tol = _tolerances()
     has_d, has_s = args.d is not None, args.s is not None
-    fixed_spectral = (
-        args.method == "spectral" and not has_d and not has_s and args.k is not None
-    )
-    if not fixed_spectral and has_d == has_s:
+    if has_d == has_s:
         raise ValidationError("supply exactly one of --d and --s")
     if has_d and spec.kind != "hamming":
         raise ValidationError("--d applies to Hamming spaces only; use --s")
@@ -151,9 +148,6 @@ def cmd_bound(args) -> int:
                     raise ValidationError("the lp method needs --d")
                 sol = lp_oracle.delsarte_lp(spec.params[0], args.d, mode=args.mode)
                 results.append(sol.to_json() | {"method": "lp", "space": spec.label()})
-            elif fixed_spectral:
-                res = spectral.spectral_bound_fixed(spec, args.k, tolerances=tol)
-                results.append(res.to_json())
             elif has_d:
                 res = constructions.bound_for_distance(
                     spec, args.d, method=method, tolerances=tol

@@ -1,22 +1,29 @@
 """Extremal polynomials and the code-size bound f(1)/fhat_0.
 
-Every polynomial here is a kernel square, normalized to f(1) = 1:
+Every polynomial here is c (x - s)(x + 1)^e (v . p(x))^2 with c = 1/f(1)
+and p = (p_0..p_k) the base orthonormal system; the routes differ only in
+e and in how v is found:
 
-    mrrw      c (x - s) K_k(x, s)^2            over the base kernel
-    lev_odd   c (x - s) K_k^-(x, s)^2          over the minus kernel
-    lev_even  c (x - s)(x + 1) K_k^+-(x, s)^2  over the plusminus kernel
+    mrrw      e = 0, v = p(s), so v . p is the kernel K_k(x, s)
+    lev_odd   e = 0, v = p_{k+1}(1) p(s) - p_{k+1}(s) p(1), up to scale
+    lev_even  e = 1, v = G^-1 p(s), G = I - J_k^2 - a_k^2 e_k e_k^T
+    spectral  e = 0, v the top eigenvector of T_k(s) (spectral module)
 
-and the spectral route squares other vectors than the kernel's. The
-product form is evaluated once, at x = 1 for c and at the expansion points
-for the coefficient vector fhat in the base orthonormal system; from then
-on a polynomial is that vector, which the certificate audits as it is and
-whose first entry gives the bound 1/fhat_0. On a discrete space every value
-the product form needs is a node value: the kernel at the nodes is v times
-the cached node rows of its system, x = 1 is node 0, p(s) is a column of
-those rows when s is a node, and fhat is one product with the base table.
-A continuous space reads the same s-independent values from tables cached
-per space, basis and degree: basis_at_one at x = 1 and the rows at the
-Gauss rule of the expansion, so only p(s) runs the recurrence on each call.
+By Christoffel-Darboux, (J_k - t) p(t) = -a_k p_{k+1}(t) e_k, the lev_odd
+v is (I - J_k)^-1 p(s), the minus kernel K_k^-(x, s); G is the Gram matrix
+of (1 - x^2) dmu, so the lev_even v is the plusminus kernel K_k^+-(x, s).
+Each lev v is the stationary point of (1 - s) g(1)^2 / int (x - s)
+(x + 1)^e g^2 dmu over g = v . p (Levenshtein). The adjacent systems serve
+only the Levenshtein windows, through their coefficients.
+
+The product form is evaluated once, at x = 1 for c and at the expansion
+points for the coefficient vector fhat; from then on a polynomial is that
+vector, which the certificate audits as it is and whose first entry gives
+the bound 1/fhat_0. Every s-independent value is read from a cache: on a
+discrete space the base node table (x = 1 is node 0, and p(s) is a column
+when s is a node), on a continuous one basis_at_end at x = 1 and -1 and
+the rows at the Gauss rule of the expansion, so only p(s) runs the
+recurrence on each call.
 
 Construction never asserts cone membership; the feasibility module owns
 that decision, and no BoundResult is built without a passing certificate.
@@ -41,16 +48,19 @@ from .errors import (
 from .feasibility import ConeCertificate, _audit_start, _certificate, _evaluate, cone_certificate
 from .orthopoly import (
     _check_degree,
+    _jacobi_coeffs,
     _zeros_below,
-    basis_at_one,
+    basis_at_end,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
+    jacobi_matrix,
     recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 
 _WINDOW_TIE_TOL = 1e-12
+# how deep the window searches reach on a space without a max_degree
 _LEV_DEGREE_CAP = 128
 # degrees, from e up, that the MRRW scan certifies when s is a largest zero x_e
 _EDGE_REACH = 4
@@ -123,69 +133,65 @@ class BoundResult:
         return out
 
 
-@lru_cache(maxsize=None)
-def _adjacent_node_table(spec: MeasureSpec, basis: Variant) -> np.ndarray:
-    """p_0..p_top of an adjacent system at every node of a discrete space,
-    read-only, with top = min(max_degree, _LEV_DEGREE_CAP): as deep as the
-    Levenshtein windows reach."""
-    x, _ = node_weights(spec, Variant.BASE)
-    rows = eval_basis_table(spec, basis, min(max_degree(spec, basis), _LEV_DEGREE_CAP), x)
-    rows.flags.writeable = False
-    return rows
-
-
-def _cached_node_rows(spec: MeasureSpec, basis: Variant, deg: int):
-    """p_0..p_deg of the basis at every node of a discrete space, read-only,
-    from a cached table, or None when the table does not reach deg.
-
-    The base system's table is discrete_basis_table, an adjacent system's
-    _adjacent_node_table; each is built once, to its full depth. Row i of
-    a recurrence run depends only on rows before it, so these rows are bit
-    for bit those of a table built to deg.
-    """
-    if basis is Variant.BASE:
-        table = discrete_basis_table(spec, basis)
-    else:
-        table = _adjacent_node_table(spec, basis)
-    return table[: deg + 1] if deg < table.shape[0] else None
-
-
 def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
-    """p_0(s)..p_deg(s), read-only when it comes from a cache: the cached
-    basis_at_one table when s = 1, a column of the cached node rows when s
-    is another node of a discrete space (found by _audit_start), else one
-    run of the recurrence at s."""
-    if s == 1.0:
-        return basis_at_one(spec, basis, deg)
-    rows = None
-    if spec.discrete:
+    """p_0(s)..p_deg(s): a read-only column of the base node table when s
+    is a node of a discrete space (found by _audit_start), else one run of
+    the recurrence at s."""
+    if spec.discrete and basis is Variant.BASE:
+        table = discrete_basis_table(spec, basis)
         j = _audit_start(spec.nodes, s)
-        if j < len(spec.nodes) and spec.nodes[j] == s:
-            rows = _cached_node_rows(spec, basis, deg)
-    return eval_basis_table(spec, basis, deg, s)[:, 0] if rows is None else rows[:, j]
+        if deg < table.shape[0] and j < len(spec.nodes) and spec.nodes[j] == s:
+            return table[: deg + 1, j]
+    return eval_basis_table(spec, basis, deg, s)[:, 0]
 
 
-def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
-    """c (x - s) (v . p(x))^2 over the basis system, times (x + 1) in the
-    plusminus basis. v defaults to p(s), which makes v . p(x) the kernel
-    K_k(x, s); any other v is an eigenvector from the spectral route.
+def _lev_vector(spec: MeasureSpec, k: int, s: float, e: int) -> np.ndarray:
+    """The v of lev_odd (e = 0), p(s) - (p_{k+1}(s)/p_{k+1}(1)) p(1), or of
+    lev_even (e = 1), (1 - s^2) G^-1 p(s), as Python-float combinations of
+    p(s), p(1) and p(-1): (I - J_k^2)^-1 is the mean of (I -/+ J_k)^-1,
+    which Christoffel-Darboux gives on p(s) and e_k in closed form, and one
+    Sherman-Morrison step (denominator det G / det(I - J_k^2) > 0) adds the
+    a_k^2 corner. That form divides by 1 + s: at s = -1, G v = p(-1)."""
+    _check_degree(spec, Variant.PLUSMINUS if e else Variant.MINUS, k, "the Levenshtein kernel")
+    at_s = _basis_at(spec, Variant.BASE, k + 1, s)
+    one = basis_at_end(spec, Variant.BASE, k + 1, 1.0)
+    ps, po = at_s.item(k + 1), one.item(k + 1)
+    if not e:
+        return at_s[: k + 1] - (ps / po) * one[: k + 1]
+    a = recurrence_coeffs(spec, Variant.BASE, k).a[k]
+    if s == -1.0:
+        jac = jacobi_matrix(spec, Variant.BASE, k).matrix()
+        gram = np.eye(k + 1) - jac @ jac
+        gram[k, k] -= a * a
+        return np.linalg.solve(gram, at_s[: k + 1])
+    neg = basis_at_end(spec, Variant.BASE, k + 1, -1.0)
+    pm = neg.item(k + 1)
+    to_one, to_neg = -0.5 * ps * (1.0 + s) / po, -0.5 * ps * (1.0 - s) / pm
+    corner = at_s.item(k) + to_one * one.item(k) + to_neg * neg.item(k)
+    q = 0.5 * a * corner / (1.0 - 0.5 * a * (one.item(k) / po - neg.item(k) / pm))
+    return at_s[: k + 1] + (to_one + q / po) * one[: k + 1] + (to_neg - q / pm) * neg[: k + 1]
+
+
+def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> BoundPolynomial:
+    """c (x - s)(x + 1)^e (v . p(x))^2 over p_0..p_k of the basis system:
+    the base system for every bound, an adjacent one only for
+    spectral_recover_bound over it. v defaults to the vector of method,
+    _lev_vector's for lev_odd and lev_even, else p(s); any other v is an
+    eigenvector from the spectral route.
 
     fhat is one expansion on a rule, base rows times the weighted product
-    form: the nodes of a discrete space, where the kernel is v times the
-    cached rows of the basis system and f(1) its value at node 0 (x = 1),
-    or the (degree + 1)-point Gauss rule of fourier_expand on a continuous
-    one, where the kernel is v times the cached gauss_basis_table rows (in
-    the base system the leading rows of the expansion's table) and f(1)
-    reads the cached basis_at_one table. These are the values the
-    recurrence gives there, bit for bit. Callers hold an np.errstate: an
-    overflow leaves a non-finite fhat, which the certificate refuses.
+    form: the nodes of a discrete space, where v . p(x) is v times the
+    cached base node table and f(1) its value at node 0 (x = 1), or the
+    (degree + 1)-point Gauss rule of fourier_expand on a continuous one,
+    where v . p(x) is v times the leading rows of the expansion's cached
+    table and f(1) reads the cached basis_at_end table. These are the
+    values the recurrence gives there, bit for bit; an adjacent system
+    runs its recurrence there. Callers hold an np.errstate: an overflow
+    leaves a non-finite fhat, which the certificate refuses.
     """
     if s >= 1.0:
         raise ValidationError("%s_poly needs s < 1" % method)
-    if v is None:
-        v = _basis_at(spec, basis, k, s)
-    extra_root = basis is Variant.PLUSMINUS
-    degree = 2 * k + 1 + extra_root
+    degree = 2 * k + 1 + e
     if spec.kind == "custom":
         # the expansion takes degree + 1 Gauss points, and M coefficient
         # pairs build rules of at most M points
@@ -196,22 +202,24 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
                 "Gauss rule, and %s's coefficients build at most %d points"
                 % (degree, method, degree + 1, spec.label(), points)
             )
+    if v is None:
+        v = (_lev_vector(spec, k, s, e) if method.startswith("lev")
+             else _basis_at(spec, basis, k, s))
 
     def product(x, table):
         kern = v @ table
-        return ((x - s) * (x + 1.0) if extra_root else x - s) * kern * kern
+        return ((x - s) * (x + 1.0) if e else x - s) * kern * kern
 
     if spec.discrete:
         x, w = node_weights(spec, Variant.BASE)
-        rows = _cached_node_rows(spec, basis, k)
-        on_rule = product(x, eval_basis_table(spec, basis, k, x) if rows is None else rows)
-        at_one = float(on_rule[0])
         base_rows = discrete_basis_table(spec, Variant.BASE)[: degree + 1]
     else:
         x, w = quadrature(spec, Variant.BASE, degree + 1)
-        on_rule = product(x, gauss_basis_table(spec, basis, k, degree + 1))
-        at_one = float(product(1.0, basis_at_one(spec, basis, k)))
-        base_rows = gauss_basis_table(spec, Variant.BASE, degree, degree + 1)
+        base_rows = gauss_basis_table(spec, degree, degree + 1)
+    rows = base_rows[: k + 1] if basis is Variant.BASE else eval_basis_table(spec, basis, k, x)
+    on_rule = product(x, rows)
+    at_one = float(on_rule[0] if spec.discrete
+                   else product(1.0, basis_at_end(spec, basis, k, 1.0)))
     if at_one == 0.0:
         raise SingularOperatorError(
             "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
@@ -229,7 +237,7 @@ def _kernel_square_poly(spec, basis, k, s, method, v=None) -> BoundPolynomial:
 def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, Variant.BASE, k, s, "mrrw")
+        return _kernel_square_poly(spec, k, s, "mrrw")
 
 
 def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
@@ -241,12 +249,12 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
     p_0(s)..p_{k+1}(s) from the caller's own run at s, which is then not
     run again.
     """
-    _check_degree(spec, Variant.BASE, k + 1, "zeros")
-    if not (0 <= k and _base_window(spec, s, k + 1) == (k + 1, True)):
+    _jacobi_coeffs(spec, Variant.BASE, k)
+    if _base_window(spec, s, k + 1) != (k + 1, True):
         raise ValidationError("closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
                               "got s=%r outside the window of k=%d" % (s, k))
     table_s = _basis_at(spec, Variant.BASE, k + 1, s) if at_s is None else at_s
-    kern_one = float(table_s[: k + 1] @ _basis_at(spec, Variant.BASE, k, 1.0))
+    kern_one = float(table_s[: k + 1] @ basis_at_end(spec, Variant.BASE, k, 1.0))
     denom = recurrence_coeffs(spec, Variant.BASE, k).a[k] * table_s[k + 1] * table_s[k]
     if denom == 0.0:
         raise SingularOperatorError("closed-form denominator vanished at s=%r" % (s,))
@@ -254,15 +262,17 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
 
 
 def lev_odd_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
-    """c (x - s) K_k^-(x, s)^2 over the minus kernel, degree 2k + 1."""
+    """c (x - s) (v . p(x))^2 in the base system, degree 2k + 1, with v =
+    p_{k+1}(1) p(s) - p_{k+1}(s) p(1): the minus kernel K_k^-(x, s) up to scale."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, Variant.MINUS, k, s, "lev_odd")
+        return _kernel_square_poly(spec, k, s, "lev_odd")
 
 
 def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
-    """c (x - s)(x + 1) K_k^+-(x, s)^2 over the plusminus kernel, degree 2k + 2."""
+    """c (x - s)(x + 1) (v . p(x))^2 in the base system, degree 2k + 2, with
+    v = G^-1 p(s), G = I - J_k^2 - a_k^2 e_k e_k^T: the plusminus kernel K_k^+-(x, s)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, Variant.PLUSMINUS, k, s, "lev_even")
+        return _kernel_square_poly(spec, k, s, "lev_even", e=1)
 
 
 def _above(spec: MeasureSpec, basis: Variant, k: int, s: float, top: int) -> bool:
@@ -289,7 +299,7 @@ def lev_degree_select(spec: MeasureSpec, s: float):
         raise ValidationError("lev_degree_select needs s < 1")
     cap_minus = max_degree(spec, Variant.MINUS)
     cap_pm = max_degree(spec, Variant.PLUSMINUS)
-    k_top = _LEV_DEGREE_CAP if cap_minus is None else min(_LEV_DEGREE_CAP, cap_minus - 1)
+    k_top = _LEV_DEGREE_CAP if cap_minus is None else cap_minus - 1
     i = _zeros_below(spec, Variant.MINUS, s - _WINDOW_TIE_TOL, k_top + 1)
     k = max(i, 1) - 1
     if cap_pm is None or k <= cap_pm:
@@ -327,10 +337,10 @@ def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
     )
 
 
-def _audited_square(spec, basis, k, s, method, v, tolerances):
+def _audited_square(spec, k, s, method, tolerances, v=None, e=0):
     """_kernel_square_poly and its certificate, under one np.errstate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        poly = _kernel_square_poly(spec, basis, k, s, method, v)
+        poly = _kernel_square_poly(spec, k, s, method, v, e)
         return poly, _certificate(spec, poly, s, tolerances)
 
 
@@ -368,7 +378,7 @@ def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances, fields) -> Bou
     k + 1 wherever the closed form can be reached (k + 1 <= max_degree)."""
     cap = max_degree(spec, Variant.BASE)
     at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
-    poly, cert = _audited_square(spec, Variant.BASE, k, s, "mrrw", at_s[: k + 1], tolerances)
+    poly, cert = _audited_square(spec, k, s, "mrrw", tolerances, at_s[: k + 1])
     try:
         closed = mrrw_bound_closed(spec, k, s, at_s) if cert.passed else None
     except (ValidationError, SingularOperatorError):
@@ -447,8 +457,8 @@ def _bound_at(spec: MeasureSpec, s: float, method: str, k, tolerances, fields):
                 "the Levenshtein construction picks its own degree; drop k"
             )
         k_sel, parity = lev_degree_select(spec, s)
-        basis = Variant.MINUS if parity == "odd" else Variant.PLUSMINUS
-        poly, cert = _audited_square(spec, basis, k_sel, s, "lev_" + parity, None, tolerances)
+        poly, cert = _audited_square(spec, k_sel, s, "lev_" + parity, tolerances,
+                                     e=parity == "even")
         return _certified_result(spec, poly, s, tolerances, cert, **fields)
 
     if method in ("mrrw", "spectral"):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ValidationError
 from .orthopoly import (
     JacobiOperator,
-    basis_at_one,
+    basis_at_end,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
@@ -91,7 +91,7 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
         table = discrete_basis_table(spec, Variant.BASE)[: n + 1]
         return table @ (w * np.asarray(f(x), dtype=float))
     x, w = quadrature(spec, Variant.BASE, n + 1)
-    table = gauss_basis_table(spec, Variant.BASE, n, n + 1)
+    table = gauss_basis_table(spec, n, n + 1)
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
@@ -229,7 +229,7 @@ def cone_certificate(
     must leave the LP inequality a bound: a code C gives
     |C| (fhat_0 - slack) <= f(1), with slack = sum_{i>=1} max(0, -fhat_i)
     p_i(1) + max(0, max_on_audit), so fhat_0 must exceed slack. p_i(1) is
-    read from basis_at_one, the table f(1) and the closed forms read too.
+    read from basis_at_end, the table f(1) and the closed forms read too.
 
     What is audited is the coefficient vector fhat that the certificate
     reports, so the certificate's own fhat re-audits to the same
@@ -297,7 +297,7 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
         )
     else:
         floor = _DEFAULT_TOLERANCES.pos
-        at_one = basis_at_one(spec, Variant.BASE, fhat.size - 1)
+        at_one = basis_at_end(spec, Variant.BASE, fhat.size - 1, 1.0)
         # item() reads one entry as a Python float, with no copy of the
         # table, so sum() adds floats (compensated on Python 3.12+)
         slack = max(max_val, 0.0) - sum(

@@ -223,31 +223,25 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
 
 
 @lru_cache(maxsize=None)
-def basis_at_one(spec: MeasureSpec, basis: Variant, deg: int) -> np.ndarray:
-    """p_0(1)..p_deg(1) of the basis, read-only: the one table of these
-    values. For the base system of a discrete space it is the node-0
-    column of discrete_basis_table (x = 1 is node 0), which holds the
-    values of a recurrence run at x = 1 without a run per degree;
-    otherwise it is that run of eval_basis_table at x = 1, done once."""
+def basis_at_end(spec: MeasureSpec, basis: Variant, deg: int, end: float) -> np.ndarray:
+    """p_0(end)..p_deg(end) of the basis at end = 1.0 or -1.0, read-only: the
+    one table of these values. For the base system of a discrete space it
+    is the first or last column of discrete_basis_table (the nodes run from
+    1 down to -1), with no run per degree; otherwise one run of
+    eval_basis_table at end, done once."""
     if spec.discrete and basis is Variant.BASE:
-        return discrete_basis_table(spec, basis)[: deg + 1, 0]
-    row = eval_basis_table(spec, basis, deg, 1.0)[:, 0]
+        return discrete_basis_table(spec, basis)[: deg + 1, 0 if end == 1.0 else -1]
+    row = eval_basis_table(spec, basis, deg, end)[:, 0]
     row.flags.writeable = False
     return row
 
 
-@lru_cache(maxsize=None)
-def gauss_basis_table(spec: MeasureSpec, basis: Variant, deg: int, m: int) -> np.ndarray:
-    """Cached table of p_0..p_deg of the basis at the nodes of the m-point
-    Gauss rule of the base measure, read-only. In the base system it is a
-    slice of the table the rule's weights were read from (rows past m - 1
-    aside), so every base table at one rule is one recurrence run; another
-    basis takes one run of eval_basis_table at the rule's nodes."""
-    x, _, table = _gauss_rule(spec, Variant.BASE, m)
-    if basis is not Variant.BASE or deg >= m:
-        table = eval_basis_table(spec, basis, deg, x)
-        table.flags.writeable = False
-    return table[: deg + 1]
+def gauss_basis_table(spec: MeasureSpec, deg: int, m: int) -> np.ndarray:
+    """p_0..p_deg (deg < m) of the base system at the nodes of the m-point
+    Gauss rule of the base measure, read-only: a slice of the table the
+    rule's weights were read from, so every table at one rule is one
+    recurrence run."""
+    return _gauss_rule(spec, Variant.BASE, m)[2][: deg + 1]
 
 
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
@@ -300,8 +294,7 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
         raise ValidationError("zeros needs k >= 0")
     if k == 0:
         return np.array([])
-    _check_degree(spec, basis, k, "zeros")
-    rc = recurrence_coeffs(spec, basis, k - 1)
+    rc = _jacobi_coeffs(spec, basis, k - 1)
     return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
 
 
@@ -372,8 +365,7 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     if x is None:
         if k < 0:
             raise ValidationError("zeros needs k >= 0")
-        _check_degree(spec, basis, k, "zeros")
-        rc = recurrence_coeffs(spec, basis, k - 1)
+        rc = _jacobi_coeffs(spec, basis, k - 1)
         below, before = table.get(k - 1), table.get(k - 2)
         start = None if below is None or before is None else below + (below - before)
         x = table[k] = _top_zero(rc.b[:k], rc.a[: k - 1], below, start)

@@ -11,14 +11,15 @@ read its eigenvector, square. Both come from one O(k) pass over the LDL^T
 pivots of t - T_k(s) (orthopoly._pivots): the top eigenvalue is the t at
 which the leading block's pivots are all positive and the last vanishes,
 and the eigenvector is the product of the pivots, so no dense matrix is
-formed and no spectrum is taken. This module exercises that route and
-the s-independent variant where the corner weight is pinned at x = 1.
+formed and no spectrum is taken. The bounds square that eigenvector in
+the base system; over an adjacent system it gives the Levenshtein
+polynomials, a cross-check of the base-system construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
 
 import numpy as np
@@ -224,7 +225,8 @@ def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, 
     # an eigenvector product that overflows is refused for its NaN residual
     with np.errstate(over="ignore", invalid="ignore"):
         pair = top_eigenpair(T, start=s)
-        poly = _kernel_square_poly(spec, basis, k, s, "spectral", pair.vector)
+        poly = _kernel_square_poly(spec, k, s, "spectral", pair.vector,
+                                   basis is Variant.PLUSMINUS, basis)
         cert = _certificate(spec, poly, s, tolerances)
     closed = None
     if basis is Variant.BASE and cert.passed:
@@ -234,36 +236,3 @@ def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, 
                                % (1.0 / cert.fhat[0], closed))
     return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
 
-
-def spectral_bound_fixed(spec: MeasureSpec, k: int, tolerances=None) -> BoundResult:
-    """s-independent bound from the corner weight pinned at x = 1.
-
-    Builds J_k - rho_k(1) e_k e_k^T with rho_k(1) = a_k p_{k+1}(1)/p_k(1),
-    whose top eigenvalue lambda_k lands inside the window x_k < lambda_k <
-    x_{k+1}: on that window the corner weight of T_k(s) runs over every
-    negative value once, -rho_k(1) among them. The eigensolve starts at the
-    window's midpoint. 1 - lambda_k at or below 1e-12 is refused as
-    degenerate. The certified value
-    1/fhat_0 of the square of its top eigenvector at lambda_k is returned,
-    with the closed form 4 a_k p_{k+1}(1) p_k(1)/(1 - lambda_k) attached.
-    p(1) is read from the cached basis_at_one table. An uncertified value
-    is refused with a diagnostic.
-    """
-    if k < 1:
-        raise ValidationError("spectral_bound_fixed needs k >= 1")
-    T = build_Tk(spec, Variant.BASE, k, 1.0)
-    rho_one = T.rho
-    lo = largest_zero(spec, Variant.BASE, k)
-    hi = largest_zero(spec, Variant.BASE, k + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = top_eigenpair(replace(T, rho=-rho_one), start=0.5 * (lo + hi))
-        lam = pair.eigenvalue
-        if 1.0 - lam <= 1e-12:
-            raise SingularOperatorError(
-                "1 - lambda_k = %.3e is degenerate at k=%d" % (1.0 - lam, k)
-            )
-        poly = _kernel_square_poly(spec, Variant.BASE, k, lam, "spectral_fixed", pair.vector)
-        cert = _certificate(spec, poly, lam, tolerances)
-    pk = float(_basis_at(spec, Variant.BASE, k, 1.0)[k])
-    closed = 4.0 * rho_one * pk * pk / (1.0 - lam)
-    return _certified_result(spec, poly, lam, tolerances, cert, closed_form=closed)

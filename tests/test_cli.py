@@ -3,7 +3,6 @@ import io
 import json
 import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -74,22 +73,12 @@ def test_bound_all_collects_failures(capsys):
     assert lev_row["bound"] == pytest.approx(16.0, abs=1e-6)
 
 
-def test_fixed_spectral_via_k(capsys):
+def test_spectral_degree_without_a_threshold_exits_2(capsys):
+    """--k without --d or --s names no point to bound: exit 2."""
     code, out = run_cli(capsys, "bound", "--space", "hamming:4", "--method",
                         "spectral", "--k", "1")
-    assert code == 0
-    blob = json.loads(out)
-    assert blob["method"] == "spectral_fixed"
-    assert blob["bound"] == pytest.approx(16.0, abs=1e-6)
-
-
-def test_fixed_spectral_at_the_max_degree_exits_2(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out = run_cli(capsys, "bound", "--space", "hamming:4", "--method",
-                            "spectral", "--k", "4")
     assert code == 2
-    assert "error" in json.loads(out)
+    assert "exactly one of --d and --s" in json.loads(out)["error"]
 
 
 def test_mrrw_degree_past_the_max_degree_exits_2_under_w_error():

@@ -482,20 +482,26 @@ def test_custom_space_refuses_on_its_last_zero():
     """On a custom space given sphere:8's first 3 coefficient pairs, s on
     or just under its last available zero x_2 lies on a window edge, and
     mrrw and spectral refuse it as outside every window: telling whether
-    x_2 > s + tol needs no zero past x_2. The closed form of k = 2, which
-    needs x_3, is refused for x_3's degree."""
+    x_2 > s + tol needs no zero past x_2. The closed form of k = 2 refuses
+    those s as outside its window: J_2, which the 3 pairs determine, gives
+    x_3. Inside that window, at s = 0.36, it is sphere:8's closed form."""
     from delbound import custom_space
     from delbound.constructions import _WINDOW_TIE_TOL as tol
 
-    base = recurrence_coeffs(sphere_space(8), Variant.BASE, 2)
+    sphere = sphere_space(8)
+    base = recurrence_coeffs(sphere, Variant.BASE, 2)
     spec = custom_space(base.a, base.b)
     x = largest_zero(spec, Variant.BASE, 2)
     for s in (x, math.nextafter(x, -1.0), x - tol / 2, x - tol):
         for method in ("mrrw", "spectral"):
             with pytest.raises(NotCertifiedError, match="outside every open window"):
                 bound_for_s(spec, s, method)
-        with pytest.raises(ValidationError, match="zeros needs coefficient index 3"):
+        with pytest.raises(ValidationError, match="closed-form bound needs"):
             mrrw_bound_closed(spec, 2, s)
+    assert largest_zero(spec, Variant.BASE, 3) == largest_zero(sphere, Variant.BASE, 3)
+    assert zeros(spec, Variant.BASE, 3).tolist() == zeros(sphere, Variant.BASE, 3).tolist()
+    closed = mrrw_bound_closed(spec, 2, 0.36)
+    assert closed == pytest.approx(mrrw_bound_closed(sphere, 2, 0.36), rel=1e-14)
 
 
 def test_custom_space_refuses_past_its_last_zero_on_the_degree_budget():
@@ -823,7 +829,7 @@ def _reference_lev_window(spec, s):
         raise ValidationError("lev_degree_select needs s < 1")
     cap_minus = max_degree(spec, Variant.MINUS)
     cap_pm = max_degree(spec, Variant.PLUSMINUS)
-    k_top = _LEV_DEGREE_CAP if cap_minus is None else min(_LEV_DEGREE_CAP, cap_minus - 1)
+    k_top = _LEV_DEGREE_CAP if cap_minus is None else cap_minus - 1
     for k in range(k_top + 1):
         left = largest_zero(spec, Variant.PLUSMINUS, k) if (
             cap_pm is None or k <= cap_pm) else None
@@ -993,31 +999,45 @@ def _clear_caches():
 
 def _fresh_sphere_fhat(spec, res):
     """fhat of a sphere bound's kernel square from fresh recurrence runs:
-    p(s), or the spectral eigenvector found from the library's start s,
-    the rows at x = 1, and the kernel and base rows at the nodes of
-    quadrature(spec, BASE, degree + 1), in the operation order of the
-    library's build."""
+    v from p(s), p(1) and p(-1) (the Levenshtein vectors) or the spectral
+    eigenvector found from the library's start s, the rows at x = 1, and
+    the base rows at the nodes of quadrature(spec, BASE, degree + 1), in
+    the operation order of the library's build."""
     from delbound import spectral
     from delbound.orthopoly import eval_basis_table
     from delbound.spaces import quadrature
 
-    basis = {"lev_odd": Variant.MINUS, "lev_even": Variant.PLUSMINUS}.get(
-        res.method, Variant.BASE)
-    extra = basis is Variant.PLUSMINUS
+    extra = res.method == "lev_even"
     k = (res.degree - 1 - extra) // 2
     s = res.s
+
+    def at(x, deg=k):
+        return eval_basis_table(spec, Variant.BASE, deg, x)[:, 0]
+
     if res.method == "spectral":
-        v = spectral.top_eigenpair(spectral.build_Tk(spec, basis, k, s), start=s).vector
+        v = spectral.top_eigenpair(spectral.build_Tk(spec, Variant.BASE, k, s), start=s).vector
+    elif res.method == "mrrw":
+        v = at(s)
     else:
-        v = eval_basis_table(spec, basis, k, s)[:, 0]
+        at_s, one, neg = at(s, k + 1), at(1.0, k + 1), at(-1.0, k + 1)
+        ps, po, pm = at_s.item(k + 1), one.item(k + 1), neg.item(k + 1)
+        if not extra:
+            v = at_s[: k + 1] - (ps / po) * one[: k + 1]
+        else:
+            a = recurrence_coeffs(spec, Variant.BASE, k).a[k]
+            to_one, to_neg = -0.5 * ps * (1.0 + s) / po, -0.5 * ps * (1.0 - s) / pm
+            corner = at_s.item(k) + to_one * one.item(k) + to_neg * neg.item(k)
+            q = 0.5 * a * corner / (1.0 - 0.5 * a * (one.item(k) / po - neg.item(k) / pm))
+            v = (at_s[: k + 1] + (to_one + q / po) * one[: k + 1]
+                 + (to_neg - q / pm) * neg[: k + 1])
 
     def product(t, table):
         kern = v @ table
         return ((t - s) * (t + 1.0) if extra else t - s) * kern * kern
 
-    c = 1.0 / float(product(1.0, eval_basis_table(spec, basis, k, 1.0))[0])
+    c = 1.0 / float(product(1.0, at(1.0)))
     x, w = quadrature(spec, Variant.BASE, res.degree + 1)
-    on_rule = c * product(x, eval_basis_table(spec, basis, k, x))
+    on_rule = c * product(x, eval_basis_table(spec, Variant.BASE, k, x))
     return eval_basis_table(spec, Variant.BASE, res.degree, x) @ (w * on_rule)
 
 
@@ -1082,9 +1102,9 @@ def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypat
 def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch, method):
     """From cleared caches a sphere bound runs the base recurrence at the
     nodes of its (degree + 1)-point Gauss rule once, in the rule itself:
-    the expansion rows and, for mrrw and spectral, the kernel rows are
-    slices of the table the weights were read from. lev runs its own
-    basis there once as well."""
+    the expansion rows and the kernel rows are slices of the table the
+    weights were read from. No method runs an adjacent system there, lev
+    included: it is built in the base system."""
     import sys
 
     from delbound import orthopoly
@@ -1105,17 +1125,19 @@ def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch
     res = bound_for_s(spec, 0.3, method)
     nodes, _ = quadrature(spec, Variant.BASE, res.degree + 1)
     at_rule = [basis.value for basis, x in calls if np.array_equal(x, nodes)]
-    own = {"lev_odd": ["minus"], "lev_even": ["plusminus"]}.get(res.method, [])
-    assert sorted(at_rule) == sorted(["base"] + own), res.method
+    assert at_rule == ["base"], res.method
 
 
 @pytest.mark.parametrize("label", ["sphere:3", "sphere:24", "sphere:100", "custom:8:30"])
 def test_continuous_fhat_is_the_fourier_expansion_of_its_product_form(label):
     """On a continuous space each kernel square is expanded in place on the
     (degree + 1)-point Gauss rule; its fhat matches fourier_expand of the
-    product form c (x - s)(x + 1)^e (p(s) . p(x))^2 to 1e-14 of max |fhat|.
-    A wrong rule or point count is off by 1e-2 of it or more."""
-    from delbound import custom_space, fourier_expand
+    product form c (x - s)(x + 1)^e (v . p(x))^2 in the base system, with
+    c = 1/f(1), to 1e-14 of max |fhat|. v is p(s) for mrrw, p_{k+1}(1) p(s)
+    - p_{k+1}(s) p(1) for lev_odd and the solution of G v = p(s) for
+    lev_even, G = I - J_k^2 - a_k^2 e_k e_k^T. A wrong rule or point count
+    is off by 1e-2 of it or more."""
+    from delbound import custom_space, fourier_expand, jacobi_matrix
     from delbound.orthopoly import eval_basis_table
 
     if label.startswith("custom"):
@@ -1123,18 +1145,29 @@ def test_continuous_fhat_is_the_fourier_expansion_of_its_product_form(label):
         spec = custom_space(base.a, base.b)
     else:
         spec = sphere_space(int(label.split(":")[1]))
-    builds = ((mrrw_poly, Variant.BASE, 0), (lev_odd_poly, Variant.MINUS, 0),
-              (lev_even_poly, Variant.PLUSMINUS, 1))
-    for build, basis, e in builds:
+
+    def vector(build, k, s):
+        at_s = eval_basis_table(spec, Variant.BASE, k + 1, s)[:, 0]
+        one = eval_basis_table(spec, Variant.BASE, k + 1, 1.0)[:, 0]
+        if build is mrrw_poly:
+            return at_s[: k + 1]
+        if build is lev_odd_poly:
+            return one[k + 1] * at_s[: k + 1] - at_s[k + 1] * one[: k + 1]
+        jac = jacobi_matrix(spec, Variant.BASE, k).matrix()
+        gram = np.eye(k + 1) - jac @ jac
+        gram[k, k] -= recurrence_coeffs(spec, Variant.BASE, k).a[k] ** 2
+        return np.linalg.solve(gram, at_s[: k + 1])
+
+    for build, e in ((mrrw_poly, 0), (lev_odd_poly, 0), (lev_even_poly, 1)):
         for k, s in ((0, -0.3), (2, 0.1), (5, 0.45), (9, 0.7)):
             poly = build(spec, k, s)
-            at_s = eval_basis_table(spec, basis, k, s)[:, 0]
+            v = vector(build, k, s)
 
             def f(x):
-                kern = at_s @ eval_basis_table(spec, basis, k, x)
-                return poly.c * (x - s) * (x + 1.0) ** e * kern * kern
+                kern = v @ eval_basis_table(spec, Variant.BASE, k, x)
+                return (x - s) * (x + 1.0) ** e * kern * kern
 
-            ref = fourier_expand(spec, f, poly.degree)
+            ref = fourier_expand(spec, f, poly.degree) / f(np.array([1.0]))[0]
             fhat = np.array(poly.fhat)
             assert fhat.shape == ref.shape
             err = np.max(np.abs(fhat - ref)) / np.max(np.abs(fhat))
@@ -1146,26 +1179,41 @@ def test_continuous_fhat_is_the_fourier_expansion_of_its_product_form(label):
 # bit of a coefficient, or the verdict, fails here
 _PINNED = {
     ("hamming:64", 14, "mrrw"): (328477547262.7948, 19, "efa7b5ff6f93"),
-    ("hamming:64", 14, "lev"): (255748326022.30426, 20, "d770a1ea0589"),
+    ("hamming:64", 14, "lev"): (255748326022.30457, 20, "4db37b9d6d5f"),
     ("hamming:64", 14, "spectral"): (328477547262.7948, 19, "3f48824e7068"),
     ("hamming:64", 20, "mrrw"): (54464779.05189002, 11, "56510512c7d3"),
-    ("hamming:64", 20, "lev"): (46897522.47716349, 11, "fa735af99c18"),
+    ("hamming:64", 20, "lev"): (46897522.47716345, 11, "0f76d1e09f49"),
     ("hamming:64", 20, "spectral"): (54464779.05189006, 11, "d5026ce6454e"),
     ("hamming:64", 33, "mrrw"): (33.00000000000001, 1, "c9285883079c"),
     ("hamming:64", 33, "lev"): (33.00000000000001, 1, "c9285883079c"),
     ("hamming:64", 33, "spectral"): (33.00000000000001, 1, "c9285883079c"),
     ("hamming:384", 162, "mrrw"): (706149318202.2792, 11, "a4e01bb65fda"),
-    ("hamming:384", 162, "lev"): (683811611147.5503, 11, "e69ca7768fcb"),
+    ("hamming:384", 162, "lev"): (683811611147.55, 11, "cea5ff6f2936"),
     ("hamming:384", 162, "spectral"): (706149318202.2793, 11, "48000a520c97"),
     ("hamming:384", 175, "mrrw"): (136402264.25714836, 7, "388ae8819bdc"),
-    ("hamming:384", 175, "lev"): (20532983.37480182, 7, "b43368a716c3"),
+    ("hamming:384", 175, "lev"): (20532983.374801796, 7, "5ac32d41787c"),
     ("hamming:384", 175, "spectral"): (136402264.25714713, 7, "3b60a214bcf5"),
     ("hamming:384", 200, "mrrw"): (25.000000000000004, 1, "999fa03c0fef"),
-    ("hamming:384", 200, "lev"): (25.000000000000004, 1, "999fa03c0fef"),
+    ("hamming:384", 200, "lev"): (25.000000000000007, 1, "2ba96fb071c3"),
     ("hamming:384", 200, "spectral"): (25.000000000000004, 1, "999fa03c0fef"),
     ("sphere:24", 0.5, "mrrw"): (290974.2105263088, 9, "e69ba175e97e"),
-    ("sphere:24", 0.5, "lev"): (196559.99999999953, 11, "93f2b9ce8f17"),
+    ("sphere:24", 0.5, "lev"): (196559.99999999956, 11, "bae2ca43d3b4"),
     ("sphere:24", 0.5, "spectral"): (290974.2105263087, 9, "b0924717e93d"),
+}
+
+
+# the lev bounds of _PINNED as the products of the adjacent kernels
+# K^-_k(x, s) and K^+-_k(x, s) gave them, built over the minus and
+# plusminus node or Gauss tables; the base-system builds stay within
+# 1e-12 of them
+_ADJACENT_LEV = {
+    ("hamming:64", 14, "lev"): 255748326022.30426,
+    ("hamming:64", 20, "lev"): 46897522.47716349,
+    ("hamming:64", 33, "lev"): 33.00000000000001,
+    ("hamming:384", 162, "lev"): 683811611147.5503,
+    ("hamming:384", 175, "lev"): 20532983.37480182,
+    ("hamming:384", 200, "lev"): 25.000000000000004,
+    ("sphere:24", 0.5, "lev"): 196559.99999999953,
 }
 
 
@@ -1178,3 +1226,171 @@ def test_certified_results_are_pinned_to_the_bit(key):
     else:
         res = bound_for_s(sphere_space(int(size)), at, method)
     assert (res.bound, res.degree, res.certificate.certificate_id) == _PINNED[key]
+    if method == "lev":
+        assert res.bound == pytest.approx(_ADJACENT_LEV[key], rel=1e-12, abs=0)
+
+
+def _adjacent_kernel_square(spec, k, s, parity):
+    """fhat of c (x - s)(x + 1)^e K_k(x, s)^2 over the minus kernel (odd,
+    e = 0) or the plusminus one (even, e = 1), from fresh runs of the
+    adjacent recurrence: the Levenshtein polynomials as built over the
+    adjacent systems, kept as the reference of the base-system builds."""
+    from delbound import fourier_expand
+    from delbound.orthopoly import eval_basis_table
+    from delbound.spaces import max_degree
+
+    basis = Variant.MINUS if parity == "odd" else Variant.PLUSMINUS
+    e = parity == "even"
+    at_s = eval_basis_table(spec, basis, k, s)[:, 0]
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        kern = at_s @ eval_basis_table(spec, basis, k, x)
+        return (x - s) * (x + 1.0) ** e * kern * kern
+
+    degree = 2 * k + 1 + e
+    cap = max_degree(spec, Variant.BASE)
+    return fourier_expand(spec, f, degree if cap is None else min(degree, cap)) / f(1.0)
+
+
+_LEV_BUILDS = {"odd": lev_odd_poly, "even": lev_even_poly}
+
+
+def test_lev_builds_match_the_adjacent_kernel_squares():
+    """Over every node of hamming:16/33/64/128 and a 19-point s-grid on
+    sphere:3/4/8/24/50 that a Levenshtein window holds (334 cases, both
+    parities), the base-system build at the window's degree has the fhat
+    of the adjacent-kernel square within 1e-12 of its largest entry, and
+    every certified lev bound is 1/fhat_0 of that square within 1e-12."""
+    cases = [(hamming_space(n), s) for n in (16, 33, 64, 128) for s in hamming_space(n).nodes[1:]]
+    cases += [(sphere_space(d), i / 10) for d in (3, 4, 8, 24, 50) for i in range(-9, 10)]
+    compared = certified = 0
+    for spec, s in cases:
+        try:
+            k, parity = lev_degree_select(spec, s)
+        except DegreeBudgetError:
+            continue
+        ref = _adjacent_kernel_square(spec, k, s, parity)
+        fhat = np.array(_LEV_BUILDS[parity](spec, k, s).fhat)
+        assert np.max(np.abs(fhat - ref)) <= 1e-12 * np.max(np.abs(ref)), (spec.label(), s)
+        compared += 1
+        try:
+            res = bound_for_s(spec, s, "lev")
+        except NotCertifiedError:
+            continue
+        assert res.bound == pytest.approx(1.0 / ref[0], rel=1e-12, abs=0), (spec.label(), s)
+        certified += 1
+    assert compared >= 332 and certified >= 250
+
+
+@pytest.mark.parametrize("label, s, on_a_zero", [
+    ("hamming:64", 0.125, False),   # d = 28, s = x_2 inside the odd window of k = 2
+    ("hamming:64", 0.0, True),      # p_{k+1}(s) = 0 for every even k
+    ("hamming:256", 0.0625, True),  # d = 120
+    ("hamming:64", -1.0, False),
+    ("sphere:24", -1.0, False),
+])
+def test_lev_builds_at_edge_nodes_match_the_adjacent_kernel_squares(label, s, on_a_zero):
+    """At the node d = 28 of hamming:64, where the leading 2 x 2 block of
+    s - J_3 is singular, at nodes where p_{k+1}(s) vanishes (on_a_zero:
+    some p_{k+1}(s) is exactly 0.0 there), and at s = -1, where the even
+    vector is a solve with the Gram matrix G, both parities at every k up
+    to 12 give finite fhat within 1e-12 of the adjacent-kernel square's
+    largest entry."""
+    from delbound.orthopoly import eval_basis_table
+
+    spec = _space(label)
+    vanished = False
+    for k in range(13):
+        vanished |= eval_basis_table(spec, Variant.BASE, k + 1, s)[k + 1, 0] == 0.0
+        for parity, build in _LEV_BUILDS.items():
+            fhat = np.array(build(spec, k, s).fhat)
+            ref = _adjacent_kernel_square(spec, k, s, parity)
+            assert np.all(np.isfinite(fhat)), (label, s, k, parity)
+            assert np.max(np.abs(fhat - ref)) <= 1e-12 * np.max(np.abs(ref)), (label, s, k, parity)
+    assert vanished or not on_a_zero
+
+
+def _phi_forms(spec, k, s, e):
+    """The quadratic forms of Phi(g) = (1 - s) g(1)^2 / int (x - s)(x + 1)^e
+    g^2 dmu on g = v . p, p = p_0..p_k of the base system: the Gram matrix
+    of (x - s)(x + 1)^e dmu, summed on the nodes or on a Gauss rule exact
+    for it, and p(1)."""
+    from delbound.orthopoly import eval_basis_table
+    from delbound.spaces import node_weights, quadrature
+
+    x, w = node_weights(spec, Variant.BASE) if spec.discrete else quadrature(spec, Variant.BASE, k + 3)
+    rows = eval_basis_table(spec, Variant.BASE, k, x)
+    gram = (rows * (w * (x - s) * (x + 1.0) ** e)) @ rows.T
+    return gram, eval_basis_table(spec, Variant.BASE, k, 1.0)[:, 0]
+
+
+@pytest.mark.parametrize("label, s", [("sphere:24", 0.5), ("hamming:64", 0.5625)])
+def test_lev_vectors_are_stationary_points_of_the_moment_ratio(label, s):
+    """The paper's theorem on the base system: at the lev v of either
+    parity, the central-difference gradient of Phi(g) = (1 - s) g(1)^2 /
+    int (x - s)(x + 1)^e g^2 dmu vanishes to 1e-6 relative and its
+    curvature across v is positive; at the MRRW kernel v = p(s) the
+    gradient does not vanish. hamming:64 at s = 0.5625 is d = 14."""
+    from delbound.constructions import _basis_at, _lev_vector
+
+    spec = _space(label)
+    k = lev_degree_select(spec, s)[0]
+    rng = np.random.default_rng(5)
+    for e in (0, 1):
+        gram, one = _phi_forms(spec, k, s, e)
+
+        def phi(g):
+            return (1.0 - s) * (one @ g) ** 2 / (g @ gram @ g)
+
+        def gradient(v):
+            h = 1e-6 * np.linalg.norm(v)
+            grad = [(phi(v + h * d) - phi(v - h * d)) / (2 * h) for d in np.eye(k + 1)]
+            return np.linalg.norm(grad) * np.linalg.norm(v) / abs(phi(v))
+
+        v = _lev_vector(spec, k, s, e)
+        assert gradient(v) <= 1e-6, (label, e)
+        h = 1e-4 * np.linalg.norm(v)
+        for _ in range(4):
+            d = rng.normal(size=k + 1)
+            d -= (d @ v) / (v @ v) * v
+            assert phi(v + h * d) - 2 * phi(v) + phi(v - h * d) > 0.0, (label, e)
+        assert gradient(np.array(_basis_at(spec, Variant.BASE, k, s))) > 1e-2, (label, e)
+
+
+def test_bound_paths_evaluate_no_adjacent_system(monkeypatch):
+    """From cleared caches, every method at every distance of hamming:64
+    and on an s-grid of sphere:24 gives the same bounds, degrees, closed
+    forms, certificate ids and refusals when evaluating the minus or
+    plusminus system raises: the adjacent systems serve only the windows,
+    through their coefficients."""
+    import sys
+
+    from delbound import orthopoly
+
+    methods = ("mrrw", "lev", "spectral")
+    h64, s24 = hamming_space(64), sphere_space(24)
+    cases = [(bound_for_distance, h64, d, m) for d in range(1, 65) for m in methods]
+    cases += [(bound_for_s, s24, i / 20, m) for i in range(-19, 20) for m in methods]
+
+    def fingerprint(fn, *args):
+        try:
+            res = fn(*args)
+        except DelboundError as exc:
+            return type(exc).__name__, str(exc)
+        return res.bound, res.degree, res.closed_form, res.certificate.certificate_id
+
+    before = [fingerprint(*case) for case in cases]
+    assert sum(len(b) == 4 for b in before) > 100
+    original = orthopoly.eval_basis_table
+
+    def base_only(spec_, basis, deg, x):
+        if basis is not Variant.BASE:
+            raise AssertionError("an adjacent system was evaluated on a bound path")
+        return original(spec_, basis, deg, x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
+            monkeypatch.setattr(module, "eval_basis_table", base_only)
+    _clear_caches()
+    assert [fingerprint(*case) for case in cases] == before

@@ -457,11 +457,11 @@ def test_comrade_roots_match_chebroots(dim):
 @pytest.mark.parametrize("d", [3, 24, 200])
 def test_sphere_slack_refusal_prints_the_slack_from_the_p1_table(d):
     """A certificate refused on its slack prints sum max(0, -fhat_i) p_i(1)
-    with p(1) from the cached basis_at_one table. The negative
+    with p(1) from the cached basis_at_end table. The negative
     coefficients sit at even degrees, within the coefficient tolerance,
     where p_i(-1) = p_i(1), so f(-1) < 0 and only the slack refuses."""
     from delbound import polynomial_from_fourier
-    from delbound.orthopoly import basis_at_one
+    from delbound.orthopoly import basis_at_end
 
     spec = sphere_space(d)
     deg = 40
@@ -469,7 +469,7 @@ def test_sphere_slack_refusal_prints_the_slack_from_the_p1_table(d):
                            for i in range(2, deg + 1)]
     cert = cone_certificate(spec, polynomial_from_fourier(spec, fhat, -1.0), -1.0)
     assert cert.verdict == "fail" and cert.max_on_audit < 0.0
-    at_one = basis_at_one(spec, Variant.BASE, deg)
+    at_one = basis_at_end(spec, Variant.BASE, deg, 1.0)
     slack = 0.0 - sum(v * float(at_one[i]) for i, v in enumerate(fhat) if i and v < 0.0)
     assert cert.reason == (
         "fhat_0 = %r is not above the slack %r of its negative coefficients "

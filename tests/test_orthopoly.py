@@ -464,10 +464,9 @@ def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
 
 
 def test_base_gauss_table_is_a_slice_of_the_rule():
-    """In the base system gauss_basis_table is a read-only slice of the
-    table the m-point rule's weights were read from, on sphere:4..200
-    through m = 61, and equals a fresh recurrence run at the rule's nodes
-    bit for bit; an adjacent system's table is its own run there."""
+    """gauss_basis_table is a read-only slice of the table the m-point
+    rule's weights were read from, on sphere:4..200 through m = 61, and
+    equals a fresh recurrence run at the rule's nodes bit for bit."""
     from delbound.orthopoly import gauss_basis_table
     from delbound.spaces import _gauss_rule, quadrature
 
@@ -479,30 +478,30 @@ def test_base_gauss_table_is_a_slice_of_the_rule():
             assert x is nodes and w is weights
             assert not rule.flags.writeable
             for deg in {0, m // 2, m - 1}:
-                table = gauss_basis_table(spec, Variant.BASE, deg, m)
+                table = gauss_basis_table(spec, deg, m)
                 assert np.shares_memory(table, rule) and not table.flags.writeable
                 fresh = eval_basis_table(spec, Variant.BASE, deg, nodes)
                 assert np.array_equal(table, fresh), (dim, m, deg)
-        minus = gauss_basis_table(spec, Variant.MINUS, 30, 61)
-        assert not np.shares_memory(minus, rule) and not minus.flags.writeable
-        assert np.array_equal(minus, eval_basis_table(spec, Variant.MINUS, 30, nodes))
 
 
 def test_basis_at_one_is_the_node_column_or_the_recurrence_at_one():
-    """The one table of p_0(1)..p_deg(1): on a Hamming space the node-0
-    column of the node table, on a sphere the recurrence run at x = 1,
-    bit for bit either way."""
-    from delbound.orthopoly import basis_at_one
+    """The one table of p_0(x)..p_deg(x) at each end x = 1 and x = -1: on a
+    Hamming space the first or last column of the node table, on a sphere
+    the recurrence run at x, bit for bit either way."""
+    from delbound.orthopoly import basis_at_end
 
     for n in (16, 64, 384):
         spec = hamming_space(n)
-        column = discrete_basis_table(spec, Variant.BASE)[:, 0]
-        for deg in range(n + 1):
-            assert basis_at_one(spec, Variant.BASE, deg).tolist() == column[: deg + 1].tolist()
+        table = discrete_basis_table(spec, Variant.BASE)
+        for end, column in ((1.0, table[:, 0]), (-1.0, table[:, -1])):
+            for deg in range(n + 1):
+                got = basis_at_end(spec, Variant.BASE, deg, end)
+                assert got.tolist() == column[: deg + 1].tolist()
     for d in (3, 24, 200):
         spec = sphere_space(d)
-        for deg in range(61):
-            ref = eval_basis_table(spec, Variant.BASE, deg, 1.0)[:, 0]
-            got = basis_at_one(spec, Variant.BASE, deg)
-            assert got.tolist() == ref.tolist(), (d, deg)
-            assert not got.flags.writeable
+        for end in (1.0, -1.0):
+            for deg in range(61):
+                ref = eval_basis_table(spec, Variant.BASE, deg, end)[:, 0]
+                got = basis_at_end(spec, Variant.BASE, deg, end)
+                assert got.tolist() == ref.tolist(), (d, end, deg)
+                assert not got.flags.writeable

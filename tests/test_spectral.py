@@ -13,7 +13,6 @@ from delbound import (
     largest_zero,
     mrrw_bound_closed,
     sphere_space,
-    spectral_bound_fixed,
     spectral_recover_bound,
     top_eigenpair,
     verify_kernel_eigen,
@@ -129,31 +128,6 @@ def test_spectral_route_equals_closed_form():
                 assert res.certificate.passed
 
 
-def test_spectral_fixed_point_bound():
-    spec = hamming_space(4)
-    res = spectral_bound_fixed(spec, 1)
-    assert res.bound == pytest.approx(16.0, abs=1e-6)
-    assert res.method == "spectral_fixed"
-    assert res.s == pytest.approx(0.25, abs=1e-12)
-    assert res.certificate.passed
-
-
-def test_spectral_fixed_validation():
-    spec = hamming_space(8)
-    with pytest.raises(ValidationError):
-        spectral_bound_fixed(spec, 0)
-
-
-def test_spectral_fixed_tracks_closed_form():
-    for n in (6, 10, 14):
-        spec = hamming_space(n)
-        for k in (1, 2):
-            res = spectral_bound_fixed(spec, k)
-            assert res.closed_form is not None
-            assert res.bound <= res.closed_form * (1 + 1e-12)
-            assert res.bound == pytest.approx(res.closed_form, rel=1e-7)
-
-
 def test_eigenvector_matches_kernel_values():
     """The unit top eigenvector of T_k(s), from a dense eigh of its matrix,
     is proportional to (p_0(s), ..., p_k(s))."""
@@ -170,23 +144,13 @@ def test_eigenvector_matches_kernel_values():
     assert np.max(np.abs(top - expected)) < 1e-10
 
 
-@pytest.mark.parametrize("n", [6, 10, 14, 16])
-def test_spectral_fixed_reports_the_certified_value(n):
-    """The reported bound is 1/fhat_0 of the certificate, bit for bit; the
-    closed form rides along without lowering it."""
-    spec = hamming_space(n)
-    for k in range(1, 5):
-        res = spectral_bound_fixed(spec, k)
-        assert res.bound == 1.0 / res.certificate.fhat[0], (n, k)
-        assert res.closed_form is not None
-
-
 def _window_operators():
     """(operator, window midpoint) pairs: build_Tk at the midpoint of every
     window of the three systems on hamming:33 and sphere:8 (k up to 12
-    there), the operators of spectral_bound_fixed, subtractive, for
-    k = 1..6 on both, with the midpoint of the base window holding their
-    top eigenvalue, and an operator of order 1."""
+    there), the subtractive operators J_k - rho_k(1) e_k e_k^T, with
+    rho_k(1) = a_k p_{k+1}(1)/p_k(1), for k = 1..6 on both, with the
+    midpoint of the base window holding their top eigenvalue, and an
+    operator of order 1."""
     from delbound import JacobiOperator
     from delbound.constructions import _basis_at
     from delbound.orthopoly import jacobi_matrix, recurrence_coeffs
@@ -266,13 +230,11 @@ def test_operator_at_the_max_degree_refuses_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError):
             build_Tk(spec, Variant.BASE, 4, 0.5)
-        with pytest.raises(ValidationError):
-            spectral_bound_fixed(spec, 4)
 
 
 def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
-    """The spectral bounds, the kernel check, the fixed bound and the mrrw
-    and lev bounds on a Hamming space return what they returned before once
+    """The spectral bounds, the kernel check and the mrrw and lev bounds
+    on a Hamming space return what they returned before once
     every dense eigensolve (np.linalg.eigvalsh, tridiagonal_eigenvalues in
     every namespace of the package) and every dense matrix
     (JacobiOperator.matrix) raises, run twice after the tables of largest
@@ -294,7 +256,6 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
     for spec, s in ((h384, h384.nodes[60]), (s24, 0.3)):
         k = _base_window_index(spec, s)
         cases.append(lambda spec=spec, k=k, s=s: verify_kernel_eigen(spec, Variant.BASE, k, s))
-    cases.append(lambda: spectral_bound_fixed(hamming_space(16), 3))
 
     def outcome(case):
         try:
@@ -334,19 +295,6 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
         passes.clear()
         top_eigenpair(build_Tk(spec, Variant.BASE, k, s), start=s)
         assert passes == [s], (spec.label(), s)
-
-
-@pytest.mark.parametrize("n, k, gap", [(49, 47, "1.562e-13"), (69, 65, "2.220e-16"),
-                                      (128, 107, "4.441e-16")])
-def test_fixed_bound_refuses_a_degenerate_eigenvalue_as_singular(n, k, gap):
-    """1 - lambda_k of the fixed operator is 1.5621e-13 at hamming:49,
-    k = 47, and 2.04e-16 and 4.35e-16 at the other two (60-digit
-    bisections on the pivots). The pivots give lambda_k to the last bit,
-    and their vector meets the residual contract there, so each call is
-    refused as degenerate, not for its residual; at the last two the
-    vector read one Newton step short of lambda_k misses the contract."""
-    with pytest.raises(SingularOperatorError, match=r"1 - lambda_k = %s is degenerate" % gap):
-        spectral_bound_fixed(hamming_space(n), k)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
