@@ -57,7 +57,7 @@ from .orthopoly import (
     jacobi_matrix,
     recurrence_coeffs,
 )
-from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
+from .spaces import MeasureSpec, Variant, _binomial_row, max_degree, node_weights, quadrature
 
 _WINDOW_TIE_TOL = 1e-12
 # how deep the window searches reach on a space without a max_degree
@@ -347,7 +347,7 @@ def _audited_square(spec, k, s, method, tolerances, v=None, e=0):
 @lru_cache(maxsize=None)
 def _ball_sizes(n: int) -> tuple:
     """sum_{j <= e} C(n, j) for e = 0..n: the Hamming ball sizes of space n."""
-    return tuple(itertools.accumulate(math.comb(n, j) for j in range(n + 1)))
+    return tuple(itertools.accumulate(_binomial_row(n)))
 
 
 def _ratio_or_inf(num: int, den: int) -> float:

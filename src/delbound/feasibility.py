@@ -204,12 +204,13 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
         deriv, jac = _derivative_table(spec, fhat.size - 1)
         g = fhat @ deriv
         pts = np.array([-1.0, s])
-        if np.isfinite(g).all():
+        coeffs = g.tolist()
+        if all(map(math.isfinite, coeffs)):
             # trailing coefficients at or below 1e-300 of the largest only add
             # roots far outside [-1, 1]; dropping them keeps g_j / g_m, and so
             # the comrade matrix, finite
-            kept = np.flatnonzero(np.abs(g) > 1e-300 * np.max(np.abs(g), initial=0.0))
-            m = int(kept[-1]) if kept.size else 0
+            cut = 1e-300 * max(map(abs, coeffs), default=0.0)
+            m = next((j for j in range(len(coeffs) - 1, 0, -1) if abs(coeffs[j]) > cut), 0)
             if m:
                 comrade = jac[:m, :m].copy()
                 comrade[m - 1] -= jac[m - 1, m] * (g[:m] / g[m])

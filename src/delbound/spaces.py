@@ -80,6 +80,16 @@ class MeasureSpec:
         return out
 
 
+@lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple:
+    """C(n, 0)..C(n, n) as exact integers, by C(n, j + 1) = C(n, j)(n - j)/(j + 1):
+    one product and one exact division per entry, not a fresh math.comb."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return tuple(row)
+
+
 def hamming_space(n: int) -> MeasureSpec:
     """Binary Hamming space of length n, as a measure on [-1, 1].
 
@@ -92,7 +102,7 @@ def hamming_space(n: int) -> MeasureSpec:
         raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
     nodes = tuple((n - 2 * j) / n for j in range(n + 1))
     denom = 2 ** n
-    weights = tuple(math.comb(n, j) / denom for j in range(n + 1))
+    weights = tuple(c / denom for c in _binomial_row(n))
     if 0.0 in weights:
         raise ValidationError(
             "hamming_space(%d) has node weights C(n, j) 2^-n that underflow to "

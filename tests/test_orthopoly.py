@@ -166,6 +166,94 @@ def test_eval_refuses_a_degree_past_max_degree_without_warning():
                     eval_basis_table(spec, basis, cap + 1, x)
 
 
+def _numpy_rows(spec, basis, deg, x):
+    """The numpy row loop of eval_basis_table, kept as the reference for
+    its Python-float paths."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    rc = recurrence_coeffs(spec, basis, max(deg - 1, 0))
+    a, b = rc.a, rc.b
+    out = np.empty((deg + 1, x.size))
+    out[0] = 1.0 / math.sqrt(rc.mass)
+    if deg >= 1:
+        out[1] = (x - b[0]) * out[0] / a[0]
+    for i in range(1, deg):
+        out[i + 1] = ((x - b[i]) * out[i] - a[i - 1] * out[i - 1]) / a[i]
+    return out
+
+
+def _evaluation_space(label):
+    """hamming:n, sphere:d, or for "custom" a custom space with b_i != 0:
+    the first 61 coefficient pairs of sphere:7's minus system."""
+    from delbound import custom_space
+
+    kind, _, size = label.partition(":")
+    if kind == "hamming":
+        return hamming_space(int(size))
+    if kind == "sphere":
+        return sphere_space(int(size))
+    minus = recurrence_coeffs(sphere_space(7), Variant.MINUS, 60)
+    return custom_space(minus.a, minus.b)
+
+
+def _point_sets(spec):
+    """Point sets of 1, 2, _FEW_POINTS and _FEW_POINTS + 1 points, with
+    x = 1, x = -1 and nodes (of the space, or of a Gauss rule) among them;
+    single points are passed as Python floats."""
+    from delbound.orthopoly import _FEW_POINTS
+    from delbound.spaces import quadrature
+
+    nodes = list(spec.nodes[1:-1]) if spec.discrete else quadrature(spec, Variant.BASE, 9)[0].tolist()
+    rng = np.random.default_rng(25)
+    pool = [1.0, -1.0] + nodes[:10]
+    pool += rng.uniform(-1.0, 1.0, _FEW_POINTS + 1 - len(pool)).tolist()
+    return [pool[0], pool[1], pool[2], pool[-1], pool[:2], pool[:_FEW_POINTS],
+            pool[: _FEW_POINTS + 1]]
+
+
+@pytest.mark.parametrize("label", ["hamming:16", "hamming:64", "sphere:3", "sphere:24",
+                                   "sphere:200", "custom"])
+def test_few_point_paths_match_the_numpy_rows(label):
+    """On both sides of _FEW_POINTS (1, 2, _FEW_POINTS and _FEW_POINTS + 1
+    points) eval_basis_table equals the numpy row loop bit for bit, as a
+    C-contiguous (deg + 1, len(x)) array, for every system at degrees 0..60
+    (or its max_degree)."""
+    spec = _evaluation_space(label)
+    sets = _point_sets(spec)
+    for basis in Variant:
+        cap = max_degree(spec, basis)
+        for deg in range(min(60, 60 if cap is None else cap) + 1):
+            for x in sets:
+                got = eval_basis_table(spec, basis, deg, x)
+                ref = _numpy_rows(spec, basis, deg, x)
+                assert got.shape == ref.shape and got.flags.c_contiguous
+                assert np.array_equal(got, ref), (basis, deg, np.size(x))
+
+
+@pytest.mark.parametrize("count", ["one", "two", "few", "few + 1"])
+def test_each_evaluation_path_warns_once_and_refuses_past_max_degree(count):
+    """Every path warns once when a point lies outside [-1, 1], and refuses
+    deg = max_degree + 1 before any step runs, with no warning."""
+    import warnings
+
+    from delbound.orthopoly import _FEW_POINTS
+
+    size = {"one": 1, "two": 2, "few": _FEW_POINTS, "few + 1": _FEW_POINTS + 1}[count]
+    spec = hamming_space(6)
+    outside = [0.5] * (size - 1) + [1.5]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        eval_basis_table(spec, Variant.BASE, 4, outside)
+    assert [str(w.message) for w in caught] == [
+        "evaluating orthonormal system outside [-1, 1] (extrapolation)"]
+    assert caught[0].category is RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis in Variant:
+            cap = max_degree(spec, basis)
+            with pytest.raises(ValidationError, match="max degree %d" % cap):
+                eval_basis_table(spec, basis, cap + 1, [0.1] * size)
+
+
 def test_tridiagonal_eigenvalues_against_dense():
     rng = np.random.default_rng(2024)
     for _ in range(40):

@@ -35,6 +35,18 @@ def test_hamming_weights_sum_to_one_exactly():
         assert spec.nodes[0] == 1.0 and spec.nodes[-1] == -1.0
 
 
+def test_binomial_row_is_exact_and_gives_the_weights_bit_for_bit():
+    """The recurrence row C(n, 0)..C(n, n) equals math.comb entry for entry,
+    so each weight C(n, j) / 2^n is the same correctly rounded quotient."""
+    from delbound.spaces import _binomial_row
+
+    for n in (1, 2, 16, 64, 384, 1024, 1074):
+        row = _binomial_row(n)
+        assert row == tuple(math.comb(n, j) for j in range(n + 1)), n
+        assert _binomial_row(n) is row
+        assert hamming_space(n).weights == tuple(math.comb(n, j) / 2 ** n for j in range(n + 1))
+
+
 def test_hamming_validation():
     with pytest.raises(ValidationError):
         hamming_space(0)
