@@ -132,6 +132,8 @@ def cmd_bound(args) -> int:
         raise ValidationError("supply exactly one of --d and --s")
     if has_d and spec.kind != "hamming":
         raise ValidationError("--d applies to Hamming spaces only; use --s")
+    if has_d and args.k is not None:
+        raise ValidationError("--k applies with --s only; for distance d use --s 1-2d/n")
 
     if args.method == "all":
         methods = ["mrrw", "lev", "spectral"]

@@ -379,11 +379,17 @@ def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances, fields) -> Bou
     cap = max_degree(spec, Variant.BASE)
     at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
     poly, cert = _audited_square(spec, k, s, "mrrw", tolerances, at_s[: k + 1])
-    try:
-        closed = mrrw_bound_closed(spec, k, s, at_s) if cert.passed else None
-    except (ValidationError, SingularOperatorError):
-        closed = None
+    closed = _closed_form(spec, k, s, at_s) if cert.passed else None
     return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
+
+
+def _closed_form(spec: MeasureSpec, k: int, s: float, at_s):
+    """mrrw_bound_closed(spec, k, s, at_s), or None where it has no value:
+    s off the window of k or on its edge, or k past the last zero."""
+    try:
+        return mrrw_bound_closed(spec, k, s, at_s)
+    except (ValidationError, SingularOperatorError):
+        return None
 
 
 def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):

@@ -2,7 +2,9 @@
 
 Recurrence coefficients for the base and adjacent systems, forward-recurrence
 evaluation, truncated Jacobi matrices, and zeros as the eigenvalues of
-those matrices (largest_zero and _zeros_below, O(k) passes over LDL^T pivots).
+those matrices, by O(k) passes over LDL^T pivots: _zeros_below counts the
+largest zeros below a point in one pass, and _top_zero, the one pivot
+search, gives largest_zero its zero and spectral.top_eigenpair its pair.
 Every orthonormal family {p_i} here satisfies
 
     x p_i(x) = a_i p_{i+1}(x) + b_i p_i(x) + a_{i-1} p_{i-1}(x)
@@ -346,21 +348,25 @@ def _pivots(diag, off, t: float):
     return r, dri
 
 
-def _top_zero(diag, off, lo=None, start=None) -> float:
+def _top_zero(diag, off) -> float:
     """The greatest double t at which some LDL^T pivot of t - J is not
     positive: the top eigenvalue of the tridiagonal J rounded down, so an
     exact zero such as 0 or 1/2 stays exact. Newton's method on the last
-    pivot (see spectral.top_eigenpair) runs from start, the Gershgorin
-    bound by default, inside a bisection bracket from lo or the largest
-    diagonal entry up to that bound; once its step is within eps of the
-    bracket's scale, single ulps close the bracket to two adjacent
-    doubles, so the result does not depend on start."""
-    lo = max(diag) if lo is None else max(lo, max(diag))
+    pivot, increasing and concave above the leading block's spectrum
+    (Golub 1973), runs from the Gershgorin bound inside a bisection
+    bracket from the largest diagonal entry. A step within eps of the
+    bracket's scale that leaves the bracket is replaced by one ulp inward,
+    and a bisection follows such an ulp that did not close the bracket to
+    two adjacent doubles: where an e_i^2 underflows, the last pivot's root
+    is not the top eigenvalue, and single ulps would never end. The one
+    pivot search: largest_zero reads it, and so does
+    spectral.top_eigenpair where one pass at its start settles nothing."""
+    lo = max(diag)
     # Gershgorin: max_i d_i + |e_{i-1}| + |e_i|, in one C-level pass
     hi = max(map(add, map(add, diag, map(abs, (0.0, *off))), map(abs, (*off, 0.0))))
     tol = _EPS * max(abs(lo), abs(hi))
-    hi = math.nextafter(hi + tol, math.inf)
-    t = hi if start is None else min(max(start, lo), hi)
+    t = hi = math.nextafter(hi + tol, math.inf)
+    walked = False
     while True:
         r, slope = _pivots(diag, off, t)
         full = len(r) == len(diag)
@@ -369,11 +375,11 @@ def _top_zero(diag, off, lo=None, start=None) -> float:
             return lo
         step = r[-1] / slope if full else math.inf
         if lo < t - step < hi:
-            t -= step
-        elif abs(step) <= tol:
-            t = math.nextafter(t, lo if t == hi else hi)
+            t, walked = t - step, False
+        elif abs(step) <= tol and not walked:
+            t, walked = math.nextafter(t, lo if t == hi else hi), True
         else:
-            t = lo + 0.5 * (hi - lo)
+            t, walked = lo + 0.5 * (hi - lo), False
 
 
 @lru_cache(maxsize=None)
@@ -387,8 +393,8 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     The top eigenvalue of J_{k-1} rounded down (_top_zero), within a few eps
     of the top of zeros(spec, basis, k), kept per (spec, basis) in a dict
     filled once per degree (concurrent readers at worst compute one twice).
-    x_{k-1} bounds the search from below (interlacing); with x_{k-2}, too,
-    it starts at 2 x_{k-1} - x_{k-2}.
+    Each degree is searched on its own, so a value does not depend on the
+    degrees filled before it.
     """
     table = _largest_zeros(spec, basis)
     x = table.get(k)
@@ -396,9 +402,7 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
         if k < 0:
             raise ValidationError("zeros needs k >= 0")
         rc = _jacobi_coeffs(spec, basis, k - 1)
-        below, before = table.get(k - 1), table.get(k - 2)
-        start = None if below is None or before is None else below + (below - before)
-        x = table[k] = _top_zero(rc.b[:k], rc.a[: k - 1], below, start)
+        x = table[k] = _top_zero(rc.b[:k], rc.a[: k - 1])
     return x
 
 

@@ -29,12 +29,12 @@ from .constructions import (
     BoundResult,
     _basis_at,
     _certified_result,
+    _closed_form,
     _kernel_square_poly,
-    mrrw_bound_closed,
 )
 from .errors import NumericError, SingularOperatorError, ValidationError
 from .feasibility import _certificate
-from .orthopoly import _EPS, JacobiOperator, largest_zero
+from .orthopoly import _EPS, JacobiOperator
 from .spaces import MeasureSpec, Variant
 
 _RESIDUAL_CONTRACT = 1e-9
@@ -97,71 +97,55 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
 
     The pivots of t - T are the Sturm ratios (Barth, Martin and Wilkinson
     1967): where r_0..r_{k-1} are positive, t lies above the leading
-    block's spectrum, and there r_k is increasing and concave and vanishes
-    only at the top eigenvalue, the root of the secular equation of the
-    rank-one corner (Golub 1973). Newton's method on r_k from start finds
-    it inside a bisection bracket from the largest diagonal entry to the
-    Gershgorin bound, the default start; a step from below never passes
-    the root but by rounding. The search ends, with no iteration cap, once
-    a step is within eps of the bracket's scale, the bracket has closed to
-    that width, or a step from below lands above the root, and the pair
-    meets the residual contract or no Newton point is left strictly inside
-    the bracket. The s of T_k(s) in its window is the eigenvalue, so that
-    start takes one pass; a start changes only the count of passes, though
-    the result may differ in its last bits.
+    block's spectrum, and there r_k vanishes only at the top eigenvalue.
+    One pass at start settles the pair if r_0..r_{k-1} are positive, the
+    Newton step r_k / r_k' is within eps of the operator's scale and the
+    pair meets the residual contract; the s of T_k(s) in its window is
+    such a start. Otherwise the pair is read off one pass just above the
+    top eigenvalue as orthopoly._top_zero finds it.
 
-    The eigenvector is read off the last pass's pivots, v_0 = 1 and
+    The eigenvector is read off that pass's pivots, v_0 = 1 and
     v_{i+1} = v_i r_i / e_i: positive, and accurate entry by entry even
-    where tiny next to its norm. Its residual |T v - lambda v|, taken from
-    the diagonals, must stay below 1e-9, or NumericError is raised.
+    where tiny next to its norm; the eigenvalue is t less the Newton
+    step. Its residual |T v - lambda v|, taken from the diagonals, must
+    stay below 1e-9, or NumericError is raised.
     """
     if not (isinstance(T, JacobiOperator) and all(map((0.0).__lt__, T.off))):
         raise ValidationError(
             "top_eigenpair needs a Jacobi operator with a positive off-diagonal"
         )
-    diag, off, e = _diagonal(T), T.off, np.array(T.off)
-    k = len(off)
+    diag, off = _diagonal(T), T.off
     lo, hi = max(diag), max(map(add, map(add, diag, (0.0, *off)), (*off, 0.0)))
     if not (all(map(math.isfinite, diag)) and math.isfinite(hi - lo)):
-        raise NumericError("operator of order %d has a non-finite entry" % (k + 1))
+        raise NumericError("operator of order %d has a non-finite entry" % len(diag))
     tol = _EPS * max(abs(lo), abs(hi))
-    hi += tol
-    t = hi if start is None else min(max(float(start), lo), hi)
-    climbing = False
-    while True:
-        r, slope = orthopoly._pivots(diag, off, t)
-        if len(r) == k + 1:
-            step = r[k] / slope
-            above = r[k] > 0.0
-            if above:
-                hi = t
-            elif r[k] < 0.0:
-                lo = t
-            inside = lo < t - step < hi
-            # a Newton step from below the root lands past it only by rounding
-            if abs(step) <= tol or hi - lo <= tol or (above and climbing):
-                v = np.ones(k + 1)
-                np.cumprod(np.divide(r[:k], e), out=v[1:])
-                v /= math.sqrt(v @ v)
-                residual = _residual(np.array(diag), e, v, t - step)
-                if residual <= _RESIDUAL_CONTRACT or not inside:
-                    break
-            if inside:
-                t, climbing = t - step, not above
-                continue
-        elif t == hi:
-            raise NumericError("pivots nonpositive at the Gershgorin bound %r" % hi)
-        else:
-            lo = t
-        mid = lo + 0.5 * (hi - lo)
-        t, climbing = (mid if hi - lo > tol and lo < mid < hi else hi), False
+    pair = None if start is None else _pair_at(diag, off, float(start), tol)
+    if pair is None or not pair[2] <= _RESIDUAL_CONTRACT:
+        top = math.nextafter(orthopoly._top_zero(diag, off), math.inf)
+        pair = _pair_at(diag, off, top, math.inf)
+    eigenvalue, v, residual = pair or (math.nan, None, math.nan)
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "eigenpair residual %.3e breaks the %.0e contract for order %d"
-            % (residual, _RESIDUAL_CONTRACT, k + 1)
+            % (residual, _RESIDUAL_CONTRACT, len(diag))
         )
     v.flags.writeable = False
-    return EigenPair(eigenvalue=t - step, vector=v, residual=residual)
+    return EigenPair(eigenvalue=eigenvalue, vector=v, residual=residual)
+
+
+def _pair_at(diag: list, off, t: float, tol: float):
+    """(t - r_k / r_k', v, residual) from one pass over the pivots of t - T,
+    v the unit vector their running product gives; None where a pivot
+    before r_k is not positive or the Newton step r_k / r_k' exceeds tol."""
+    r, slope = orthopoly._pivots(diag, off, t)
+    step = r[-1] / slope
+    if len(r) != len(diag) or not abs(step) <= tol:
+        return None
+    e = np.array(off)
+    v = np.ones(len(diag))
+    np.cumprod(np.divide(r[:-1], e), out=v[1:])
+    v /= math.sqrt(v @ v)
+    return t - step, v, _residual(np.array(diag), e, v, t - step)
 
 
 def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
@@ -184,9 +168,9 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
         raise NumericError(
             "kernel eigenfunction residual %.3e at k=%d, s=%r" % (residual, k, s)
         )
-    lo = largest_zero(spec, basis, k)
-    hi = largest_zero(spec, basis, k + 1)
-    if lo < s < hi:
+    # x_k < s < x_{k+1}: k + 1 largest zeros lie below s, as many at or below it
+    if {orthopoly._zeros_below(spec, basis, t, k + 1)
+            for t in (s, math.nextafter(s, math.inf))} == {k + 1}:
         pair = top_eigenpair(T, start=s)
         if abs(pair.eigenvalue - s) > 1e-10:
             raise NumericError(
@@ -213,8 +197,8 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
 
     Squaring the top eigenfunction and multiplying by (x - s) (plus the
     (x + 1) root in the plusminus basis) reproduces the kernel-based
-    constructions; for the base basis the result is checked against the
-    closed form to 1e-7 relative before it is reported.
+    constructions; for the base basis, inside the window of k, the result
+    is checked against the closed form to 1e-7 relative and carries it.
     """
     return _recovered(spec, basis, k, s, tolerances, {})
 
@@ -228,11 +212,9 @@ def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, 
         poly = _kernel_square_poly(spec, k, s, "spectral", pair.vector,
                                    basis is Variant.PLUSMINUS, basis)
         cert = _certificate(spec, poly, s, tolerances)
-    closed = None
-    if basis is Variant.BASE and cert.passed:
-        closed = mrrw_bound_closed(spec, k, s, at_s=table)
-        if not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7):
-            raise NumericError("spectral route %.12g disagrees with closed form %.12g"
-                               % (1.0 / cert.fhat[0], closed))
+    closed = _closed_form(spec, k, s, table) if basis is Variant.BASE and cert.passed else None
+    if closed is not None and not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7):
+        raise NumericError("spectral route %.12g disagrees with closed form %.12g"
+                           % (1.0 / cert.fhat[0], closed))
     return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
 

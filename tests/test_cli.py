@@ -81,6 +81,15 @@ def test_spectral_degree_without_a_threshold_exits_2(capsys):
     assert "exactly one of --d and --s" in json.loads(out)["error"]
 
 
+def test_degree_with_a_distance_exits_2(capsys):
+    """--k with --d would be dropped: a distance's bound takes its window's
+    degree, so the pair is refused (exit 2) with a pointer to --s."""
+    code, out = run_cli(capsys, "bound", "--space", "hamming:64", "--method", "spectral",
+                        "--d", "10", "--k", "3")
+    assert code == 2
+    assert "--s" in json.loads(out)["error"]
+
+
 def test_mrrw_degree_past_the_max_degree_exits_2_under_w_error():
     """k = n + 1 on hamming:n asks for p_{n+1}(s), past the last degree
     the n + 1 nodes determine. It is refused up front (exit 2), as the

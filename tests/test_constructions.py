@@ -308,9 +308,8 @@ def test_mrrw_scan_matches_per_degree_reference(n):
 
 
 def _direct_zero(spec, basis, k):
-    """x_k from the pivot search of largest_zero run fresh, as with an empty
-    table: no lower bound but the diagonal, and the Gershgorin bound as the
-    start, bypassing the table of largest zeros."""
+    """x_k from the pivot search of largest_zero run fresh, bypassing the
+    table of largest zeros."""
     from delbound.orthopoly import _top_zero, recurrence_coeffs
 
     if k == 0:
@@ -423,9 +422,9 @@ def test_largest_zero_table_strictly_increasing(label):
 
 def test_cold_largest_zero_computes_one_degree():
     """A cold lookup computes its one degree; and at hamming:1024, for every
-    basis, a sequential fill to degree 512 (each search bracketed by the
-    degree below and started from the two below) and cold single-degree
-    lookups give the same values bit for bit."""
+    basis, a sequential fill to degree 512 and cold single-degree lookups
+    give the same values bit for bit: no search reads the degrees filled
+    before it."""
     from delbound.orthopoly import _largest_zeros
 
     spec = hamming_space(300)

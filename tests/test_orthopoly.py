@@ -593,3 +593,22 @@ def test_basis_at_one_is_the_node_column_or_the_recurrence_at_one():
                 got = basis_at_end(spec, Variant.BASE, deg, end)
                 assert got.tolist() == ref.tolist(), (d, end, deg)
                 assert not got.flags.writeable
+
+
+def test_largest_zero_search_ends_where_a_square_underflows():
+    """a_0^2 underflows to 0 in the pivots here, so the last pivot's root
+    lies below the largest diagonal entry that bounds the search, and a
+    Newton step from above lands under the bracket by less than its
+    tolerance every time. The search still ends, by bisection whenever a
+    one-ulp step has not closed the bracket, on the double its docstring
+    names: the greatest at which some pivot is not positive."""
+    from delbound import custom_space
+    from delbound.orthopoly import _pivots
+
+    b = (6.555363132914593e-255, -9.752365110266667e-255)
+    spec = custom_space([6.704116390239309e-208, 1e-300], b)
+    x = largest_zero(spec, Variant.BASE, 2)
+    off = (6.704116390239309e-208,)
+    assert min(_pivots(b, off, x)[0]) <= 0.0
+    r, _ = _pivots(b, off, math.nextafter(x, math.inf))
+    assert len(r) == 2 and min(r) > 0.0

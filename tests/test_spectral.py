@@ -177,14 +177,15 @@ def _window_operators():
 
 def test_recurrence_eigenpair_matches_a_dense_eigensolve():
     """The eigenpair read off the pivots is the one a dense eigh gives,
-    its vector positive entry by entry, from the default start (the
-    Gershgorin bound), the window midpoint, a start below the leading
-    block's spectrum and one above the Gershgorin bound."""
+    its vector positive entry by entry, with no start, from the window
+    midpoint, a start below the leading block's spectrum, one above the
+    Gershgorin bound, and NaN and the infinities, whose one pass settles
+    nothing."""
     ops = _window_operators()
     assert len(ops) > 100
     for T, mid in ops:
         w, vecs = np.linalg.eigh(T.matrix())
-        for start in (None, mid, -2.0, 3.0):
+        for start in (None, mid, -2.0, 3.0, float("nan"), float("inf"), float("-inf")):
             pair = top_eigenpair(T, start=start)
             ref = vecs[:, -1] * np.sign(vecs[:, -1] @ pair.vector)
             assert abs(pair.eigenvalue - w[-1]) <= 1e-14, (T.order, T.basis, start)
@@ -238,8 +239,10 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
     every dense eigensolve (np.linalg.eigvalsh, tridiagonal_eigenvalues in
     every namespace of the package) and every dense matrix
     (JacobiOperator.matrix) raises, run twice after the tables of largest
-    zeros are cleared; a start at the s of T_k(s) takes one pass over the
-    pivots."""
+    zeros are cleared, and once more with orthopoly._top_zero raising as
+    well: no spectral op and no kernel check computes a largest zero or
+    runs a pivot search. A start at the s of T_k(s) takes one pass over
+    the pivots."""
     import sys
 
     from delbound import JacobiOperator, bound_for_distance, bound_for_s, orthopoly
@@ -290,6 +293,13 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
     _largest_zeros.cache_clear()
     assert [outcome(case) for case in cases] == before
     assert [outcome(case) for case in cases] == before
+
+    def search(*args, **kwargs):
+        raise AssertionError("a pivot search ran on a bound path")
+
+    monkeypatch.setattr(orthopoly, "_top_zero", search)
+    _largest_zeros.cache_clear()
+    assert [outcome(case) for case in cases] == before
     for spec, s in ((h384, h384.nodes[40]), (h384, h384.nodes[100]), (s24, 0.3)):
         k = _base_window_index(spec, s)
         passes.clear()
@@ -307,3 +317,44 @@ def test_overflowing_eigenvector_is_refused_without_a_warning():
 
     with pytest.raises(NumericError, match="eigenpair residual nan breaks"):
         bound_for_s(hamming_space(64), 0.9375, "spectral", k=36)
+
+
+def test_explicit_degree_off_its_window_certifies_without_a_closed_form():
+    """An explicit k whose window does not hold s has no closed form. A
+    spectral polynomial there that passes its certificate is reported as
+    mrrw's is, with closed_form None and the bound 1/fhat_0: 448 such
+    (d, k) on hamming:64 (d < 64, k < 40) and 266 such (s, k) on sphere:24
+    (s = -0.9..0.9 by 0.1, k < 20). Wherever mrrw at the same (s, k)
+    certifies, the spectral result has a closed form exactly when mrrw's
+    has, and the same one to 1e-7."""
+    from delbound import DelboundError, bound_for_s
+
+    res = bound_for_s(hamming_space(64), 0.5, "spectral", k=10)
+    assert res.closed_form is None and res.bound == 1.0 / res.certificate.fhat[0]
+
+    def outcome(spec, s, method, k):
+        try:
+            return bound_for_s(spec, s, method, k=k)
+        except DelboundError:
+            return None
+
+    grids = ((hamming_space(64), [1 - d / 32 for d in range(1, 64)], 40),
+             (sphere_space(24), [i / 10 for i in range(-9, 10)], 20))
+    off_window = []
+    for spec, points, degrees in grids:
+        count = 0
+        for s in points:
+            for k in range(degrees):
+                res = outcome(spec, s, "spectral", k)
+                if res is None:
+                    continue
+                assert res.certificate.passed
+                mrrw = outcome(spec, s, "mrrw", k)
+                if res.closed_form is None:
+                    count += 1
+                    assert res.bound == 1.0 / res.certificate.fhat[0], (spec.label(), s, k)
+                    assert mrrw is None or mrrw.closed_form is None, (spec.label(), s, k)
+                else:
+                    assert res.closed_form == pytest.approx(mrrw.closed_form, rel=1e-7)
+        off_window.append(count)
+    assert off_window == [448, 266]
