@@ -17,6 +17,9 @@ shared by both modes;
 exact mode returns the optimum and B as Fractions, float mode returns
 float() of each, the correctly rounded exact optimum. Sizes are capped
 at n <= MAX_N.
+
+The module loads no numpy, and its result record `LPSolution` is a
+named tuple, so importing it loads no `dataclasses` or `inspect` either.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import NumericError, ValidationError
@@ -45,16 +48,12 @@ def krawtchouk(n: int, i: int, j: int) -> int:
     )
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    """Optimum of one Delsarte LP instance."""
+class LPSolution(namedtuple("LPSolution", "n d value B status mode")):
+    """Optimum of one Delsarte LP instance: an immutable named tuple of
+    n, d, the optimum `value`, B as ((j, B_j), ...) pairs, `status` and
+    `mode`."""
 
-    n: int
-    d: int
-    value: object
-    B: tuple
-    status: str
-    mode: str
+    __slots__ = ()
 
     @property
     def value_float(self) -> float:

@@ -5,13 +5,15 @@ a vector counts blocks by the position of their rightmost nonzero entry;
 shapes index the distance classes of the space the way plain Hamming
 weight classes do for r = 1, and the metric is the shape-weighted sum
 sum_i i e_i. Weights w(e) are exact rationals so counting identities can
-be asserted with equality.
+be asserted with equality. `ShapeVector` is a named tuple, validated on
+every construction, so the module loads no numpy, `dataclasses` or
+`inspect`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -19,25 +21,39 @@ from .errors import ValidationError
 _ENUM_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class ShapeVector:
-    """Counts (e_1, ..., e_r) of blocks by rightmost-nonzero position."""
+class ShapeVector(namedtuple("ShapeVector", "e r n")):
+    """Counts e = (e_1, ..., e_r) of n blocks of length r by
+    rightmost-nonzero position: an immutable named tuple."""
 
-    e: tuple
-    r: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.e) != self.r:
-            raise ValidationError("shape needs exactly r entries")
-        if any((not isinstance(v, int)) or v < 0 for v in self.e):
-            raise ValidationError("shape entries must be nonnegative integers")
-        if sum(self.e) > self.n:
-            raise ValidationError("shape entries sum past the number of blocks")
+    def __new__(cls, e, r, n):
+        for name, v in (("r", r), ("n", n)):
+            if type(v) is not int or v < 1:
+                raise ValidationError("shape %s must be an integer >= 1, got %r" % (name, v))
+        if type(e) is not tuple:
+            raise ValidationError("shape e must be a tuple, got %s" % type(e).__name__)
+        if len(e) != r:
+            raise ValidationError("shape e needs exactly r = %d entries, got %d" % (r, len(e)))
+        if any(type(v) is not int or v < 0 for v in e):
+            raise ValidationError("shape e entries must be nonnegative integers, got %r" % (e,))
+        if sum(e) > n:
+            raise ValidationError("shape e entries sum past the number of blocks n = %d" % n)
+        return super().__new__(cls, e, r, n)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def e0(self) -> int:
         return self.n - sum(self.e)
+
+
+def _check_alphabet(q):
+    if type(q) is not int or q < 2:
+        raise ValidationError("alphabet size must be at least 2")
 
 
 def _compositions(r: int, limit: int):
@@ -51,8 +67,10 @@ def _compositions(r: int, limit: int):
 
 def enumerate_shapes(r: int, n: int):
     """All shapes for n blocks of length r, lexicographic, C(n+r, r) many."""
-    if r < 1 or n < 1:
-        raise ValidationError("enumerate_shapes needs r >= 1 and n >= 1")
+    if not (type(r) is type(n) is int and r >= 1 and n >= 1):
+        raise ValidationError(
+            "enumerate_shapes needs integers r >= 1 and n >= 1, got r=%r n=%r" % (r, n)
+        )
     total = math.comb(n + r, r)
     if total > _ENUM_BUDGET:
         raise ValidationError(
@@ -88,8 +106,7 @@ def shape_weight(e: ShapeVector, q: int) -> Fraction:
     Block probabilities are p_i = (q-1) q^(i-r-1) for i >= 1 and
     p_0 = q^-r; w(e) is the multinomial n! prod p_i^{e_i} / e_i!.
     """
-    if q < 2:
-        raise ValidationError("alphabet size must be at least 2")
+    _check_alphabet(q)
     r, n = e.r, e.n
     w = Fraction(math.factorial(n))
     w *= Fraction(1, q ** r) ** e.e0 / math.factorial(e.e0)
@@ -110,5 +127,6 @@ def nrt_distance(x, y, q: int, r: int) -> int:
     x, y = tuple(x), tuple(y)
     if len(x) != len(y):
         raise ValidationError("dimension mismatch: %d vs %d" % (len(x), len(y)))
+    _check_alphabet(q)
     diff = tuple((a - b) % q for a, b in zip(x, y))
     return nrt_weight(diff, r)

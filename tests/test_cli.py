@@ -296,7 +296,8 @@ def test_console_entry_point():
 
 def test_lp_and_nrt_load_no_numpy():
     """In a fresh interpreter, the package, the LP oracle, the NRT tables
-    and the lp and nrt commands run without numpy. One access of
+    and the lp and nrt commands run without numpy, dataclasses or
+    inspect. One access of
     hamming_space then loads all six numpy-backed modules and binds every
     __all__ name; dir() lists them all, a star import binds them, and an
     unknown name still raises AttributeError."""
@@ -313,6 +314,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["lp", "--n", "14", "--d", "5"]) == 0
     assert cli.main(["nrt", "--r", "2", "--n", "3"]) == 0
 assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("delbound"))
+assert "dataclasses" not in sys.modules, "dataclasses loaded"
+assert "inspect" not in sys.modules, "inspect loaded"
 assert set(delbound.__all__) <= set(dir(delbound))
 delbound.hamming_space
 stack = ("spaces", "orthopoly", "kernels", "feasibility", "constructions", "spectral")

@@ -393,3 +393,28 @@ def test_each_instance_is_solved_once_across_modes(monkeypatch):
     finally:
         lp_oracle._solve.cache_clear()
     assert len(calls) == 105
+
+
+def test_lp_solution_is_an_immutable_named_tuple():
+    import pickle
+
+    from delbound import LPSolution
+
+    sol = delsarte_lp(3, 3, "exact")
+    fields = (3, 3, Fraction(2), ((3, Fraction(1)),), "optimal", "exact")
+    positional = LPSolution(*fields)
+    assert sol == positional == fields
+    assert LPSolution(n=3, d=3, value=Fraction(2), B=((3, Fraction(1)),),
+                      status="optimal", mode="exact") == positional
+    assert hash(sol) == hash(positional) == hash(fields)
+    assert repr(sol) == ("LPSolution(n=3, d=3, value=Fraction(2, 1), "
+                         "B=((3, Fraction(1, 1)),), status='optimal', mode='exact')")
+    assert LPSolution._fields == ("n", "d", "value", "B", "status", "mode")
+    with pytest.raises(AttributeError):
+        sol.value = Fraction(3)
+    with pytest.raises(AttributeError):
+        sol.extra = 1
+    back = pickle.loads(pickle.dumps(sol))
+    assert back == sol and type(back) is LPSolution
+    assert sol.value_float == 2.0 and type(sol.value_float) is float
+    assert delsarte_lp(3, 3).value == 2.0

@@ -108,6 +108,59 @@ def test_shape_vector_validation():
         ShapeVector(e=(1, 1, 1), r=2, n=3)
 
 
+@pytest.mark.parametrize("kwargs, text", [
+    (dict(e=(True, False), r=2, n=3), "shape e entries"),
+    (dict(e=(1.0, 1), r=2, n=3), "shape e entries"),
+    (dict(e=[1, 1], r=2, n=3), "shape e must be a tuple"),
+    (dict(e=(1, 1), r="2", n=3), "shape r must be an integer"),
+    (dict(e=(1, 1), r=2.0, n=3), "shape r must be an integer"),
+    (dict(e=(1, 1), r=2, n=-1), "shape n must be an integer"),
+    (dict(e=(1, 1), r=2, n=True), "shape n must be an integer"),
+])
+def test_shape_vector_refuses_bad_fields_by_name(kwargs, text):
+    with pytest.raises(ValidationError, match=text):
+        ShapeVector(**kwargs)
+
+
+def test_shape_vector_replace_and_make_validate():
+    s = ShapeVector(e=(1, 1), r=2, n=3)
+    with pytest.raises(ValidationError, match="sum past"):
+        s._replace(e=(5, 5))
+    with pytest.raises(ValidationError, match="shape e entries"):
+        ShapeVector._make(((-1, 0), 2, 3))
+    assert s._replace(e=(2, 1)) == ShapeVector(e=(2, 1), r=2, n=3)
+    assert type(ShapeVector._make(((1, 1), 2, 3))) is ShapeVector
+
+
+def test_shape_vector_is_an_immutable_named_tuple():
+    import pickle
+
+    s = ShapeVector(e=(2, 1), r=2, n=5)
+    assert s == ShapeVector((2, 1), 2, 5) == ((2, 1), 2, 5)
+    assert hash(s) == hash(ShapeVector((2, 1), 2, 5)) == hash(((2, 1), 2, 5))
+    assert repr(s) == "ShapeVector(e=(2, 1), r=2, n=5)"
+    with pytest.raises(AttributeError):
+        s.n = 6
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    back = pickle.loads(pickle.dumps(s))
+    assert back == s and type(back) is ShapeVector
+    assert back.e0 == 2
+
+
+@pytest.mark.parametrize("r, n", [(2, 3.0), (2.0, 3), (True, 3), (2, "3"), (0, 3), (2, 0)])
+def test_enumerate_shapes_refuses_non_integers(r, n):
+    with pytest.raises(ValidationError, match="enumerate_shapes needs integers"):
+        enumerate_shapes(r, n)
+
+
+@pytest.mark.parametrize("q", [0, 1, 2.5, True])
+def test_distance_refuses_a_bad_alphabet(q):
+    with pytest.raises(ValidationError, match="alphabet size must be at least 2"):
+        nrt_distance((1, 0), (0, 1), q, 1)
+    assert nrt_distance((1, 0), (0, 1), 2, 1) == 2
+
+
 def test_e0_complement():
     s = ShapeVector(e=(2, 1), r=2, n=5)
     assert s.e0 == 2
