@@ -427,7 +427,7 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     if spec.kind != "hamming":
         raise ValidationError("bound_for_distance applies to Hamming spaces only")
     n = spec.params[0]
-    if not (isinstance(d, int) and 1 <= d <= n):
+    if not (type(d) is int and 1 <= d <= n):
         raise ValidationError("distance must satisfy 1 <= d <= n, got %r" % (d,))
     s = spec.nodes[d]
     fields = {"d": d, "baselines": classical_baselines(n, d)}

@@ -157,19 +157,47 @@ def _audit_start(nodes: tuple, s: float) -> int:
 
 
 @lru_cache(maxsize=None)
+def _derivative_rows(spec: MeasureSpec) -> list:
+    """A one-entry list holding the rows of the derivative table computed
+    so far, row i the i coefficients of p_i' on p_0..p_{i-1}, replaced as
+    a whole by a longer tuple (concurrent callers at worst compute the same
+    row twice)."""
+    return [((),)]
+
+
+@lru_cache(maxsize=None)
 def _derivative_table(spec: MeasureSpec, deg: int):
     """(D, J), read-only: row i of D holds the coefficients of p_i' on
     p_0..p_{deg-1} in the base system, so fhat @ D holds those of f' for
     f = sum_i fhat_i p_i, and J is the Jacobi matrix J_{deg-1}, as which x
     acts on coefficient vectors. D is the derivative of the recurrence,
-    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}'."""
+    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', read off one
+    sequence of rows per space in Python floats: each row is the one
+    before it under the three-term action of x, (x c)_j = (a_{j-1} c_{j-1}
+    + a_j c_{j+1}) + b_j c_j, in O(i), so every degree's D is the leading
+    block of any longer one."""
     rc = recurrence_coeffs(spec, Variant.BASE, max(deg - 1, 0))
-    jac = JacobiOperator(rc.b[:deg], rc.a[: deg - 1], Variant.BASE).matrix()
+    a, b = rc.a, rc.b
+    held = _derivative_rows(spec)
+    rows = held[0]
+    if len(rows) <= deg:
+        rows = list(rows)
+        for i in range(len(rows) - 1, deg):
+            c, prev = rows[i], rows[i - 1] if i else ()
+            am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
+            # entries j < i of ((x - b_i) c - a_{i-1} prev) / a_i, with lo and
+            # hi the entries c_{j-1} and c_{j+1}; entry i adds p_i's 1
+            row = [((al * lo + ar * hi) + bj * cj - bi * cj - am * p) / ai
+                   for al, lo, ar, hi, bj, cj, p
+                   in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
+            row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
+            rows.append(tuple(row))
+        rows = tuple(rows)
+        held[0] = rows
     out = np.zeros((deg + 1, deg))
-    for i in range(deg):
-        row = jac @ out[i] - rc.b[i] * out[i] - (rc.a[i - 1] * out[i - 1] if i else 0.0)
-        row[i] += 1.0
-        out[i + 1] = row / rc.a[i]
+    for i in range(1, deg + 1):
+        out[i, :i] = rows[i]
+    jac = JacobiOperator(b[:deg], a[: deg - 1], Variant.BASE).matrix()
     out.flags.writeable = jac.flags.writeable = False
     return out, jac
 
@@ -189,21 +217,24 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     J_{m-1} - (a_{m-1} / g_m) e_{m-1} g_{0..m-1}^T (Barnett 1975): the
     leading block of the J cached beside D, a_{m-1} = J[m-1, m], with its
     last row corrected. Each root is audited at its real part clipped to
-    [-1, s]: an extra point can only tighten the check. f itself is read
-    at those points by the recurrence. A non-finite coefficient of f'
-    skips the eigensolve, and the endpoint values then fail the
-    certificate.
+    [-1, s] (a NaN stays NaN): an extra point can only tighten the check.
+    -1, s and the roots are kept as a list of Python floats, which the
+    recurrence reads with no numpy round trip at up to
+    orthopoly._FEW_POINTS points, and f there is read by the recurrence.
+    A non-finite coefficient of f' skips the eigensolve, and the endpoint
+    values then fail the certificate.
     """
     if spec.discrete:
         x, _ = node_weights(spec, Variant.BASE)
         first = _audit_start(spec.nodes, s)
         if first < x.size:
             return x[first:], fhat @ discrete_basis_table(spec, Variant.BASE)[: fhat.size, first:]
-        pts = np.array([-1.0])
+        pts = [-1.0]
     else:
         deriv, jac = _derivative_table(spec, fhat.size - 1)
         g = fhat @ deriv
-        pts = np.array([-1.0, s])
+        s = float(s)
+        pts = [-1.0, s]
         coeffs = g.tolist()
         if all(map(math.isfinite, coeffs)):
             # trailing coefficients at or below 1e-300 of the largest only add
@@ -214,9 +245,8 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
             if m:
                 comrade = jac[:m, :m].copy()
                 comrade[m - 1] -= jac[m - 1, m] * (g[:m] / g[m])
-                roots = np.clip(np.linalg.eigvals(comrade).real, -1.0, s)
-                pts = np.concatenate([pts, roots])
-    return pts, _evaluate(spec, fhat, pts)
+                pts += [min(max(r, -1.0), s) for r in np.linalg.eigvals(comrade).real.tolist()]
+    return np.array(pts), _evaluate(spec, fhat, pts)
 
 
 def cone_certificate(

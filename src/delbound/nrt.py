@@ -84,7 +84,9 @@ def enumerate_shapes(r: int, n: int):
 def shape_of(x, r: int) -> ShapeVector:
     """Shape of a vector given as a flat sequence of n blocks of length r."""
     x = tuple(x)
-    if r < 1 or len(x) % r != 0:
+    if type(r) is not int or r < 1:
+        raise ValidationError("shape r must be an integer >= 1, got %r" % (r,))
+    if len(x) % r != 0:
         raise ValidationError("vector length must be a positive multiple of r")
     n = len(x) // r
     counts = [0] * r

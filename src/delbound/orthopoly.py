@@ -13,15 +13,18 @@ with p_{-1} = 0 and p_0 = 1/sqrt(mass), where mass is the total measure
 (1 for base measures, less for the unnormalized adjacent ones).
 
 Every system of a Hamming space or a sphere is a closed form (Krawtchouk
-on n, n-1 and n-2 points; Jacobi on sphere:d). The Stieltjes procedure
-derives only the adjacent systems of custom spaces and the systems of any
-other discrete measure.
+on n, n-1 and n-2 points; Jacobi on sphere:d), each coefficient a
+function of its own index: one run per system serves every index as a
+slice, the run to the top index on a Hamming space and the longest run
+so far on a sphere. The Stieltjes procedure derives only the adjacent
+systems of custom spaces and the systems of any other discrete measure.
 
 eval_basis_table runs the forward recurrence in Python floats at up to
-_FEW_POINTS points (p(s) at one point, the few points of a sphere audit)
-and in numpy rows over larger sets (node tables, large Gauss rules). Both
-perform the same IEEE operations in the same order, so they give the
-same bits, and numpy's per-call overhead is paid only where a row is long.
+_FEW_POINTS points (p(s) at one point, the few points of a sphere audit),
+reading a Python float or a list of them as it is, and in numpy rows
+over larger sets (node tables, large Gauss rules). Both perform the same
+IEEE operations in the same order, so they give the same bits, and
+numpy's per-call overhead is paid only where a row is long.
 """
 
 from __future__ import annotations
@@ -134,7 +137,20 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, m: int) -> RecurrenceCoeffs:
 
 
 @lru_cache(maxsize=None)
+def _sphere_run(spec: MeasureSpec, basis: Variant) -> list:
+    """A one-entry list holding (a, b), the longest closed-form run of a
+    sphere system computed so far, replaced as a whole by a longer one
+    (concurrent callers at worst compute the same entries twice)."""
+    return [((), ())]
+
+
+@lru_cache(maxsize=None)
 def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
+    """a_0..a_m, b_0..b_m of the system. Every closed-form coefficient
+    depends on its own index alone, so a Hamming index is served as a
+    slice of the run to the top index, and a sphere index as a slice of
+    the longest run so far, extended by the entries past it: the same bits
+    whatever order the indices are asked for in."""
     plusminus = basis is Variant.PLUSMINUS
     if spec.kind == "hamming":
         # (1 - x) dmu and (1 - x^2) dmu are binomial(n - 1) and binomial(n - 2)
@@ -155,14 +171,19 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
         d = spec.params[0]
         al = (d - 3) / 2 + (basis is not Variant.BASE)
         be = (d - 3) / 2 + plusminus
-        a, b = [], []
-        for i in range(m + 1):
-            t = 2 * i + al + be
-            num = 4 * (i + 1) * (i + 1 + al) * (i + 1 + be) * (i + 1 + al + be)
-            a.append(math.sqrt(num / ((t + 2) ** 2 * (t + 3) * (t + 1))))
-            b.append(0.0 if al == be else (be * be - al * al) / (t * (t + 2)))
+        held = _sphere_run(spec, basis)
+        a, b = held[0]
+        if len(a) <= m:
+            a, b = list(a), list(b)
+            for i in range(len(a), m + 1):
+                t = 2 * i + al + be
+                num = 4 * (i + 1) * (i + 1 + al) * (i + 1 + be) * (i + 1 + al + be)
+                a.append(math.sqrt(num / ((t + 2) ** 2 * (t + 3) * (t + 1))))
+                b.append(0.0 if al == be else (be * be - al * al) / (t * (t + 2)))
+            a, b = tuple(a), tuple(b)
+            held[0] = a, b
         mass = (d - 1) / d if plusminus else 1.0
-        return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
+        return RecurrenceCoeffs(a=a[: m + 1], b=b[: m + 1], mass=mass)
     if spec.kind == "custom" and basis is Variant.BASE:
         ca, cb = spec.ab
         return RecurrenceCoeffs(a=tuple(ca[: m + 1]), b=tuple(cb[: m + 1]), mass=1.0)
@@ -194,10 +215,18 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
     Every path runs the same IEEE operations in the same order, p_{i+1} =
     ((x - b_i) p_i - a_{i-1} p_{i-1}) / a_i, so the table is the same bit
     for bit whichever runs. At most _FEW_POINTS points run in Python
-    floats, one list per degree; larger inputs (node tables, Gauss rules)
-    fill numpy rows.
+    floats, one list per degree: a Python float, or a list of at most
+    _FEW_POINTS of them, is read as it is (p(s), a sphere audit), and any
+    other input of that size is converted once. Larger inputs (node
+    tables, Gauss rules) fill numpy rows.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = [x] if type(x) is float else x
+    if not (type(pts) is list and len(pts) <= _FEW_POINTS
+            and all(type(t) is float for t in pts)):
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
+        if pts.size <= _FEW_POINTS:
+            pts = pts.tolist()
+    few = type(pts) is list
     if deg < 0:
         raise ValidationError("degree must be nonnegative")
     cap = max_degree(spec, basis)
@@ -205,10 +234,8 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
         raise ValidationError("eval_basis_table degree %d exceeds %s/%s (max degree %d)"
                               % (deg, spec.label(), basis.value, cap))
     rc = _coeffs_cached(spec, basis, max(deg - 1, 0))
-    few = x.size <= _FEW_POINTS
-    pts = x.tolist() if few else x
     limit = 1.0 + _EXTRAPOLATION_SLACK
-    if any(abs(t) > limit for t in pts) if few else np.any(np.abs(x) > limit):
+    if any(abs(t) > limit for t in pts) if few else np.any(np.abs(pts) > limit):
         warnings.warn(
             "evaluating orthonormal system outside [-1, 1] (extrapolation)",
             RuntimeWarning,
@@ -224,12 +251,12 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
             rows.append([((t - bi) * p - am * q) / ai
                          for t, p, q in zip(pts, rows[-1], rows[-2])])
         return np.array(rows)
-    out = np.empty((deg + 1, x.size))
+    out = np.empty((deg + 1, pts.size))
     out[0] = p0
     if deg >= 1:
-        out[1] = (x - b[0]) * out[0] / a[0]
+        out[1] = (pts - b[0]) * out[0] / a[0]
     for i in range(1, deg):
-        out[i + 1] = ((x - b[i]) * out[i] - a[i - 1] * out[i - 1]) / a[i]
+        out[i + 1] = ((pts - b[i]) * out[i] - a[i - 1] * out[i - 1]) / a[i]
     return out
 
 

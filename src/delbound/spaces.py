@@ -98,7 +98,7 @@ def hamming_space(n: int) -> MeasureSpec:
     n = 1075 on, 2^-n underflows to 0.0 in floating point, which would
     silently drop nodes from the measure, so such n are refused.
     """
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
     nodes = tuple((n - 2 * j) / n for j in range(n + 1))
     denom = 2 ** n

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -78,13 +78,13 @@ def _diagonal(T: JacobiOperator) -> list:
     return diag
 
 
-def _residual(d: np.ndarray, e: np.ndarray, v: np.ndarray, lam: float) -> float:
+def _residual(d, e, v: list, lam: float) -> float:
     """|T v - lam v| for the tridiagonal T with the diagonal d and the
-    off-diagonal e, both arrays, in O(k) without forming T."""
-    res = (d - lam) * v
-    res[:-1] += e * v[1:]
-    res[1:] += e * v[:-1]
-    return math.sqrt(res @ res)
+    off-diagonal e, in O(k) Python floats without forming T: entry j is
+    ((d_j - lam) v_j + e_j v_{j+1}) + e_{j-1} v_{j-1}."""
+    res = [((dj - lam) * vj + up) + down for dj, vj, up, down
+           in zip(d, v, (*map(mul, e, v[1:]), 0.0), (0.0, *map(mul, e, v)))]
+    return math.sqrt(sum(r * r for r in res))
 
 
 def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
@@ -136,16 +136,21 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
 def _pair_at(diag: list, off, t: float, tol: float):
     """(t - r_k / r_k', v, residual) from one pass over the pivots of t - T,
     v the unit vector their running product gives; None where a pivot
-    before r_k is not positive or the Newton step r_k / r_k' exceeds tol."""
+    before r_k is not positive or the Newton step r_k / r_k' exceeds tol.
+    The product w_0 = 1, w_{i+1} = w_i (r_i / e_i) runs in Python floats,
+    one multiplication per entry in index order; w becomes one array,
+    scaled by the numpy norm sqrt(w @ w), and the residual of that v is
+    taken in Python floats."""
     r, slope = orthopoly._pivots(diag, off, t)
     step = r[-1] / slope
     if len(r) != len(diag) or not abs(step) <= tol:
         return None
-    e = np.array(off)
-    v = np.ones(len(diag))
-    np.cumprod(np.divide(r[:-1], e), out=v[1:])
+    w = [1.0]
+    for ri, e in zip(r, off):
+        w.append(w[-1] * (ri / e))
+    v = np.array(w)
     v /= math.sqrt(v @ v)
-    return t - step, v, _residual(np.array(diag), e, v, t - step)
+    return t - step, v, _residual(diag, off, v.tolist(), t - step)
 
 
 def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
@@ -163,7 +168,7 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     """
     T, table = _operator_at(spec, basis, k, s)
     v = table[: k + 1] / np.linalg.norm(table[: k + 1])
-    residual = _residual(np.array(_diagonal(T)), np.array(T.off), v, s)
+    residual = _residual(_diagonal(T), T.off, v.tolist(), s)
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
             "kernel eigenfunction residual %.3e at k=%d, s=%r" % (residual, k, s)

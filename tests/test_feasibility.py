@@ -368,8 +368,8 @@ def test_derivative_table_gives_the_chebyshev_derivative(dim):
     1e-13 of the largest |f'| of numpy's derivative of f's Chebyshev
     form at 50 points, for random fhat of degree 0 to 60; at degree 0 f'
     is the zero polynomial and at degree 1 a constant. D and the J beside
-    it are read-only, and a lower degree's D is the leading block of the
-    degree-60 one to 1e-15 of its largest entry."""
+    it are read-only, and a lower degree's D, read after the degree-60
+    one, is its leading block bit for bit."""
     from numpy.polynomial.chebyshev import chebder, chebval
 
     from delbound.feasibility import _derivative_table
@@ -383,9 +383,7 @@ def test_derivative_table_gives_the_chebyshev_derivative(dim):
         fhat = rng.standard_normal(deg + 1)
         table, _ = _derivative_table(spec, deg)
         assert table.shape == (deg + 1, deg)
-        lead = top[: deg + 1, :deg]
-        gap = np.max(np.abs(table - lead), initial=0.0)
-        assert gap <= 1e-15 * np.max(np.abs(lead), initial=0.0), deg
+        assert table.tobytes() == top[: deg + 1, :deg].tobytes(), deg
         got = (fhat @ table) @ eval_basis_table(spec, Variant.BASE, 60, x)[:deg]
         want = chebval(x, chebder(fhat @ _chebyshev_rows(spec, deg)))
         assert np.max(np.abs(got - want)) <= 1e-13 * max(np.max(np.abs(want)), 1.0), deg

@@ -154,6 +154,20 @@ def test_enumerate_shapes_refuses_non_integers(r, n):
         enumerate_shapes(r, n)
 
 
+@pytest.mark.parametrize("r", [2.0, "2", True, 0])
+def test_shape_of_refuses_a_non_integer_block_length(r):
+    """shape_of, and nrt_weight and nrt_distance through it, refuse an r
+    that is not an int >= 1 by name, as ShapeVector does, where a float
+    or string r once escaped as a bare TypeError."""
+    with pytest.raises(ValidationError, match="shape r must be an integer >= 1"):
+        shape_of((1, 0, 0, 1), r)
+    with pytest.raises(ValidationError, match="shape r must be an integer >= 1"):
+        nrt_weight((1, 0, 0, 1), r)
+    with pytest.raises(ValidationError, match="shape r must be an integer >= 1"):
+        nrt_distance((1, 0, 0, 1), (0, 0, 0, 0), 2, r)
+    assert shape_of((1, 0, 0, 1), 2) == ShapeVector(e=(1, 1), r=2, n=2)
+
+
 @pytest.mark.parametrize("q", [0, 1, 2.5, True])
 def test_distance_refuses_a_bad_alphabet(q):
     with pytest.raises(ValidationError, match="alphabet size must be at least 2"):

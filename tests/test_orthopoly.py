@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -198,7 +199,9 @@ def _evaluation_space(label):
 def _point_sets(spec):
     """Point sets of 1, 2, _FEW_POINTS and _FEW_POINTS + 1 points, with
     x = 1, x = -1 and nodes (of the space, or of a Gauss rule) among them;
-    single points are passed as Python floats."""
+    single points are passed as Python floats and point sets as lists of
+    them, which eval_basis_table reads as they are, and one point and two
+    are passed once more as a numpy scalar and array, which it converts."""
     from delbound.orthopoly import _FEW_POINTS
     from delbound.spaces import quadrature
 
@@ -207,7 +210,7 @@ def _point_sets(spec):
     pool = [1.0, -1.0] + nodes[:10]
     pool += rng.uniform(-1.0, 1.0, _FEW_POINTS + 1 - len(pool)).tolist()
     return [pool[0], pool[1], pool[2], pool[-1], pool[:2], pool[:_FEW_POINTS],
-            pool[: _FEW_POINTS + 1]]
+            pool[: _FEW_POINTS + 1], np.float64(pool[2]), np.array(pool[:2])]
 
 
 @pytest.mark.parametrize("label", ["hamming:16", "hamming:64", "sphere:3", "sphere:24",
@@ -384,6 +387,86 @@ def test_recurrence_is_a_prefix_of_the_top_tuple(spec):
             assert np.array(rc.a).tobytes() == np.array(full.a[: m + 1]).tobytes(), (basis, m)
             assert np.array(rc.b).tobytes() == np.array(full.b[: m + 1]).tobytes(), (basis, m)
             assert rc.mass == full.mass
+
+
+def _run_fresh(code, *argv):
+    """Run code with argv in a fresh interpreter that imports delbound from
+    this checkout, and return its standard output."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_sphere_recurrence_does_not_depend_on_the_request_order():
+    """In a fresh interpreter, the sphere coefficients to each index m of
+    0..120, read at descending m and then, from cleared caches, at
+    ascending m (each read one entry past the longest run so far), equal
+    a closed-form run to m from cleared caches bit for bit, on every
+    system of sphere:3, sphere:24 and sphere:200."""
+    code = """
+from delbound import Variant, orthopoly, recurrence_coeffs, sphere_space
+
+def read(spec, basis, m):
+    rc = recurrence_coeffs(spec, basis, m)
+    return [x.hex() for x in rc.a], [x.hex() for x in rc.b], rc.mass.hex()
+
+def clear():
+    orthopoly._sphere_run.cache_clear()
+    orthopoly._coeffs_cached.cache_clear()
+
+for d in (3, 24, 200):
+    spec = sphere_space(d)
+    for basis in Variant:
+        down = [read(spec, basis, m) for m in range(120, -1, -1)][::-1]
+        clear()
+        up = [read(spec, basis, m) for m in range(121)]
+        fresh = []
+        for m in range(121):
+            clear()
+            fresh.append(read(spec, basis, m))
+        assert down == up == fresh, (d, basis)
+print("ok")
+"""
+    assert _run_fresh(code).split() == ["ok"]
+
+
+def test_sphere_sweeps_do_not_depend_on_their_direction():
+    """An s-grid on sphere:24 and sphere:100, swept ascending in one fresh
+    interpreter and descending in another, extends the per-space runs
+    (recurrence coefficients and derivative rows) in opposite orders, and
+    gives every op the same bound, degree, certificate id,
+    audit maximum, argmax and audit size, or the same refusal."""
+    code = """
+import json, sys
+from delbound import NotCertifiedError, bound_for_s, sphere_space
+
+grid = [(i - 10) / 20 for i in range(21)]
+out = {}
+for s in grid if sys.argv[1] == "up" else grid[::-1]:
+    for d in (24, 100):
+        for method in ("mrrw", "lev", "spectral"):
+            try:
+                r = bound_for_s(sphere_space(d), s, method)
+            except NotCertifiedError as exc:
+                out["%d/%r/%s" % (d, s, method)] = [type(exc).__name__, str(exc)]
+                continue
+            c = r.certificate
+            out["%d/%r/%s" % (d, s, method)] = [
+                r.bound.hex(), r.degree, c.certificate_id, c.max_on_audit.hex(),
+                c.argmax.hex(), c.audit_size]
+print(json.dumps(out, sort_keys=True))
+"""
+    up, down = (json.loads(_run_fresh(code, way)) for way in ("up", "down"))
+    assert len(up) == 126 and up == down
+    assert sum(len(v) == 6 for v in up.values()) > 100
 
 
 def test_stieltjes_stops_where_positivity_is_lost():

@@ -54,6 +54,21 @@ def test_hamming_validation():
         hamming_space(-3)
 
 
+def test_a_bool_is_neither_a_length_nor_a_distance():
+    """hamming_space(True) would be labelled hamming:True, and d = True
+    would be read as d = 1: both are refused, as the LP oracle and the
+    NRT constructors refuse a bool."""
+    from delbound import bound_for_distance
+
+    for n in (True, False):
+        with pytest.raises(ValidationError, match="hamming_space requires an integer"):
+            hamming_space(n)
+    for d in (True, False):
+        with pytest.raises(ValidationError, match="distance must satisfy"):
+            bound_for_distance(hamming_space(8), d, "lev")
+    assert bound_for_distance(hamming_space(8), 3, "lev").d == 3
+
+
 def test_hamming_weights_stay_nonzero_up_to_the_largest_supported_n():
     """C(n, j) 2^-n is a nonzero double for every j up to n = 1074; from
     n = 1075 on, 2^-n underflows to 0.0 and the space is refused rather
