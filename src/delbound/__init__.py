@@ -61,11 +61,9 @@ _POLYNOMIAL_STACK = {
         "BoundPolynomial", "BoundResult", "bound_for_distance", "bound_for_s",
         "bound_value", "classical_baselines", "lev_degree_select", "lev_even_poly",
         "lev_odd_poly", "mrrw_bound_closed", "mrrw_poly", "polynomial_from_fourier",
+        "spectral_recover_bound",
     ),
-    "spectral": (
-        "EigenPair", "build_Tk", "spectral_recover_bound", "top_eigenpair",
-        "verify_kernel_eigen",
-    ),
+    "spectral": ("EigenPair", "build_Tk", "top_eigenpair", "verify_kernel_eigen"),
 }
 _DEFERRED = frozenset(_POLYNOMIAL_STACK).union(*_POLYNOMIAL_STACK.values())
 

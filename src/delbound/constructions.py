@@ -7,7 +7,7 @@ e and in how v is found:
     mrrw      e = 0, v = p(s), so v . p is the kernel K_k(x, s)
     lev_odd   e = 0, v = p_{k+1}(1) p(s) - p_{k+1}(s) p(1), up to scale
     lev_even  e = 1, v = G^-1 p(s), G = I - J_k^2 - a_k^2 e_k e_k^T
-    spectral  e = 0, v the top eigenvector of T_k(s) (spectral module)
+    spectral  e = 0, v the top eigenvector of T_k(s) (spectral.top_eigenpair)
 
 By Christoffel-Darboux, (J_k - t) p(t) = -a_k p_{k+1}(t) e_k, the lev_odd
 v is (I - J_k)^-1 p(s), the minus kernel K_k^-(x, s); G is the Gram matrix
@@ -25,8 +25,10 @@ when s is a node), on a continuous one basis_at_end at x = 1 and -1 and
 the rows at the Gauss rule of the expansion, so only p(s) runs the
 recurrence on each call.
 
-Construction never asserts cone membership; the feasibility module owns
-that decision, and no BoundResult is built without a passing certificate.
+One function, _kernel_result, builds every bound, spectral_recover_bound
+over an adjacent system included. Construction never asserts cone
+membership; the feasibility module owns that decision, and no
+BoundResult is built without a passing certificate.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .errors import (
     SingularOperatorError,
     ValidationError,
 )
-from .feasibility import ConeCertificate, _audit_start, _certificate, _evaluate, cone_certificate
+from .feasibility import ConeCertificate, _certificate, _evaluate, cone_certificate
 from .orthopoly import (
+    _basis_at,
     _check_degree,
     _jacobi_coeffs,
     _zeros_below,
@@ -58,6 +61,7 @@ from .orthopoly import (
     recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, _binomial_row, max_degree, node_weights, quadrature
+from .spectral import _operator_at, top_eigenpair
 
 _WINDOW_TIE_TOL = 1e-12
 # how deep the window searches reach on a space without a max_degree
@@ -131,18 +135,6 @@ class BoundResult:
         if self.closed_form is not None:
             out["closed_form"] = self.closed_form
         return out
-
-
-def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
-    """p_0(s)..p_deg(s): a read-only column of the base node table when s
-    is a node of a discrete space (found by _audit_start), else one run of
-    the recurrence at s."""
-    if spec.discrete and basis is Variant.BASE:
-        table = discrete_basis_table(spec, basis)
-        j = _audit_start(spec.nodes, s)
-        if deg < table.shape[0] and j < len(spec.nodes) and spec.nodes[j] == s:
-            return table[: deg + 1, j]
-    return eval_basis_table(spec, basis, deg, s)[:, 0]
 
 
 def _lev_vector(spec: MeasureSpec, k: int, s: float, e: int) -> np.ndarray:
@@ -337,11 +329,51 @@ def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
     )
 
 
-def _audited_square(spec, k, s, method, tolerances, v=None, e=0):
-    """_kernel_square_poly and its certificate, under one np.errstate."""
+def _kernel_result(spec: MeasureSpec, k: int, s: float, method: str, tolerances, fields,
+                   basis: Variant = Variant.BASE) -> BoundResult:
+    """The certified kernel square of method at (k, s), with the other
+    fields given. v is p(s) for mrrw, _lev_vector's for lev_odd and
+    lev_even, and the top eigenvector of T_k(s) over basis for spectral
+    (an overflow in it is refused for its NaN residual). On the base
+    system an mrrw or spectral result carries mrrw_bound_closed, from the
+    same run of p(s), where s lies inside the window of k; a spectral
+    bound must agree with it to 1e-7."""
+    e = method == "lev_even" or basis is Variant.PLUSMINUS
+    at_s = v = None
+    if method == "spectral":
+        T, at_s = _operator_at(spec, basis, k, s)
+    elif method == "mrrw":
+        cap = max_degree(spec, Variant.BASE)
+        at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
+        v = at_s[: k + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        poly = _kernel_square_poly(spec, k, s, method, v, e)
-        return poly, _certificate(spec, poly, s, tolerances)
+        if method == "spectral":
+            v = top_eigenpair(T, start=s).vector
+        poly = _kernel_square_poly(spec, k, s, method, v, e, basis)
+        cert = _certificate(spec, poly, s, tolerances)
+    closed = None
+    if at_s is not None and basis is Variant.BASE and cert.passed:
+        try:
+            closed = mrrw_bound_closed(spec, k, s, at_s)
+        except (ValidationError, SingularOperatorError):
+            pass
+    if (method == "spectral" and closed is not None
+            and not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7)):
+        raise NumericError("spectral route %.12g disagrees with closed form %.12g"
+                           % (1.0 / cert.fhat[0], closed))
+    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
+
+
+def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
+                           tolerances=None) -> BoundResult:
+    """Bound rebuilt from the top eigenfunction of T_k(s).
+
+    Squaring the top eigenfunction and multiplying by (x - s) (plus the
+    (x + 1) root in the plusminus basis) reproduces the kernel-based
+    constructions; for the base basis, inside the window of k, the result
+    is checked against the closed form to 1e-7 relative and carries it.
+    """
+    return _kernel_result(spec, k, s, "spectral", tolerances, {}, basis)
 
 
 @lru_cache(maxsize=None)
@@ -372,26 +404,6 @@ def classical_baselines(n: int, d: int) -> tuple:
     return tuple(out)
 
 
-def _mrrw_result(spec: MeasureSpec, k: int, s: float, tolerances, fields) -> BoundResult:
-    """The certified bound of mrrw_poly(k) at s, with its closed form when
-    s lies inside the window of k. One run of p(s) serves both, to degree
-    k + 1 wherever the closed form can be reached (k + 1 <= max_degree)."""
-    cap = max_degree(spec, Variant.BASE)
-    at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
-    poly, cert = _audited_square(spec, k, s, "mrrw", tolerances, at_s[: k + 1])
-    closed = _closed_form(spec, k, s, at_s) if cert.passed else None
-    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
-
-
-def _closed_form(spec: MeasureSpec, k: int, s: float, at_s):
-    """mrrw_bound_closed(spec, k, s, at_s), or None where it has no value:
-    s off the window of k or on its edge, or k past the last zero."""
-    try:
-        return mrrw_bound_closed(spec, k, s, at_s)
-    except (ValidationError, SingularOperatorError):
-        return None
-
-
 def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
     """The certified MRRW candidate at this s, or None.
 
@@ -408,7 +420,7 @@ def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
     results = []
     for k in ks:
         try:
-            results.append(_mrrw_result(spec, k, s, tolerances, fields))
+            results.append(_kernel_result(spec, k, s, "mrrw", tolerances, fields))
         except (NotCertifiedError, SingularOperatorError, NumericError):
             continue
     return min(results, key=lambda r: r.bound, default=None)
@@ -462,22 +474,16 @@ def _bound_at(spec: MeasureSpec, s: float, method: str, k, tolerances, fields):
             raise ValidationError(
                 "the Levenshtein construction picks its own degree; drop k"
             )
-        k_sel, parity = lev_degree_select(spec, s)
-        poly, cert = _audited_square(spec, k_sel, s, "lev_" + parity, tolerances,
-                                     e=parity == "even")
-        return _certified_result(spec, poly, s, tolerances, cert, **fields)
+        k, parity = lev_degree_select(spec, s)
+        return _kernel_result(spec, k, s, "lev_" + parity, tolerances, fields)
 
     if method in ("mrrw", "spectral"):
-        kk = k if k is not None else _base_window_index(spec, s)
-        if kk is None:
+        k = k if k is not None else _base_window_index(spec, s)
+        if k is None:
             raise NotCertifiedError(
                 "s=%r is outside every open window of %s" % (s, spec.label())
             )
-        if method == "mrrw":
-            return _mrrw_result(spec, kk, s, tolerances, fields)
-        from . import spectral
-
-        return spectral._recovered(spec, Variant.BASE, kk, s, tolerances, fields)
+        return _kernel_result(spec, k, s, method, tolerances, fields)
 
     raise ValidationError("unknown method %r" % (method,))
 

@@ -17,17 +17,16 @@ exactly up to rounding, with no grid.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import neg
 
 import numpy as np
 
 from .errors import ValidationError
 from .orthopoly import (
     JacobiOperator,
+    _audit_start,
     basis_at_end,
     discrete_basis_table,
     eval_basis_table,
@@ -147,13 +146,6 @@ class ConeCertificate:
 def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
     """f = sum_i fhat_i p_i at the points x."""
     return fhat @ eval_basis_table(spec, Variant.BASE, fhat.size - 1, x)
-
-
-def _audit_start(nodes: tuple, s: float) -> int:
-    """Index of the first node x_j <= s, by one bisect of spec.nodes. The
-    nodes of a discrete space descend, so the nodes in [-1, s] are the
-    suffix from there."""
-    return bisect.bisect_left(nodes, -s, key=neg)
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,8 @@ slice, the run to the top index on a Hamming space and the longest run
 so far on a sphere. The Stieltjes procedure derives only the adjacent
 systems of custom spaces and the systems of any other discrete measure.
 
+_basis_at gives every layer above p(s), from the node table if it can.
+
 eval_basis_table runs the forward recurrence in Python floats at up to
 _FEW_POINTS points (p(s) at one point, the few points of a sphere audit),
 reading a Python float or a list of them as it is, and in numpy rows
@@ -29,11 +31,12 @@ numpy's per-call overhead is paid only where a row is long.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, neg
 
 import numpy as np
 
@@ -279,6 +282,25 @@ def discrete_basis_table(spec: MeasureSpec, basis: Variant):
     table = eval_basis_table(spec, basis, cap, x)
     table.flags.writeable = False
     return table
+
+
+def _audit_start(nodes: tuple, s: float) -> int:
+    """Index of the first node x_j <= s, by one bisect of spec.nodes. The
+    nodes of a discrete space descend, so the nodes in [-1, s] are the
+    suffix from there."""
+    return bisect.bisect_left(nodes, -s, key=neg)
+
+
+def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarray:
+    """p_0(s)..p_deg(s): a read-only column of the base node table when s
+    is a node of a discrete space (found by _audit_start), else one run of
+    the recurrence at s."""
+    if spec.discrete and basis is Variant.BASE:
+        table = discrete_basis_table(spec, basis)
+        j = _audit_start(spec.nodes, s)
+        if deg < table.shape[0] and j < len(spec.nodes) and spec.nodes[j] == s:
+            return table[: deg + 1, j]
+    return eval_basis_table(spec, basis, deg, s)[:, 0]
 
 
 @lru_cache(maxsize=None)

@@ -11,9 +11,8 @@ read its eigenvector, square. Both come from one O(k) pass over the LDL^T
 pivots of t - T_k(s) (orthopoly._pivots): the top eigenvalue is the t at
 which the leading block's pivots are all positive and the last vanishes,
 and the eigenvector is the product of the pivots, so no dense matrix is
-formed and no spectrum is taken. The bounds square that eigenvector in
-the base system; over an adjacent system it gives the Levenshtein
-polynomials, a cross-check of the base-system construction.
+formed and no spectrum is taken. This operator layer reads nothing
+above orthopoly; constructions squares the eigenvector on its one route.
 """
 
 from __future__ import annotations
@@ -24,18 +23,12 @@ from operator import add, mul
 
 import numpy as np
 
-from . import orthopoly
-from .constructions import (
-    BoundResult,
-    _basis_at,
-    _certified_result,
-    _closed_form,
-    _kernel_square_poly,
-)
 from .errors import NumericError, SingularOperatorError, ValidationError
-from .feasibility import _certificate
-from .orthopoly import _EPS, JacobiOperator
+from .orthopoly import _EPS, JacobiOperator, _basis_at
 from .spaces import MeasureSpec, Variant
+
+# bound by the imports above; read before them, the package __getattr__ loads every layer
+from . import orthopoly
 
 _RESIDUAL_CONTRACT = 1e-9
 
@@ -52,11 +45,13 @@ class EigenPair:
 def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
     """T_k(s) and the run p_0(s)..p_{k+1}(s) its corner weight is read
     from, so that a caller who needs p(s) as well runs the recurrence at s
-    once. One read of the coefficients gives J_k and a_k."""
+    once. One read of the coefficients gives J_k and a_k. p_k(s) within
+    (k + 1) eps of the largest |p_i(s)| of the run (or 1e-12) is rounding
+    noise of a zero of p_k, and the operator is refused."""
     rc = orthopoly._jacobi_coeffs(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
-    if abs(pk) <= 1e-12:
+    if abs(pk) <= max(1e-12, (k + 1) * _EPS * float(np.abs(table).max())):
         raise SingularOperatorError(
             "p_%d(%r) = %.3e vanishes (s sits on a zero of the degree-%d "
             "polynomial); corner weight undefined" % (k, s, pk, k)
@@ -194,32 +189,3 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
             )
     v.flags.writeable = False
     return EigenPair(eigenvalue=float(s), vector=v, residual=residual)
-
-
-def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
-                           tolerances=None) -> BoundResult:
-    """Bound rebuilt from the top eigenfunction of T_k(s).
-
-    Squaring the top eigenfunction and multiplying by (x - s) (plus the
-    (x + 1) root in the plusminus basis) reproduces the kernel-based
-    constructions; for the base basis, inside the window of k, the result
-    is checked against the closed form to 1e-7 relative and carries it.
-    """
-    return _recovered(spec, basis, k, s, tolerances, {})
-
-
-def _recovered(spec: MeasureSpec, basis: Variant, k: int, s: float, tolerances, fields):
-    """spectral_recover_bound, with the other fields given."""
-    T, table = _operator_at(spec, basis, k, s)
-    # an eigenvector product that overflows is refused for its NaN residual
-    with np.errstate(over="ignore", invalid="ignore"):
-        pair = top_eigenpair(T, start=s)
-        poly = _kernel_square_poly(spec, k, s, "spectral", pair.vector,
-                                   basis is Variant.PLUSMINUS, basis)
-        cert = _certificate(spec, poly, s, tolerances)
-    closed = _closed_form(spec, k, s, table) if basis is Variant.BASE and cert.passed else None
-    if closed is not None and not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7):
-        raise NumericError("spectral route %.12g disagrees with closed form %.12g"
-                           % (1.0 / cert.fhat[0], closed))
-    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
-

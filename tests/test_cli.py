@@ -503,14 +503,32 @@ def _cli_process(*argv, code=None):
                           timeout=60)
 
 
-def test_overflowing_spectral_eigenvector_exits_4_with_nothing_on_stderr():
-    """k = 36 is far from the window of s = 0.9375 on hamming:64: the
-    eigenvector product overflows, and the pair is refused for its NaN
-    residual (exit 4) without a RuntimeWarning on stderr."""
+def test_spectral_bound_on_a_zero_of_p_k_exits_3_with_nothing_on_stderr():
+    """s = 0.9375 is an exact zero of p_36 on hamming:64, whose computed
+    value is rounding noise: T_36(s) is refused as singular (exit 3)
+    before its corner weight makes the eigenvector product overflow, and
+    without a RuntimeWarning on stderr."""
     proc = _cli_process("bound", "--space", "hamming:64", "--method", "spectral",
                         "--s", "0.9375", "--k", "36")
-    assert proc.returncode == 4 and proc.stderr == "", proc.stderr
-    assert "eigenpair residual nan" in json.loads(proc.stdout)["error"]
+    assert proc.returncode == 3 and proc.stderr == "", proc.stderr
+    assert "p_36(0.9375)" in json.loads(proc.stdout)["failures"][0]["error"]
+
+
+def test_spectral_is_the_operator_layer_below_constructions():
+    """The spectral module reads nothing above orthopoly: imported alone in
+    a fresh interpreter it loads neither constructions nor feasibility.
+    spectral_recover_bound is built by constructions, and the package
+    exports that function."""
+    code = """
+import sys
+import delbound.spectral
+assert "delbound.constructions" not in sys.modules, sorted(sys.modules)
+assert "delbound.feasibility" not in sys.modules, sorted(sys.modules)
+import delbound
+assert delbound.spectral_recover_bound is delbound.constructions.spectral_recover_bound
+"""
+    proc = _cli_process(code=code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
 
 def test_sphere_verify_of_an_overflowing_polynomial_exits_3_in_strict_json(tmp_path):

@@ -8,6 +8,7 @@ from delbound import (
     SingularOperatorError,
     ValidationError,
     Variant,
+    bound_for_s,
     build_Tk,
     hamming_space,
     largest_zero,
@@ -126,6 +127,12 @@ def test_spectral_route_equals_closed_form():
                 closed = mrrw_bound_closed(spec, k, s)
                 assert res.bound == pytest.approx(closed, rel=1e-7)
                 assert res.certificate.passed
+                # one route: the bound method builds the same result
+                same = bound_for_s(spec, s, "spectral", k=k)
+                assert ((same.bound, same.degree, same.closed_form,
+                         same.certificate.certificate_id)
+                        == (res.bound, res.degree, res.closed_form,
+                            res.certificate.certificate_id))
 
 
 def test_eigenvector_matches_kernel_values():
@@ -309,14 +316,20 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_eigenvector_is_refused_without_a_warning():
-    """An explicit k far from the window of s makes the pivots of T_k(s)
-    huge: at hamming:64, s = 0.9375, k = 36 the eigenvector product
-    overflows, and the pair is refused for its NaN residual with no
-    RuntimeWarning, under the np.errstate the spectral op holds."""
-    from delbound import NumericError, bound_for_s
+    """s = 0.9375 is an exact zero of p_36 on hamming:64, and the computed
+    p_36(s) is rounding noise, within 37 eps of the largest |p_i(s)|: the
+    operator is refused before its corner weight rho_36 ~ 1e15 makes the
+    pivots huge. An operator whose eigenvector product does overflow
+    is refused for its NaN residual with no RuntimeWarning, under the
+    np.errstate the spectral op holds."""
+    from delbound import JacobiOperator, NumericError, bound_for_s
 
-    with pytest.raises(NumericError, match="eigenpair residual nan breaks"):
+    with pytest.raises(SingularOperatorError, match="p_36.* vanishes"):
         bound_for_s(hamming_space(64), 0.9375, "spectral", k=36)
+    T = JacobiOperator(diag=(0.0,) * 40, off=(1e-3,) * 39, basis=Variant.BASE, rho=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="eigenpair residual nan breaks"):
+            top_eigenpair(T)
 
 
 def test_explicit_degree_off_its_window_certifies_without_a_closed_form():
