@@ -181,8 +181,8 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
     runs its recurrence there. Callers hold an np.errstate: an overflow
     leaves a non-finite fhat, which the certificate refuses.
     """
-    if s >= 1.0:
-        raise ValidationError("%s_poly needs s < 1" % method)
+    if not -1.0 <= s < 1.0:
+        raise ValidationError("%s_poly needs s in [-1, 1), got %r" % (method, s))
     degree = 2 * k + 1 + e
     if spec.kind == "custom":
         # the expansion takes degree + 1 Gauss points, and M coefficient

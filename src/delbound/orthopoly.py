@@ -1,9 +1,9 @@
 """Orthonormal polynomial engine.
 
 Recurrence coefficients for the base and adjacent systems, forward-recurrence
-evaluation, truncated Jacobi matrices, and zeros as the eigenvalues of
-those matrices, by O(k) passes over LDL^T pivots: _zeros_below counts the
-largest zeros below a point in one pass, and _top_zero, the one pivot
+evaluation, truncated Jacobi matrices (JacobiOperator.matrix, the one dense
+one), and largest zeros by O(k) passes over LDL^T pivots: the Sturm count
+_positive_pivots places a point among them, and _top_zero, the one pivot
 search, gives largest_zero its zero and spectral.top_eigenpair its pair.
 Every orthonormal family {p_i} here satisfies
 
@@ -70,7 +70,7 @@ class RecurrenceCoeffs:
 
     @cached_property
     def _steps(self) -> tuple:
-        """(b_i, a_{i-1}^2) for i = 1..m: what a step of _zeros_below reads."""
+        """(b_i, a_{i-1}^2) for i = 1..m: the steps of _positive_pivots."""
         return tuple(zip(self.b[1:], [e * e for e in self.a]))
 
 
@@ -93,13 +93,15 @@ class JacobiOperator:
         return len(self.diag)
 
     def matrix(self) -> np.ndarray:
+        """The dense matrix, filled by strides; off must hold order - 1 entries."""
         n = self.order
+        if len(self.off) != max(n - 1, 0):
+            raise ValidationError("off-diagonal length must be order - 1")
         m = np.zeros((n, n))
-        m[np.arange(n), np.arange(n)] = self.diag
-        if n > 1:
-            idx = np.arange(n - 1)
-            m[idx, idx + 1] = self.off
-            m[idx + 1, idx] = self.off
+        flat = m.reshape(-1)
+        flat[:: n + 1] = self.diag
+        flat[n :: n + 1] = self.off
+        flat[1 :: n + 1] = self.off
         if self.rho is not None:
             m[n - 1, n - 1] += self.rho
         return m
@@ -347,22 +349,12 @@ def _jacobi_coeffs(spec: MeasureSpec, basis: Variant, k: int) -> RecurrenceCoeff
 def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
     """All eigenvalues of a symmetric tridiagonal matrix, ascending.
 
-    The lower triangle is filled into one dense array and its spectrum
-    taken by LAPACK through np.linalg.eigvalsh, accurate to a small
-    multiple of eps times the matrix norm. It serves the public zeros and
-    the Gauss nodes of spaces.quadrature; no bound path takes a spectrum.
+    np.linalg.eigvalsh (LAPACK) on the lower triangle of JacobiOperator's
+    dense matrix, accurate to a small multiple of eps times its norm. It
+    serves the public zeros and the Gauss nodes of spaces.quadrature; no
+    bound path takes a spectrum.
     """
-    d = np.asarray(diag, dtype=float)
-    e = np.asarray(off, dtype=float)
-    n = d.size
-    if n == 0:
-        return np.array([])
-    if e.size != n - 1:
-        raise ValidationError("off-diagonal length must be order - 1")
-    m = np.zeros((n, n))
-    m.flat[:: n + 1] = d
-    m.flat[n :: n + 1] = e
-    return np.linalg.eigvalsh(m)
+    return np.linalg.eigvalsh(JacobiOperator(diag=diag, off=off, basis=None).matrix())
 
 
 def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
@@ -379,12 +371,24 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
 
 
+def _positive_pivots(d0: float, steps, t: float) -> int:
+    """The Sturm count (Barth, Martin and Wilkinson 1967): how many leading
+    LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1} of t - J
+    are positive, steps holding (d_i, e_{i-1}^2); monotone in t, as each is."""
+    r = t - d0
+    for m, (d, ee) in enumerate(steps):
+        if not r > 0.0:
+            return m
+        r = t - d - ee / r
+    return len(steps) + (r > 0.0)
+
+
 def _pivots(diag, off, t: float):
-    """The LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1}
-    of t - T, and the derivative in t of the last one, from r_0' = 1 and
-    r_i' = 1 + e_{i-1}^2 r_{i-1}' / r_{i-1}^2. The list stops short of r_k
-    after the first pivot of the leading block that is not positive: t
-    then lies at or below the top eigenvalue of that block."""
+    """The pivots of t - T in the arithmetic of _positive_pivots, and the
+    derivative in t of the last one, from r_0' = 1 and r_i' = 1 + e_{i-1}^2
+    r_{i-1}' / r_{i-1}^2. The list stops short of r_k after the first pivot
+    of the leading block that is not positive: t then lies at or below the
+    top eigenvalue of that block."""
     ri, dri = t - diag[0], 1.0
     r = [ri]
     for di, e in zip(diag[1:], off):
@@ -456,19 +460,12 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
 
 
 def _zeros_below(spec: MeasureSpec, basis: Variant, t: float, top: int) -> int:
-    """#{m <= top : x_m < t}, from one Sturm pass (Barth, Martin and Wilkinson
-    1967): one plus the leading pivots of t - J_{top-1} that are positive, in
-    the arithmetic of _pivots. Each step is monotone in t, so r_0..r_{m-1}
-    are all positive exactly when t > x_m, for the x_m of largest_zero
-    wherever a_i and b_i do not depend on the index they are read to. On a
-    custom space's adjacent systems they do (a Gauss rule grows with it),
-    and the count is exact for zeros of J_{top-1}'s own coefficients."""
+    """#{m <= top : x_m < t}: one plus the Sturm count of t - J_{top-1}, as
+    r_0..r_{m-1} are all positive exactly when t > x_m for the x_m of
+    largest_zero, wherever a_i and b_i do not depend on the index they are
+    read to. On a custom space's adjacent systems they do (a Gauss rule
+    grows with it); there the count is exact for J_{top-1}'s own zeros."""
     if top == 0 or not t > -1.0:
         return int(t > -1.0)
     rc = _coeffs_cached(spec, basis, top - 1)
-    r = t - rc.b[0]
-    for m, (d, ee) in enumerate(rc._steps, 1):
-        if not r > 0.0:
-            return m
-        r = t - d - ee / r
-    return top + (r > 0.0)
+    return 1 + _positive_pivots(rc.b[0], rc._steps, t)

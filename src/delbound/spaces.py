@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericError, ValidationError
 
 
 class Variant(enum.Enum):
@@ -203,9 +203,9 @@ def variant_mass(spec: MeasureSpec, variant: Variant) -> float:
     variant's recurrence carries it."""
     if variant is Variant.BASE:
         return 1.0
-    from . import orthopoly
+    from .orthopoly import recurrence_coeffs
 
-    return orthopoly.recurrence_coeffs(spec, variant, 0).mass
+    return recurrence_coeffs(spec, variant, 0).mass
 
 
 def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> float:
@@ -225,8 +225,6 @@ def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> fl
         vals = np.asarray(f(x), dtype=float)
         out = float(np.dot(w, vals))
     if not math.isfinite(out):
-        from .errors import NumericError
-
         raise NumericError("moment functional overflowed for %s" % spec.label())
     return out
 
@@ -253,12 +251,13 @@ def _gauss_rule(spec: MeasureSpec, variant: Variant, m: int):
     variant at the nodes that the weights are read from, all read-only."""
     if m < 1:
         raise ValidationError("quadrature needs m >= 1")
-    from . import orthopoly
+    from .orthopoly import (_check_degree, eval_basis_table, recurrence_coeffs,
+                            tridiagonal_eigenvalues)
 
-    orthopoly._check_degree(spec, variant, m - 1, "the %d-point quadrature rule" % m)
-    rc = orthopoly.recurrence_coeffs(spec, variant, m - 1)
-    nodes = orthopoly.tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
-    table = orthopoly.eval_basis_table(spec, variant, m - 1, nodes)
+    _check_degree(spec, variant, m - 1, "the %d-point quadrature rule" % m)
+    rc = recurrence_coeffs(spec, variant, m - 1)
+    nodes = tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
+    table = eval_basis_table(spec, variant, m - 1, nodes)
     weights = 1.0 / np.sum(table * table, axis=0)
     for out in (nodes, weights, table):
         out.flags.writeable = False

@@ -47,7 +47,10 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
     from, so that a caller who needs p(s) as well runs the recurrence at s
     once. One read of the coefficients gives J_k and a_k. p_k(s) within
     (k + 1) eps of the largest |p_i(s)| of the run (or 1e-12) is rounding
-    noise of a zero of p_k, and the operator is refused."""
+    noise of a zero of p_k, and the operator is refused, as is an s
+    outside [-1, 1], before anything is evaluated."""
+    if not -1.0 <= s <= 1.0:
+        raise ValidationError("T_k(s) needs s in [-1, 1], got %r" % (s,))
     rc = orthopoly._jacobi_coeffs(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])

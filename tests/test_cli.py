@@ -565,3 +565,14 @@ assert "numpy.polynomial" not in sys.modules
 """
     proc = _cli_process(str(tmp_path / "cert.json"), code=code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+@pytest.mark.parametrize("method", ["mrrw", "lev_odd", "lev_even"])
+def test_verify_refuses_a_threshold_out_of_range_with_nothing_on_stderr(method):
+    """s = nan and s = -2 lie outside [-1, 1): verify refuses them (exit 2)
+    before it evaluates anything, with nothing on stderr, not after an
+    overflowed normalization (nan) or an extrapolation RuntimeWarning (-2)."""
+    for s in ("--s=nan", "--s=-2"):
+        proc = _cli_process("verify", "--space", "hamming:8", "--method", method, "--k", "1", s)
+        assert proc.returncode == 2 and proc.stderr == "", (s, proc.stderr)
+        assert "s in [-1, 1)" in json.loads(proc.stdout)["error"], s

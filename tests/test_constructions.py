@@ -1393,3 +1393,17 @@ def test_bound_paths_evaluate_no_adjacent_system(monkeypatch):
             monkeypatch.setattr(module, "eval_basis_table", base_only)
     _clear_caches()
     assert [fingerprint(*case) for case in cases] == before
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_squares_refuse_a_threshold_out_of_range():
+    """mrrw_poly, lev_odd_poly and lev_even_poly refuse an s outside
+    [-1, 1), NaN and the infinities included, before p(s) is evaluated:
+    no extrapolation warning and no overflowed normalization comes first.
+    s = -1 is kept."""
+    spec = hamming_space(8)
+    for build in (mrrw_poly, lev_odd_poly, lev_even_poly):
+        for s in (math.nan, math.inf, -math.inf, -2.0, math.nextafter(-1.0, -2.0), 1.0):
+            with pytest.raises(ValidationError, match=r"s in \[-1, 1\)"):
+                build(spec, 1, s)
+    assert mrrw_poly(spec, 1, -1.0).s == -1.0

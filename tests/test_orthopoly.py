@@ -695,3 +695,46 @@ def test_largest_zero_search_ends_where_a_square_underflows():
     assert min(_pivots(b, off, x)[0]) <= 0.0
     r, _ = _pivots(b, off, math.nextafter(x, math.inf))
     assert len(r) == 2 and min(r) > 0.0
+
+
+def test_the_sturm_count_and_the_pivot_pass_agree():
+    """_positive_pivots and _pivots, the pass that _top_zero's Newton steps
+    and top_eigenpair's eigenvector read, run the same arithmetic. On random
+    operators, with off-diagonals down to 1e-200 whose squares underflow,
+    at the top zero, one ulp either side of it and at points around it,
+    the count is the number of leading positive pivots of the pass; and
+    _top_zero sits on the count's boundary, the count short of the order
+    at its double and full one ulp above."""
+    from delbound.orthopoly import _pivots, _positive_pivots, _top_zero
+
+    rng = np.random.default_rng(30)
+    for _ in range(400):
+        n = int(rng.integers(1, 40))
+        scale = 10.0 ** rng.uniform(-250, 2)
+        diag = tuple((scale * rng.uniform(-1.0, 1.0, n)).tolist())
+        off = tuple((10.0 ** rng.uniform(-200.0, 0.0, n - 1)).tolist())
+        steps = tuple(zip(diag[1:], [e * e for e in off]))
+        x = _top_zero(diag, off)
+        up, down = math.nextafter(x, math.inf), math.nextafter(x, -math.inf)
+        spread = scale + (max(off) if off else 0.0)
+        for t in (x, up, down, *(x + spread * rng.uniform(-2.0, 0.5, 4)).tolist()):
+            r, _ = _pivots(diag, off, t)
+            lead = next((i for i, ri in enumerate(r) if not ri > 0.0), len(r))
+            assert _positive_pivots(diag[0], steps, t) == lead, (diag, off, t)
+        assert _positive_pivots(diag[0], steps, x) < n, (diag, off)
+        assert _positive_pivots(diag[0], steps, up) == n, (diag, off)
+
+
+def test_jacobi_matrix_refuses_an_off_diagonal_of_the_wrong_length():
+    """JacobiOperator.matrix, the one dense Jacobi matrix, refuses an
+    off-diagonal whose length is not order - 1, a single entry included,
+    rather than repeating it along the diagonal."""
+    from delbound.orthopoly import JacobiOperator
+
+    for diag, off in (((1.0, 2.0, 3.0), (1.0,)), ((1.0, 2.0), (1.0, 2.0)), ((), (1.0,))):
+        with pytest.raises(ValidationError, match="order - 1"):
+            JacobiOperator(diag, off, Variant.BASE).matrix()
+        with pytest.raises(ValidationError, match="order - 1"):
+            tridiagonal_eigenvalues(diag, off)
+    m = JacobiOperator((1.0, 2.0, 3.0), (4.0, 5.0), Variant.BASE, rho=0.5).matrix()
+    assert m.tolist() == [[1.0, 4.0, 0.0], [4.0, 2.0, 5.0], [0.0, 5.0, 3.5]]

@@ -322,3 +322,33 @@ def test_custom_quadrature_refuses_as_the_rule_it_cannot_build():
             assert np.max(np.abs(gram - np.eye(m))) < 1e-12, (variant, m)
     with pytest.raises(ValidationError, match="the %d-point quadrature rule" % (M + 1)):
         fourier_expand(spec, lambda x: x, M)
+
+
+def test_a_quadrature_loads_only_the_layers_below_it():
+    """In a fresh interpreter, a Gauss rule and an adjacent system's mass
+    load orthopoly, and no layer above it: spaces takes its names from
+    delbound.orthopoly, not through the package's deferred attributes,
+    which load constructions, feasibility, kernels and spectral too."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "import delbound.spaces\n"
+        "from delbound.spaces import (Variant, hamming_space, quadrature, sphere_space,\n"
+        "                             variant_mass)\n"
+        "quadrature(sphere_space(4), Variant.BASE, 5)\n"
+        "variant_mass(hamming_space(6), Variant.MINUS)\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('delbound')))\n"
+    )
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "delbound.orthopoly" in loaded
+    above = {"delbound." + m for m in ("constructions", "feasibility", "kernels", "spectral")}
+    assert not loaded & above, loaded & above

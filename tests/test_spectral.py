@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -371,3 +372,19 @@ def test_explicit_degree_off_its_window_certifies_without_a_closed_form():
                     assert res.closed_form == pytest.approx(mrrw.closed_form, rel=1e-7)
         off_window.append(count)
     assert off_window == [448, 266]
+
+
+@pytest.mark.filterwarnings("error")
+def test_operator_refuses_a_threshold_out_of_range():
+    """T_k(s) is refused for an s outside [-1, 1], NaN and the infinities
+    included, before p(s) is evaluated: build_Tk, verify_kernel_eigen and
+    spectral_recover_bound over every system raise ValidationError, with
+    no extrapolation warning and no singular-operator report first. s = 1
+    stays valid for the operator."""
+    spec = hamming_space(8)
+    for s in (math.nan, math.inf, -math.inf, -2.0, math.nextafter(1.0, 2.0)):
+        for basis in Variant:
+            for op in (build_Tk, verify_kernel_eigen, spectral_recover_bound):
+                with pytest.raises(ValidationError, match=r"s in \[-1, 1\]"):
+                    op(spec, basis, 1, s)
+    assert build_Tk(spec, Variant.BASE, 1, 1.0).order == 2
