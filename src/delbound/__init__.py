@@ -10,7 +10,9 @@ Only the pure-Python layers load with the package: the errors, the LP
 oracle and the NRT shape tables. The six numpy-backed modules load as one
 group on the first access of any of them, or of any name the package
 takes from them (PEP 562), and the namespace then holds every name an
-eager import of them would bind.
+eager import of them would bind. Every record of the package is an
+immutable named tuple, so no module loads `dataclasses`, and `_replace`
+takes the place of `dataclasses.replace`.
 """
 
 from .errors import (

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -70,9 +70,10 @@ _LEV_DEGREE_CAP = 128
 _EDGE_REACH = 4
 
 
-@dataclass(frozen=True)
-class BoundPolynomial:
-    """A candidate polynomial for the code-size bound, with f(1) = 1.
+class BoundPolynomial(namedtuple("BoundPolynomial", "method degree s c fhat spec k",
+                                 defaults=(None,))):
+    """A candidate polynomial for the code-size bound, with f(1) = 1: a
+    named tuple whose equality, hash and repr leave spec out.
 
     It is carried as fhat, its coefficients in the base orthonormal system
     of spec, and calling it evaluates sum_i fhat_i p_i(x). On a discrete
@@ -81,41 +82,56 @@ class BoundPolynomial:
     linear program looks at, and its interpolant between them.
     """
 
-    method: str
-    degree: int
-    s: float
-    c: float
-    fhat: tuple
-    spec: MeasureSpec = field(repr=False, compare=False)
-    k: int | None = None
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        method, degree, s, c, fhat, _, k = self
+        return method, degree, s, c, fhat, k
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundPolynomial):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __ne__(self, other):
+        if not isinstance(other, BoundPolynomial):
+            return NotImplemented
+        return self._key() != other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "BoundPolynomial(method=%r, degree=%r, s=%r, c=%r, fhat=%r, k=%r)" % self._key()
 
     def __call__(self, x):
         out = _evaluate(self.spec, np.asarray(self.fhat), x)
         return float(out[0]) if np.isscalar(x) else out
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(namedtuple("BoundResult", "method space s degree bound certificate "
+                                            "d closed_form baselines")):
     """A certified bound value together with everything needed to audit it,
-    built once, with every field set, on a passing certificate."""
+    built once, with every field set, on a passing certificate: a named
+    tuple, validated on every construction."""
 
-    method: str
-    space: MeasureSpec
-    s: float
-    degree: int
-    bound: float
-    certificate: ConeCertificate
-    d: int | None = None
-    closed_form: float | None = None
-    baselines: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.certificate.passed:
+    def __new__(cls, method, space, s, degree, bound, certificate, d=None,
+                closed_form=None, baselines=()):
+        if not certificate.passed:
             raise NotCertifiedError(
                 "refusing to build a BoundResult on a failed certificate: %s"
-                % self.certificate.reason,
-                certificate=self.certificate,
+                % certificate.reason,
+                certificate=certificate,
             )
+        return super().__new__(cls, method, space, s, degree, bound, certificate, d,
+                               closed_form, baselines)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         out = {

@@ -18,7 +18,7 @@ exactly up to rounding, with no grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -37,28 +37,31 @@ from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 from .strictjson import strict_json
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Acceptance slacks for the three cone conditions.
+class Tolerances(namedtuple("Tolerances", "coeff pos sign")):
+    """Acceptance slacks for the three cone conditions: a named tuple,
+    validated on every construction.
 
     coeff: how far below zero a coefficient fhat_i (i >= 1) may dip.
     pos: how much of fhat_0 must be strictly positive.
     sign: how far above zero f may rise on the audit set.
     """
 
-    coeff: float = 1e-9
-    pos: float = 1e-12
-    sign: float = 1e-9
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("coeff", "pos", "sign"):
-            value = getattr(self, name)
+    def __new__(cls, coeff=1e-9, pos=1e-12, sign=1e-9):
+        for name, value in (("coeff", coeff), ("pos", pos), ("sign", sign)):
             # a NaN slack compares false against everything, so every check
             # it guards would pass
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValidationError(
                     "tolerance %s must be finite and nonnegative, got %r" % (name, value)
                 )
+        return super().__new__(cls, coeff, pos, sign)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {"coeff": self.coeff, "pos": self.pos, "sign": self.sign}
@@ -94,20 +97,13 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
-@dataclass(frozen=True)
-class ConeCertificate:
-    """Auditable record of a cone membership decision."""
+class ConeCertificate(namedtuple(
+        "ConeCertificate",
+        "s fhat min_coeff_index min_coeff_value max_on_audit argmax audit_size "
+        "tolerances verdict reason", defaults=(None,))):
+    """Auditable record of a cone membership decision: a named tuple."""
 
-    s: float
-    fhat: tuple
-    min_coeff_index: int
-    min_coeff_value: float
-    max_on_audit: float
-    argmax: float
-    audit_size: int
-    tolerances: Tolerances
-    verdict: str
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -241,6 +237,13 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     return np.array(pts), _evaluate(spec, fhat, pts)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite: a finite a @ a says so at once,
+    as an inf or a NaN entry leaves it inf or NaN; an a @ a that is not
+    finite is checked entry by entry."""
+    return math.isfinite(a @ a) or bool(np.isfinite(a).all())
+
+
 def cone_certificate(
     spec: MeasureSpec, f, s: float, tolerances: Tolerances | None = None
 ) -> ConeCertificate:
@@ -287,36 +290,41 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
     given = getattr(f, "fhat", None)
     fhat = fourier_expand(spec, f, degree) if given is None else np.asarray(given, dtype=float)
 
-    tail = fhat[1:]
-    if tail.size:
-        min_idx = int(tail.argmin()) + 1
-        min_val = float(tail[min_idx - 1])
+    # argmin and argmax return the first NaN if there is one; every value
+    # they locate is read once, as a Python float, and compared as one
+    finite = _all_finite(fhat)
+    f0 = fhat.item(0)
+    if fhat.size > 1:
+        min_idx = int(fhat[1:].argmin()) + 1
+        min_val = fhat.item(min_idx)
     else:
-        min_idx, min_val = 0, float(fhat[0])
+        min_idx, min_val = 0, f0
 
     audit, vals = _audit(spec, fhat, s)
+    finite_on_audit = _all_finite(vals)
     arg = int(vals.argmax())
-    max_val = float(vals[arg])
-    argmax = float(audit[arg])
+    max_val = vals.item(arg)
+    argmax = audit.item(arg)
 
+    coeff_tol, pos_tol, sign_tol = tol
     reason = None
-    if not np.isfinite(fhat).all():
+    if not finite:
         reason = "fhat has a non-finite entry"
-    elif not np.isfinite(vals).all():
+    elif not finite_on_audit:
         reason = "f is not finite on the audit set"
-    elif not (fhat[0] > tol.pos):
-        reason = "fhat_0 = %.6e is not positive beyond tolerance %g" % (fhat[0], tol.pos)
-    elif tail.size and min_val < -tol.coeff:
+    elif not (f0 > pos_tol):
+        reason = "fhat_0 = %.6e is not positive beyond tolerance %g" % (f0, pos_tol)
+    elif min_idx and min_val < -coeff_tol:
         reason = "fhat_%d = %.6e is negative beyond tolerance %g" % (
             min_idx,
             min_val,
-            tol.coeff,
+            coeff_tol,
         )
-    elif max_val > tol.sign:
+    elif max_val > sign_tol:
         reason = "f(%.6g) = %.6e exceeds 0 beyond tolerance %g on [-1, s]" % (
             argmax,
             max_val,
-            tol.sign,
+            sign_tol,
         )
     else:
         floor = _DEFAULT_TOLERANCES.pos
@@ -325,11 +333,11 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
         # table, so sum() adds floats (compensated on Python 3.12+)
         slack = max(max_val, 0.0) - sum(
             v * at_one.item(i) for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
-        if not fhat[0] > floor:
-            reason = "fhat_0 = %r is inside the positivity floor %g" % (float(fhat[0]), floor)
-        elif slack >= fhat[0]:
+        if not f0 > floor:
+            reason = "fhat_0 = %r is inside the positivity floor %g" % (f0, floor)
+        elif slack >= f0:
             reason = ("fhat_0 = %r is not above the slack %r of its negative "
-                      "coefficients and audit maximum" % (float(fhat[0]), slack))
+                      "coefficients and audit maximum" % (f0, slack))
 
     return ConeCertificate(
         s=float(s),
@@ -338,7 +346,7 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
         min_coeff_value=min_val,
         max_on_audit=max_val,
         argmax=argmax,
-        audit_size=int(audit.size),
+        audit_size=audit.size,
         tolerances=tol,
         verdict="pass" if reason is None else "fail",
         reason=reason,

@@ -8,7 +8,7 @@ check, cd_identity_residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -17,22 +17,21 @@ from .orthopoly import eval_basis_table, recurrence_coeffs
 from .spaces import MeasureSpec, Variant, moment_functional
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Degree and second argument of a kernel over a chosen basis."""
+class KernelParams(namedtuple("KernelParams", "basis k s")):
+    """Degree and second argument of a kernel over a chosen basis: a named
+    tuple."""
 
-    basis: Variant
-    k: int
-    s: float
+    __slots__ = ()
 
 
 def cd_kernel(spec: MeasureSpec, params: KernelParams, x):
     """K_k(x, s) in the requested basis; x may be a scalar or an array."""
-    if params.k < 0:
+    basis, k, s = params
+    if k < 0:
         raise ValidationError("kernel degree must be nonnegative")
     scalar = np.isscalar(x)
-    ps = eval_basis_table(spec, params.basis, params.k, params.s)[:, 0]
-    px = eval_basis_table(spec, params.basis, params.k, x)
+    ps = eval_basis_table(spec, basis, k, s)[:, 0]
+    px = eval_basis_table(spec, basis, k, x)
     out = ps @ px
     return float(out[0]) if scalar else out
 
@@ -46,12 +45,12 @@ def cd_identity_residual(spec: MeasureSpec, params: KernelParams, x):
     carries their ulp and only the normalized defect is contractually
     below 1e-9.
     """
-    k, s = params.k, params.s
+    basis, k, s = params
     scalar = np.isscalar(x)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    table_x = eval_basis_table(spec, params.basis, k + 1, xs)
-    table_s = eval_basis_table(spec, params.basis, k + 1, s)[:, 0]
-    a_k = recurrence_coeffs(spec, params.basis, k).a[k]
+    table_x = eval_basis_table(spec, basis, k + 1, xs)
+    table_s = eval_basis_table(spec, basis, k + 1, s)[:, 0]
+    a_k = recurrence_coeffs(spec, basis, k).a[k]
     lhs = (xs - s) * (table_s[: k + 1] @ table_x[: k + 1])
     up = a_k * table_x[k + 1] * table_s[k]
     down = a_k * table_s[k + 1] * table_x[k]

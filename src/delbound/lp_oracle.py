@@ -19,7 +19,8 @@ float() of each, the correctly rounded exact optimum. Sizes are capped
 at n <= MAX_N.
 
 The module loads no numpy, and its result record `LPSolution` is a
-named tuple, so importing it loads no `dataclasses` or `inspect` either.
+named tuple, as every record of the package is, so importing it loads no
+`dataclasses` or `inspect` either.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ a vector counts blocks by the position of their rightmost nonzero entry;
 shapes index the distance classes of the space the way plain Hamming
 weight classes do for r = 1, and the metric is the shape-weighted sum
 sum_i i e_i. Weights w(e) are exact rationals so counting identities can
-be asserted with equality. `ShapeVector` is a named tuple, validated on
-every construction, so the module loads no numpy, `dataclasses` or
-`inspect`.
+be asserted with equality. `ShapeVector` is a named tuple, as every
+record of the package is, validated on every construction, so the module
+loads no numpy, `dataclasses` or `inspect`.
 """
 
 from __future__ import annotations

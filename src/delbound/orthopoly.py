@@ -34,7 +34,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from operator import add, neg
 
@@ -58,15 +58,15 @@ _EPS = float(np.finfo(float).eps)
 # against numpy rows (timeit, CPython 3.11, numpy 2), the float lists are
 # faster below a crossover of 20 to 30 points at every degree from 5 to 100
 _FEW_POINTS = 24
+# _scale_exponent leaves an operator unscaled where its scale lies in
+# [2^-_SCALE_FREE, 2^_SCALE_FREE): the square of its largest entry is then a
+# normal double
+_SCALE_FREE = 256
 
 
-@dataclass(frozen=True)
-class RecurrenceCoeffs:
-    """Coefficients a_0..a_m, b_0..b_m plus the measure's total mass."""
-
-    a: tuple
-    b: tuple
-    mass: float
+class RecurrenceCoeffs(namedtuple("RecurrenceCoeffs", "a b mass")):
+    """Coefficients a_0..a_m, b_0..b_m plus the measure's total mass: a
+    named tuple, with a per-instance __dict__ for _steps."""
 
     @cached_property
     def _steps(self) -> tuple:
@@ -74,19 +74,16 @@ class RecurrenceCoeffs:
         return tuple(zip(self.b[1:], [e * e for e in self.a]))
 
 
-@dataclass(frozen=True)
-class JacobiOperator:
-    """Truncated Jacobi matrix, optionally with a corner perturbation.
+class JacobiOperator(namedtuple("JacobiOperator", "diag off basis rho", defaults=(None,))):
+    """Truncated Jacobi matrix, optionally with a corner perturbation: a
+    named tuple.
 
     diag holds b_0..b_k, off holds a_0..a_{k-1}. When rho is not None the
     operator is J_k + rho * e_k e_k^T, i.e. rho is added to the last
     diagonal entry.
     """
 
-    diag: tuple
-    off: tuple
-    basis: Variant
-    rho: float | None = None
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -94,16 +91,17 @@ class JacobiOperator:
 
     def matrix(self) -> np.ndarray:
         """The dense matrix, filled by strides; off must hold order - 1 entries."""
-        n = self.order
-        if len(self.off) != max(n - 1, 0):
+        diag, off, _, rho = self
+        n = len(diag)
+        if len(off) != max(n - 1, 0):
             raise ValidationError("off-diagonal length must be order - 1")
         m = np.zeros((n, n))
         flat = m.reshape(-1)
-        flat[:: n + 1] = self.diag
-        flat[n :: n + 1] = self.off
-        flat[1 :: n + 1] = self.off
-        if self.rho is not None:
-            m[n - 1, n - 1] += self.rho
+        flat[:: n + 1] = diag
+        flat[n :: n + 1] = off
+        flat[1 :: n + 1] = off
+        if rho is not None:
+            m[n - 1, n - 1] += rho
         return m
 
 
@@ -246,8 +244,8 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
             RuntimeWarning,
             stacklevel=2,
         )
-    a, b = rc.a, rc.b
-    p0 = 1.0 / math.sqrt(rc.mass)
+    a, b, mass = rc
+    p0 = 1.0 / math.sqrt(mass)
     if few:
         rows = [[p0] * len(pts)]
         if deg >= 1:
@@ -401,6 +399,25 @@ def _pivots(diag, off, t: float):
     return r, dri
 
 
+def _scale_exponent(diag, lo: float, hi: float) -> int:
+    """The e by which a tridiagonal operator's pivot passes scale it, by
+    2^-e, or 0 where they do not. lo is its largest diagonal entry and hi
+    its Gershgorin bound, so every entry is at most 2M in magnitude, M =
+    max(|lo|, |hi|, |min diag|), and e is M's binary exponent, 2^(e-1) <=
+    M < 2^e, where M lies outside [2^-_SCALE_FREE, 2^_SCALE_FREE). Where
+    every entry is tiny, a square e_i^2 of the passes underflows to zero
+    and decouples the operator. A power of two scales a normal double
+    exactly, and every pivot pass is homogeneous in the entries and t, so
+    a scaled pass gives the unscaled result times 2^-e, bit for bit."""
+    e = math.frexp(max(abs(lo), abs(hi), abs(min(diag))))[1]
+    return 0 if -_SCALE_FREE < e <= _SCALE_FREE else e
+
+
+def _scale(values, e: int) -> list:
+    """values times 2^-e."""
+    return [math.ldexp(v, -e) for v in values]
+
+
 def _top_zero(diag, off) -> float:
     """The greatest double t at which some LDL^T pivot of t - J is not
     positive: the top eigenvalue of the tridiagonal J rounded down, so an
@@ -413,10 +430,15 @@ def _top_zero(diag, off) -> float:
     two adjacent doubles: where an e_i^2 underflows, the last pivot's root
     is not the top eigenvalue, and single ulps would never end. The one
     pivot search: largest_zero reads it, and so does
-    spectral.top_eigenpair where one pass at its start settles nothing."""
+    spectral.top_eigenpair where one pass at its start settles nothing.
+    Where _scale_exponent gives an e, the search runs on J times 2^-e, and
+    its result is scaled back."""
     lo = max(diag)
     # Gershgorin: max_i d_i + |e_{i-1}| + |e_i|, in one C-level pass
     hi = max(map(add, map(add, diag, map(abs, (0.0, *off))), map(abs, (*off, 0.0))))
+    e = _scale_exponent(diag, lo, hi)
+    if e:
+        return math.ldexp(_top_zero(_scale(diag, e), _scale(off, e)), e)
     tol = _EPS * max(abs(lo), abs(hi))
     t = hi = math.nextafter(hi + tol, math.inf)
     walked = False

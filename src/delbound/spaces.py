@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 import numpy as np
@@ -35,9 +35,9 @@ class Variant(enum.Enum):
     __hash__ = object.__hash__  # members equal only themselves: hash at C level
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
-    """Immutable description of a measure on [-1, 1].
+class MeasureSpec(namedtuple("MeasureSpec", "kind params nodes weights ab",
+                             defaults=(None, None, None))):
+    """Immutable description of a measure on [-1, 1]: a named tuple.
 
     kind is one of "hamming", "sphere", "custom". Discrete measures carry
     explicit nodes and weights; continuous ones are defined entirely by
@@ -45,20 +45,17 @@ class MeasureSpec:
     custom) and integrated by Gauss rules of exact order.
     """
 
-    kind: str
-    params: tuple
-    nodes: tuple | None = None
-    weights: tuple | None = None
-    ab: tuple | None = None
+    # no __slots__ = (): the per-instance __dict__ holds the cached hash
 
     def __hash__(self) -> int:
         # Every constructor derives nodes and weights from params, so
         # (kind, params, ab) separates unequal specs; hashing the two
         # (n+1)-tuples on every cache lookup would dominate large spaces. The
         # hash is kept per instance but never pickled: it varies by hash seed.
-        if "_hash" not in self.__dict__:
-            self.__dict__["_hash"] = hash((self.kind, self.params, self.ab))
-        return self.__dict__["_hash"]
+        held = self.__dict__
+        if "_hash" not in held:
+            held["_hash"] = hash((self.kind, self.params, self.ab))
+        return held["_hash"]
 
     def __getstate__(self) -> dict:
         return {key: v for key, v in self.__dict__.items() if key != "_hash"}

@@ -18,7 +18,7 @@ above orthopoly; constructions squares the eigenvector on its one route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import add, mul
 
 import numpy as np
@@ -33,13 +33,14 @@ from . import orthopoly
 _RESIDUAL_CONTRACT = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """Eigenvalue, unit eigenvector with v_0 > 0, and the achieved residual."""
+class EigenPair(namedtuple("EigenPair", "eigenvalue vector residual")):
+    """Eigenvalue, unit eigenvector with v_0 > 0, and the achieved residual:
+    a named tuple that compares, and hashes, by identity."""
 
-    eigenvalue: float
-    vector: np.ndarray
-    residual: float
+    __slots__ = ()
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
@@ -100,7 +101,9 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     Newton step r_k / r_k' is within eps of the operator's scale and the
     pair meets the residual contract; the s of T_k(s) in its window is
     such a start. Otherwise the pair is read off one pass just above the
-    top eigenvalue as orthopoly._top_zero finds it.
+    top eigenvalue as orthopoly._top_zero finds it. Every pass runs on T
+    times 2^-e, e from orthopoly._scale_exponent, so a tiny operator's
+    squares e_i^2 do not underflow.
 
     The eigenvector is read off that pass's pivots, v_0 = 1 and
     v_{i+1} = v_i r_i / e_i: positive, and accurate entry by entry even
@@ -116,11 +119,15 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     lo, hi = max(diag), max(map(add, map(add, diag, (0.0, *off)), (*off, 0.0)))
     if not (all(map(math.isfinite, diag)) and math.isfinite(hi - lo)):
         raise NumericError("operator of order %d has a non-finite entry" % len(diag))
+    e = orthopoly._scale_exponent(diag, lo, hi)
+    if e:
+        diag, off = orthopoly._scale(diag, e), orthopoly._scale(off, e)
+        lo, hi = math.ldexp(lo, -e), math.ldexp(hi, -e)
     tol = _EPS * max(abs(lo), abs(hi))
-    pair = None if start is None else _pair_at(diag, off, float(start), tol)
+    pair = None if start is None else _pair_at(diag, off, math.ldexp(float(start), -e), tol, e)
     if pair is None or not pair[2] <= _RESIDUAL_CONTRACT:
         top = math.nextafter(orthopoly._top_zero(diag, off), math.inf)
-        pair = _pair_at(diag, off, top, math.inf)
+        pair = _pair_at(diag, off, top, math.inf, e)
     eigenvalue, v, residual = pair or (math.nan, None, math.nan)
     if not residual <= _RESIDUAL_CONTRACT:
         raise NumericError(
@@ -131,10 +138,12 @@ def top_eigenpair(T: JacobiOperator, start=None) -> EigenPair:
     return EigenPair(eigenvalue=eigenvalue, vector=v, residual=residual)
 
 
-def _pair_at(diag: list, off, t: float, tol: float):
+def _pair_at(diag: list, off, t: float, tol: float, scale: int):
     """(t - r_k / r_k', v, residual) from one pass over the pivots of t - T,
     v the unit vector their running product gives; None where a pivot
     before r_k is not positive or the Newton step r_k / r_k' exceeds tol.
+    T is the operator times 2^-scale (orthopoly._scale_exponent), and
+    the eigenvalue and residual are scaled back; v does not depend on scale.
     The product w_0 = 1, w_{i+1} = w_i (r_i / e_i) runs in Python floats,
     one multiplication per entry in index order; w becomes one array,
     scaled by the numpy norm sqrt(w @ w), and the residual of that v is
@@ -148,7 +157,9 @@ def _pair_at(diag: list, off, t: float, tol: float):
         w.append(w[-1] * (ri / e))
     v = np.array(w)
     v /= math.sqrt(v @ v)
-    return t - step, v, _residual(diag, off, v.tolist(), t - step)
+    lam = t - step
+    return (math.ldexp(lam, scale), v,
+            math.ldexp(_residual(diag, off, v.tolist(), lam), scale))
 
 
 def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,

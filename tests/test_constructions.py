@@ -224,6 +224,50 @@ def test_result_to_json_and_certificate_gate():
                     bound=2.0, certificate=bad_cert)
 
 
+def test_bound_result_validates_on_replace_and_make_and_pickles():
+    """_replace and _make cannot put a failed certificate into a
+    BoundResult, and a pickled result round-trips equal."""
+    import pickle
+
+    spec = hamming_space(5)
+    res = bound_for_distance(spec, 3, method="lev")
+    bad_cert = cone_certificate(spec, polynomial_from_fourier(spec, [0.5, -0.3], -0.5), -0.5)
+    with pytest.raises(NotCertifiedError):
+        res._replace(certificate=bad_cert)
+    with pytest.raises(NotCertifiedError):
+        BoundResult._make(res[:5] + (bad_cert,) + res[6:])
+    back = pickle.loads(pickle.dumps(res))
+    assert type(back) is BoundResult and back == res and back.to_json() == res.to_json()
+
+
+def test_bounds_load_no_dataclasses():
+    """In a fresh interpreter, the mrrw, lev and spectral sweeps of
+    hamming:64 and a sphere:24 bound load no dataclasses: every record of
+    the package is a named tuple."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = """
+import sys
+from delbound import DelboundError, bound_for_distance, bound_for_s, hamming_space, sphere_space
+spec = hamming_space(64)
+for method in ("mrrw", "lev", "spectral"):
+    for d in range(1, 65):
+        try:
+            bound_for_distance(spec, d, method)
+        except DelboundError:
+            pass
+assert bound_for_s(sphere_space(24), 0.5, "lev").certificate.passed
+assert "dataclasses" not in sys.modules, "dataclasses loaded"
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bound_value_rejects_nonpositive_mean():
     spec = hamming_space(5)
     poly = polynomial_from_fourier(spec, [0.0, 1.0], -0.5)
@@ -787,7 +831,7 @@ def test_distance_bounds_read_the_node_tables(method, monkeypatch):
         if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
             monkeypatch.setattr(module, "eval_basis_table", counted)
     outcomes = [_outcome(bound_for_distance, spec, d, method) for d in range(1, n + 1)]
-    assert sum(not isinstance(o, tuple) for o in outcomes) > 10
+    assert sum(isinstance(o, BoundResult) for o in outcomes) > 10
     assert n + 1 not in sizes
 
 
@@ -977,7 +1021,7 @@ _SPHERE_GRID = [i / 10 for i in range(-5, 6)]
 def _sphere_fingerprint(out):
     """What a bound reports, field for field: the fields the benchmark
     compares between a cold and a warm pass."""
-    if isinstance(out, tuple):
+    if not isinstance(out, BoundResult):
         return out
     cert = out.certificate
     return (out.method, out.s, out.degree, out.bound, out.d, out.closed_form,
@@ -1051,7 +1095,7 @@ def test_sphere_table_caches_are_transparent(dim):
     cold = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
     warm = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
     assert [_sphere_fingerprint(r) for r in cold] == [_sphere_fingerprint(r) for r in warm]
-    certified = [r for r in cold if not isinstance(r, tuple)]
+    certified = [r for r in cold if isinstance(r, BoundResult)]
     assert len(certified) >= 20
     for res in certified:
         assert res.certificate.fhat == tuple(_fresh_sphere_fhat(spec, res).tolist()), \

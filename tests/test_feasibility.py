@@ -162,6 +162,16 @@ def test_tolerances_reject_nonfinite_and_negative(field, value):
         Tolerances(**{field: value})
 
 
+def test_tolerances_validate_on_replace_and_make():
+    """namedtuple's _replace builds through _make, which would skip
+    __new__; both validate as construction does."""
+    with pytest.raises(ValidationError):
+        Tolerances()._replace(coeff=float("nan"))
+    with pytest.raises(ValidationError):
+        Tolerances._make([1e-9, float("nan"), 1e-9])
+    assert Tolerances()._replace(sign=1e-8) == Tolerances(sign=1e-8) == (1e-9, 1e-12, 1e-8)
+
+
 def test_nan_tolerances_cannot_pass_a_failing_polynomial():
     from delbound import polynomial_from_fourier
 
@@ -180,11 +190,9 @@ def test_nan_tolerances_cannot_pass_a_failing_polynomial():
 def test_nonfinite_values_fail_the_certificate(spec, fhat):
     """NaN compares false against every tolerance, so without an explicit
     check it would pass all three cone conditions."""
-    from dataclasses import replace
-
     from delbound import polynomial_from_fourier
 
-    poly = replace(polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0), fhat=fhat)
+    poly = polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0)._replace(fhat=fhat)
     cert = cone_certificate(spec, poly, 0.0)
     assert cert.verdict == "fail" and "finite" in cert.reason
     # the same values from a plain callable, which is expanded first
@@ -251,12 +259,10 @@ def test_root_audit_catches_a_bump_between_grid_points():
 def test_root_audit_of_nonfinite_sphere_coefficients(fhat):
     """Non-finite coefficients of f' skip the eigensolve, which would
     raise LinAlgError, and the certificate fails on the endpoint values."""
-    from dataclasses import replace
-
     from delbound import polynomial_from_fourier
 
     spec = sphere_space(4)
-    poly = replace(polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0), fhat=fhat)
+    poly = polynomial_from_fourier(spec, [1.0] * len(fhat), 0.0)._replace(fhat=fhat)
     cert = cone_certificate(spec, poly, 0.0)
     assert cert.verdict == "fail" and "finite" in cert.reason
 
@@ -300,28 +306,25 @@ def test_certificate_id_is_pinned():
 def test_certificate_id_ignores_where_the_maximum_sits():
     """argmax, audit_size and max_on_audit follow rounding where max f = 0,
     so they do not enter the id; fhat, s, tolerances and verdict do."""
-    from dataclasses import replace
-
     from delbound import bound_for_s
 
     cert = bound_for_s(sphere_space(8), 0.3, "mrrw").certificate
-    moved = replace(cert, argmax=-1.0, audit_size=cert.audit_size + 1,
-                    max_on_audit=cert.max_on_audit - 1e-17, reason="noted")
+    moved = cert._replace(argmax=-1.0, audit_size=cert.audit_size + 1,
+                          max_on_audit=cert.max_on_audit - 1e-17, reason="noted")
     assert moved.certificate_id == cert.certificate_id
     for change in ({"s": 0.31}, {"fhat": cert.fhat[:-1] + (cert.fhat[-1] * 2,)},
                    {"verdict": "fail"}, {"tolerances": Tolerances(sign=1e-8)}):
-        assert replace(cert, **change).certificate_id != cert.certificate_id, change
+        assert cert._replace(**change).certificate_id != cert.certificate_id, change
 
 
 def test_certificate_id_hashes_strict_json():
     """A NaN in fhat is hashed as the null that strict JSON output prints."""
     import hashlib
-    from dataclasses import replace
 
     from delbound import polynomial_from_fourier
 
     spec = sphere_space(4)
-    poly = replace(polynomial_from_fourier(spec, [1.0, 1.0], 0.0), fhat=(1.0, float("nan")))
+    poly = polynomial_from_fourier(spec, [1.0, 1.0], 0.0)._replace(fhat=(1.0, float("nan")))
     cert = cone_certificate(spec, poly, 0.0)
     blob = cert.to_json()
     decisive = {key: blob[key] for key in ("schema", "s", "fhat", "tolerances", "verdict")}

@@ -679,22 +679,30 @@ def test_basis_at_one_is_the_node_column_or_the_recurrence_at_one():
 
 
 def test_largest_zero_search_ends_where_a_square_underflows():
-    """a_0^2 underflows to 0 in the pivots here, so the last pivot's root
-    lies below the largest diagonal entry that bounds the search, and a
-    Newton step from above lands under the bracket by less than its
-    tolerance every time. The search still ends, by bisection whenever a
-    one-ulp step has not closed the bracket, on the double its docstring
-    names: the greatest at which some pivot is not positive."""
-    from delbound import custom_space
+    """a_0^2 underflows to 0 in the pivots of this operator as it stands,
+    which would decouple it: the last pivot's root would be b_0, 6.6e-255,
+    not the top zero 6.7e-208. Scaled by a power of two first, the search
+    ends within a few eps of the top of zeros(), on the double its
+    docstring names: the greatest at which some pivot of the operator,
+    scaled exactly (here by 2^700), is not positive. top_eigenpair runs
+    its passes on a scaled operator too and finds the same eigenvalue."""
+    from delbound import custom_space, top_eigenpair
     from delbound.orthopoly import _pivots
 
     b = (6.555363132914593e-255, -9.752365110266667e-255)
     spec = custom_space([6.704116390239309e-208, 1e-300], b)
+    top = zeros(spec, Variant.BASE, 2)[-1]
     x = largest_zero(spec, Variant.BASE, 2)
-    off = (6.704116390239309e-208,)
-    assert min(_pivots(b, off, x)[0]) <= 0.0
-    r, _ = _pivots(b, off, math.nextafter(x, math.inf))
+    assert abs(x - top) <= 4 * np.finfo(float).eps * top
+    diag = [math.ldexp(v, 700) for v in b]
+    off = [math.ldexp(6.704116390239309e-208, 700)]
+    t = math.ldexp(x, 700)
+    assert min(_pivots(diag, off, t)[0]) <= 0.0
+    r, _ = _pivots(diag, off, math.nextafter(t, math.inf))
     assert len(r) == 2 and min(r) > 0.0
+    pair = top_eigenpair(jacobi_matrix(spec, Variant.BASE, 1))
+    assert abs(pair.eigenvalue - top) <= 4 * np.finfo(float).eps * top
+    assert pair.residual <= 1e-12 * top and np.all(pair.vector > 0.0)
 
 
 def test_the_sturm_count_and_the_pivot_pass_agree():
