@@ -64,7 +64,8 @@ from .spaces import MeasureSpec, Variant, _binomial_row, max_degree, node_weight
 from .spectral import _operator_at, top_eigenpair
 
 _WINDOW_TIE_TOL = 1e-12
-# how deep the window searches reach on a space without a max_degree
+# the cap on the degree a window search reaches on a space without a
+# max_degree; a search reads only as deep as the window it finds
 _LEV_DEGREE_CAP = 128
 # degrees, from e up, that the MRRW scan certifies when s is a largest zero x_e
 _EDGE_REACH = 4

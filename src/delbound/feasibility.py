@@ -27,6 +27,7 @@ from .errors import ValidationError
 from .orthopoly import (
     JacobiOperator,
     _audit_start,
+    _run_depth,
     basis_at_end,
     discrete_basis_table,
     eval_basis_table,
@@ -145,12 +146,14 @@ def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _derivative_rows(spec: MeasureSpec) -> list:
-    """A one-entry list holding the rows of the derivative table computed
-    so far, row i the i coefficients of p_i' on p_0..p_{i-1}, replaced as
-    a whole by a longer tuple (concurrent callers at worst compute the same
-    row twice)."""
-    return [((),)]
+def _derivative_block(spec: MeasureSpec) -> list:
+    """A one-entry list holding (D, J), read-only, at the deepest degree N
+    read so far: D the (N + 1) x N derivative table and J = J_{N-1},
+    replaced as a whole by a deeper pair (concurrent callers at worst
+    compute the same rows twice)."""
+    deriv, jac = np.zeros((1, 0)), np.zeros((0, 0))
+    deriv.flags.writeable = jac.flags.writeable = False
+    return [(deriv, jac)]
 
 
 @lru_cache(maxsize=None)
@@ -159,19 +162,27 @@ def _derivative_table(spec: MeasureSpec, deg: int):
     p_0..p_{deg-1} in the base system, so fhat @ D holds those of f' for
     f = sum_i fhat_i p_i, and J is the Jacobi matrix J_{deg-1}, as which x
     acts on coefficient vectors. D is the derivative of the recurrence,
-    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', read off one
-    sequence of rows per space in Python floats: each row is the one
-    before it under the three-term action of x, (x c)_j = (a_{j-1} c_{j-1}
-    + a_j c_{j+1}) + b_j c_j, in O(i), so every degree's D is the leading
-    block of any longer one."""
-    rc = recurrence_coeffs(spec, Variant.BASE, max(deg - 1, 0))
-    a, b = rc.a, rc.b
-    held = _derivative_rows(spec)
-    rows = held[0]
-    if len(rows) <= deg:
-        rows = list(rows)
-        for i in range(len(rows) - 1, deg):
-            c, prev = rows[i], rows[i - 1] if i else ()
+    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', in Python
+    floats: each row is the one before it under the three-term action of
+    x, (x c)_j = (a_{j-1} c_{j-1} + a_j c_{j+1}) + b_j c_j, in O(i). Both
+    are the leading blocks of one pair per space (_derivative_block),
+    rebuilt deeper (orthopoly._run_depth) only when a degree reads past
+    it, its rows past the old depth extended from the last two held; a
+    block taken before keeps the pair it was cut from. Row i reads indices
+    below i alone, so each block equals a build to deg bit for bit. D is
+    copied out C-contiguous, as numpy's fhat @ D sums a strided block in
+    another order; J is a view, read only by entry and by copies."""
+    held = _derivative_block(spec)
+    deriv, jac = held[0]
+    n = deriv.shape[1]
+    if n < deg:
+        depth = _run_depth(spec, deg, n)
+        rc = recurrence_coeffs(spec, Variant.BASE, depth - 1)
+        a, b = rc.a, rc.b
+        out = np.zeros((depth + 1, depth))
+        out[: n + 1, :n] = deriv
+        c, prev = deriv[n].tolist(), deriv[n - 1, : n - 1].tolist() if n else []
+        for i in range(n, depth):
             am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
             # entries j < i of ((x - b_i) c - a_{i-1} prev) / a_i, with lo and
             # hi the entries c_{j-1} and c_{j+1}; entry i adds p_i's 1
@@ -179,15 +190,15 @@ def _derivative_table(spec: MeasureSpec, deg: int):
                    for al, lo, ar, hi, bj, cj, p
                    in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
             row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
-            rows.append(tuple(row))
-        rows = tuple(rows)
-        held[0] = rows
-    out = np.zeros((deg + 1, deg))
-    for i in range(1, deg + 1):
-        out[i, :i] = rows[i]
-    jac = JacobiOperator(b[:deg], a[: deg - 1], Variant.BASE).matrix()
-    out.flags.writeable = jac.flags.writeable = False
-    return out, jac
+            out[i + 1, : i + 1] = row
+            prev, c = c, row
+        jac = JacobiOperator(b[:depth], a[: depth - 1], Variant.BASE).matrix()
+        out.flags.writeable = jac.flags.writeable = False
+        deriv = out
+        held[0] = deriv, jac
+    block = np.ascontiguousarray(deriv[: deg + 1, :deg])
+    block.flags.writeable = False
+    return block, jac[:deg, :deg]
 
 
 def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):

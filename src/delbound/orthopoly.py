@@ -16,8 +16,12 @@ Every system of a Hamming space or a sphere is a closed form (Krawtchouk
 on n, n-1 and n-2 points; Jacobi on sphere:d), each coefficient a
 function of its own index: one run per system serves every index as a
 slice, the run to the top index on a Hamming space and the longest run
-so far on a sphere. The Stieltjes procedure derives only the adjacent
-systems of custom spaces and the systems of any other discrete measure.
+so far on a sphere. So do the other s-independent runs of a sphere, the
+window steps of _zeros_below and p(+-1) of basis_at_end: each is held
+per system, read only as deep as an op needs, and rebuilt deeper
+(_run_depth) only when an op reads past it. The Stieltjes procedure
+derives only the adjacent systems of custom spaces and the systems of
+any other discrete measure.
 
 _basis_at gives every layer above p(s), from the node table if it can.
 
@@ -32,6 +36,7 @@ numpy's per-call overhead is paid only where a row is long.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -58,6 +63,10 @@ _EPS = float(np.finfo(float).eps)
 # against numpy rows (timeit, CPython 3.11, numpy 2), the float lists are
 # faster below a crossover of 20 to 30 points at every degree from 5 to 100
 _FEW_POINTS = 24
+# the least depth to which a held sphere run (window steps, p(+-1), the
+# derivative block) is built: windows at s <= 0.5 on sphere:100 read to
+# index 13
+_RUN_START = 16
 # _scale_exponent leaves an operator unscaled where its scale lies in
 # [2^-_SCALE_FREE, 2^_SCALE_FREE): the square of its largest entry is then a
 # normal double
@@ -66,12 +75,20 @@ _SCALE_FREE = 256
 
 class RecurrenceCoeffs(namedtuple("RecurrenceCoeffs", "a b mass")):
     """Coefficients a_0..a_m, b_0..b_m plus the measure's total mass: a
-    named tuple, with a per-instance __dict__ for _steps."""
+    named tuple, with a per-instance __dict__ for _sturm."""
 
     @cached_property
-    def _steps(self) -> tuple:
-        """(b_i, a_{i-1}^2) for i = 1..m: the steps of _positive_pivots."""
-        return tuple(zip(self.b[1:], [e * e for e in self.a]))
+    def _sturm(self) -> tuple:
+        """(e, b_0, steps) of the Sturm count over J_m: steps holds (b_i,
+        a_{i-1}^2) for i = 1..m, the steps of _positive_pivots, with every
+        entry of J_m scaled by 2^-e first (_scale_exponent), so that no
+        square of a tiny a_i underflows."""
+        diag, off = self.b, self.a[: len(self.b) - 1]
+        lo = max(diag)
+        e = _scale_exponent(diag, lo, lo + 2.0 * max(off, default=0.0))
+        if e:
+            diag, off = _scale(diag, e), _scale(off, e)
+        return e, diag[0], tuple(zip(diag[1:], [x * x for x in off]))
 
 
 class JacobiOperator(namedtuple("JacobiOperator", "diag off basis rho", defaults=(None,))):
@@ -139,12 +156,29 @@ def _stieltjes(x: np.ndarray, w: np.ndarray, m: int) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
 
 
+def _run_depth(spec: MeasureSpec, need: int, have: int) -> int:
+    """The depth to which a held run of depth have is rebuilt when an op
+    reads index need past it: on a sphere, which has no max degree, twice
+    have and at least _RUN_START, so that a run is rebuilt O(log need)
+    times and costs O(need) in all; elsewhere need itself, which no cap
+    refuses."""
+    return max(need, 2 * have, _RUN_START) if spec.kind == "sphere" else need
+
+
 @lru_cache(maxsize=None)
 def _sphere_run(spec: MeasureSpec, basis: Variant) -> list:
     """A one-entry list holding (a, b), the longest closed-form run of a
     sphere system computed so far, replaced as a whole by a longer one
     (concurrent callers at worst compute the same entries twice)."""
     return [((), ())]
+
+
+@lru_cache(maxsize=None)
+def _sphere_steps(spec: MeasureSpec, basis: Variant) -> list:
+    """A one-entry list holding (b_0, steps), steps the (b_i, a_{i-1}^2) of
+    _positive_pivots for i = 1..m of a sphere system, to the deepest index
+    m a window pass has read, replaced as a whole by a longer run."""
+    return [(_coeffs_cached(spec, basis, 0).b[0], ())]
 
 
 @lru_cache(maxsize=None)
@@ -304,17 +338,37 @@ def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
+def _sphere_ends(spec: MeasureSpec, basis: Variant, end: float) -> list:
+    """A one-entry list holding p_0(end)..p_m(end) of a sphere system,
+    read-only, to the deepest degree m read so far, replaced as a whole by
+    a deeper run."""
+    return [np.empty(0)]
+
+
+@lru_cache(maxsize=None)
 def basis_at_end(spec: MeasureSpec, basis: Variant, deg: int, end: float) -> np.ndarray:
     """p_0(end)..p_deg(end) of the basis at end = 1.0 or -1.0, read-only: the
     one table of these values. For the base system of a discrete space it
     is the first or last column of discrete_basis_table (the nodes run from
-    1 down to -1), with no run per degree; otherwise one run of
-    eval_basis_table at end, done once."""
+    1 down to -1), with no run per degree. On a sphere it is a leading
+    slice of one run of eval_basis_table at end per system (_sphere_ends),
+    rebuilt deeper (_run_depth) only when a degree reads past it; a slice
+    taken before keeps the run it was cut from. Every p_i(end) reads
+    indices up to i alone, so a slice equals a run to deg bit for bit.
+    Elsewhere, where an adjacent system's coefficients depend on the index
+    they are read to, it is one run to deg."""
     if spec.discrete and basis is Variant.BASE:
         return discrete_basis_table(spec, basis)[: deg + 1, 0 if end == 1.0 else -1]
-    row = eval_basis_table(spec, basis, deg, end)[:, 0]
-    row.flags.writeable = False
-    return row
+    if spec.kind != "sphere":
+        row = eval_basis_table(spec, basis, deg, end)[:, 0]
+        row.flags.writeable = False
+        return row
+    held = _sphere_ends(spec, basis, end)
+    if held[0].size <= deg:
+        row = eval_basis_table(spec, basis, _run_depth(spec, deg, held[0].size - 1), end)[:, 0]
+        row.flags.writeable = False
+        held[0] = row
+    return held[0][: deg + 1]
 
 
 def gauss_basis_table(spec: MeasureSpec, deg: int, m: int) -> np.ndarray:
@@ -372,13 +426,14 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
 def _positive_pivots(d0: float, steps, t: float) -> int:
     """The Sturm count (Barth, Martin and Wilkinson 1967): how many leading
     LDL^T pivots r_0 = t - d_0, r_i = t - d_i - e_{i-1}^2 / r_{i-1} of t - J
-    are positive, steps holding (d_i, e_{i-1}^2); monotone in t, as each is."""
-    r = t - d0
-    for m, (d, ee) in enumerate(steps):
+    are positive, steps any iterable of the (d_i, e_{i-1}^2), read only up
+    to the first pivot that is not; monotone in t, as each pivot is."""
+    r, m = t - d0, 0
+    for m, (d, ee) in enumerate(steps, 1):
         if not r > 0.0:
-            return m
+            return m - 1
         r = t - d - ee / r
-    return len(steps) + (r > 0.0)
+    return m + (r > 0.0)
 
 
 def _pivots(diag, off, t: float):
@@ -402,9 +457,12 @@ def _pivots(diag, off, t: float):
 def _scale_exponent(diag, lo: float, hi: float) -> int:
     """The e by which a tridiagonal operator's pivot passes scale it, by
     2^-e, or 0 where they do not. lo is its largest diagonal entry and hi
-    its Gershgorin bound, so every entry is at most 2M in magnitude, M =
-    max(|lo|, |hi|, |min diag|), and e is M's binary exponent, 2^(e-1) <=
-    M < 2^e, where M lies outside [2^-_SCALE_FREE, 2^_SCALE_FREE). Where
+    a Gershgorin-type bound on its top eigenvalue, at least max_i d_i +
+    |e_{i-1}| + |e_i| and at most lo + 2 max_i |e_i| (_sturm takes the
+    latter, one pass cheaper), so every entry is at most 2M in magnitude,
+    M = max(|lo|, |hi|, |min diag|) is at most three times the largest,
+    and e is M's binary exponent, 2^(e-1) <= M < 2^e, where M lies outside
+    [2^-_SCALE_FREE, 2^_SCALE_FREE). Where
     every entry is tiny, a square e_i^2 of the passes underflows to zero
     and decouples the operator. A power of two scales a normal double
     exactly, and every pivot pass is homogeneous in the entries and t, so
@@ -486,8 +544,28 @@ def _zeros_below(spec: MeasureSpec, basis: Variant, t: float, top: int) -> int:
     r_0..r_{m-1} are all positive exactly when t > x_m for the x_m of
     largest_zero, wherever a_i and b_i do not depend on the index they are
     read to. On a custom space's adjacent systems they do (a Gauss rule
-    grows with it); there the count is exact for J_{top-1}'s own zeros."""
+    grows with it); there the count is exact for J_{top-1}'s own zeros.
+
+    On a sphere the pass walks the held steps of _sphere_steps up to
+    top - 1 and stops at the first pivot that is not positive, so it reads
+    only as deep as the window of t. Where every pivot it read was
+    positive and the run is shorter than top - 1, the run is extended
+    (_run_depth) and the pass run again: a warm count is one pass that
+    builds nothing. Elsewhere it reads the steps of J_{top-1} itself, and
+    counts t 2^-e on J_{top-1} 2^-e where _scale_exponent gives an e, as
+    _top_zero does, so that no e_i^2 underflows and decouples it. Every
+    operator of a Hamming space or a sphere has e = 0."""
     if top == 0 or not t > -1.0:
         return int(t > -1.0)
-    rc = _coeffs_cached(spec, basis, top - 1)
-    return 1 + _positive_pivots(rc.b[0], rc._steps, t)
+    if spec.kind != "sphere":
+        e, d0, steps = _coeffs_cached(spec, basis, top - 1)._sturm
+        return 1 + _positive_pivots(d0, steps, math.ldexp(t, -e) if e else t)
+    held = _sphere_steps(spec, basis)
+    while True:
+        d0, steps = held[0]
+        n = len(steps)
+        m = _positive_pivots(d0, steps if n < top else itertools.islice(steps, top - 1), t)
+        if m <= n or n >= top - 1:
+            return 1 + m
+        rc = _coeffs_cached(spec, basis, _run_depth(spec, m, n))
+        held[0] = d0, steps + tuple(zip(rc.b[m:], [x * x for x in rc.a[n:-1]]))

@@ -413,6 +413,49 @@ def test_derivative_rows_are_the_basis_derivatives():
     assert worst < 1e-13, worst
 
 
+def test_held_sphere_runs_hand_out_read_only_blocks_that_outlive_growth():
+    """basis_at_end and _derivative_table hand out read-only slices and
+    blocks of one held run per sphere system: a slice taken before a
+    deeper request keeps its values once the run is rebuilt deeper, and a
+    shallow degree read after a deep one equals a build from cleared
+    caches bit for bit. Each D is C-contiguous, as a fresh build is, so
+    that fhat @ D sums in the same order."""
+    from delbound import orthopoly
+    from delbound.feasibility import _derivative_block, _derivative_table
+
+    spec = sphere_space(9)
+    caches = (orthopoly._sphere_ends, orthopoly.basis_at_end, _derivative_block,
+              _derivative_table)
+
+    def clear():
+        for cache in caches:
+            cache.cache_clear()
+
+    def reads(deg):
+        return [*(orthopoly.basis_at_end(spec, basis, deg, end)
+                  for basis in Variant for end in (1.0, -1.0)),
+                *_derivative_table(spec, deg)]
+
+    clear()
+    shallow = reads(3)
+    kept = [x.copy() for x in shallow]
+    deep = reads(100)
+    run = orthopoly._sphere_ends(spec, Variant.BASE, 1.0)[0]
+    assert run.size > 100 and not np.shares_memory(shallow[0], run)
+    late = reads(5)
+    clear()
+    fresh = reads(5)
+    for x in shallow + deep + late:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[...] = 0.0
+    for x, y in zip(shallow, kept):
+        assert x.tobytes() == y.tobytes()
+    for x, y in zip(late, fresh):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert all(got[-2].flags.c_contiguous for got in (shallow, deep, late))
+
+
 # space: (last degree compared with chebroots, tolerance), looser as the
 # measure concentrates, which costs the Chebyshev form its accuracy
 _CHEBROOTS_AGREE = {3: (60, 1e-10), 24: (60, 1e-6), 200: (15, 1e-7), "custom": (60, 1e-10)}

@@ -469,6 +469,48 @@ print(json.dumps(out, sort_keys=True))
     assert sum(len(v) == 6 for v in up.values()) > 100
 
 
+def test_a_cold_sphere_bound_reads_its_runs_only_as_deep_as_its_window():
+    """In a fresh interpreter, one cold mrrw, lev and spectral bound each on
+    sphere:24 at s = 0.3, whose windows lie below kernel degree 6, leave
+    every held coefficient and window-step run of the three systems short
+    of index 32 (the window passes once read all three to 128), and build
+    p(1), p(-1) and the derivative block once each for the space, though
+    the three bounds read them at several degrees: each end one run of
+    eval_basis_table there, and the block one JacobiOperator.matrix of the
+    base system."""
+    code = """
+import sys
+from delbound import JacobiOperator, Variant, bound_for_s, orthopoly, sphere_space
+
+original, matrix = orthopoly.eval_basis_table, JacobiOperator.matrix
+ends, blocks = [], []
+
+def counted(spec, basis, deg, x):
+    if type(x) is float and abs(x) == 1.0:
+        ends.append((basis.value, x))
+    return original(spec, basis, deg, x)
+
+def counted_matrix(self):
+    blocks.append(self.basis)
+    return matrix(self)
+
+for name, module in list(sys.modules.items()):
+    if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
+        setattr(module, "eval_basis_table", counted)
+JacobiOperator.matrix = counted_matrix
+spec = sphere_space(24)
+degrees = {bound_for_s(spec, 0.3, method).degree for method in ("mrrw", "lev", "spectral")}
+for basis in Variant:
+    a, b = orthopoly._sphere_run(spec, basis)[0]
+    _, steps = orthopoly._sphere_steps(spec, basis)[0]
+    assert len(a) <= 32 and len(steps) < 32, (basis, len(a), len(steps))
+assert ends.count(("base", 1.0)) == 1 and len(ends) == len(set(ends)), ends
+assert blocks.count(Variant.BASE) == 1, blocks
+print(len(degrees))
+"""
+    assert int(_run_fresh(code)) >= 2
+
+
 def test_stieltjes_stops_where_positivity_is_lost():
     """A repeated node gives four weights but three points: the residual
     vanishes at index 2, so indices up to 2 are served and 3 is refused."""
@@ -703,6 +745,36 @@ def test_largest_zero_search_ends_where_a_square_underflows():
     pair = top_eigenpair(jacobi_matrix(spec, Variant.BASE, 1))
     assert abs(pair.eigenvalue - top) <= 4 * np.finfo(float).eps * top
     assert pair.residual <= 1e-12 * top and np.all(pair.vector > 0.0)
+
+
+def test_the_sturm_count_runs_on_the_scaled_operator():
+    """_zeros_below counts on the operator scaled by the power of two of
+    _scale_exponent, as the pivot search does. Where a_0^2 underflows,
+    1e-210 lies above x_0 = -1 and x_1 = b_0 but below x_2 = 6.7e-208, so
+    the count is 2, not 3. On a custom space scaled by 2^700, whose
+    squares overflow, and by 2^-700, whose squares underflow, the count at
+    every largest zero and at the doubles either side of it is the number
+    of largest zeros below. mrrw and spectral still refuse s = 1e-230 on
+    the first space as outside every window: its whole spectrum lies
+    within the window tie tolerance of 0."""
+    from delbound import NotCertifiedError, bound_for_s, custom_space
+    from delbound.orthopoly import _zeros_below
+
+    spec = custom_space([6.704116390239309e-208, 1e-300],
+                        [6.555363132914593e-255, -9.752365110266667e-255])
+    assert largest_zero(spec, Variant.BASE, 2) > 1e-210
+    assert _zeros_below(spec, Variant.BASE, 1e-210, 2) == 2
+    for method in ("mrrw", "spectral"):
+        with pytest.raises(NotCertifiedError, match="outside every open window"):
+            bound_for_s(spec, 1e-230, method)
+    rng = np.random.default_rng(32)
+    a, b = rng.uniform(0.1, 0.5, 12).tolist(), rng.uniform(0.0, 0.4, 12).tolist()
+    for e in (700, -700):
+        spec = custom_space([math.ldexp(v, e) for v in a], [math.ldexp(v, e) for v in b])
+        xs = [largest_zero(spec, Variant.BASE, m) for m in range(13)]
+        edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+        for t in xs + edges:
+            assert _zeros_below(spec, Variant.BASE, t, 12) == sum(x < t for x in xs), (e, t)
 
 
 def test_the_sturm_count_and_the_pivot_pass_agree():
