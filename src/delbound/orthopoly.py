@@ -13,15 +13,14 @@ with p_{-1} = 0 and p_0 = 1/sqrt(mass), where mass is the total measure
 (1 for base measures, less for the unnormalized adjacent ones).
 
 Every system of a Hamming space or a sphere is a closed form (Krawtchouk
-on n, n-1 and n-2 points; Jacobi on sphere:d), each coefficient a
-function of its own index: one run per system serves every index as a
-slice, the run to the top index on a Hamming space and the longest run
-so far on a sphere. So do the other s-independent runs of a sphere, the
-window steps of _zeros_below and p(+-1) of basis_at_end: each is held
-per system, read only as deep as an op needs, and rebuilt deeper
-(_run_depth) only when an op reads past it. The Stieltjes procedure
-derives only the adjacent systems of custom spaces and the systems of
-any other discrete measure.
+on n, n-1 and n-2 points; Jacobi on sphere:d); a custom space's adjacent
+systems are one Christoffel step each on its base Jacobi matrix. Each
+coefficient is a function of its own index: one run per system serves
+every index as a slice, the run to the top index on a Hamming or custom
+space and the longest run so far on a sphere. So do the other
+s-independent runs of a sphere, the window steps of _zeros_below and
+p(+-1) of basis_at_end: each is held per system, read only as deep as an
+op needs, and rebuilt deeper (_run_depth) only when an op reads past it.
 
 _basis_at gives every layer above p(s), from the node table if it can.
 
@@ -46,16 +45,7 @@ from operator import add, neg
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import (
-    MeasureSpec,
-    Variant,
-    _gauss_rule,
-    adjacent_rule_points,
-    max_degree,
-    node_weights,
-    quadrature,
-    variant_multiplier,
-)
+from .spaces import MeasureSpec, Variant, _gauss_rule, max_degree, node_weights
 
 _EXTRAPOLATION_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -124,8 +114,8 @@ class JacobiOperator(namedtuple("JacobiOperator", "diag off basis rho", defaults
 
 def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
     cap = max_degree(spec, basis)
-    if spec.kind == "custom" and basis is Variant.BASE:
-        cap = len(spec.ab[0]) - 1
+    if spec.kind == "custom":
+        cap -= 1
     if cap is not None and needed > cap:
         raise ValidationError(
             "%s needs coefficient index %d but %s/%s supports at most %d"
@@ -133,27 +123,23 @@ def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
         )
 
 
-def _stieltjes(x: np.ndarray, w: np.ndarray, m: int) -> RecurrenceCoeffs:
-    """The discrete Stieltjes procedure for the measure sum w_j delta(x_j),
-    run to index m. A measure on fewer points than m + 1 loses positivity
-    first: the residual norm a_i vanishes at some i < m, and the request
-    is refused."""
-    keep = w > 0.0
-    x, w = x[keep], w[keep]
-    mass = float(np.sum(w))
-    a, b = [], []
-    prev, cur = np.zeros_like(x), np.full_like(x, 1.0 / math.sqrt(mass))
-    for i in range(m + 1):
-        b.append(float(np.dot(w, x * cur * cur)))
-        resid = (x - b[-1]) * cur - (a[-1] if a else 0.0) * prev
-        a.append(math.sqrt(float(np.dot(w, resid * resid))))
-        if i < m:
-            if a[-1] < 1e-13:
-                raise ValidationError(
-                    "measure lost positivity at index %d; degree request too high" % i
-                )
-            prev, cur = cur, resid / a[-1]
-    return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=mass)
+def _christoffel_step(rc: RecurrenceCoeffs, t: float) -> RecurrenceCoeffs:
+    """The system of |t - x| dmu from that of dmu, t = +-1: one Cholesky
+    step on t - J (Christoffel's theorem; Gautschi 2004, section 2.4), with
+    b'_i = t - r_i - a_i^2/r_i, a'_i = a_i sqrt(r_{i+1}/r_i) and mass' =
+    mass |r_0| for r_i the LDL^T pivots of t - J. They stop at the first
+    pivot not of t's sign, past which |t - x| dmu is not positive; b' ends
+    where r or a does, a' one index before r: M pairs give a' to M - 2."""
+    a, b, mass = rc
+    r, ri = [], math.inf
+    for bi, am in zip(b, (0.0, *a)):
+        ri = t - bi - am * am / ri
+        if not ri * t > 0.0:
+            break
+        r.append(ri)
+    return RecurrenceCoeffs(a=tuple(ai * math.sqrt(q / p) for ai, p, q in zip(a, r, r[1:])),
+                            b=tuple(t - p - ai * ai / p for p, ai in zip(r, a)),
+                            mass=mass * abs(r[0]) if r else 0.0)
 
 
 def _run_depth(spec: MeasureSpec, need: int, have: int) -> int:
@@ -183,23 +169,14 @@ def _sphere_steps(spec: MeasureSpec, basis: Variant) -> list:
 
 @lru_cache(maxsize=None)
 def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
-    """a_0..a_m, b_0..b_m of the system. Every closed-form coefficient
-    depends on its own index alone, so a Hamming index is served as a
-    slice of the run to the top index, and a sphere index as a slice of
-    the longest run so far, extended by the entries past it: the same bits
-    whatever order the indices are asked for in."""
+    """a_0..a_m, b_0..b_m of the system. Every coefficient depends on its
+    own index alone, so a sphere index is served as a slice of the longest
+    run so far, extended by the entries past it, and any other as a slice
+    of the run held at key max_degree, to index max_degree on a Hamming
+    space and max_degree - 1 on a custom one: the same bits whatever order
+    the indices are asked for in. An index past where a custom adjacent
+    run lost positivity is refused by name."""
     plusminus = basis is Variant.PLUSMINUS
-    if spec.kind == "hamming":
-        # (1 - x) dmu and (1 - x^2) dmu are binomial(n - 1) and binomial(n - 2)
-        # under affine maps: Krawtchouk systems whose a_i vanish at the top.
-        n, top = spec.params[0], max_degree(spec, basis)
-        if m < top:
-            # slices of the full tuples share their float objects
-            full = _coeffs_cached(spec, basis, top)
-            return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=full.mass)
-        a = tuple(math.sqrt((top - i) * (i + 1)) / n for i in range(m + 1))
-        b = (-1.0 / n if basis is Variant.MINUS else 0.0,) * (m + 1)
-        return RecurrenceCoeffs(a=a, b=b, mass=(n - 1) / n if plusminus else 1.0)
     if spec.kind == "sphere":
         # The base weight (1 - x)^al (1 + x)^be has al = be = (d - 3)/2, and
         # the factors 1 - x and 1 + x raise al and be by one: orthonormal
@@ -221,15 +198,26 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
             held[0] = a, b
         mass = (d - 1) / d if plusminus else 1.0
         return RecurrenceCoeffs(a=a[: m + 1], b=b[: m + 1], mass=mass)
-    if spec.kind == "custom" and basis is Variant.BASE:
-        ca, cb = spec.ab
-        return RecurrenceCoeffs(a=tuple(ca[: m + 1]), b=tuple(cb[: m + 1]), mass=1.0)
-    if spec.discrete:
-        return _stieltjes(*node_weights(spec, basis), m)
-    # Adjacent system of a custom space: a Gauss rule of the base measure
-    # large enough that every Stieltjes inner product is integrated exactly.
-    x, w = quadrature(spec, Variant.BASE, adjacent_rule_points(basis, m))
-    return _stieltjes(x, w * variant_multiplier(basis, x), m)
+    top = max_degree(spec, basis)
+    if m < top:
+        # slices of the full tuples share their float objects
+        full = _coeffs_cached(spec, basis, top)
+        if m >= len(full.a):
+            raise ValidationError("%s/%s measure lost positivity at index %d"
+                                  % (spec.label(), basis.value, len(full.a)))
+        return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=full.mass)
+    if spec.kind == "hamming":
+        # (1 - x) dmu and (1 - x^2) dmu are binomial(n - 1) and binomial(n - 2)
+        # under affine maps: Krawtchouk systems whose a_i vanish at the top.
+        n = spec.params[0]
+        a = tuple(math.sqrt((top - i) * (i + 1)) / n for i in range(m + 1))
+        b = (-1.0 / n if basis is Variant.MINUS else 0.0,) * (m + 1)
+        return RecurrenceCoeffs(a=a, b=b, mass=(n - 1) / n if plusminus else 1.0)
+    if basis is Variant.BASE:
+        return RecurrenceCoeffs(*spec.ab, mass=1.0)
+    if plusminus:  # (1 - x^2) dmu: one more step, on the run of (1 - x) dmu
+        return _christoffel_step(_coeffs_cached(spec, Variant.MINUS, top), -1.0)
+    return _christoffel_step(_coeffs_cached(spec, Variant.BASE, top + 1), 1.0)
 
 
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
@@ -237,7 +225,9 @@ def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCo
 
     Coefficient a_i couples p_i to p_{i+1}; requesting m equal to the
     system's maximal degree is allowed and yields a trailing a_m of zero
-    for discrete measures (the residual past the support vanishes).
+    for discrete measures (the residual past the support vanishes). On a
+    custom space of M pairs m reaches max_degree - 1 on every system: M - 1
+    on the base one and M - 2 on the adjacent ones.
     """
     if m < 0:
         raise ValidationError("coefficient index must be nonnegative")
@@ -355,8 +345,7 @@ def basis_at_end(spec: MeasureSpec, basis: Variant, deg: int, end: float) -> np.
     rebuilt deeper (_run_depth) only when a degree reads past it; a slice
     taken before keeps the run it was cut from. Every p_i(end) reads
     indices up to i alone, so a slice equals a run to deg bit for bit.
-    Elsewhere, where an adjacent system's coefficients depend on the index
-    they are read to, it is one run to deg."""
+    Elsewhere it is one run to deg."""
     if spec.discrete and basis is Variant.BASE:
         return discrete_basis_table(spec, basis)[: deg + 1, 0 if end == 1.0 else -1]
     if spec.kind != "sphere":
@@ -542,9 +531,8 @@ def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
 def _zeros_below(spec: MeasureSpec, basis: Variant, t: float, top: int) -> int:
     """#{m <= top : x_m < t}: one plus the Sturm count of t - J_{top-1}, as
     r_0..r_{m-1} are all positive exactly when t > x_m for the x_m of
-    largest_zero, wherever a_i and b_i do not depend on the index they are
-    read to. On a custom space's adjacent systems they do (a Gauss rule
-    grows with it); there the count is exact for J_{top-1}'s own zeros.
+    largest_zero: every a_i and b_i depends on its own index alone, so
+    J_{m-1} is the leading block of J_{top-1}.
 
     On a sphere the pass walks the held steps of _sphere_steps up to
     top - 1 and stops at the first pivot that is not positive, so it reads

@@ -169,30 +169,21 @@ def node_weights(spec: MeasureSpec, variant: Variant):
 def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     """Largest usable polynomial degree for the given system, or None.
 
-    A discrete measure supported on m points determines orthonormal
+    A Hamming space supported on m points determines orthonormal
     polynomials up to degree m - 1 only; the minus and plusminus variants
-    kill one and two support points respectively. Continuous measures have
-    no cap (None), except custom recurrences which end where the supplied
-    coefficients do: M pairs give the base system to degree M, and an
-    adjacent one to the last index whose Stieltjes rule (see
-    adjacent_rule_points) has at most the M points they determine.
+    kill one and two support points respectively. A sphere has no cap
+    (None). A custom space of M coefficient pairs gives its base system to
+    degree M; the pairs fix the moments mu_0..mu_2M, which give both
+    adjacent systems to degree M - 1. Any other kind of spec is refused.
     """
-    if spec.discrete:
+    if spec.kind == "hamming":
         _, w = node_weights(spec, variant)
         return int(np.count_nonzero(w > 0.0)) - 1
     if spec.kind == "custom":
-        top = len(spec.ab[0])
-        return top if variant is Variant.BASE else top - adjacent_rule_points(variant, 0)
-    return None
-
-
-def adjacent_rule_points(variant: Variant, m: int) -> int:
-    """Points of the base Gauss rule on which the Stieltjes procedure runs
-    an adjacent system to index m. Its last inner product, a_m^2, weighs
-    the square of a residual of degree m + 1 by the multiplier 1 - x or
-    1 - x^2: degree 2m + 3 or 2m + 4, which m + 2 or m + 3 points, exact
-    through degree 2m + 3 or 2m + 5, integrate exactly."""
-    return m + (2 if variant is Variant.MINUS else 3)
+        return len(spec.ab[0]) - (variant is not Variant.BASE)
+    if spec.kind == "sphere":
+        return None
+    raise ValidationError("measure kind %r is not hamming, sphere or custom" % (spec.kind,))
 
 
 def variant_mass(spec: MeasureSpec, variant: Variant) -> float:
@@ -236,8 +227,8 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     Both arrays are built once per (spec, variant, m), by _gauss_rule, and
     returned read-only. The rule reads coefficients to index m - 1, so an
     m whose index the system does not reach is refused, naming the m-point
-    rule: more points than a discrete support has, or on the base system
-    of a custom space more than its M coefficient pairs.
+    rule: more points than a discrete support has, or on a custom space
+    more than max_degree.
     """
     return _gauss_rule(spec, variant, m)[:2]
 

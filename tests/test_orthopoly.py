@@ -511,19 +511,64 @@ print(len(degrees))
     assert int(_run_fresh(code)) >= 2
 
 
-def test_stieltjes_stops_where_positivity_is_lost():
-    """A repeated node gives four weights but three points: the residual
-    vanishes at index 2, so indices up to 2 are served and 3 is refused."""
+def test_a_measure_of_another_kind_is_refused_by_name():
+    """Only Hamming, sphere and custom specs have recurrences. A MeasureSpec
+    of kind "points" built by hand, discrete or not, is refused by its kind
+    on every system, by max_degree and by every request that reads a
+    coefficient, rather than run as a measure of its nodes."""
     from delbound import MeasureSpec
 
-    spec = MeasureSpec(kind="points", params=(), nodes=(1.0, 0.5, 0.5, -1.0),
-                       weights=(0.25, 0.25, 0.25, 0.25))
-    rc = recurrence_coeffs(spec, Variant.BASE, 2)
-    assert len(rc.a) == len(rc.b) == 3 and rc.a[-1] < 1e-13
-    for m in range(2):
-        assert recurrence_coeffs(spec, Variant.BASE, m).a == rc.a[: m + 1]
-    with pytest.raises(ValidationError, match="lost positivity at index 2"):
-        recurrence_coeffs(spec, Variant.BASE, 3)
+    for nodes, weights in (((1.0, 0.5, 0.5, -1.0), (0.25,) * 4), (None, None)):
+        spec = MeasureSpec(kind="points", params=(), nodes=nodes, weights=weights)
+        for basis in Variant:
+            for request in (lambda: max_degree(spec, basis),
+                            lambda: recurrence_coeffs(spec, basis, 0),
+                            lambda: eval_basis_table(spec, basis, 1, 0.5),
+                            lambda: largest_zero(spec, basis, 1)):
+                with pytest.raises(ValidationError,
+                                   match="kind 'points' is not hamming, sphere or custom"):
+                    request()
+
+
+def test_custom_adjacent_measures_are_refused_where_they_lose_positivity():
+    """The Christoffel step stops at the first pivot of t - J that is zero
+    or not of t's sign, and an index past it is refused by name while the
+    indices below it are served. With every b_i = 2, r_0 = 1 - b_0 < 0, so
+    no index of either adjacent system is served, and lev, which reads
+    their zeros, is refused too (the Stieltjes route divided by a zero
+    mass here). With every a_i = 0.9, J reaches 1.62 > 1 and r_2 < 0 at
+    t = 1: the minus system serves index 0 and refuses 1, and the
+    plusminus step, at t = -1 on that run, loses positivity at once.
+    mrrw and spectral read the base system alone and are unaffected."""
+    from delbound import bound_for_s, custom_space
+    from delbound.spaces import quadrature, variant_mass
+
+    lost = "custom/%s measure lost positivity at index %d"
+    flat = custom_space([0.5] * 6, [2.0] * 6)
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        for request in [lambda m=m: recurrence_coeffs(flat, basis, m) for m in range(5)] + [
+                lambda: quadrature(flat, basis, 1), lambda: variant_mass(flat, basis),
+                lambda: eval_basis_table(flat, basis, 0, 0.5)]:
+            with pytest.raises(ValidationError, match=lost % (basis.value, 0)):
+                request()
+    for s in (0.1, 0.5):
+        with pytest.raises(ValidationError, match=lost % ("minus", 0)):
+            bound_for_s(flat, s, "lev")
+    wide = custom_space([0.9] * 6, [0.0] * 6)
+    rc = recurrence_coeffs(wide, Variant.MINUS, 0)
+    # the base's odd moments vanish and mu_2 = a_0^2 = 0.81, so (1 - x) dmu
+    # has mass 1, mean -mu_2 and variance mu_2 - mu_2^2 = 0.81 * 0.19
+    assert rc.b == (-0.81,) and rc.mass == 1.0
+    assert rc.a[0] == pytest.approx(0.9 * math.sqrt(0.19), rel=1e-15)
+    for m in range(1, 5):
+        with pytest.raises(ValidationError, match=lost % ("minus", 1)):
+            recurrence_coeffs(wide, Variant.MINUS, m)
+    for m in range(5):
+        with pytest.raises(ValidationError, match=lost % ("plusminus", 0)):
+            recurrence_coeffs(wide, Variant.PLUSMINUS, m)
+    for s in (0.1, 0.5):
+        with pytest.raises(ValidationError, match="lost positivity"):
+            bound_for_s(wide, s, "lev")
 
 
 def _exact_monic_stieltjes(nodes, weights):
@@ -604,64 +649,115 @@ def test_sphere_adjacent_against_gauss_stieltjes(d):
         assert abs(rc.mass - mass) < 1e-13, basis
 
 
-@pytest.mark.parametrize("d", [3, 24, 200])
+@pytest.mark.parametrize("d", [3, 8, 24, 200])
 def test_custom_adjacent_systems_match_the_sphere(d):
-    """A custom space given sphere:d's base coefficients derives its minus
-    and plusminus systems by the Stieltjes procedure; they agree with
-    sphere:d's closed forms to 1e-13."""
+    """A custom space given sphere:d's first 60 base pairs derives its minus
+    and plusminus systems by one Christoffel step each; to their top index
+    58 they agree with sphere:d's closed forms to 2e-15 (measured: 3.2e-16
+    on a, 2e-16 on b, 1.1e-16 on the mass)."""
     from delbound import custom_space
 
     sphere = sphere_space(d)
     base = recurrence_coeffs(sphere, Variant.BASE, 59)
     spec = custom_space(base.a, base.b)
     for basis in (Variant.MINUS, Variant.PLUSMINUS):
-        got = recurrence_coeffs(spec, basis, 40)
-        ref = recurrence_coeffs(sphere, basis, 40)
-        assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-13, basis
-        assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-13, basis
-        assert abs(got.mass - ref.mass) < 1e-13, basis
+        got = recurrence_coeffs(spec, basis, 58)
+        ref = recurrence_coeffs(sphere, basis, 58)
+        assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 2e-15, basis
+        assert np.max(np.abs(np.array(got.b) - ref.b)) < 2e-15, basis
+        assert abs(got.mass - ref.mass) < 2e-15, basis
+
+
+def test_custom_adjacent_systems_match_hamming():
+    """A custom space given hamming:1024's first 64 base pairs: the
+    Christoffel steps give its minus and plusminus systems to index 62
+    within 2e-15 of the Krawtchouk closed forms (measured: 2.4e-16). Far
+    from the top index n, x = 1 is far from every zero the pairs fix, and
+    the pivots at t = 1 stay large."""
+    from delbound import custom_space
+
+    hamming = hamming_space(1024)
+    base = recurrence_coeffs(hamming, Variant.BASE, 63)
+    spec = custom_space(base.a, base.b)
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        got = recurrence_coeffs(spec, basis, 62)
+        ref = recurrence_coeffs(hamming, basis, 62)
+        assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 2e-15, basis
+        assert np.max(np.abs(np.array(got.b) - ref.b)) < 2e-15, basis
+        assert abs(got.mass - ref.mass) < 2e-15, basis
+
+
+@pytest.mark.parametrize("seed", [0, 15])
+def test_custom_adjacent_systems_match_a_stieltjes_run(seed):
+    """A random custom space of 60 pairs (a_i in [0.3, 0.5], b_i in
+    [-0.05, 0.05]): its minus and plusminus systems to index 20 agree to
+    1e-13 with a Stieltjes run on its 60-point base Gauss rule, which
+    integrates every inner product through index 56 exactly. The rule is
+    the test's own, by Golub-Welsch (nodes and squared first entries of
+    the eigenvectors of J_59): the float Stieltjes run, not the step, is
+    the limit here, and on rougher spaces its error at index 20 reaches
+    1e-10 (measured over 20 seeds, a_i in [0.1, 0.4]), where a 60-digit
+    reference puts the step within 3e-16."""
+    from delbound import custom_space
+    from delbound.spaces import variant_multiplier
+
+    rng = np.random.default_rng(seed)
+    spec = custom_space(rng.uniform(0.3, 0.5, 60).tolist(), rng.uniform(-0.05, 0.05, 60).tolist())
+    x, vectors = np.linalg.eigh(jacobi_matrix(spec, Variant.BASE, 59).matrix())
+    w = vectors[0] ** 2
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        a, b, mass = _gauss_stieltjes(x, w * variant_multiplier(basis, x), 20)
+        rc = recurrence_coeffs(spec, basis, 20)
+        assert np.max(np.abs(np.array(rc.a) - a) / a) < 1e-13, basis
+        assert np.max(np.abs(np.array(rc.b) - b)) < 1e-13, basis
+        assert abs(rc.mass - mass) < 1e-13, basis
 
 
 @pytest.mark.parametrize("d", [3, 8, 200])
 def test_custom_adjacent_systems_reach_their_max_degree(d):
-    """max_degree of a custom space's minus and plusminus systems is the
-    last index its coefficients integrate exactly: with M pairs, M - 2 and
-    M - 3. Every index from 0 to there is served and agrees with sphere:d's
-    closed forms to 1e-13, the top one included, so the Stieltjes rule is
-    large enough at each; one index more is refused as that index."""
+    """M pairs fix the moments mu_0..mu_2M, which fix a custom space's minus
+    and plusminus systems to degree M - 1: max_degree of both is M - 1,
+    and their top coefficient index M - 2, as on the base system, whose
+    top index is M - 1. With M = 12 every index from 0 to there is served
+    and agrees with sphere:d's closed forms to 1e-15, the top one included
+    (measured: 2.3e-16); one index more is refused as that index."""
     from delbound import custom_space
 
     sphere = sphere_space(d)
     base = recurrence_coeffs(sphere, Variant.BASE, 11)
     spec = custom_space(base.a, base.b)
-    for basis, top in ((Variant.MINUS, 10), (Variant.PLUSMINUS, 9)):
-        assert max_degree(spec, basis) == top
-        for m in range(top + 1):
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        assert max_degree(spec, basis) == 11
+        for m in range(11):
             got = recurrence_coeffs(spec, basis, m)
             ref = recurrence_coeffs(sphere, basis, m)
-            assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-13, (basis, m)
-            assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-13, (basis, m)
-            assert abs(got.mass - ref.mass) < 1e-13, (basis, m)
-        with pytest.raises(ValidationError, match="index %d but custom/%s" % (top + 1, basis.value)):
-            recurrence_coeffs(spec, basis, top + 1)
+            assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-15, (basis, m)
+            assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-15, (basis, m)
+            assert abs(got.mass - ref.mass) < 1e-15, (basis, m)
+        with pytest.raises(ValidationError, match="index 11 but custom/%s supports at most 10"
+                           % basis.value):
+            recurrence_coeffs(spec, basis, 11)
+    with pytest.raises(ValidationError, match="index 12 but custom/base supports at most 11"):
+        recurrence_coeffs(spec, Variant.BASE, 12)
     flat = custom_space([0.5] * 10, [0.0] * 10)
     for basis in (Variant.MINUS, Variant.PLUSMINUS):
-        for m in range(max_degree(flat, basis) + 1):
+        for m in range(max_degree(flat, basis)):
             assert len(recurrence_coeffs(flat, basis, m).a) == m + 1
 
 
-def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
-    """With the Stieltjes procedure disabled and the coefficient cache
-    cold, every system of hamming:256, sphere:24 and sphere:100 is served
-    to a high index, and mrrw, lev and spectral bounds on them still run:
-    every coefficient they read is a closed form."""
-    from delbound import NotCertifiedError, bound_for_distance, bound_for_s
+def test_no_hamming_or_sphere_coefficient_comes_from_the_christoffel_step(monkeypatch):
+    """With the Christoffel step disabled and the coefficient cache cold,
+    every system of hamming:256, sphere:24 and sphere:100 is served to a
+    high index, and mrrw, lev and spectral bounds on them still run: every
+    coefficient they read is a closed form. A custom space's adjacent
+    systems, which only the step builds, are then refused."""
+    from delbound import NotCertifiedError, bound_for_distance, bound_for_s, custom_space
     from delbound import orthopoly
 
     def refuse(*args):
-        raise AssertionError("Stieltjes procedure called")
+        raise AssertionError("Christoffel step called")
 
-    monkeypatch.setattr(orthopoly, "_stieltjes", refuse)
+    monkeypatch.setattr(orthopoly, "_christoffel_step", refuse)
     orthopoly._coeffs_cached.cache_clear()
     for spec in (hamming_space(256), sphere_space(24), sphere_space(100)):
         for basis in Variant:
@@ -674,6 +770,8 @@ def test_no_hamming_or_sphere_coefficient_comes_from_stieltjes(monkeypatch):
                 bound()
             except NotCertifiedError:
                 pass
+    with pytest.raises(AssertionError, match="Christoffel step called"):
+        recurrence_coeffs(custom_space([0.5] * 4, [0.0] * 4), Variant.MINUS, 0)
 
 
 def test_base_gauss_table_is_a_slice_of_the_rule():
@@ -756,7 +854,11 @@ def test_the_sturm_count_runs_on_the_scaled_operator():
     every largest zero and at the doubles either side of it is the number
     of largest zeros below. mrrw and spectral still refuse s = 1e-230 on
     the first space as outside every window: its whole spectrum lies
-    within the window tie tolerance of 0."""
+    within the window tie tolerance of 0. On a random custom space of 34
+    pairs, every index m of both adjacent systems is a slice of the
+    system's one run, bit for bit, so J_{m-1} is a leading block of the
+    operator the count reads, and the count agrees with largest_zero at
+    every zero of both systems and one ulp either side."""
     from delbound import NotCertifiedError, bound_for_s, custom_space
     from delbound.orthopoly import _zeros_below
 
@@ -775,6 +877,16 @@ def test_the_sturm_count_runs_on_the_scaled_operator():
         edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
         for t in xs + edges:
             assert _zeros_below(spec, Variant.BASE, t, 12) == sum(x < t for x in xs), (e, t)
+    spec = custom_space(rng.uniform(0.1, 0.4, 34).tolist(), rng.uniform(-0.2, 0.2, 34).tolist())
+    for basis in (Variant.MINUS, Variant.PLUSMINUS):
+        top = max_degree(spec, basis)
+        run = recurrence_coeffs(spec, basis, top - 1)
+        for m in range(top):
+            assert recurrence_coeffs(spec, basis, m) == (run.a[: m + 1], run.b[: m + 1], run.mass)
+        xs = [largest_zero(spec, basis, m) for m in range(top + 1)]
+        edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+        for t in xs + edges:
+            assert _zeros_below(spec, basis, t, top) == sum(x < t for x in xs), (basis, t)
 
 
 def test_the_sturm_count_and_the_pivot_pass_agree():

@@ -298,19 +298,19 @@ def test_cached_spec_hash_stays_out_of_the_pickle():
 
 
 def test_custom_quadrature_refuses_as_the_rule_it_cannot_build():
-    """With M = 10 coefficient pairs, every m-point rule of the base system
-    to m = M, and of the minus and plusminus systems to max_degree + 1,
-    integrates p_i p_j exactly (orthonormal to 1e-12 through degree m - 1);
-    one point more is refused as that rule, not as an internal coefficient
-    index. fourier_expand to degree M needs the (M + 1)-point rule and is
-    refused the same way."""
+    """With M = 10 coefficient pairs, every m-point rule of every system to
+    m = max_degree (M for the base system, M - 1 for the minus and
+    plusminus ones) integrates p_i p_j exactly (orthonormal to 1e-14
+    through degree m - 1; measured 5.8e-15); one point more is refused as
+    that rule, not as an internal coefficient index. fourier_expand to
+    degree M needs the (M + 1)-point rule and is refused the same way."""
     from delbound import fourier_expand
     from delbound.orthopoly import eval_basis_table
 
     M = 10
     spec = custom_space([0.5] * M, [0.0] * M)
-    for variant, top in ((Variant.BASE, M), (Variant.MINUS, max_degree(spec, Variant.MINUS) + 1),
-                         (Variant.PLUSMINUS, max_degree(spec, Variant.PLUSMINUS) + 1)):
+    for variant, top in ((Variant.BASE, M), (Variant.MINUS, M - 1), (Variant.PLUSMINUS, M - 1)):
+        assert max_degree(spec, variant) == top
         for m in range(1, top + 2):
             if m > top:
                 with pytest.raises(ValidationError, match="the %d-point quadrature rule" % m):
@@ -319,7 +319,7 @@ def test_custom_quadrature_refuses_as_the_rule_it_cannot_build():
             x, w = quadrature(spec, variant, m)
             table = eval_basis_table(spec, variant, m - 1, x)
             gram = (table * w) @ table.T
-            assert np.max(np.abs(gram - np.eye(m))) < 1e-12, (variant, m)
+            assert np.max(np.abs(gram - np.eye(m))) < 1e-14, (variant, m)
     with pytest.raises(ValidationError, match="the %d-point quadrature rule" % (M + 1)):
         fourier_expand(spec, lambda x: x, M)
 
