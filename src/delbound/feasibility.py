@@ -28,11 +28,11 @@ from .orthopoly import (
     JacobiOperator,
     _audit_start,
     _run_depth,
+    _system_run,
     basis_at_end,
     discrete_basis_table,
     eval_basis_table,
     gauss_basis_table,
-    recurrence_coeffs,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 from .strictjson import strict_json
@@ -146,59 +146,45 @@ def _evaluate(spec: MeasureSpec, fhat: np.ndarray, x) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _derivative_block(spec: MeasureSpec) -> list:
-    """A one-entry list holding (D, J), read-only, at the deepest degree N
-    read so far: D the (N + 1) x N derivative table and J = J_{N-1},
-    replaced as a whole by a deeper pair (concurrent callers at worst
-    compute the same rows twice)."""
-    deriv, jac = np.zeros((1, 0)), np.zeros((0, 0))
-    deriv.flags.writeable = jac.flags.writeable = False
-    return [(deriv, jac)]
-
-
-@lru_cache(maxsize=None)
 def _derivative_table(spec: MeasureSpec, deg: int):
     """(D, J), read-only: row i of D holds the coefficients of p_i' on
     p_0..p_{deg-1} in the base system, so fhat @ D holds those of f' for
     f = sum_i fhat_i p_i, and J is the Jacobi matrix J_{deg-1}, as which x
-    acts on coefficient vectors. D is the derivative of the recurrence,
-    a_i p_{i+1}' = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', in Python
-    floats: each row is the one before it under the three-term action of
-    x, (x c)_j = (a_{j-1} c_{j-1} + a_j c_{j+1}) + b_j c_j, in O(i). Both
-    are the leading blocks of one pair per space (_derivative_block),
-    rebuilt deeper (orthopoly._run_depth) only when a degree reads past
-    it, its rows past the old depth extended from the last two held; a
-    block taken before keeps the pair it was cut from. Row i reads indices
-    below i alone, so each block equals a build to deg bit for bit. D is
-    copied out C-contiguous, as numpy's fhat @ D sums a strided block in
-    another order; J is a view, read only by entry and by copies."""
-    held = _derivative_block(spec)
-    deriv, jac = held[0]
-    n = deriv.shape[1]
-    if n < deg:
-        depth = _run_depth(spec, deg, n)
-        rc = recurrence_coeffs(spec, Variant.BASE, depth - 1)
-        a, b = rc.a, rc.b
-        out = np.zeros((depth + 1, depth))
-        out[: n + 1, :n] = deriv
-        c, prev = deriv[n].tolist(), deriv[n - 1, : n - 1].tolist() if n else []
-        for i in range(n, depth):
-            am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
-            # entries j < i of ((x - b_i) c - a_{i-1} prev) / a_i, with lo and
-            # hi the entries c_{j-1} and c_{j+1}; entry i adds p_i's 1
-            row = [((al * lo + ar * hi) + bj * cj - bi * cj - am * p) / ai
-                   for al, lo, ar, hi, bj, cj, p
-                   in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
-            row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
-            out[i + 1, : i + 1] = row
-            prev, c = c, row
-        jac = JacobiOperator(b[:depth], a[: depth - 1], Variant.BASE).matrix()
-        out.flags.writeable = jac.flags.writeable = False
-        deriv = out
-        held[0] = deriv, jac
+    acts on coefficient vectors. Both are the leading blocks of the pair
+    _derivative_run builds at the depth orthopoly._run_depth gives index
+    deg - 1. Row i reads indices below i alone, so each block equals a
+    build to deg bit for bit. D is copied out C-contiguous, as numpy's
+    fhat @ D sums a strided block in another order; J is a view, read
+    only by entry and by copies."""
+    deriv, jac = _derivative_run(spec, _run_depth(spec, Variant.BASE, deg - 1))
     block = np.ascontiguousarray(deriv[: deg + 1, :deg])
     block.flags.writeable = False
     return block, jac[:deg, :deg]
+
+
+@lru_cache(maxsize=None)
+def _derivative_run(spec: MeasureSpec, depth: int):
+    """(D, J) of _derivative_table to degree depth, read-only, over the base
+    run at that depth. D is the derivative of the recurrence, a_i p_{i+1}'
+    = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', in Python floats: each row
+    is the one before it under the three-term action of x, (x c)_j =
+    (a_{j-1} c_{j-1} + a_j c_{j+1}) + b_j c_j, in O(i)."""
+    a, b, _ = _system_run(spec, Variant.BASE, depth)
+    deriv = np.zeros((depth + 1, depth))
+    c, prev = [], []
+    for i in range(depth):
+        am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
+        # entries j < i of ((x - b_i) c - a_{i-1} prev) / a_i, with lo and
+        # hi the entries c_{j-1} and c_{j+1}; entry i adds p_i's 1
+        row = [((al * lo + ar * hi) + bj * cj - bi * cj - am * p) / ai
+               for al, lo, ar, hi, bj, cj, p
+               in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
+        row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
+        deriv[i + 1, : i + 1] = row
+        prev, c = c, row
+    jac = JacobiOperator(b[:depth], a[: depth - 1], Variant.BASE).matrix()
+    deriv.flags.writeable = jac.flags.writeable = False
+    return deriv, jac
 
 
 def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):

@@ -14,13 +14,17 @@ with p_{-1} = 0 and p_0 = 1/sqrt(mass), where mass is the total measure
 
 Every system of a Hamming space or a sphere is a closed form (Krawtchouk
 on n, n-1 and n-2 points; Jacobi on sphere:d); a custom space's adjacent
-systems are one Christoffel step each on its base Jacobi matrix. Each
-coefficient is a function of its own index: one run per system serves
-every index as a slice, the run to the top index on a Hamming or custom
-space and the longest run so far on a sphere. So do the other
-s-independent runs of a sphere, the window steps of _zeros_below and
-p(+-1) of basis_at_end: each is held per system, read only as deep as an
-op needs, and rebuilt deeper (_run_depth) only when an op reads past it.
+systems are one Christoffel step each on its base Jacobi matrix, run when
+the space is built. Each coefficient is a function of its own index, so
+every s-independent table read here is a leading slice of one cached run
+per depth, and one rule, _run_depth, gives the depth an index is read
+at: the system's top on a Hamming or custom space, and on a sphere, which
+has none, the least power of two above the index, at least _RUN_START.
+The coefficients (_system_run), the window steps of _zeros_below, which
+move to the next depth only where every pivot they read was positive,
+p(+-1) of basis_at_end and the derivative block of the feasibility audit
+all follow it, so each is read only as deep as an op needs, and a slice
+is the same bits whatever was read before it.
 
 _basis_at gives every layer above p(s), from the node table if it can.
 
@@ -35,7 +39,6 @@ numpy's per-call overhead is paid only where a row is long.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import warnings
 from collections import namedtuple
@@ -53,9 +56,8 @@ _EPS = float(np.finfo(float).eps)
 # against numpy rows (timeit, CPython 3.11, numpy 2), the float lists are
 # faster below a crossover of 20 to 30 points at every degree from 5 to 100
 _FEW_POINTS = 24
-# the least depth to which a held sphere run (window steps, p(+-1), the
-# derivative block) is built: windows at s <= 0.5 on sphere:100 read to
-# index 13
+# the least depth of a sphere run (_run_depth): windows at s <= 0.5 on
+# sphere:100 read to index 13
 _RUN_START = 16
 # _scale_exponent leaves an operator unscaled where its scale lies in
 # [2^-_SCALE_FREE, 2^_SCALE_FREE): the square of its largest entry is then a
@@ -123,59 +125,42 @@ def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
         )
 
 
-def _christoffel_step(rc: RecurrenceCoeffs, t: float) -> RecurrenceCoeffs:
+def _christoffel_step(rc: RecurrenceCoeffs, t: float, system: str) -> RecurrenceCoeffs:
     """The system of |t - x| dmu from that of dmu, t = +-1: one Cholesky
     step on t - J (Christoffel's theorem; Gautschi 2004, section 2.4), with
     b'_i = t - r_i - a_i^2/r_i, a'_i = a_i sqrt(r_{i+1}/r_i) and mass' =
-    mass |r_0| for r_i the LDL^T pivots of t - J. They stop at the first
-    pivot not of t's sign, past which |t - x| dmu is not positive; b' ends
-    where r or a does, a' one index before r: M pairs give a' to M - 2."""
+    mass |r_0| for r_i the LDL^T pivots of t - J: M pairs give a' to M - 2.
+    A pivot not of t's sign means |t - x| dmu is not positive, and is
+    refused, naming the system and the pivot's index."""
     a, b, mass = rc
     r, ri = [], math.inf
     for bi, am in zip(b, (0.0, *a)):
         ri = t - bi - am * am / ri
         if not ri * t > 0.0:
-            break
+            raise ValidationError("%s measure lost positivity at pivot %d of %g - J"
+                                  % (system, len(r), t))
         r.append(ri)
     return RecurrenceCoeffs(a=tuple(ai * math.sqrt(q / p) for ai, p, q in zip(a, r, r[1:])),
                             b=tuple(t - p - ai * ai / p for p, ai in zip(r, a)),
-                            mass=mass * abs(r[0]) if r else 0.0)
+                            mass=mass * abs(r[0]))
 
 
-def _run_depth(spec: MeasureSpec, need: int, have: int) -> int:
-    """The depth to which a held run of depth have is rebuilt when an op
-    reads index need past it: on a sphere, which has no max degree, twice
-    have and at least _RUN_START, so that a run is rebuilt O(log need)
-    times and costs O(need) in all; elsewhere need itself, which no cap
-    refuses."""
-    return max(need, 2 * have, _RUN_START) if spec.kind == "sphere" else need
-
-
-@lru_cache(maxsize=None)
-def _sphere_run(spec: MeasureSpec, basis: Variant) -> list:
-    """A one-entry list holding (a, b), the longest closed-form run of a
-    sphere system computed so far, replaced as a whole by a longer one
-    (concurrent callers at worst compute the same entries twice)."""
-    return [((), ())]
+def _run_depth(spec: MeasureSpec, basis: Variant, need: int) -> int:
+    """The depth of the run that serves coefficient index need (-1 for
+    none): max_degree on a capped system (Hamming, custom), where the one
+    run reaches the top index; on a sphere, which has no cap, the least
+    power of two above need and at least _RUN_START, so that the runs an
+    op reads to index need cost O(need) in all."""
+    if spec.kind == "sphere":
+        return _RUN_START if need < _RUN_START else 1 << need.bit_length()
+    return max_degree(spec, basis)
 
 
 @lru_cache(maxsize=None)
-def _sphere_steps(spec: MeasureSpec, basis: Variant) -> list:
-    """A one-entry list holding (b_0, steps), steps the (b_i, a_{i-1}^2) of
-    _positive_pivots for i = 1..m of a sphere system, to the deepest index
-    m a window pass has read, replaced as a whole by a longer run."""
-    return [(_coeffs_cached(spec, basis, 0).b[0], ())]
-
-
-@lru_cache(maxsize=None)
-def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
-    """a_0..a_m, b_0..b_m of the system. Every coefficient depends on its
-    own index alone, so a sphere index is served as a slice of the longest
-    run so far, extended by the entries past it, and any other as a slice
-    of the run held at key max_degree, to index max_degree on a Hamming
-    space and max_degree - 1 on a custom one: the same bits whatever order
-    the indices are asked for in. An index past where a custom adjacent
-    run lost positivity is refused by name."""
+def _system_run(spec: MeasureSpec, basis: Variant, depth: int) -> RecurrenceCoeffs:
+    """The recurrence run of the system at a depth of _run_depth: to index
+    depth - 1 on a sphere, to the top index max_degree on a Hamming space
+    and max_degree - 1 on a custom one."""
     plusminus = basis is Variant.PLUSMINUS
     if spec.kind == "sphere":
         # The base weight (1 - x)^al (1 + x)^be has al = be = (d - 3)/2, and
@@ -185,39 +170,36 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
         d = spec.params[0]
         al = (d - 3) / 2 + (basis is not Variant.BASE)
         be = (d - 3) / 2 + plusminus
-        held = _sphere_run(spec, basis)
-        a, b = held[0]
-        if len(a) <= m:
-            a, b = list(a), list(b)
-            for i in range(len(a), m + 1):
-                t = 2 * i + al + be
-                num = 4 * (i + 1) * (i + 1 + al) * (i + 1 + be) * (i + 1 + al + be)
-                a.append(math.sqrt(num / ((t + 2) ** 2 * (t + 3) * (t + 1))))
-                b.append(0.0 if al == be else (be * be - al * al) / (t * (t + 2)))
-            a, b = tuple(a), tuple(b)
-            held[0] = a, b
-        mass = (d - 1) / d if plusminus else 1.0
-        return RecurrenceCoeffs(a=a[: m + 1], b=b[: m + 1], mass=mass)
-    top = max_degree(spec, basis)
-    if m < top:
-        # slices of the full tuples share their float objects
-        full = _coeffs_cached(spec, basis, top)
-        if m >= len(full.a):
-            raise ValidationError("%s/%s measure lost positivity at index %d"
-                                  % (spec.label(), basis.value, len(full.a)))
-        return RecurrenceCoeffs(a=full.a[: m + 1], b=full.b[: m + 1], mass=full.mass)
+        a, b = [], []
+        for i in range(depth):
+            t = 2 * i + al + be
+            num = 4 * (i + 1) * (i + 1 + al) * (i + 1 + be) * (i + 1 + al + be)
+            a.append(math.sqrt(num / ((t + 2) ** 2 * (t + 3) * (t + 1))))
+            b.append(0.0 if al == be else (be * be - al * al) / (t * (t + 2)))
+        return RecurrenceCoeffs(a=tuple(a), b=tuple(b), mass=(d - 1) / d if plusminus else 1.0)
     if spec.kind == "hamming":
         # (1 - x) dmu and (1 - x^2) dmu are binomial(n - 1) and binomial(n - 2)
         # under affine maps: Krawtchouk systems whose a_i vanish at the top.
         n = spec.params[0]
-        a = tuple(math.sqrt((top - i) * (i + 1)) / n for i in range(m + 1))
-        b = (-1.0 / n if basis is Variant.MINUS else 0.0,) * (m + 1)
+        a = tuple(math.sqrt((depth - i) * (i + 1)) / n for i in range(depth + 1))
+        b = (-1.0 / n if basis is Variant.MINUS else 0.0,) * (depth + 1)
         return RecurrenceCoeffs(a=a, b=b, mass=(n - 1) / n if plusminus else 1.0)
     if basis is Variant.BASE:
         return RecurrenceCoeffs(*spec.ab, mass=1.0)
+    system = "%s/%s" % (spec.label(), basis.value)
     if plusminus:  # (1 - x^2) dmu: one more step, on the run of (1 - x) dmu
-        return _christoffel_step(_coeffs_cached(spec, Variant.MINUS, top), -1.0)
-    return _christoffel_step(_coeffs_cached(spec, Variant.BASE, top + 1), 1.0)
+        return _christoffel_step(_system_run(spec, Variant.MINUS, depth), -1.0, system)
+    return _christoffel_step(_system_run(spec, Variant.BASE, depth + 1), 1.0, system)
+
+
+@lru_cache(maxsize=None)
+def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
+    """a_0..a_m, b_0..b_m of the system: a leading slice of its run at
+    _run_depth, whose every coefficient depends on its own index alone, so
+    the same bits whatever order the indices are asked for in. Slices of
+    the run's tuples share its float objects."""
+    a, b, mass = _system_run(spec, basis, _run_depth(spec, basis, m))
+    return RecurrenceCoeffs(a=a[: m + 1], b=b[: m + 1], mass=mass)
 
 
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
@@ -328,36 +310,24 @@ def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _sphere_ends(spec: MeasureSpec, basis: Variant, end: float) -> list:
-    """A one-entry list holding p_0(end)..p_m(end) of a sphere system,
-    read-only, to the deepest degree m read so far, replaced as a whole by
-    a deeper run."""
-    return [np.empty(0)]
-
-
-@lru_cache(maxsize=None)
 def basis_at_end(spec: MeasureSpec, basis: Variant, deg: int, end: float) -> np.ndarray:
     """p_0(end)..p_deg(end) of the basis at end = 1.0 or -1.0, read-only: the
     one table of these values. For the base system of a discrete space it
     is the first or last column of discrete_basis_table (the nodes run from
-    1 down to -1), with no run per degree. On a sphere it is a leading
-    slice of one run of eval_basis_table at end per system (_sphere_ends),
-    rebuilt deeper (_run_depth) only when a degree reads past it; a slice
-    taken before keeps the run it was cut from. Every p_i(end) reads
-    indices up to i alone, so a slice equals a run to deg bit for bit.
-    Elsewhere it is one run to deg."""
+    1 down to -1). Elsewhere it is a leading slice of the run at end to
+    the depth of _run_depth (_end_run). Every p_i(end) reads indices up to
+    i alone, so a slice equals a run to deg bit for bit."""
     if spec.discrete and basis is Variant.BASE:
         return discrete_basis_table(spec, basis)[: deg + 1, 0 if end == 1.0 else -1]
-    if spec.kind != "sphere":
-        row = eval_basis_table(spec, basis, deg, end)[:, 0]
-        row.flags.writeable = False
-        return row
-    held = _sphere_ends(spec, basis, end)
-    if held[0].size <= deg:
-        row = eval_basis_table(spec, basis, _run_depth(spec, deg, held[0].size - 1), end)[:, 0]
-        row.flags.writeable = False
-        held[0] = row
-    return held[0][: deg + 1]
+    return _end_run(spec, basis, _run_depth(spec, basis, deg - 1), end)[: deg + 1]
+
+
+@lru_cache(maxsize=None)
+def _end_run(spec: MeasureSpec, basis: Variant, depth: int, end: float) -> np.ndarray:
+    """p_0(end)..p_depth(end), read-only: one run of eval_basis_table."""
+    row = eval_basis_table(spec, basis, depth, end)[:, 0]
+    row.flags.writeable = False
+    return row
 
 
 def gauss_basis_table(spec: MeasureSpec, deg: int, m: int) -> np.ndarray:
@@ -505,55 +475,44 @@ def _top_zero(diag, off) -> float:
 
 
 @lru_cache(maxsize=None)
-def _largest_zeros(spec: MeasureSpec, basis: Variant) -> dict:
-    return {0: -1.0}
-
-
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0.
 
     The top eigenvalue of J_{k-1} rounded down (_top_zero), within a few eps
-    of the top of zeros(spec, basis, k), kept per (spec, basis) in a dict
-    filled once per degree (concurrent readers at worst compute one twice).
-    Each degree is searched on its own, so a value does not depend on the
-    degrees filled before it.
+    of the top of zeros(spec, basis, k), cached per degree. Each degree is
+    searched on its own, so a value does not depend on the degrees read
+    before it.
     """
-    table = _largest_zeros(spec, basis)
-    x = table.get(k)
-    if x is None:
-        if k < 0:
-            raise ValidationError("zeros needs k >= 0")
-        rc = _jacobi_coeffs(spec, basis, k - 1)
-        x = table[k] = _top_zero(rc.b[:k], rc.a[: k - 1])
-    return x
+    if k < 0:
+        raise ValidationError("zeros needs k >= 0")
+    if k == 0:
+        return -1.0
+    rc = _jacobi_coeffs(spec, basis, k - 1)
+    return _top_zero(rc.b[:k], rc.a[: k - 1])
 
 
 def _zeros_below(spec: MeasureSpec, basis: Variant, t: float, top: int) -> int:
     """#{m <= top : x_m < t}: one plus the Sturm count of t - J_{top-1}, as
     r_0..r_{m-1} are all positive exactly when t > x_m for the x_m of
     largest_zero: every a_i and b_i depends on its own index alone, so
-    J_{m-1} is the leading block of J_{top-1}.
+    J_{m-1} is the leading block of J_{top-1}, and the count over J_{top-1}
+    is the count over any longer run capped at top.
 
-    On a sphere the pass walks the held steps of _sphere_steps up to
-    top - 1 and stops at the first pivot that is not positive, so it reads
-    only as deep as the window of t. Where every pivot it read was
-    positive and the run is shorter than top - 1, the run is extended
-    (_run_depth) and the pass run again: a warm count is one pass that
-    builds nothing. Elsewhere it reads the steps of J_{top-1} itself, and
-    counts t 2^-e on J_{top-1} 2^-e where _scale_exponent gives an e, as
-    _top_zero does, so that no e_i^2 underflows and decouples it. Every
-    operator of a Hamming space or a sphere has e = 0."""
+    The pass walks the Sturm steps of the system's run (RecurrenceCoeffs.
+    _sturm), from the depth _run_depth gives index 0, and stops at the
+    first pivot that is not positive, so it reads only as deep as the
+    window of t. Where every pivot of a run was positive short of top, it
+    moves to the next depth, which only a sphere has, and passes again: a
+    warm count builds nothing. It counts t 2^-e on J 2^-e where
+    _scale_exponent gives the run an e, as _top_zero does, so that no
+    e_i^2 underflows and decouples it. Every operator of a Hamming space
+    or a sphere has e = 0."""
     if top == 0 or not t > -1.0:
         return int(t > -1.0)
-    if spec.kind != "sphere":
-        e, d0, steps = _coeffs_cached(spec, basis, top - 1)._sturm
-        return 1 + _positive_pivots(d0, steps, math.ldexp(t, -e) if e else t)
-    held = _sphere_steps(spec, basis)
+    depth = _run_depth(spec, basis, 0)
     while True:
-        d0, steps = held[0]
-        n = len(steps)
-        m = _positive_pivots(d0, steps if n < top else itertools.islice(steps, top - 1), t)
-        if m <= n or n >= top - 1:
-            return 1 + m
-        rc = _coeffs_cached(spec, basis, _run_depth(spec, m, n))
-        held[0] = d0, steps + tuple(zip(rc.b[m:], [x * x for x in rc.a[n:-1]]))
+        e, d0, steps = _system_run(spec, basis, depth)._sturm
+        m = _positive_pivots(d0, steps, math.ldexp(t, -e) if e else t)
+        # a capped run read to its end has no next depth
+        if m <= len(steps) or m >= top or depth == (depth := _run_depth(spec, basis, m)):
+            return 1 + (m if m < top else top)

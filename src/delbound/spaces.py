@@ -125,7 +125,11 @@ def custom_space(a, b) -> MeasureSpec:
 
     The caller supplies a_0..a_{M-1} and b_0..b_{M-1}; polynomials up to
     degree M are then available. The measure is treated as continuous and
-    integrated by Gauss rules derived from these coefficients.
+    integrated by Gauss rules derived from these coefficients. Both
+    adjacent systems are derived here, by a Christoffel step each, and
+    coefficients whose (1 - x) dmu or (1 - x^2) dmu is not positive, so
+    not a measure on [-1, 1], are refused, naming the system and the
+    pivot of the step that loses its sign.
     """
     a = tuple(float(v) for v in a)
     b = tuple(float(v) for v in b)
@@ -135,7 +139,11 @@ def custom_space(a, b) -> MeasureSpec:
         raise ValidationError("custom_space needs at least one coefficient pair")
     if not all(math.isfinite(v) for v in a + b) or any(v <= 0 for v in a):
         raise ValidationError("custom_space coefficients must be finite, a_i positive")
-    return MeasureSpec(kind="custom", params=(), ab=(a, b))
+    spec = MeasureSpec(kind="custom", params=(), ab=(a, b))
+    from .orthopoly import _coeffs_cached
+
+    _coeffs_cached(spec, Variant.PLUSMINUS, 0)  # runs both steps, minus first
+    return spec
 
 
 def variant_multiplier(variant: Variant, x):

@@ -440,28 +440,26 @@ def test_window_lookups_match_direct_zeros(label):
 def test_largest_zero_table_strictly_increasing(label):
     """As filled by largest_zero degree by degree, as far as the window
     searches reach for every node but x = 1 (or every grid point): to the
-    first zero at or above the last of them less the tie tolerance. Each
-    table holds strictly increasing zeros by degree, each bit for bit what
-    a fresh search with an empty table gives."""
+    first zero at or above the last of them less the tie tolerance. The
+    cache holds one entry per degree read, the zeros strictly increase by
+    degree, and each is bit for bit what a fresh search gives."""
     from delbound.constructions import _WINDOW_TIE_TOL as tol
-    from delbound.orthopoly import _largest_zeros
     from delbound.spaces import max_degree
 
     spec = _space(label)
     points = spec.nodes if spec.discrete else [i / 20 for i in range(-20, 20)]
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     for basis in Variant:
+        held = largest_zero.cache_info().currsize
         cap = max_degree(spec, basis)
         k = 1
         while largest_zero(spec, basis, k) < max(points[1:]) - tol and k != cap:
             k += 1
-        table = _largest_zeros(spec, basis)
-        degrees = sorted(table)
-        assert degrees == list(range(len(degrees))) and len(degrees) > 1
-        x = np.array([table[k] for k in degrees])
+        assert largest_zero.cache_info().currsize == held + k
+        x = np.array([largest_zero(spec, basis, j) for j in range(k + 1)])
         assert np.all(np.diff(x) > 0.0), (label, basis)
-        assert all(x[k] == _direct_zero(spec, basis, k) for k in degrees)
-    _largest_zeros.cache_clear()
+        assert all(x[j] == _direct_zero(spec, basis, j) for j in range(k + 1))
+    largest_zero.cache_clear()
 
 
 def test_cold_largest_zero_computes_one_degree():
@@ -469,23 +467,23 @@ def test_cold_largest_zero_computes_one_degree():
     basis, a sequential fill to degree 512 and cold single-degree lookups
     give the same values bit for bit: no search reads the degrees filled
     before it."""
-    from delbound.orthopoly import _largest_zeros
-
     spec = hamming_space(300)
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     assert largest_zero(spec, Variant.BASE, 250) == _direct_zero(spec, Variant.BASE, 250)
-    assert sorted(_largest_zeros(spec, Variant.BASE)) == [0, 250]
+    info = largest_zero.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     spec = hamming_space(1024)
     sampled = list(range(1, 513, 27)) + [512]
     for basis in Variant:
-        _largest_zeros.cache_clear()
+        largest_zero.cache_clear()
         filled = [largest_zero(spec, basis, k) for k in range(513)]
         assert np.all(np.diff(filled) > 0.0), basis
         for k in sampled:
-            _largest_zeros.cache_clear()
+            largest_zero.cache_clear()
             assert largest_zero(spec, basis, k) == filled[k], (basis, k)
-            assert sorted(_largest_zeros(spec, basis)) == [0, k]
-    _largest_zeros.cache_clear()
+            info = largest_zero.cache_info()
+            assert (info.misses, info.currsize) == (1, 1), (basis, k)
+    largest_zero.cache_clear()
 
 
 @pytest.mark.parametrize("method", ["mrrw", "spectral"])
@@ -894,7 +892,6 @@ def test_bisected_window_scans_match_full_scans(label):
     scan from degree 0, at every node or on a 41-point s-grid, with the
     table of largest zeros cold or warm."""
     from delbound.constructions import _base_window_index
-    from delbound.orthopoly import _largest_zeros
 
     spec = _space(label)
     points = list(spec.nodes) if spec.discrete else [i / 20 for i in range(-20, 21)]
@@ -902,12 +899,12 @@ def test_bisected_window_scans_match_full_scans(label):
     def lookups(base, lev):
         return [(_outcome(base, spec, s), _outcome(lev, spec, s)) for s in points]
 
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     cold = lookups(_base_window_index, lev_degree_select)
     warm = lookups(_base_window_index, lev_degree_select)
     full = lookups(_reference_base_window, _reference_lev_window)
     assert cold == warm == full
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
 
 
 @pytest.mark.parametrize("label", _WINDOW_SPACES + ["hamming:1024"])
@@ -971,22 +968,20 @@ def test_bound_paths_compute_no_largest_zero(monkeypatch):
     assert sum(len(b) == 2 for b in before) > 10
     assert sum(len(b) == 4 and b[2] is not None for b in before) > 50
     monkeypatch.setattr(orthopoly, "_top_zero", refuse)
-    orthopoly._largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     assert [fingerprint(*case) for case in cases] == before
 
 
 def test_largest_zero_keeps_no_spectrum():
     """largest_zero keeps only its search's value, bit for bit what a fresh
     search gives, and within 1e-13 of the top of zeros()."""
-    from delbound.orthopoly import _largest_zeros
-
     spec = hamming_space(64)
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     values = [largest_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
     assert values == [_direct_zero(spec, basis, k) for basis in Variant for k in range(1, 40)]
     tops = [float(zeros(spec, basis, k)[-1]) for basis in Variant for k in range(1, 40)]
     assert np.max(np.abs(np.subtract(values, tops))) < 1e-13
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
 
 
 def test_classical_baselines_are_cached():

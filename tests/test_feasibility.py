@@ -415,16 +415,17 @@ def test_derivative_rows_are_the_basis_derivatives():
 
 def test_held_sphere_runs_hand_out_read_only_blocks_that_outlive_growth():
     """basis_at_end and _derivative_table hand out read-only slices and
-    blocks of one held run per sphere system: a slice taken before a
-    deeper request keeps its values once the run is rebuilt deeper, and a
-    shallow degree read after a deep one equals a build from cleared
-    caches bit for bit. Each D is C-contiguous, as a fresh build is, so
-    that fhat @ D sums in the same order."""
+    blocks of the cached runs of each sphere system at the depth of
+    _run_depth: a slice taken before a deeper request keeps its values
+    once a deeper run is built, and a shallow degree read after a deep one
+    equals a build from cleared caches bit for bit. Each D is
+    C-contiguous, as a fresh build is, so that fhat @ D sums in the same
+    order."""
     from delbound import orthopoly
-    from delbound.feasibility import _derivative_block, _derivative_table
+    from delbound.feasibility import _derivative_run, _derivative_table
 
     spec = sphere_space(9)
-    caches = (orthopoly._sphere_ends, orthopoly.basis_at_end, _derivative_block,
+    caches = (orthopoly._end_run, orthopoly.basis_at_end, _derivative_run,
               _derivative_table)
 
     def clear():
@@ -440,7 +441,7 @@ def test_held_sphere_runs_hand_out_read_only_blocks_that_outlive_growth():
     shallow = reads(3)
     kept = [x.copy() for x in shallow]
     deep = reads(100)
-    run = orthopoly._sphere_ends(spec, Variant.BASE, 1.0)[0]
+    run = orthopoly._end_run(spec, Variant.BASE, orthopoly._run_depth(spec, Variant.BASE, 99), 1.0)
     assert run.size > 100 and not np.shares_memory(shallow[0], run)
     late = reads(5)
     clear()

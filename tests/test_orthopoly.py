@@ -406,33 +406,53 @@ def _run_fresh(code, *argv):
 
 
 def test_sphere_recurrence_does_not_depend_on_the_request_order():
-    """In a fresh interpreter, the sphere coefficients to each index m of
-    0..120, read at descending m and then, from cleared caches, at
-    ascending m (each read one entry past the longest run so far), equal
-    a closed-form run to m from cleared caches bit for bit, on every
-    system of sphere:3, sphere:24 and sphere:200."""
+    """In a fresh interpreter, every s-independent table of sphere:3,
+    sphere:24 and sphere:400 read at each degree m of 0..300: the
+    coefficients to index m, the window count at the double above the
+    largest zero x_m, p_0..p_m at 1 and -1 on every system, and the
+    derivative block and Jacobi matrix of the audit to degree m. Read at
+    descending m, then from cleared caches at ascending m, and then each
+    from cleared caches alone, they agree bit for bit: each is a leading
+    slice of a run whose entries depend on their own index alone, at
+    whatever depth it was read."""
     code = """
+import math
+from array import array
 from delbound import Variant, orthopoly, recurrence_coeffs, sphere_space
+from delbound import feasibility
+from delbound.orthopoly import _zeros_below, basis_at_end
 
-def read(spec, basis, m):
-    rc = recurrence_coeffs(spec, basis, m)
-    return [x.hex() for x in rc.a], [x.hex() for x in rc.b], rc.mass.hex()
+CACHES = (orthopoly._system_run, orthopoly._coeffs_cached, orthopoly._end_run,
+          orthopoly.basis_at_end, feasibility._derivative_run, feasibility._derivative_table)
 
 def clear():
-    orthopoly._sphere_run.cache_clear()
-    orthopoly._coeffs_cached.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
-for d in (3, 24, 200):
+def read(spec, basis, m, t):
+    rc = recurrence_coeffs(spec, basis, m)
+    out = [array("d", rc.a).tobytes(), array("d", rc.b).tobytes(), rc.mass.hex(),
+           _zeros_below(spec, basis, t, 301),
+           *(basis_at_end(spec, basis, m, end).tobytes() for end in (1.0, -1.0))]
+    if basis is Variant.BASE:
+        out += [x.tobytes() + repr(x.shape).encode()
+                for x in feasibility._derivative_table(spec, m)]
+    return out
+
+for d in (3, 24, 400):
     spec = sphere_space(d)
     for basis in Variant:
-        down = [read(spec, basis, m) for m in range(120, -1, -1)][::-1]
+        ts = [math.nextafter(orthopoly.largest_zero(spec, basis, m), 2.0) for m in range(301)]
         clear()
-        up = [read(spec, basis, m) for m in range(121)]
+        down = [read(spec, basis, m, ts[m]) for m in range(300, -1, -1)][::-1]
+        clear()
+        up = [read(spec, basis, m, ts[m]) for m in range(301)]
         fresh = []
-        for m in range(121):
+        for m in range(301):
             clear()
-            fresh.append(read(spec, basis, m))
+            fresh.append(read(spec, basis, m, ts[m]))
         assert down == up == fresh, (d, basis)
+        assert [row[3] for row in up] == list(range(1, 302)), (d, basis)
 print("ok")
 """
     assert _run_fresh(code).split() == ["ok"]
@@ -471,19 +491,19 @@ print(json.dumps(out, sort_keys=True))
 
 def test_a_cold_sphere_bound_reads_its_runs_only_as_deep_as_its_window():
     """In a fresh interpreter, one cold mrrw, lev and spectral bound each on
-    sphere:24 at s = 0.3, whose windows lie below kernel degree 6, leave
-    every held coefficient and window-step run of the three systems short
-    of index 32 (the window passes once read all three to 128), and build
-    p(1), p(-1) and the derivative block once each for the space, though
-    the three bounds read them at several degrees: each end one run of
-    eval_basis_table there, and the block one JacobiOperator.matrix of the
-    base system."""
+    sphere:24 at s = 0.3, whose windows lie below kernel degree 6, read
+    every coefficient, window-step, p(+-1) and derivative run of the three
+    systems at depth 32 at most, so no run past index 32 (the window
+    passes once read all three to 128), and build p(1), p(-1) and the
+    derivative block once each for the space, though the three bounds
+    read them at several degrees: each end one run of eval_basis_table
+    there, and the block one JacobiOperator.matrix of the base system."""
     code = """
 import sys
 from delbound import JacobiOperator, Variant, bound_for_s, orthopoly, sphere_space
 
-original, matrix = orthopoly.eval_basis_table, JacobiOperator.matrix
-ends, blocks = [], []
+original, matrix, depth = orthopoly.eval_basis_table, JacobiOperator.matrix, orthopoly._run_depth
+ends, blocks, depths = [], [], []
 
 def counted(spec, basis, deg, x):
     if type(x) is float and abs(x) == 1.0:
@@ -494,16 +514,19 @@ def counted_matrix(self):
     blocks.append(self.basis)
     return matrix(self)
 
+def counted_depth(spec, basis, need):
+    depths.append(depth(spec, basis, need))
+    return depths[-1]
+
 for name, module in list(sys.modules.items()):
-    if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
-        setattr(module, "eval_basis_table", counted)
+    if name.startswith("delbound"):
+        for fn, wrapper in ((original, counted), (depth, counted_depth)):
+            if getattr(module, fn.__name__, None) is fn:
+                setattr(module, fn.__name__, wrapper)
 JacobiOperator.matrix = counted_matrix
 spec = sphere_space(24)
 degrees = {bound_for_s(spec, 0.3, method).degree for method in ("mrrw", "lev", "spectral")}
-for basis in Variant:
-    a, b = orthopoly._sphere_run(spec, basis)[0]
-    _, steps = orthopoly._sphere_steps(spec, basis)[0]
-    assert len(a) <= 32 and len(steps) < 32, (basis, len(a), len(steps))
+assert depths and max(depths) <= 32, sorted(set(depths))
 assert ends.count(("base", 1.0)) == 1 and len(ends) == len(set(ends)), ends
 assert blocks.count(Variant.BASE) == 1, blocks
 print(len(degrees))
@@ -531,44 +554,27 @@ def test_a_measure_of_another_kind_is_refused_by_name():
 
 
 def test_custom_adjacent_measures_are_refused_where_they_lose_positivity():
-    """The Christoffel step stops at the first pivot of t - J that is zero
-    or not of t's sign, and an index past it is refused by name while the
-    indices below it are served. With every b_i = 2, r_0 = 1 - b_0 < 0, so
-    no index of either adjacent system is served, and lev, which reads
-    their zeros, is refused too (the Stieltjes route divided by a zero
-    mass here). With every a_i = 0.9, J reaches 1.62 > 1 and r_2 < 0 at
-    t = 1: the minus system serves index 0 and refuses 1, and the
-    plusminus step, at t = -1 on that run, loses positivity at once.
-    mrrw and spectral read the base system alone and are unaffected."""
-    from delbound import bound_for_s, custom_space
-    from delbound.spaces import quadrature, variant_mass
+    """custom_space runs both Christoffel steps, and refuses coefficients
+    where a pivot of t - J is zero or not of t's sign, as the adjacent
+    measure is then not positive, naming the system and the pivot. With
+    every b_i = 2, r_0 = 1 - b_0 < 0 at once on the minus step. With every
+    a_i = 0.9, J reaches 1.62 > 1 and r_2 < 0 at t = 1. With every b_i =
+    -0.9 and a_i = 0.3, J lies below 1 but reaches -1.5: the minus step
+    passes, and the plusminus step, at t = -1 on its run, fails at r_1.
+    Built from sphere:24's first 40 base pairs, the space is accepted, and
+    its adjacent systems are served to their top index."""
+    from delbound import custom_space
 
-    lost = "custom/%s measure lost positivity at index %d"
-    flat = custom_space([0.5] * 6, [2.0] * 6)
+    for a, b, lost in (([0.5] * 6, [2.0] * 6, "minus measure lost positivity at pivot 0 of 1"),
+                       ([0.9] * 6, [0.0] * 6, "minus measure lost positivity at pivot 2 of 1"),
+                       ([0.3] * 6, [-0.9] * 6,
+                        "plusminus measure lost positivity at pivot 1 of -1")):
+        with pytest.raises(ValidationError, match="^custom/%s - J$" % lost):
+            custom_space(a, b)
+    base = recurrence_coeffs(sphere_space(24), Variant.BASE, 39)
+    spec = custom_space(base.a, base.b)
     for basis in (Variant.MINUS, Variant.PLUSMINUS):
-        for request in [lambda m=m: recurrence_coeffs(flat, basis, m) for m in range(5)] + [
-                lambda: quadrature(flat, basis, 1), lambda: variant_mass(flat, basis),
-                lambda: eval_basis_table(flat, basis, 0, 0.5)]:
-            with pytest.raises(ValidationError, match=lost % (basis.value, 0)):
-                request()
-    for s in (0.1, 0.5):
-        with pytest.raises(ValidationError, match=lost % ("minus", 0)):
-            bound_for_s(flat, s, "lev")
-    wide = custom_space([0.9] * 6, [0.0] * 6)
-    rc = recurrence_coeffs(wide, Variant.MINUS, 0)
-    # the base's odd moments vanish and mu_2 = a_0^2 = 0.81, so (1 - x) dmu
-    # has mass 1, mean -mu_2 and variance mu_2 - mu_2^2 = 0.81 * 0.19
-    assert rc.b == (-0.81,) and rc.mass == 1.0
-    assert rc.a[0] == pytest.approx(0.9 * math.sqrt(0.19), rel=1e-15)
-    for m in range(1, 5):
-        with pytest.raises(ValidationError, match=lost % ("minus", 1)):
-            recurrence_coeffs(wide, Variant.MINUS, m)
-    for m in range(5):
-        with pytest.raises(ValidationError, match=lost % ("plusminus", 0)):
-            recurrence_coeffs(wide, Variant.PLUSMINUS, m)
-    for s in (0.1, 0.5):
-        with pytest.raises(ValidationError, match="lost positivity"):
-            bound_for_s(wide, s, "lev")
+        assert len(recurrence_coeffs(spec, basis, 38).a) == 39
 
 
 def _exact_monic_stieltjes(nodes, weights):
@@ -758,6 +764,7 @@ def test_no_hamming_or_sphere_coefficient_comes_from_the_christoffel_step(monkey
         raise AssertionError("Christoffel step called")
 
     monkeypatch.setattr(orthopoly, "_christoffel_step", refuse)
+    orthopoly._system_run.cache_clear()
     orthopoly._coeffs_cached.cache_clear()
     for spec in (hamming_space(256), sphere_space(24), sphere_space(100)):
         for basis in Variant:
@@ -849,10 +856,12 @@ def test_the_sturm_count_runs_on_the_scaled_operator():
     """_zeros_below counts on the operator scaled by the power of two of
     _scale_exponent, as the pivot search does. Where a_0^2 underflows,
     1e-210 lies above x_0 = -1 and x_1 = b_0 but below x_2 = 6.7e-208, so
-    the count is 2, not 3. On a custom space scaled by 2^700, whose
-    squares overflow, and by 2^-700, whose squares underflow, the count at
-    every largest zero and at the doubles either side of it is the number
-    of largest zeros below. mrrw and spectral still refuse s = 1e-230 on
+    the count is 2, not 3. On random coefficients scaled by 2^700, whose
+    squares overflow (the Sturm steps and pivot search on the lists, as
+    custom_space refuses them), and on a custom space scaled by 2^-700,
+    whose squares underflow, the count at every largest zero and at the
+    doubles either side of it is the number of largest zeros below. mrrw
+    and spectral still refuse s = 1e-230 on
     the first space as outside every window: its whole spectrum lies
     within the window tie tolerance of 0. On a random custom space of 34
     pairs, every index m of both adjacent systems is a slice of the
@@ -860,7 +869,7 @@ def test_the_sturm_count_runs_on_the_scaled_operator():
     operator the count reads, and the count agrees with largest_zero at
     every zero of both systems and one ulp either side."""
     from delbound import NotCertifiedError, bound_for_s, custom_space
-    from delbound.orthopoly import _zeros_below
+    from delbound.orthopoly import RecurrenceCoeffs, _positive_pivots, _top_zero, _zeros_below
 
     spec = custom_space([6.704116390239309e-208, 1e-300],
                         [6.555363132914593e-255, -9.752365110266667e-255])
@@ -871,12 +880,22 @@ def test_the_sturm_count_runs_on_the_scaled_operator():
             bound_for_s(spec, 1e-230, method)
     rng = np.random.default_rng(32)
     a, b = rng.uniform(0.1, 0.5, 12).tolist(), rng.uniform(0.0, 0.4, 12).tolist()
-    for e in (700, -700):
-        spec = custom_space([math.ldexp(v, e) for v in a], [math.ldexp(v, e) for v in b])
-        xs = [largest_zero(spec, Variant.BASE, m) for m in range(13)]
-        edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
-        for t in xs + edges:
-            assert _zeros_below(spec, Variant.BASE, t, 12) == sum(x < t for x in xs), (e, t)
+    # scaled by 2^700 the coefficients are no measure on [-1, 1], which
+    # custom_space refuses: the count runs on the scaled lists themselves
+    big_a, big_b = [math.ldexp(v, 700) for v in a], [math.ldexp(v, 700) for v in b]
+    e, d0, steps = RecurrenceCoeffs(tuple(big_a), tuple(big_b), 1.0)._sturm
+    xs = [-1.0] + [_top_zero(big_b[:m], big_a[: m - 1]) for m in range(1, 13)]
+    edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+    for t in xs + edges:
+        count = 1 + min(_positive_pivots(d0, steps, math.ldexp(t, -e)), 12) if t > -1.0 else 0
+        assert count == sum(x < t for x in xs), t
+    with pytest.raises(ValidationError, match="lost positivity"):
+        custom_space(big_a, big_b)
+    spec = custom_space([math.ldexp(v, -700) for v in a], [math.ldexp(v, -700) for v in b])
+    xs = [largest_zero(spec, Variant.BASE, m) for m in range(13)]
+    edges = [math.nextafter(x, d) for x in xs for d in (-math.inf, math.inf)]
+    for t in xs + edges:
+        assert _zeros_below(spec, Variant.BASE, t, 12) == sum(x < t for x in xs), t
     spec = custom_space(rng.uniform(0.1, 0.4, 34).tolist(), rng.uniform(-0.2, 0.2, 34).tolist())
     for basis in (Variant.MINUS, Variant.PLUSMINUS):
         top = max_degree(spec, basis)

@@ -255,7 +255,7 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
 
     from delbound import JacobiOperator, bound_for_distance, bound_for_s, orthopoly
     from delbound.constructions import _base_window_index
-    from delbound.orthopoly import _largest_zeros, tridiagonal_eigenvalues
+    from delbound.orthopoly import largest_zero, tridiagonal_eigenvalues
 
     h384 = hamming_space(384)
     s24 = sphere_space(24)
@@ -277,7 +277,7 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
             return (out.bound, out.closed_form, out.certificate.certificate_id)
         return (out.eigenvalue, out.vector.tolist(), out.residual)
 
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     before = [outcome(case) for case in cases]
     assert sum(b[0] == "refused" for b in before) == 5
 
@@ -298,7 +298,7 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(orthopoly, "_pivots", counted)
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     assert [outcome(case) for case in cases] == before
     assert [outcome(case) for case in cases] == before
 
@@ -306,7 +306,7 @@ def test_spectral_route_runs_no_dense_eigensolve(monkeypatch):
         raise AssertionError("a pivot search ran on a bound path")
 
     monkeypatch.setattr(orthopoly, "_top_zero", search)
-    _largest_zeros.cache_clear()
+    largest_zero.cache_clear()
     assert [outcome(case) for case in cases] == before
     for spec, s in ((h384, h384.nodes[40]), (h384, h384.nodes[100]), (s24, 0.3)):
         k = _base_window_index(spec, s)
