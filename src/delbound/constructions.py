@@ -73,8 +73,7 @@ _EDGE_REACH = 4
 
 class BoundPolynomial(namedtuple("BoundPolynomial", "method degree s c fhat spec k",
                                  defaults=(None,))):
-    """A candidate polynomial for the code-size bound, with f(1) = 1: a
-    named tuple whose equality, hash and repr leave spec out.
+    """A candidate polynomial for the code-size bound, with f(1) = 1: a named tuple.
 
     It is carried as fhat, its coefficients in the base orthonormal system
     of spec, and calling it evaluates sum_i fhat_i p_i(x). On a discrete
@@ -84,26 +83,6 @@ class BoundPolynomial(namedtuple("BoundPolynomial", "method degree s c fhat spec
     """
 
     __slots__ = ()
-
-    def _key(self) -> tuple:
-        method, degree, s, c, fhat, _, k = self
-        return method, degree, s, c, fhat, k
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundPolynomial):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __ne__(self, other):
-        if not isinstance(other, BoundPolynomial):
-            return NotImplemented
-        return self._key() != other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return "BoundPolynomial(method=%r, degree=%r, s=%r, c=%r, fhat=%r, k=%r)" % self._key()
 
     def __call__(self, x):
         out = _evaluate(self.spec, np.asarray(self.fhat), x)
@@ -284,6 +263,13 @@ def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
         return _kernel_square_poly(spec, k, s, "lev_even", e=1)
 
 
+def _window_top(spec: MeasureSpec, basis: Variant) -> int:
+    """The top degree a window search on basis reads: max_degree, or on a
+    sphere, which has none, _LEV_DEGREE_CAP + 1."""
+    cap = max_degree(spec, basis)
+    return _LEV_DEGREE_CAP + 1 if cap is None else cap
+
+
 def _above(spec: MeasureSpec, basis: Variant, k: int, s: float, top: int) -> bool:
     """x_k > s + tol, as rounded: one Sturm pass over J_{top-1}, top >= k fixed per system."""
     return _zeros_below(spec, basis, math.nextafter(s + _WINDOW_TIE_TOL, math.inf), top) <= k
@@ -306,13 +292,12 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     """
     if not s < 1.0:
         raise ValidationError("lev_degree_select needs s < 1")
-    cap_minus = max_degree(spec, Variant.MINUS)
-    cap_pm = max_degree(spec, Variant.PLUSMINUS)
-    k_top = _LEV_DEGREE_CAP if cap_minus is None else cap_minus - 1
+    k_top = _window_top(spec, Variant.MINUS) - 1
+    top_pm = _window_top(spec, Variant.PLUSMINUS)
     i = _zeros_below(spec, Variant.MINUS, s - _WINDOW_TIE_TOL, k_top + 1)
     k = max(i, 1) - 1
-    if cap_pm is None or k <= cap_pm:
-        if _above(spec, Variant.PLUSMINUS, k, s, k_top + 1 if cap_pm is None else cap_pm):
+    if k <= top_pm:
+        if _above(spec, Variant.PLUSMINUS, k, s, top_pm):
             return k - 1, "even"
         if k <= k_top:
             return k, "odd"
@@ -509,8 +494,7 @@ def _base_window_index(spec: MeasureSpec, s: float):
     """The unique k with x_k < s < x_{k+1}, or None when s is within
     _WINDOW_TIE_TOL of a window edge (the tie rule of lev_degree_select) or
     past the last window."""
-    cap = max_degree(spec, Variant.BASE)
-    i, inside = _base_window(spec, s, cap if cap is not None else _LEV_DEGREE_CAP + 1)
+    i, inside = _base_window(spec, s, _window_top(spec, Variant.BASE))
     return i - 1 if inside else None
 
 

@@ -1,9 +1,9 @@
 """Measure spaces on [-1, 1] and their moment functionals.
 
-A space is described by a MeasureSpec: either a discrete measure given by
-nodes and weights (binary Hamming space), a continuous measure realized
-through Gauss quadrature generated from its own recurrence coefficients
-(unit sphere), or a user-supplied recurrence (custom).
+A space is described by a MeasureSpec, its parameters alone: a discrete
+measure whose nodes and weights are built from n (binary Hamming space), a
+continuous measure realized through Gauss quadrature generated from its
+own recurrence coefficients (unit sphere), or a user-supplied one (custom).
 
 Besides the base measure dmu, two modified measures are used throughout:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,34 +35,39 @@ class Variant(enum.Enum):
     __hash__ = object.__hash__  # members equal only themselves: hash at C level
 
 
-class MeasureSpec(namedtuple("MeasureSpec", "kind params nodes weights ab",
-                             defaults=(None, None, None))):
-    """Immutable description of a measure on [-1, 1]: a named tuple.
+class MeasureSpec(namedtuple("MeasureSpec", "kind params ab", defaults=(None,))):
+    """Immutable description of a measure on [-1, 1]: a named tuple of the
+    fields that identify it; nothing derived is built with it.
 
-    kind is one of "hamming", "sphere", "custom". Discrete measures carry
-    explicit nodes and weights; continuous ones are defined entirely by
-    recurrence coefficients (closed-form for the sphere, user-supplied for
-    custom) and integrated by Gauss rules of exact order.
+    kind is one of "hamming", "sphere", "custom"; params holds n or d, and
+    ab a custom space's recurrence coefficients. node_weights builds a
+    Hamming space's nodes and weights; continuous spaces are integrated by
+    Gauss rules of exact order from their recurrence coefficients.
     """
 
-    # no __slots__ = (): the per-instance __dict__ holds the cached hash
+    # no __slots__ = (): the per-instance __dict__ holds the cached hash and nodes
 
     def __hash__(self) -> int:
-        # Every constructor derives nodes and weights from params, so
-        # (kind, params, ab) separates unequal specs; hashing the two
-        # (n+1)-tuples on every cache lookup would dominate large spaces. The
-        # hash is kept per instance but never pickled: it varies by hash seed.
+        # hashing a custom space's ab on every cache lookup would dominate
+        # it, so the hash is kept per instance, but never pickled: it varies
+        # by hash seed
         held = self.__dict__
         if "_hash" not in held:
             held["_hash"] = hash((self.kind, self.params, self.ab))
         return held["_hash"]
 
     def __getstate__(self) -> dict:
-        return {key: v for key, v in self.__dict__.items() if key != "_hash"}
+        return {key: v for key, v in self.__dict__.items() if key not in ("_hash", "nodes")}
 
     @property
     def discrete(self) -> bool:
-        return self.nodes is not None
+        return self.kind == "hamming"
+
+    @cached_property
+    def nodes(self):
+        """x_j = (n - 2j)/n for j = 0..n on hamming:n, None elsewhere: one
+        tuple per n, held by the instance once read, as bisects read it per op."""
+        return _hamming_nodes(self.params[0]) if self.kind == "hamming" else None
 
     def label(self) -> str:
         if self.params:
@@ -73,8 +78,13 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind params nodes weights ab",
         out = {"kind": self.kind, "params": list(self.params)}
         if self.discrete:
             out["nodes"] = list(self.nodes)
-            out["weights"] = list(self.weights)
+            out["weights"] = node_weights(self, Variant.BASE)[1].tolist()
         return out
+
+
+@lru_cache(maxsize=None)
+def _hamming_nodes(n: int) -> tuple:
+    return tuple((n - 2 * j) / n for j in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -97,15 +107,12 @@ def hamming_space(n: int) -> MeasureSpec:
     """
     if type(n) is not int or n < 1:
         raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
-    nodes = tuple((n - 2 * j) / n for j in range(n + 1))
-    denom = 2 ** n
-    weights = tuple(c / denom for c in _binomial_row(n))
-    if 0.0 in weights:
+    if n > 1074:
         raise ValidationError(
             "hamming_space(%d) has node weights C(n, j) 2^-n that underflow to "
             "0.0; the largest supported n is 1074" % (n,)
         )
-    return MeasureSpec(kind="hamming", params=(n,), nodes=nodes, weights=weights)
+    return MeasureSpec(kind="hamming", params=(n,))
 
 
 def sphere_space(d: int) -> MeasureSpec:
@@ -160,33 +167,37 @@ def variant_multiplier(variant: Variant, x):
 
 @lru_cache(maxsize=None)
 def node_weights(spec: MeasureSpec, variant: Variant):
-    """Nodes and variant-adjusted weights of a discrete measure.
+    """Nodes and variant-adjusted weights C(n, j) 2^-n of a discrete measure.
 
     Both arrays are built once per (spec, variant) and returned read-only.
     """
     if not spec.discrete:
         raise ValidationError("node_weights is only defined for discrete measures")
-    x = np.array(spec.nodes, dtype=float)
-    w = np.array(spec.weights, dtype=float) * variant_multiplier(variant, x)
+    n = spec.params[0]
+    x = np.array(spec.nodes)
+    denom = 2 ** n
+    w = np.array([c / denom for c in _binomial_row(n)]) * variant_multiplier(variant, x)
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
 
 
-@lru_cache(maxsize=None)
+# support points of a Hamming space that each system's density kills
+_KILLED = {Variant.BASE: 0, Variant.MINUS: 1, Variant.PLUSMINUS: 2}
+
+
 def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     """Largest usable polynomial degree for the given system, or None.
 
     A Hamming space supported on m points determines orthonormal
     polynomials up to degree m - 1 only; the minus and plusminus variants
-    kill one and two support points respectively. A sphere has no cap
-    (None). A custom space of M coefficient pairs gives its base system to
-    degree M; the pairs fix the moments mu_0..mu_2M, which give both
-    adjacent systems to degree M - 1. Any other kind of spec is refused.
+    kill one and two support points: n, n - 1 and n - 2 on hamming:n. A
+    sphere has no cap (None). M coefficient pairs of a custom space fix
+    the moments mu_0..mu_2M, which give the base system to degree M and
+    both adjacent systems to degree M - 1. Any other kind is refused.
     """
     if spec.kind == "hamming":
-        _, w = node_weights(spec, variant)
-        return int(np.count_nonzero(w > 0.0)) - 1
+        return spec.params[0] - _KILLED[variant]
     if spec.kind == "custom":
         return len(spec.ab[0]) - (variant is not Variant.BASE)
     if spec.kind == "sphere":
@@ -195,13 +206,13 @@ def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
 
 
 def variant_mass(spec: MeasureSpec, variant: Variant) -> float:
-    """Total mass of the variant measure (1 for any base measure), as the
-    variant's recurrence carries it."""
+    """Total mass of the variant measure (1 for any base measure), as its
+    run carries it: read with no coefficient, which one custom pair lacks."""
     if variant is Variant.BASE:
         return 1.0
-    from .orthopoly import recurrence_coeffs
+    from .orthopoly import _coeffs_cached
 
-    return recurrence_coeffs(spec, variant, 0).mass
+    return _coeffs_cached(spec, variant, 0).mass
 
 
 def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> float:

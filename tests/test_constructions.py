@@ -571,17 +571,17 @@ def test_bound_polynomial_is_its_coefficient_vector():
     s, k = spec.nodes[3], 5
     poly = mrrw_poly(spec, k, s)
     assert not hasattr(poly, "eval_fn")
-    assert "spec" not in repr(poly)
     assert poly.degree == 11 and len(poly.fhat) == 9
     x = np.array(spec.nodes)
     kern = eval_basis_table(spec, Variant.BASE, k, s)[:, 0] @ eval_basis_table(
         spec, Variant.BASE, k, x)
     product = poly.c * (x - s) * kern * kern
     assert np.max(np.abs(poly(x) - product)) < 1e-12 * np.max(np.abs(product))
-    # equality ignores the space, which the coefficients already live on
+    # a plain named tuple: equal on equal spaces, unequal on others
     again = BoundPolynomial(method=poly.method, degree=poly.degree, s=poly.s, c=poly.c,
                             fhat=poly.fhat, spec=hamming_space(8), k=poly.k)
     assert again == poly and hash(again) == hash(poly)
+    assert again._replace(spec=hamming_space(9)) != poly
 
 
 @pytest.mark.parametrize("coeffs, s", [

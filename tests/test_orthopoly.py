@@ -536,13 +536,14 @@ print(len(degrees))
 
 def test_a_measure_of_another_kind_is_refused_by_name():
     """Only Hamming, sphere and custom specs have recurrences. A MeasureSpec
-    of kind "points" built by hand, discrete or not, is refused by its kind
-    on every system, by max_degree and by every request that reads a
-    coefficient, rather than run as a measure of its nodes."""
+    of kind "points" built by hand, with or without coefficients, is
+    refused by its kind on every system, by max_degree and by every
+    request that reads a coefficient, and has no nodes."""
     from delbound import MeasureSpec
 
-    for nodes, weights in (((1.0, 0.5, 0.5, -1.0), (0.25,) * 4), (None, None)):
-        spec = MeasureSpec(kind="points", params=(), nodes=nodes, weights=weights)
+    for ab in (((0.5, 0.4), (0.0, 0.1)), None):
+        spec = MeasureSpec(kind="points", params=(), ab=ab)
+        assert spec.nodes is None and not spec.discrete
         for basis in Variant:
             for request in (lambda: max_degree(spec, basis),
                             lambda: recurrence_coeffs(spec, basis, 0),

@@ -22,7 +22,7 @@ from delbound import (
 def test_hamming_nodes_and_weights_exact():
     spec = hamming_space(4)
     assert spec.nodes == (1.0, 0.5, 0.0, -0.5, -1.0)
-    assert spec.weights == (1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16)
+    assert node_weights(spec, Variant.BASE)[1].tolist() == [1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16]
     assert spec.label() == "hamming:4"
     assert spec.discrete
 
@@ -31,7 +31,7 @@ def test_hamming_weights_sum_to_one_exactly():
     for n in (1, 2, 3, 7, 12, 33, 64):
         spec = hamming_space(n)
         # binomial weights over 2^n are exactly representable and sum to 1
-        assert math.fsum(spec.weights) == 1.0
+        assert math.fsum(node_weights(spec, Variant.BASE)[1]) == 1.0
         assert spec.nodes[0] == 1.0 and spec.nodes[-1] == -1.0
 
 
@@ -44,7 +44,8 @@ def test_binomial_row_is_exact_and_gives_the_weights_bit_for_bit():
         row = _binomial_row(n)
         assert row == tuple(math.comb(n, j) for j in range(n + 1)), n
         assert _binomial_row(n) is row
-        assert hamming_space(n).weights == tuple(math.comb(n, j) / 2 ** n for j in range(n + 1))
+        weights = node_weights(hamming_space(n), Variant.BASE)[1]
+        assert weights.tolist() == [math.comb(n, j) / 2 ** n for j in range(n + 1)]
 
 
 def test_hamming_validation():
@@ -130,12 +131,52 @@ def test_plusminus_mass():
         assert variant_mass(sphere_space(d), Variant.MINUS) == 1.0
 
 
+def test_a_one_pair_custom_space_has_its_adjacent_masses():
+    """One pair (a_0, b_0) serves no adjacent coefficient, but the masses
+    mu_0 - mu_1 = 1 - b_0 and mu_0 - mu_2 = 1 - b_0^2 - a_0^2 are read
+    off the adjacent runs all the same."""
+    spec = custom_space([0.5], [0.0])
+    assert max_degree(spec, Variant.MINUS) == max_degree(spec, Variant.PLUSMINUS) == 0
+    assert variant_mass(spec, Variant.MINUS) == 1.0
+    assert variant_mass(spec, Variant.PLUSMINUS) == 0.75
+
+
 def test_max_degree_per_variant():
     spec = hamming_space(10)
     assert max_degree(spec, Variant.BASE) == 10
     assert max_degree(spec, Variant.MINUS) == 9
     assert max_degree(spec, Variant.PLUSMINUS) == 8
     assert max_degree(sphere_space(4), Variant.BASE) is None
+
+
+def test_max_degree_is_a_closed_form_that_counts_the_weighted_nodes():
+    """n, n - 1 and n - 2 on hamming:n, with no cache: the count of nodes
+    of positive weight, less one, on every system, up to the largest n."""
+    assert not hasattr(max_degree, "cache_info")
+    for n in (*range(1, 65), *range(1070, 1075)):
+        spec = hamming_space(n)
+        for variant in Variant:
+            _, w = node_weights(spec, variant)
+            assert max_degree(spec, variant) == np.count_nonzero(w > 0.0) - 1, (n, variant)
+
+
+def test_a_space_is_its_parameters():
+    """A spec holds kind, params and ab alone: hamming_space builds nothing
+    of size n, even at the largest n, and the nodes it serves are the
+    ones node_weights builds, bit for bit."""
+    from delbound.spaces import _binomial_row, _hamming_nodes
+
+    assert MeasureSpec._fields == ("kind", "params", "ab")
+    caches = (_binomial_row, _hamming_nodes, node_weights)
+    before = [f.cache_info() for f in caches]
+    spec = hamming_space(1074)
+    assert spec == MeasureSpec("hamming", (1074,)) and max_degree(spec) == 1074
+    assert [f.cache_info() for f in caches] == before
+    for n in (1, 7, 64, 1074):
+        spec = hamming_space(n)
+        x = np.array(spec.nodes)
+        assert x.tobytes() == node_weights(spec, Variant.BASE)[0].tobytes()
+        assert x.tolist() == [(n - 2 * j) / n for j in range(n + 1)]
 
 
 def test_moment_functional_discrete_exact():
@@ -260,8 +301,8 @@ def test_spec_hash_survives_pickle_across_hash_seeds():
 
 
 def test_cached_spec_hash_stays_out_of_the_pickle():
-    """A spec keeps its hash once it has been a cache key, but its pickle
-    does not carry it: unpickled under other hash seeds, a spec that was a
+    """A spec keeps its hash once it has been a cache key, and its nodes
+    once read, but its pickle carries neither: unpickled under other hash seeds, a spec that was a
     cache key before pickling hashes and caches like a fresh one."""
     import os
     import pickle
@@ -270,11 +311,12 @@ def test_cached_spec_hash_stays_out_of_the_pickle():
 
     specs = (hamming_space(12), sphere_space(5), custom_space([0.5, 0.4], [0.0, 0.1]))
     for spec in specs:
-        max_degree(spec, Variant.BASE)
-        assert "_hash" in vars(spec)
+        quadrature(spec, Variant.BASE, 1)
+        spec.nodes
+        assert {"_hash", "nodes"} <= set(vars(spec))
         blob = pickle.dumps(spec)
-        assert b"_hash" not in blob
-        assert "_hash" not in vars(pickle.loads(blob))
+        assert b"_hash" not in blob and b"nodes" not in blob
+        assert vars(pickle.loads(blob)) == {}
     blob = pickle.dumps(specs[0]).hex()
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
