@@ -166,23 +166,22 @@ def _derivative_table(spec: MeasureSpec, deg: int):
 def _derivative_run(spec: MeasureSpec, depth: int):
     """(D, J) of _derivative_table to degree depth, read-only, over the base
     run at that depth. D is the derivative of the recurrence, a_i p_{i+1}'
-    = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}': each row is the one before
-    it under the three-term action of x, (x c)_j = (a_{j-1} c_{j-1} + a_j
-    c_{j+1}) + b_j c_j, in numpy rows of a block padded with a zero column
-    on each side, so that c_{-1} and c_i read 0."""
+    = p_i + (x - b_i) p_i' - a_{i-1} p_{i-1}', in Python floats: each row
+    is the one before it under the three-term action of x, (x c)_j =
+    (a_{j-1} c_{j-1} + a_j c_{j+1}) + b_j c_j, in O(i)."""
     a, b, _ = _system_run(spec, Variant.BASE, depth)
-    al = np.array((0.0, *a[:depth]))  # a_{j-1}, a_j = al[j + 1]
-    bj = np.array(b[:depth])
-    pad = np.zeros((depth + 1, depth + 2))
+    deriv = np.zeros((depth + 1, depth))
+    c, prev = [], []
     for i in range(depth):
-        lo, c, hi = pad[i, : i + 1], pad[i, 1 : i + 2], pad[i, 2 : i + 3]
-        # entry i reads c_i = c_{i+1} = 0 and adds p_i's 1
-        row = (al[: i + 1] * lo + al[1 : i + 2] * hi) + bj[: i + 1] * c - b[i] * c
-        if i:
-            row -= a[i - 1] * pad[i - 1, 1 : i + 2]
-        row[i] += 1.0
-        pad[i + 1, 1 : i + 2] = row / a[i]
-    deriv = pad[:, 1:-1]
+        am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
+        # entries j < i of ((x - b_i) c - a_{i-1} prev) / a_i, with lo and
+        # hi the entries c_{j-1} and c_{j+1}; entry i adds p_i's 1
+        row = [((al * lo + ar * hi) + bj * cj - bi * cj - am * p) / ai
+               for al, lo, ar, hi, bj, cj, p
+               in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
+        row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
+        deriv[i + 1, : i + 1] = row
+        prev, c = c, row
     jac = JacobiOperator(b[:depth], a[: depth - 1], Variant.BASE).matrix()
     deriv.flags.writeable = jac.flags.writeable = False
     return deriv, jac

@@ -37,15 +37,27 @@ class Variant(enum.Enum):
 
 class MeasureSpec(namedtuple("MeasureSpec", "kind params ab", defaults=(None,))):
     """Immutable description of a measure on [-1, 1]: a named tuple of the
-    fields that identify it; nothing derived is built with it.
+    fields that identify it, and nothing derived.
 
     kind is one of "hamming", "sphere", "custom"; params holds n or d, and
     ab a custom space's recurrence coefficients. node_weights builds a
     Hamming space's nodes and weights; continuous spaces are integrated by
-    Gauss rules of exact order from their recurrence coefficients.
-    """
+    Gauss rules of exact order from their recurrence coefficients."""
 
     # no __slots__ = (): the per-instance __dict__ holds the cached hash and nodes
+
+    def __new__(cls, kind, params, ab=None):
+        # hamming_space's refusals, here so that a spec built by hand meets them
+        if kind == "hamming":
+            n = params[0]
+            if type(n) is not int or n < 1:
+                raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
+            if n > 1074:
+                raise ValidationError(
+                    "hamming_space(%d) has node weights C(n, j) 2^-n that underflow to "
+                    "0.0; the largest supported n is 1074" % (n,)
+                )
+        return super().__new__(cls, kind, params, ab)
 
     def __hash__(self) -> int:
         # hashing a custom space's ab on every cache lookup would dominate
@@ -65,9 +77,11 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind params ab", defaults=(None,)))
 
     @cached_property
     def nodes(self):
-        """x_j = (n - 2j)/n for j = 0..n on hamming:n, None elsewhere: one
-        tuple per n, held by the instance once read, as bisects read it per op."""
-        return _hamming_nodes(self.params[0]) if self.kind == "hamming" else None
+        """x_j = (n - 2j)/n, j = 0..n, on hamming:n, held as bisects read it per op."""
+        if self.kind != "hamming":
+            return None
+        n = self.params[0]
+        return tuple((n - 2 * j) / n for j in range(n + 1))
 
     def label(self) -> str:
         if self.params:
@@ -80,11 +94,6 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind params ab", defaults=(None,)))
             out["nodes"] = list(self.nodes)
             out["weights"] = node_weights(self, Variant.BASE)[1].tolist()
         return out
-
-
-@lru_cache(maxsize=None)
-def _hamming_nodes(n: int) -> tuple:
-    return tuple((n - 2 * j) / n for j in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -105,13 +114,6 @@ def hamming_space(n: int) -> MeasureSpec:
     n = 1075 on, 2^-n underflows to 0.0 in floating point, which would
     silently drop nodes from the measure, so such n are refused.
     """
-    if type(n) is not int or n < 1:
-        raise ValidationError("hamming_space requires an integer n >= 1, got %r" % (n,))
-    if n > 1074:
-        raise ValidationError(
-            "hamming_space(%d) has node weights C(n, j) 2^-n that underflow to "
-            "0.0; the largest supported n is 1074" % (n,)
-        )
     return MeasureSpec(kind="hamming", params=(n,))
 
 
@@ -182,7 +184,6 @@ def node_weights(spec: MeasureSpec, variant: Variant):
     return x, w
 
 
-# support points of a Hamming space that each system's density kills
 _KILLED = {Variant.BASE: 0, Variant.MINUS: 1, Variant.PLUSMINUS: 2}
 
 
@@ -197,6 +198,8 @@ def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     both adjacent systems to degree M - 1. Any other kind is refused.
     """
     if spec.kind == "hamming":
+        if variant not in _KILLED:
+            raise ValidationError("unknown variant %r" % (variant,))
         return spec.params[0] - _KILLED[variant]
     if spec.kind == "custom":
         return len(spec.ab[0]) - (variant is not Variant.BASE)

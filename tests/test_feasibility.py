@@ -413,31 +413,6 @@ def test_derivative_rows_are_the_basis_derivatives():
     assert worst < 1e-13, worst
 
 
-@pytest.mark.parametrize("dim", [3, 24, "custom"])
-def test_derivative_rows_match_the_list_recurrence_bit_for_bit(dim):
-    """The numpy rows of the derivative run perform, entry for entry, the
-    IEEE operations of the recurrence in Python lists below, in the same
-    order, so D is the same bits, including its signed zeros."""
-    from delbound.feasibility import _derivative_run
-    from delbound.orthopoly import _run_depth, _system_run
-
-    spec = _continuous_space(dim)
-    for depth in {_run_depth(spec, Variant.BASE, 0), _run_depth(spec, Variant.BASE, 100)}:
-        a, b, _ = _system_run(spec, Variant.BASE, depth)
-        want = np.zeros((depth + 1, depth))
-        c, prev = [], []
-        for i in range(depth):
-            am, bi, ai = a[i - 1] if i else 0.0, b[i], a[i]
-            row = [((al * lo + ar * hi) + bj * cj - bi * cj - am * p) / ai
-                   for al, lo, ar, hi, bj, cj, p
-                   in zip((0.0, *a), (0.0, *c), a, (*c[1:], 0.0), b, c, (*prev, 0.0))]
-            row.append(((am * c[-1] if i else 0.0) + 1.0) / ai)
-            want[i + 1, : i + 1] = row
-            prev, c = c, row
-        got = _derivative_run(spec, depth)[0]
-        assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (dim, depth)
-
-
 def test_held_sphere_runs_hand_out_read_only_blocks_that_outlive_growth():
     """basis_at_end and _derivative_table hand out read-only slices and
     blocks of the cached runs of each sphere system at the depth of

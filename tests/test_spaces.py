@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,8 @@ def test_max_degree_per_variant():
     assert max_degree(spec, Variant.MINUS) == 9
     assert max_degree(spec, Variant.PLUSMINUS) == 8
     assert max_degree(sphere_space(4), Variant.BASE) is None
+    with pytest.raises(ValidationError, match="unknown variant 'minus'"):
+        max_degree(spec, "minus")
 
 
 def test_max_degree_is_a_closed_form_that_counts_the_weighted_nodes():
@@ -164,10 +167,10 @@ def test_a_space_is_its_parameters():
     """A spec holds kind, params and ab alone: hamming_space builds nothing
     of size n, even at the largest n, and the nodes it serves are the
     ones node_weights builds, bit for bit."""
-    from delbound.spaces import _binomial_row, _hamming_nodes
+    from delbound.spaces import _binomial_row
 
     assert MeasureSpec._fields == ("kind", "params", "ab")
-    caches = (_binomial_row, _hamming_nodes, node_weights)
+    caches = (_binomial_row, node_weights)
     before = [f.cache_info() for f in caches]
     spec = hamming_space(1074)
     assert spec == MeasureSpec("hamming", (1074,)) and max_degree(spec) == 1074
@@ -394,3 +397,13 @@ def test_a_quadrature_loads_only_the_layers_below_it():
     assert "delbound.orthopoly" in loaded
     above = {"delbound." + m for m in ("constructions", "feasibility", "kernels", "spectral")}
     assert not loaded & above, loaded & above
+
+
+@pytest.mark.parametrize("n", [0, -3, 1075, 4096])
+def test_a_hamming_spec_built_by_hand_is_refused_as_hamming_space_refuses_it(n):
+    """MeasureSpec("hamming", (n,)) made without hamming_space meets its
+    refusals, with its message, so no reader of n sees n < 1 or n > 1074."""
+    with pytest.raises(ValidationError) as refused:
+        hamming_space(n)
+    with pytest.raises(ValidationError, match=re.escape(str(refused.value))):
+        MeasureSpec("hamming", (n,))
