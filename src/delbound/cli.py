@@ -111,6 +111,9 @@ def _emit_text(payload, indent=""):
 
 
 def _result_row(res: dict) -> list:
+    if res.get("method") == "lp":
+        # the LP optimum goes in the lp column, as in a table
+        res = res | {"lp": res["value"]}
     return [res.get(col, "ok" if col == "status" else "") for col in _TABLE_COLUMNS]
 
 
@@ -209,6 +212,8 @@ def cmd_table(args) -> int:
     spec = _parse_space(args.space)
     tol = _tolerances()
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise ValidationError("--methods names no method, got %r" % (args.methods,))
     for m in methods:
         if m not in ("mrrw", "lev", "spectral"):
             raise ValidationError("unknown table method %r" % (m,))

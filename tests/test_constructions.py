@@ -240,31 +240,19 @@ def test_bound_result_validates_on_replace_and_make_and_pickles():
     assert type(back) is BoundResult and back == res and back.to_json() == res.to_json()
 
 
-def test_bounds_load_no_dataclasses():
-    """In a fresh interpreter, the mrrw, lev and spectral sweeps of
-    hamming:64 and a sphere:24 bound load no dataclasses: every record of
-    the package is a named tuple."""
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+def test_bounds_load_no_dataclasses(fresh_python):
+    """In a fresh interpreter, the hamming:64 table (the mrrw, lev and
+    spectral sweeps) and a sphere:24 bound, run through cli.main, load no
+    dataclasses: every record of the package is a named tuple."""
     code = """
-import sys
-from delbound import DelboundError, bound_for_distance, bound_for_s, hamming_space, sphere_space
-spec = hamming_space(64)
-for method in ("mrrw", "lev", "spectral"):
-    for d in range(1, 65):
-        try:
-            bound_for_distance(spec, d, method)
-        except DelboundError:
-            pass
-assert bound_for_s(sphere_space(24), 0.5, "lev").certificate.passed
+import contextlib, io, sys
+from delbound import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["table", "--space", "hamming:64"]) == 0
+    assert cli.main(["bound", "--space", "sphere:24", "--method", "lev", "--s", "0.5"]) == 0
 assert "dataclasses" not in sys.modules, "dataclasses loaded"
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python(code=code)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -517,6 +505,24 @@ def test_custom_space_refuses_past_its_coefficients():
         for s in (0.8, 0.9):
             with pytest.raises(DegreeBudgetError, match="degree budget exceeded"):
                 bound_for_s(spec, s, method)
+
+
+def test_custom_space_given_sphere_pairs_gives_the_sphere_bounds_bit_for_bit(clear_caches):
+    """From cleared caches, a custom space given sphere:24's first 40 base
+    pairs, whose adjacent systems only the Christoffel step builds, gives
+    sphere:24's mrrw, lev and spectral bounds, degrees and fhat at s =
+    0.1, 0.3, 0.5 and 0.7 bit for bit, with no RuntimeWarning."""
+    from delbound import custom_space
+
+    sphere = sphere_space(24)
+    base = recurrence_coeffs(sphere, Variant.BASE, 39)
+    spec = custom_space(base.a, base.b)
+    clear_caches()
+    for method in ("mrrw", "lev", "spectral"):
+        for s in (0.1, 0.3, 0.5, 0.7):
+            got, ref = bound_for_s(spec, s, method), bound_for_s(sphere, s, method)
+            assert (got.bound, got.degree, got.certificate.fhat) == (
+                ref.bound, ref.degree, ref.certificate.fhat), (method, s)
 
 
 def test_custom_space_refuses_on_its_last_zero():
@@ -939,20 +945,23 @@ def test_lev_window_refuses_a_nan_threshold():
             lev_degree_select(hamming_space(16), s)
 
 
-def test_bound_paths_compute_no_largest_zero(monkeypatch):
-    """The hamming:64 table sweep, every method at hamming:1024 for d = 102
-    and 205, and every method on an s-grid of sphere:24 and sphere:100 give
-    the same bounds, degrees, closed forms, certificate ids and refusals
-    when computing a largest zero raises: every window is read off Sturm
+def test_bound_paths_compute_no_largest_zero(monkeypatch, clear_caches):
+    """The hamming:64 and hamming:1024 table sweeps, every method on an
+    s-grid of sphere:24 and sphere:100, and the 25-point grid of the
+    sphere:200 table (s from -0.5 to 0.7) give the same bounds, degrees,
+    closed forms, certificate ids and refusals from cleared caches when
+    computing a largest zero raises: every window is read off Sturm
     counts, with no zero computed."""
     from delbound import orthopoly
 
     methods = ("mrrw", "lev", "spectral")
     h64, h1024 = hamming_space(64), hamming_space(1024)
     cases = [(bound_for_distance, h64, d, m) for d in range(1, 65) for m in methods]
-    cases += [(bound_for_distance, h1024, d, m) for d in (102, 205) for m in methods]
+    cases += [(bound_for_distance, h1024, d, m) for d in range(1, 1025) for m in methods]
     cases += [(bound_for_s, sphere_space(dim), i / 20, m)
               for dim in (24, 100) for i in range(-19, 20) for m in methods]
+    cases += [(bound_for_s, sphere_space(200), float(s), m)
+              for s in np.linspace(-0.5, 0.7, 25) for m in methods]
 
     def fingerprint(fn, *args):
         try:
@@ -968,7 +977,7 @@ def test_bound_paths_compute_no_largest_zero(monkeypatch):
     assert sum(len(b) == 2 for b in before) > 10
     assert sum(len(b) == 4 and b[2] is not None for b in before) > 50
     monkeypatch.setattr(orthopoly, "_top_zero", refuse)
-    largest_zero.cache_clear()
+    clear_caches()
     assert [fingerprint(*case) for case in cases] == before
 
 
@@ -1024,17 +1033,6 @@ def _sphere_fingerprint(out):
             cert.audit_size)
 
 
-def _clear_caches():
-    """cache_clear() on every lru_cache of the package."""
-    import sys
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("delbound"):
-            for value in list(vars(module).values()):
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-
-
 def _fresh_sphere_fhat(spec, res):
     """fhat of a sphere bound's kernel square from fresh recurrence runs:
     v from p(s), p(1) and p(-1) (the Levenshtein vectors) or the spectral
@@ -1080,13 +1078,13 @@ def _fresh_sphere_fhat(spec, res):
 
 
 @pytest.mark.parametrize("dim", [4, 24, 100])
-def test_sphere_table_caches_are_transparent(dim):
+def test_sphere_table_caches_are_transparent(clear_caches, dim):
     """Built from cleared caches, every sphere bound of an s-grid equals
     its warm rebuild field for field, and its fhat is bit for bit the one
     fresh recurrence runs give."""
     spec = sphere_space(dim)
     cases = [(s, method) for s in _SPHERE_GRID for method in ("mrrw", "lev", "spectral")]
-    _clear_caches()
+    clear_caches()
     cold = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
     warm = [_outcome(bound_for_s, spec, s, method) for s, method in cases]
     assert [_sphere_fingerprint(r) for r in cold] == [_sphere_fingerprint(r) for r in warm]
@@ -1137,7 +1135,8 @@ def test_warm_sphere_bounds_run_the_recurrence_only_at_s_and_the_audit(monkeypat
 
 
 @pytest.mark.parametrize("method", ["mrrw", "spectral", "lev"])
-def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch, method):
+def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch, clear_caches,
+                                                                    method):
     """From cleared caches a sphere bound runs the base recurrence at the
     nodes of its (degree + 1)-point Gauss rule once, in the rule itself:
     the expansion rows and the kernel rows are slices of the table the
@@ -1149,7 +1148,7 @@ def test_cold_sphere_bound_runs_the_base_recurrence_once_at_its_rule(monkeypatch
     from delbound.spaces import quadrature
 
     spec = sphere_space(24)
-    _clear_caches()
+    clear_caches()
     original = orthopoly.eval_basis_table
     calls = []
 
@@ -1396,20 +1395,25 @@ def test_lev_vectors_are_stationary_points_of_the_moment_ratio(label, s):
         assert gradient(np.array(_basis_at(spec, Variant.BASE, k, s))) > 1e-2, (label, e)
 
 
-def test_bound_paths_evaluate_no_adjacent_system(monkeypatch):
+def test_bound_paths_evaluate_no_adjacent_system(monkeypatch, clear_caches):
     """From cleared caches, every method at every distance of hamming:64
-    and on an s-grid of sphere:24 gives the same bounds, degrees, closed
-    forms, certificate ids and refusals when evaluating the minus or
-    plusminus system raises: the adjacent systems serve only the windows,
-    through their coefficients."""
+    and hamming:256, and on two s-grids of sphere:24 (i / 20, and the
+    37-point grid of its table from -0.9 to 0.9), gives the same bounds,
+    degrees, closed forms, certificate ids and refusals when evaluating
+    the minus or plusminus system raises: every bound, lev included, is
+    built in the base system, and the adjacent systems serve only the
+    windows, through their coefficients."""
     import sys
 
     from delbound import orthopoly
 
     methods = ("mrrw", "lev", "spectral")
-    h64, s24 = hamming_space(64), sphere_space(24)
-    cases = [(bound_for_distance, h64, d, m) for d in range(1, 65) for m in methods]
-    cases += [(bound_for_s, s24, i / 20, m) for i in range(-19, 20) for m in methods]
+    s24 = sphere_space(24)
+    cases = [(bound_for_distance, hamming_space(n), d, m)
+             for n in (64, 256) for d in range(1, n + 1) for m in methods]
+    cases += [(bound_for_s, s24, s, m)
+              for s in [i / 20 for i in range(-19, 20)] + np.linspace(-0.9, 0.9, 37).tolist()
+              for m in methods]
 
     def fingerprint(fn, *args):
         try:
@@ -1430,7 +1434,7 @@ def test_bound_paths_evaluate_no_adjacent_system(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("delbound") and getattr(module, "eval_basis_table", None) is original:
             monkeypatch.setattr(module, "eval_basis_table", base_only)
-    _clear_caches()
+    clear_caches()
     assert [fingerprint(*case) for case in cases] == before
 
 

@@ -88,6 +88,22 @@ def test_krawtchouk_table_at_n256():
             assert acc == ((1 << n) * math.comb(n, i) if i == l else 0), (i, l)
 
 
+def test_krawtchouk_table_at_n1024_in_a_fresh_interpreter(fresh_python):
+    """In a fresh interpreter that ends within 30 s, the three-term
+    recurrence builds the n = 1024 table without numpy, and its row 1000,
+    the end of a 1000-step recurrence chain, equals the alternating sum
+    entry for entry."""
+    code = """
+import sys
+from delbound.lp_oracle import _krawtchouk_rows, krawtchouk
+rows = _krawtchouk_rows(1024)
+assert len(rows) == 1025 and rows[1000] == tuple(krawtchouk(1024, 1000, j) for j in range(1025))
+assert "numpy" not in sys.modules, "numpy loaded"
+"""
+    proc = fresh_python(code=code, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_lp_frozen_values():
     cases = {
         (3, 2): 4.0,

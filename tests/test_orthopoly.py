@@ -389,23 +389,7 @@ def test_recurrence_is_a_prefix_of_the_top_tuple(spec):
             assert rc.mass == full.mass
 
 
-def _run_fresh(code, *argv):
-    """Run code with argv in a fresh interpreter that imports delbound from
-    this checkout, and return its standard output."""
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-def test_sphere_recurrence_does_not_depend_on_the_request_order():
+def test_sphere_recurrence_does_not_depend_on_the_request_order(fresh_python):
     """In a fresh interpreter, every s-independent table of sphere:3,
     sphere:24 and sphere:400 read at each degree m of 0..300: the
     coefficients to index m, the window count at the double above the
@@ -455,10 +439,12 @@ for d in (3, 24, 400):
         assert [row[3] for row in up] == list(range(1, 302)), (d, basis)
 print("ok")
 """
-    assert _run_fresh(code).split() == ["ok"]
+    proc = fresh_python(code=code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
-def test_sphere_sweeps_do_not_depend_on_their_direction():
+def test_sphere_sweeps_do_not_depend_on_their_direction(fresh_python):
     """An s-grid on sphere:24 and sphere:100, swept ascending in one fresh
     interpreter and descending in another, extends the per-space runs
     (recurrence coefficients and derivative rows) in opposite orders, and
@@ -484,12 +470,14 @@ for s in grid if sys.argv[1] == "up" else grid[::-1]:
                 c.argmax.hex(), c.audit_size]
 print(json.dumps(out, sort_keys=True))
 """
-    up, down = (json.loads(_run_fresh(code, way)) for way in ("up", "down"))
+    runs = [fresh_python(way, code=code, timeout=120) for way in ("up", "down")]
+    assert [proc.returncode for proc in runs] == [0, 0], [proc.stderr for proc in runs]
+    up, down = (json.loads(proc.stdout) for proc in runs)
     assert len(up) == 126 and up == down
     assert sum(len(v) == 6 for v in up.values()) > 100
 
 
-def test_a_cold_sphere_bound_reads_its_runs_only_as_deep_as_its_window():
+def test_a_cold_sphere_bound_reads_its_runs_only_as_deep_as_its_window(fresh_python):
     """In a fresh interpreter, one cold mrrw, lev and spectral bound each on
     sphere:24 at s = 0.3, whose windows lie below kernel degree 6, read
     every coefficient, window-step, p(+-1) and derivative run of the three
@@ -531,7 +519,9 @@ assert ends.count(("base", 1.0)) == 1 and len(ends) == len(set(ends)), ends
 assert blocks.count(Variant.BASE) == 1, blocks
 print(len(degrees))
 """
-    assert int(_run_fresh(code)) >= 2
+    proc = fresh_python(code=code, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) >= 2
 
 
 def test_a_measure_of_another_kind_is_refused_by_name():

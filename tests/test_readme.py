@@ -1,6 +1,8 @@
 import contextlib
 import io
+import json
 import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,3 +35,29 @@ def test_readme_library_block_prints_what_its_comments_state():
     assert namespace["sol"].value == Fraction(512, 3)
     assert float(lines[4]) == pytest.approx(26.0)
     assert [float(x) for x in lines[5:]] == pytest.approx([16.0] * 3)
+
+
+def _command_lines() -> list:
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("delbound ")]
+
+
+def test_readme_command_lines_exit_0(tmp_path, monkeypatch, capsys):
+    """Every delbound line of README's Command line block runs as written
+    through cli.main and exits 0: each shows a result, and the refusals
+    its comments name are other inputs. The verify --file example reads a
+    certificate that bound emits for hamming:10 at d = 4."""
+    from delbound import bound_for_distance, hamming_space
+    from delbound.cli import main
+
+    res = bound_for_distance(hamming_space(10), 4, "lev")
+    candidate = {"coeffs": list(res.certificate.fhat), "s": res.s}
+    (tmp_path / "candidate.json").write_text(json.dumps(candidate))
+    monkeypatch.chdir(tmp_path)
+    lines = _command_lines()
+    assert {line.split()[1] for line in lines} == {"bound", "table", "verify", "lp", "nrt"}
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        assert capsys.readouterr().out, line

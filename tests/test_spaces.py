@@ -273,19 +273,15 @@ def test_separately_built_specs_share_cache_entries():
     assert hamming_space(41) != a
 
 
-def test_spec_hash_survives_pickle_across_hash_seeds():
+def test_spec_hash_survives_pickle_across_hash_seeds(fresh_python):
     """The hash is computed from (kind, params, ab) and never pickled, so
     an unpickled spec hashes like a fresh one even under another hash seed."""
-    import os
     import pickle
-    import subprocess
-    import sys
 
     for spec in (hamming_space(12), sphere_space(5), custom_space([0.5, 0.4], [0.0, 0.1])):
         back = pickle.loads(pickle.dumps(spec))
         assert back == spec and hash(back) == hash(spec)
     blob = pickle.dumps(hamming_space(12)).hex()
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "import pickle\n"
         "from delbound import hamming_space, node_weights, Variant\n"
@@ -296,21 +292,15 @@ def test_spec_hash_survives_pickle_across_hash_seeds():
         % blob
     )
     for seed in ("1", "12345"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = fresh_python(code=code, env={"PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
 
 
-def test_cached_spec_hash_stays_out_of_the_pickle():
+def test_cached_spec_hash_stays_out_of_the_pickle(fresh_python):
     """A spec keeps its hash once it has been a cache key, and its nodes
     once read, but its pickle carries neither: unpickled under other hash seeds, a spec that was a
     cache key before pickling hashes and caches like a fresh one."""
-    import os
     import pickle
-    import subprocess
-    import sys
 
     specs = (hamming_space(12), sphere_space(5), custom_space([0.5, 0.4], [0.0, 0.1]))
     for spec in specs:
@@ -321,7 +311,6 @@ def test_cached_spec_hash_stays_out_of_the_pickle():
         assert b"_hash" not in blob and b"nodes" not in blob
         assert vars(pickle.loads(blob)) == {}
     blob = pickle.dumps(specs[0]).hex()
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "import pickle\n"
         "from delbound import hamming_space, node_weights, Variant\n"
@@ -335,10 +324,7 @@ def test_cached_spec_hash_stays_out_of_the_pickle():
         % blob
     )
     for seed in ("2", "54321"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = fresh_python(code=code, env={"PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
 
 
@@ -369,16 +355,11 @@ def test_custom_quadrature_refuses_as_the_rule_it_cannot_build():
         fourier_expand(spec, lambda x: x, M)
 
 
-def test_a_quadrature_loads_only_the_layers_below_it():
+def test_a_quadrature_loads_only_the_layers_below_it(fresh_python):
     """In a fresh interpreter, a Gauss rule and an adjacent system's mass
     load orthopoly, and no layer above it: spaces takes its names from
     delbound.orthopoly, not through the package's deferred attributes,
     which load constructions, feasibility, kernels and spectral too."""
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     code = (
         "import sys\n"
         "import delbound.spaces\n"
@@ -388,10 +369,7 @@ def test_a_quadrature_loads_only_the_layers_below_it():
         "variant_mass(hamming_space(6), Variant.MINUS)\n"
         "print(' '.join(m for m in sys.modules if m.startswith('delbound')))\n"
     )
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python(code=code)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "delbound.orthopoly" in loaded
