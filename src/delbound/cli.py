@@ -112,8 +112,11 @@ def _emit_text(payload, indent=""):
 
 def _result_row(res: dict) -> list:
     if res.get("method") == "lp":
-        # the LP optimum goes in the lp column, as in a table
-        res = res | {"lp": res["value"]}
+        # as in a table row: the LP optimum in the lp column, s = 1 - 2d/n,
+        # and "ok" for a solved LP
+        n, d = res["n"], res["d"]
+        res = res | {"lp": res["value"], "s": (n - 2 * d) / n,
+                     "status": "ok" if res["status"] == "optimal" else res["status"]}
     return [res.get(col, "ok" if col == "status" else "") for col in _TABLE_COLUMNS]
 
 
@@ -172,6 +175,13 @@ def cmd_bound(args) -> int:
         return 3
     if len(methods) == 1:
         _emit(args, results[0])
+    elif args.format == "csv":
+        # a refused method is a row whose status gives the reason, as in a table
+        point = {"space": spec.label(), "d": args.d if has_d else "",
+                 "s": spec.nodes[args.d] if has_d else args.s}
+        refused = [point | {"method": f["method"], "status": "uncertified: " + f["error"]}
+                   for f in failures]
+        _emit_csv(results + refused)
     else:
         _emit(args, {"schema": 1, "results": results, "failures": failures})
     return 0

@@ -175,7 +175,8 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
     table and f(1) reads the cached basis_at_end table. These are the
     values the recurrence gives there, bit for bit; an adjacent system
     runs its recurrence there. Callers hold an np.errstate: an overflow
-    leaves a non-finite fhat, which the certificate refuses.
+    leaves a non-finite fhat, which the certificate refuses, except an
+    f(1) that overflows to inf, refused here before the expansion.
     """
     if not -1.0 <= s < 1.0:
         raise ValidationError("%s_poly needs s in [-1, 1), got %r" % (method, s))
@@ -211,6 +212,12 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
     if at_one == 0.0:
         raise SingularOperatorError(
             "%s normalization undefined: f(1) = 0 at k=%d, s=%r" % (method, k, s)
+        )
+    if at_one == math.inf:
+        # c = 0.0 would pass, and the expansion fill fhat with NaN
+        raise NotCertifiedError(
+            "%s normalization overflowed: f(1) = inf at k=%d, s=%r on %s"
+            % (method, k, s, spec.label())
         )
     c = 1.0 / at_one
     if not math.isfinite(c):

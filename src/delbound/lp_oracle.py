@@ -7,16 +7,27 @@ of any explicit code. The primal solved here is
     maximize 1 + sum_{j=d}^{n} B_j
     subject to B_j >= 0 and sum_j B_j K_i(j) >= -C(n, i) for i = 1..n,
 
-with integer Krawtchouk coefficients from one table per n, rows 0..n,
-built by the three-term recurrence in O(n^2) integer steps (the public
-`krawtchouk` is the explicit alternating sum). There is one simplex, and
-it is exact: it pivots on a condensed integer tableau, the nonbasic
-columns only, each labelled by its variable, with one common denominator
-(see `_simplex_max`), so no step rounds. Each (n, d) is solved once and
-shared by both modes;
-exact mode returns the optimum and B as Fractions, float mode returns
-float() of each, the correctly rounded exact optimum. Sizes are capped
-at n <= MAX_N.
+with integer Krawtchouk coefficients from one table per n, the columns
+-K_i(j), built by the three-term recurrence in O(n^2) integer steps (the
+public `krawtchouk` is the explicit alternating sum); an instance selects
+its columns from it, and b_i = C(n, i) is column 0 negated. There is one
+simplex, and it is exact: it pivots on a condensed integer tableau, the
+nonbasic columns only, each labelled by its variable, with one common
+denominator (see `_simplex_max`), so no step rounds. Bland's rule takes
+the columns in the order the instance gives them. For even d that order
+is the even distances ascending, then the odd ones: the optimum lies on
+even distances there (at every even d for n <= 32 and n = 40, 48, 64,
+as the even-weight reduction of codes predicts, MacWilliams-Sloane 1977,
+ch. 17), so Bland's rule detours less through odd columns. Over every
+n <= 14 that takes 413 pivots instead of 472, and over every d at
+n = 48, 928 instead of 1,281, though not fewer at every single d (at
+n = 20, d = 4 it takes 28 instead of 23). Odd d keeps ascending order,
+which takes fewer pivots summed over odd d at n = 24 and 32 than
+even-first, odd-first, descending or middle-out order. Any fixed order
+is free of cycling and solves the same LP. Each (n, d) is solved
+once and shared by both modes; exact mode returns the optimum and B as
+Fractions, float mode returns float() of each, the correctly rounded
+exact optimum. Sizes are capped at n <= MAX_N.
 
 The module loads no numpy, and its result record `LPSolution` is a
 named tuple, as every record of the package is, so importing it loads no
@@ -76,18 +87,27 @@ class LPSolution(namedtuple("LPSolution", "n d value B status mode")):
         return out
 
 
-@functools.lru_cache(maxsize=None)
 def _krawtchouk_rows(n: int) -> tuple:
-    """K_i(j) for i = 0..n (one row each) and j = 0..n, by the three-term
+    """K_i(j) for i = 0..n (one row each) and j = 0..n, read from the
+    cached column table: row 0 is all ones, row i >= 1 negates entry i - 1
+    of each column."""
+    return ((1,) * (n + 1),) + tuple(tuple(-v for v in row) for row in zip(*_columns(n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(n: int) -> tuple:
+    """The one Krawtchouk table per n: column j = (-K_1(j), ..., -K_n(j))
+    for j = 0..n, the LP's constraint column of B_j, so column 0 is
+    -b = (-C(n, 1), ..., -C(n, n)). Rows come from the three-term
     recurrence (i + 1) K_{i+1}(j) = (n - 2j) K_i(j) - (n - i + 1) K_{i-1}(j)
     from K_0 = 1 and K_1(j) = n - 2j: O(n^2) integer steps, each division
     exact, since K_{i+1}(j) is an integer."""
     t = [n - 2 * j for j in range(n + 1)]
-    rows = [(1,) * (n + 1), tuple(t)][: n + 1]
+    rows = [[1] * (n + 1), t][: n + 1]
     for i in range(1, n):
         prev, cur, w = rows[i - 1], rows[i], n - i + 1
-        rows.append(tuple((a * x - w * y) // (i + 1) for a, x, y in zip(t, cur, prev)))
-    return tuple(rows)
+        rows.append([(a * x - w * y) // (i + 1) for a, x, y in zip(t, cur, prev)])
+    return tuple(zip(*([-v for v in row] for row in rows[1:])))
 
 
 def _simplex_max(A, b, c):
@@ -176,13 +196,19 @@ def _pivot(tab, cols, basis, r, c, den):
 @functools.lru_cache(maxsize=None)
 def _solve(n: int, d: int) -> tuple:
     """(status, optimum 1 + sum_j B_j, (B_d, ..., B_n)) of the instance
-    (n, d) in Fractions, solved once for both modes."""
-    A = [[-v for v in row[d:]] for row in _krawtchouk_rows(n)[1:]]
-    b = [math.comb(n, i) for i in range(1, n + 1)]
-    status, opt, x = _simplex_max(A, b, [1] * (n - d + 1))
+    (n, d) in Fractions, solved once for both modes. For even d the
+    simplex sees the even distances first, d, d + 2, ..., then the odd
+    ones, d + 1, d + 3, ...; for odd d, ascending distances."""
+    cols = _columns(n)
+    order = range(d, n + 1)
+    if d % 2 == 0:
+        order = [*order[::2], *order[1::2]]
+    A = [list(row) for row in zip(*(cols[j] for j in order))]
+    status, opt, x = _simplex_max(A, [-v for v in cols[0]], [1] * len(order))
     if status != "optimal":
         return status, math.inf, ()
-    return status, 1 + opt, tuple(x)
+    by_distance = dict(zip(order, x))
+    return status, 1 + opt, tuple(by_distance[j] for j in range(d, n + 1))
 
 
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:

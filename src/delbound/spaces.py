@@ -84,12 +84,17 @@ class MeasureSpec(namedtuple("MeasureSpec", "kind params ab", defaults=(None,)))
         return tuple((n - 2 * j) / n for j in range(n + 1))
 
     def label(self) -> str:
-        if self.params:
-            return "%s:%s" % (self.kind, ":".join(str(p) for p in self.params))
-        return self.kind
+        if self.kind == "custom":
+            # unequal coefficients, unequal labels: a stable hash of (a, b)
+            import hashlib
+
+            return "custom:%s" % hashlib.sha256(repr(self.ab).encode()).hexdigest()[:8]
+        return "%s:%s" % (self.kind, ":".join(str(p) for p in self.params))
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "params": list(self.params)}
+        if self.kind == "custom":
+            out["a"], out["b"] = (list(v) for v in self.ab)
         if self.discrete:
             out["nodes"] = list(self.nodes)
             out["weights"] = node_weights(self, Variant.BASE)[1].tolist()

@@ -81,7 +81,10 @@ def test_bound_all_collects_failures(capsys):
 def test_bound_all_csv_fills_the_lp_column(capsys):
     """In CSV, the lp row of bound --method all carries the LP optimum in
     its lp column, as a table row does; the JSON output keeps it in the
-    lp result's value alone."""
+    lp result's value alone. As in a table, the CSV has a row for every
+    method tried: a refused one with status "uncertified: <reason>", the
+    reason its JSON lists under failures, and the lp row with
+    s = 1 - 2d/n and status ok, while its JSON result keeps "optimal"."""
     from delbound.lp_oracle import delsarte_lp
 
     argv = ("bound", "--space", "hamming:8", "--d", "3", "--method", "all")
@@ -92,6 +95,21 @@ def test_bound_all_csv_fills_the_lp_column(capsys):
     code, out = run_cli(capsys, *argv)
     lp_result = next(r for r in json.loads(out)["results"] if r["method"] == "lp")
     assert lp_result == delsarte_lp(8, 3).to_json() | {"method": "lp", "space": "hamming:8"}
+    argv = ("bound", "--space", "hamming:8", "--d", "4", "--method", "all")
+    code, out = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = {row["method"]: row for row in csv.DictReader(io.StringIO(out))}
+    code, blob = run_cli(capsys, *argv)
+    blob = json.loads(blob)
+    assert sorted(rows) == ["lev_odd", "lp", "mrrw", "spectral"]
+    assert {f["method"] for f in blob["failures"]} == {"mrrw", "spectral"}
+    for failure in blob["failures"]:
+        row = rows[failure["method"]]
+        assert row["status"] == "uncertified: %s" % failure["error"]
+        assert (row["space"], row["d"], row["s"], row["bound"]) == ("hamming:8", "4", "0.0", "")
+    assert (rows["lp"]["s"], rows["lp"]["status"], rows["lp"]["lp"]) == ("0.0", "ok", "16.0")
+    assert rows["lev_odd"]["status"] == "ok"
+    assert next(r for r in blob["results"] if r["method"] == "lp")["status"] == "optimal"
 
 
 def test_spectral_degree_without_a_threshold_exits_2(capsys):

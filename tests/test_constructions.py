@@ -665,6 +665,25 @@ def test_certified_result_keeps_the_default_positivity_floor():
     assert res.bound == 2.0 and res.method == "custom"
 
 
+def test_an_overflowed_normalization_is_refused_before_its_certificate(monkeypatch):
+    """At hamming:1024, d = 1, lev's kernel square has f(1) = inf: its
+    c = 1/f(1) = 0.0 is finite, but the expansion would be all NaN. The
+    bound is refused for the overflow, named, and no certificate is
+    computed."""
+    from delbound import constructions
+
+    calls, real = [], constructions._certificate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "_certificate", spy)
+    with pytest.raises(NotCertifiedError, match=r"lev_odd normalization overflowed: f\(1\) = inf"):
+        bound_for_distance(hamming_space(1024), 1, "lev")
+    assert calls == []
+
+
 def test_all_k_mrrw_pass_does_not_warn_on_overflow():
     """MRRW refusals let no RuntimeWarning escape: at hamming:1024 d=150
     the window kernel square overflows at the nodes, and the certificate

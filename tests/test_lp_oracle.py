@@ -345,6 +345,34 @@ def test_solve_matches_fraction_reference_past_the_cap():
             assert lp_oracle._solve(n, d) == (status, 1 + opt, tuple(x)), (n, d)
 
 
+def test_even_distances_first_takes_fewer_pivots_at_n20(monkeypatch, clear_caches):
+    """At n = 20, for every even d, `_solve` (even distances first) returns
+    the optimum and B of `_simplex_max` on the distance-ordered matrix.
+    Summed over even d it makes fewer pivots; at each single d it makes
+    no more, except at d = 4 (28 pivots instead of 23)."""
+    n, pivots = 20, []
+
+    def spy(*args):
+        pivots.append(None)
+        return _PIVOT(*args)
+
+    monkeypatch.setattr(lp_oracle, "_pivot", spy)
+    clear_caches()
+    counts = {}
+    for d in range(2, n + 1, 2):
+        A = [[-krawtchouk(n, i, j) for j in range(d, n + 1)] for i in range(1, n + 1)]
+        b = [math.comb(n, i) for i in range(1, n + 1)]
+        del pivots[:]
+        status, opt, x = _simplex_max(A, b, [1] * (n - d + 1))
+        plain = len(pivots)
+        del pivots[:]
+        assert lp_oracle._solve(n, d) == (status, 1 + opt, tuple(x)), d
+        counts[d] = (plain, len(pivots))
+    assert sum(ours for _, ours in counts.values()) < sum(plain for plain, _ in counts.values())
+    assert [d for d, (plain, ours) in counts.items() if ours > plain] == [4], counts
+    assert counts[4] == (23, 28)
+
+
 def test_exact_json_gives_the_optimum_in_rationals():
     """B_exact is a feasible point whose objective is value_exact, checked
     in Fractions with no tolerance."""

@@ -560,7 +560,7 @@ def test_custom_adjacent_measures_are_refused_where_they_lose_positivity():
                        ([0.9] * 6, [0.0] * 6, "minus measure lost positivity at pivot 2 of 1"),
                        ([0.3] * 6, [-0.9] * 6,
                         "plusminus measure lost positivity at pivot 1 of -1")):
-        with pytest.raises(ValidationError, match="^custom/%s - J$" % lost):
+        with pytest.raises(ValidationError, match="^custom:[0-9a-f]{8}/%s - J$" % lost):
             custom_space(a, b)
     base = recurrence_coeffs(sphere_space(24), Variant.BASE, 39)
     spec = custom_space(base.a, base.b)
@@ -731,10 +731,11 @@ def test_custom_adjacent_systems_reach_their_max_degree(d):
             assert np.max(np.abs(np.array(got.a) - ref.a) / ref.a) < 1e-15, (basis, m)
             assert np.max(np.abs(np.array(got.b) - ref.b)) < 1e-15, (basis, m)
             assert abs(got.mass - ref.mass) < 1e-15, (basis, m)
-        with pytest.raises(ValidationError, match="index 11 but custom/%s supports at most 10"
-                           % basis.value):
+        with pytest.raises(ValidationError, match="index 11 but %s/%s supports at most 10"
+                           % (spec.label(), basis.value)):
             recurrence_coeffs(spec, basis, 11)
-    with pytest.raises(ValidationError, match="index 12 but custom/base supports at most 11"):
+    with pytest.raises(ValidationError, match="index 12 but %s/base supports at most 11"
+                       % spec.label()):
         recurrence_coeffs(spec, Variant.BASE, 12)
     flat = custom_space([0.5] * 10, [0.0] * 10)
     for basis in (Variant.MINUS, Variant.PLUSMINUS):

@@ -89,6 +89,18 @@ def test_sphere_space_basics():
         sphere_space(2)
 
 
+def test_unequal_custom_spaces_get_unequal_labels_and_json():
+    """A custom space's label carries a stable short hash of its (a, b),
+    the same for equal coefficients in any process, and its JSON carries
+    a and b."""
+    one, two = custom_space([0.5, 0.4], [0.0, 0.1]), custom_space([0.3], [0.0])
+    assert one.label() != two.label() and one.to_json() != two.to_json()
+    assert one.label() == custom_space((0.5, 0.4), (0.0, 0.1)).label()
+    # the hash reads the coefficients alone, not the interpreter's hash seed
+    assert two.label() == "custom:5b639654"
+    assert two.to_json() == {"kind": "custom", "params": [], "a": [0.3], "b": [0.0]}
+
+
 def test_custom_space_roundtrip():
     spec = custom_space((0.5, 0.4), (0.0, -0.1))
     assert spec.kind == "custom"
