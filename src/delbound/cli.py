@@ -299,7 +299,10 @@ def cmd_verify(args) -> int:
         print("fhat_0: %r" % (cert.fhat[0],))
         print("min coefficient: fhat_%d = %r" % (cert.min_coeff_index,
                                                  cert.min_coeff_value))
-        print("max on [-1, s]: %r at x = %r" % (cert.max_on_audit, cert.argmax))
+        if cert.audit_size:
+            print("max on [-1, s]: %r at x = %r" % (cert.max_on_audit, cert.argmax))
+        else:
+            print("max on [-1, s]: not audited, as fhat already decides the certificate")
     return 0 if cert.passed else 3
 
 

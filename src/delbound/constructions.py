@@ -414,7 +414,10 @@ def classical_baselines(n: int, d: int) -> tuple:
 
 
 def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
-    """The certified MRRW candidate at this s, or None.
+    """(result, refusals): the certified MRRW candidate at this s, or None,
+    and (k, first failed check) for each degree k it refused, the check
+    being the certificate's reason where there is one, else the exception
+    text.
 
     Inside a window x_k < s < x_{k+1} the kernel square of degree k is the
     stationary point, so that degree alone is certified. When s sits on a
@@ -426,13 +429,14 @@ def _mrrw_scan(spec: MeasureSpec, s: float, tolerances, fields):
     cap = max_degree(spec, Variant.BASE)
     e, inside = _base_window(spec, s, cap)
     ks = (e - 1,) if inside else range(e, min(e + _EDGE_REACH, cap - 1))
-    results = []
+    results, refusals = [], []
     for k in ks:
         try:
             results.append(_kernel_result(spec, k, s, "mrrw", tolerances, fields))
-        except (NotCertifiedError, SingularOperatorError, NumericError):
-            continue
-    return min(results, key=lambda r: r.bound, default=None)
+        except (NotCertifiedError, SingularOperatorError, NumericError) as exc:
+            cert = getattr(exc, "certificate", None)
+            refusals.append((k, str(exc) if cert is None else cert.reason))
+    return min(results, key=lambda r: r.bound, default=None), refusals
 
 
 def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
@@ -443,7 +447,8 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     (the window containing s; for mrrw at a window edge x_e, the least
     bound over degrees e..e+3), and attaches classical baseline values for
     the report. Raises NotCertifiedError rather than returning any
-    uncertified number.
+    uncertified number; an mrrw refusal lists each degree tried with its
+    first failed check.
     """
     if spec.kind != "hamming":
         raise ValidationError("bound_for_distance applies to Hamming spaces only")
@@ -454,9 +459,10 @@ def bound_for_distance(spec: MeasureSpec, d: int, method: str = "lev",
     fields = {"d": d, "baselines": classical_baselines(n, d)}
     if method != "mrrw":
         return _bound_at(spec, s, method, None, tolerances, fields)
-    res = _mrrw_scan(spec, s, tolerances, fields)
+    res, refusals = _mrrw_scan(spec, s, tolerances, fields)
     if res is None:
-        raise NotCertifiedError("no MRRW degree certifies at n=%d, d=%d (s=%r)" % (n, d, s))
+        raise NotCertifiedError("no MRRW degree certifies at n=%d, d=%d (s=%r)%s" % (
+            n, d, s, "".join("; k=%d: %s" % refusal for refusal in refusals)))
     return res
 
 

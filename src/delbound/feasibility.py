@@ -8,7 +8,15 @@ floor and above the slack the tolerances leave. cone_certificate audits
 all of these and returns an immutable, serializable verdict, the one
 rule by which this package reports a bound or refuses it. All of them are
 read off the coefficient vector the certificate reports, so a
-certificate's own fhat re-audits to the same certificate. The sign
+certificate's own fhat re-audits to the same certificate.
+
+The checks run in a fixed order, and the first one failed is the reason:
+every fhat_i finite, fhat_0 above tolerance, f finite on the audit set,
+the other coefficients, the sign of f, the positivity floor, the slack.
+The first two read fhat alone, so a certificate that fails one of them
+is decided before the sign audit: its max_on_audit and argmax are None
+and its audit_size is 0. Most polynomials at large n fail on fhat_0,
+and this spares them an audit that cannot change the verdict. The sign
 condition is read at the support nodes in [-1, s] on a discrete space,
 and on a continuous one at -1, s and the roots of f' between them (the
 eigenvalues of its comrade matrix in the base system), which decides it
@@ -101,8 +109,18 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
 class ConeCertificate(namedtuple(
         "ConeCertificate",
         "s fhat min_coeff_index min_coeff_value max_on_audit argmax audit_size "
-        "tolerances verdict reason", defaults=(None,))):
-    """Auditable record of a cone membership decision: a named tuple."""
+        "tolerances verdict reason slack", defaults=(None, None))):
+    """Auditable record of a cone membership decision: a named tuple.
+
+    max_on_audit and argmax give the largest value of f on the audit set
+    and where it sits, and audit_size the number of points audited; they
+    are None, None and 0 when fhat alone decided the certificate (a
+    non-finite entry, or fhat_0 not above tolerance) and the audit was
+    not run. slack is the tolerated slack, sum_{i>=1} max(0, -fhat_i)
+    p_i(1) + max(0, max_on_audit), and is None unless the coefficient
+    and sign checks passed, which is where it is computed. Neither enters
+    the certificate id.
+    """
 
     __slots__ = ()
 
@@ -123,6 +141,7 @@ class ConeCertificate(namedtuple(
             "argmax": self.argmax,
             "audit_size": self.audit_size,
             "tolerances": self.tolerances.to_json(),
+            "slack": self.slack,
         }
 
     @property
@@ -254,6 +273,13 @@ def cone_certificate(
     p_i(1) + max(0, max_on_audit), so fhat_0 must exceed slack. p_i(1) is
     read from basis_at_end, the table f(1) and the closed forms read too.
 
+    The checks run in order: fhat finite, fhat_0 above tolerance, f finite
+    on the audit set, coefficients, sign, floor, slack; the reason names
+    the first that fails. The first two decide the certificate before the
+    sign audit runs, and then max_on_audit and argmax are None and
+    audit_size is 0. slack is recorded where it is computed, once the
+    coefficient and sign checks pass, and is None otherwise.
+
     What is audited is the coefficient vector fhat that the certificate
     reports, so the certificate's own fhat re-audits to the same
     certificate. When f carries it as f.fhat, as a BoundPolynomial does,
@@ -297,44 +323,44 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
     else:
         min_idx, min_val = 0, f0
 
-    audit, vals = _audit(spec, fhat, s)
-    finite_on_audit = _all_finite(vals)
-    arg = int(vals.argmax())
-    max_val = vals.item(arg)
-    argmax = audit.item(arg)
-
     coeff_tol, pos_tol, sign_tol = tol
-    reason = None
+    reason = max_val = argmax = slack = None
+    audit_size = 0
+    # fhat alone decides these two, so a certificate they fail skips the audit
     if not finite:
         reason = "fhat has a non-finite entry"
-    elif not finite_on_audit:
-        reason = "f is not finite on the audit set"
     elif not (f0 > pos_tol):
         reason = "fhat_0 = %.6e is not positive beyond tolerance %g" % (f0, pos_tol)
-    elif min_idx and min_val < -coeff_tol:
-        reason = "fhat_%d = %.6e is negative beyond tolerance %g" % (
-            min_idx,
-            min_val,
-            coeff_tol,
-        )
-    elif max_val > sign_tol:
-        reason = "f(%.6g) = %.6e exceeds 0 beyond tolerance %g on [-1, s]" % (
-            argmax,
-            max_val,
-            sign_tol,
-        )
     else:
-        floor = _DEFAULT_TOLERANCES.pos
-        at_one = basis_at_end(spec, Variant.BASE, fhat.size - 1, 1.0)
-        # item() reads one entry as a Python float, with no copy of the
-        # table, so sum() adds floats (compensated on Python 3.12+)
-        slack = max(max_val, 0.0) - sum(
-            v * at_one.item(i) for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
-        if not f0 > floor:
-            reason = "fhat_0 = %r is inside the positivity floor %g" % (f0, floor)
-        elif slack >= f0:
-            reason = ("fhat_0 = %r is not above the slack %r of its negative "
-                      "coefficients and audit maximum" % (f0, slack))
+        audit, vals = _audit(spec, fhat, s)
+        arg = int(vals.argmax())
+        max_val, argmax, audit_size = vals.item(arg), audit.item(arg), audit.size
+        if not _all_finite(vals):
+            reason = "f is not finite on the audit set"
+        elif min_idx and min_val < -coeff_tol:
+            reason = "fhat_%d = %.6e is negative beyond tolerance %g" % (
+                min_idx,
+                min_val,
+                coeff_tol,
+            )
+        elif max_val > sign_tol:
+            reason = "f(%.6g) = %.6e exceeds 0 beyond tolerance %g on [-1, s]" % (
+                argmax,
+                max_val,
+                sign_tol,
+            )
+        else:
+            floor = _DEFAULT_TOLERANCES.pos
+            at_one = basis_at_end(spec, Variant.BASE, fhat.size - 1, 1.0)
+            # item() reads one entry as a Python float, with no copy of the
+            # table, so sum() adds floats (compensated on Python 3.12+)
+            slack = max(max_val, 0.0) - sum(
+                v * at_one.item(i) for i, v in enumerate(fhat.tolist()) if i and v < 0.0)
+            if not f0 > floor:
+                reason = "fhat_0 = %r is inside the positivity floor %g" % (f0, floor)
+            elif slack >= f0:
+                reason = ("fhat_0 = %r is not above the slack %r of its negative "
+                          "coefficients and audit maximum" % (f0, slack))
 
     return ConeCertificate(
         s=float(s),
@@ -343,8 +369,9 @@ def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
         min_coeff_value=min_val,
         max_on_audit=max_val,
         argmax=argmax,
-        audit_size=audit.size,
+        audit_size=audit_size,
         tolerances=tol,
         verdict="pass" if reason is None else "fail",
         reason=reason,
+        slack=slack,
     )

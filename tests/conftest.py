@@ -38,3 +38,14 @@ def fresh_python():
 @pytest.fixture
 def clear_caches():
     return _clear_caches
+
+
+@pytest.fixture
+def audit_calls(monkeypatch):
+    """The list to which each call of feasibility._audit, the sign audit
+    of a certificate, appends its arguments for the rest of the test."""
+    from delbound import feasibility
+
+    calls, audit = [], feasibility._audit
+    monkeypatch.setattr(feasibility, "_audit", lambda *args: calls.append(args) or audit(*args))
+    return calls

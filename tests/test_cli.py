@@ -713,3 +713,59 @@ def test_verify_refuses_a_threshold_out_of_range_with_nothing_on_stderr(fresh_py
         proc = fresh_python("verify", "--space", "hamming:8", "--method", method, "--k", "1", s)
         assert proc.returncode == 2 and proc.stderr == "", (s, proc.stderr)
         assert "s in [-1, 1)" in json.loads(proc.stdout)["error"], s
+
+
+def test_verify_of_a_zero_mean_is_decided_without_an_audit(tmp_path, capsys, audit_calls):
+    """A polynomial with fhat_0 = 0 is refused on its mean and never
+    audited: the JSON prints null, null and 0 for the audit, and the
+    text says why the audit did not run."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [0.0, 0.5, 0.25], "s": 0.0}))
+    for space in ("hamming:6", "sphere:4"):
+        code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path))
+        assert code == 3
+        blob = json.loads(out)
+        assert blob["reason"].startswith("fhat_0 = 0.000000e+00 is not positive")
+        assert (blob["max_on_audit"], blob["argmax"], blob["audit_size"], blob["slack"]) \
+            == (None, None, 0, None)
+        code, out = run_cli(capsys, "verify", "--space", space, "--file", str(path),
+                            "--format", "text")
+        assert code == 3
+        assert "max on [-1, s]: not audited, as fhat already decides the certificate" \
+            in out.splitlines()
+    assert audit_calls == []
+
+
+def test_verify_text_prints_the_audit_maximum_of_an_audited_certificate(tmp_path, capsys):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"coeffs": [0.5, 0.5], "s": -1.0}))
+    code, out = run_cli(capsys, "verify", "--space", "hamming:3", "--file", str(path))
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["audit_size"] == 1
+    code, out = run_cli(capsys, "verify", "--space", "hamming:3", "--file", str(path),
+                        "--format", "text")
+    assert code == 0
+    assert "max on [-1, s]: %r at x = -1.0" % (blob["max_on_audit"],) in out.splitlines()
+
+
+@pytest.mark.parametrize("n, d, ks", [(256, 60, [25]), (64, 1, [32, 33, 34, 35])])
+def test_mrrw_refusal_names_each_degree_tried_and_its_failed_check(capsys, n, d, ks):
+    """An MRRW scan that certifies nothing lists every degree it tried with
+    the reason its certificate failed: one window degree inside a window,
+    four degrees from a largest zero at the edge."""
+    from delbound import cone_certificate, hamming_space, mrrw_poly
+
+    code, out = run_cli(capsys, "bound", "--space", "hamming:%d" % n, "--method", "mrrw",
+                        "--d", str(d))
+    assert code == 3
+    error = json.loads(out)["failures"][0]["error"]
+    spec = hamming_space(n)
+    s = spec.nodes[d]
+    reasons = [cone_certificate(spec, mrrw_poly(spec, k, s), s).reason for k in ks]
+    assert all(r.startswith("fhat_0 = ") for r in reasons)
+    assert error == "no MRRW degree certifies at n=%d, d=%d (s=%r)%s" % (
+        n, d, s, "".join("; k=%d: %s" % pair for pair in zip(ks, reasons)))
+    if n == 256:
+        assert error.endswith("; k=25: fhat_0 = 1.674366e-36 is not positive beyond "
+                              "tolerance 1e-12")

@@ -13,6 +13,7 @@ from delbound import (
     mrrw_poly,
     sphere_space,
 )
+from delbound.feasibility import _audit
 from delbound.orthopoly import eval_basis_table
 
 
@@ -142,9 +143,13 @@ def test_continuous_audit_catches_interior_bump():
     # f <= 1e-5 everywhere, positive only near the stationary point -0.4
     f.degree = 2
     cert = cone_certificate(spec, f, 0.0)
-    assert not cert.passed
-    assert cert.max_on_audit == pytest.approx(1e-5, rel=1e-6)
-    assert cert.argmax == pytest.approx(-0.4, abs=1e-6)
+    # its mean is negative, which decides the certificate before the audit,
+    # so the audit is run on its own
+    assert not cert.passed and cert.reason.startswith("fhat_0")
+    audit, vals = _audit(spec, np.asarray(cert.fhat), 0.0)
+    arg = int(vals.argmax())
+    assert vals[arg] == pytest.approx(1e-5, rel=1e-6)
+    assert audit[arg] == pytest.approx(-0.4, abs=1e-6)
 
 
 def test_discrete_audit_is_node_based():
@@ -286,13 +291,16 @@ def test_root_audit_keeps_a_subnormal_top_coefficient_finite(fhat, reason):
     """A subnormal top coefficient of f' within 1e-300 of the largest is
     kept: a_{m-1} / g_m would overflow, but the last row of the comrade
     matrix is a_{m-1} (g_j / g_m), which the trim keeps finite, so the
-    eigensolve runs and the certificate is decided."""
+    eigensolve runs and the certificate is decided. A zero mean decides
+    the certificate before the audit, so the audit is also run on its own."""
     from delbound import polynomial_from_fourier
 
     spec = sphere_space(4)
     cert = cone_certificate(spec, polynomial_from_fourier(spec, fhat, 0.0), 0.0)
     assert cert.verdict == "fail" and cert.reason.startswith(reason)
-    assert cert.audit_size == 3
+    assert cert.audit_size == (3 if fhat[0] else 0)
+    audit, vals = _audit(spec, np.asarray(fhat), 0.0)
+    assert audit.size == 3 and np.isfinite(vals).all()
 
 
 def test_certificate_id_is_pinned():
@@ -519,4 +527,104 @@ def test_sphere_slack_refusal_prints_the_slack_from_the_p1_table(d):
     assert cert.reason == (
         "fhat_0 = %r is not above the slack %r of its negative coefficients "
         "and audit maximum" % (fhat[0], slack))
+    assert cert.slack == slack
 
+
+# (space, d or s, method, reason of a refusal or None, certificate id): the
+# refusals fail on fhat_0, with the reasons and ids of an audit-first rule
+_FHAT_DECIDED = [
+    ("hamming:384", 40, "lev",
+     "fhat_0 = 3.140495e-88 is not positive beyond tolerance 1e-12", "3120d5f495e1"),
+    ("hamming:384", 40, "spectral",
+     "fhat_0 = 6.570003e-89 is not positive beyond tolerance 1e-12", "b9d7c96e905c"),
+    ("hamming:384", 200, "lev", None, "2ba96fb071c3"),
+    ("hamming:384", 200, "spectral", None, "999fa03c0fef"),
+    ("sphere:100", 0.45, "mrrw",
+     "fhat_0 = 3.546133e-15 is not positive beyond tolerance 1e-12", "49e9d07470ce"),
+    ("sphere:100", 0.45, "lev",
+     "fhat_0 = 5.482759e-15 is not positive beyond tolerance 1e-12", "619c059f978e"),
+    ("sphere:100", 0.45, "spectral",
+     "fhat_0 = 3.546133e-15 is not positive beyond tolerance 1e-12", "7934fe919a2e"),
+    ("sphere:100", -0.2, "mrrw", None, "daeaa9991200"),
+    ("sphere:100", -0.2, "lev", None, "95e337606b84"),
+    ("sphere:100", -0.2, "spectral", None, "daeaa9991200"),
+]
+
+
+@pytest.mark.parametrize("space, point, method, reason, cert_id", _FHAT_DECIDED,
+                         ids=["%s-%r-%s" % row[:3] for row in _FHAT_DECIDED])
+def test_a_certificate_failed_on_fhat_0_skips_the_audit(audit_calls, space, point, method,
+                                                         reason, cert_id):
+    """fhat_0 is read before the sign audit: a certificate whose mean fails
+    its tolerance never calls _audit and records None, None and 0 for the
+    audit, and a certified op calls it exactly once. Reasons and ids are
+    those of the rule that audits first."""
+    from delbound import NotCertifiedError, bound_for_distance, bound_for_s
+    from delbound.cli import _parse_space
+
+    spec = _parse_space(space)
+    run = bound_for_distance if spec.kind == "hamming" else bound_for_s
+    if reason is None:
+        cert = run(spec, point, method).certificate
+        assert len(audit_calls) == 1 and cert.audit_size > 0
+    else:
+        with pytest.raises(NotCertifiedError) as refused:
+            run(spec, point, method)
+        cert = refused.value.certificate
+        assert audit_calls == [] and cert.reason == reason
+        assert (cert.max_on_audit, cert.argmax, cert.audit_size, cert.slack) == (None, None, 0, None)
+    assert cert.certificate_id == cert_id
+
+
+def test_a_non_finite_fhat_skips_the_audit(audit_calls):
+    from delbound import polynomial_from_fourier
+
+    spec = sphere_space(4)
+    poly = polynomial_from_fourier(spec, [1.0, 1.0], 0.0)._replace(fhat=(1.0, float("inf")))
+    cert = cone_certificate(spec, poly, 0.0)
+    assert audit_calls == [] and cert.reason == "fhat has a non-finite entry"
+    assert (cert.max_on_audit, cert.argmax, cert.audit_size) == (None, None, 0)
+
+
+def test_a_failed_fhat_0_is_named_before_an_overflowing_audit():
+    """The one reason the fhat-first order moves: f overflows on the audit
+    set, and fhat_0 = 1e-13 is under its tolerance, which is now named."""
+    from delbound import polynomial_from_fourier
+
+    spec = sphere_space(4)
+    poly = polynomial_from_fourier(spec, [1e-13, 1e308, 1e308, 1e308], 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, vals = _audit(spec, np.asarray(poly.fhat), 0.0)
+    assert not np.isfinite(vals).all()
+    cert = cone_certificate(spec, poly, 0.0)
+    assert cert.reason == "fhat_0 = 1.000000e-13 is not positive beyond tolerance 1e-12"
+    assert cert.certificate_id == "d814efd63736"
+
+
+@pytest.mark.parametrize("space, points", [("hamming:64", (8, 16, 24, 32, 40, 48, 56, 64)),
+                                           ("sphere:24", (-0.5, -0.3, 0.0, 0.2, 0.4, 0.5))])
+def test_slack_is_recorded_on_certified_ops(space, points):
+    """A passing certificate carries the slack it was passed on, which
+    recomputes from fhat, max_on_audit and basis_at_end, and lies in
+    [0, fhat_0); to_json prints it."""
+    from delbound import NotCertifiedError, bound_for_distance, bound_for_s
+    from delbound.cli import _parse_space
+    from delbound.orthopoly import basis_at_end
+
+    spec = _parse_space(space)
+    run = bound_for_distance if spec.kind == "hamming" else bound_for_s
+    certified = 0
+    for point in points:
+        for method in ("mrrw", "lev", "spectral"):
+            try:
+                cert = run(spec, point, method).certificate
+            except NotCertifiedError:
+                continue
+            certified += 1
+            at_one = basis_at_end(spec, Variant.BASE, len(cert.fhat) - 1, 1.0)
+            slack = max(cert.max_on_audit, 0.0) - sum(
+                v * at_one.item(i) for i, v in enumerate(cert.fhat) if i and v < 0.0)
+            assert cert.slack == slack, (point, method)
+            assert 0.0 <= cert.slack < cert.fhat[0], (point, method)
+            assert cert.to_json()["slack"] == cert.slack
+    assert certified >= len(points)
