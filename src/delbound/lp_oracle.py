@@ -14,20 +14,28 @@ its columns from it, and b_i = C(n, i) is column 0 negated. There is one
 simplex, and it is exact: it pivots on a condensed integer tableau, the
 nonbasic columns only, each labelled by its variable, with one common
 denominator (see `_simplex_max`), so no step rounds. Bland's rule takes
-the columns in the order the instance gives them. For even d that order
-is the even distances ascending, then the odd ones: the optimum lies on
-even distances there (at every even d for n <= 32 and n = 40, 48, 64,
-as the even-weight reduction of codes predicts, MacWilliams-Sloane 1977,
-ch. 17), so Bland's rule detours less through odd columns. Over every
-n <= 14 that takes 413 pivots instead of 472, and over every d at
-n = 48, 928 instead of 1,281, though not fewer at every single d (at
-n = 20, d = 4 it takes 28 instead of 23). Odd d keeps ascending order,
-which takes fewer pivots summed over odd d at n = 24 and 32 than
-even-first, odd-first, descending or middle-out order. Any fixed order
-is free of cycling and solves the same LP. Each (n, d) is solved
-once and shared by both modes; exact mode returns the optimum and B as
-Fractions, float mode returns float() of each, the correctly rounded
-exact optimum. Sizes are capped at n <= MAX_N.
+the columns in distance order, and two classical reductions
+(Delsarte 1973; MacWilliams-Sloane 1977, ch. 17) cut each instance to
+about a quarter of its tableau, with the same optimum:
+
+- Even d is solved on the even distances d, d + 2, ..., n and rows
+  i = 1..n//2, with B_j = 0 at odd j. On even j, K_{n-i}(j) = K_i(j) and
+  C(n, n-i) = C(n, i), so rows i and n - i are one row, and row n reads
+  sum_j B_j >= -1. The even distances lose nothing: LP(n, d) <=
+  LP(n-1, d-1) <= LP on even distances (n, d) <= LP(n, d). The first
+  step punctures B to ((n-j) B_j + (j+1) B_{j+1})/n, feasible since
+  (n-j) K_i^{n-1}(j) + j K_i^{n-1}(j-1) = (n-i) K_i^n(j); the second
+  adds a parity bit, B_{2t} <- B_{2t} + B_{2t-1}, whose row i is the sum
+  of rows i and n - i of n - 1: the column of distance j there is
+  K_i^{n-1}(j) + (-1)^j K_{i-1}^{n-1}(j) = K_i^{n-1}(j) + K_{n-i}^{n-1}(j),
+  and C(n-1, i) + C(n-1, n-i) = C(n, i).
+- Odd d reads the solution of (n + 1, d + 1), one simplex for both
+  instances, and returns it punctured:
+  B_j = ((n+1-j) B'_j + (j+1) B'_{j+1})/(n+1), with the same optimum.
+
+Each (n, d) is solved once and shared by both modes; exact mode returns
+the optimum and B as Fractions, float mode returns float() of each, the
+correctly rounded exact optimum. Sizes are capped at n <= MAX_N.
 
 The module loads no numpy, and its result record `LPSolution` is a
 named tuple, as every record of the package is, so importing it loads no
@@ -44,7 +52,7 @@ from fractions import Fraction
 
 from .errors import NumericError, ValidationError
 
-MAX_N = 14
+MAX_N = 64
 
 
 def krawtchouk(n: int, i: int, j: int) -> int:
@@ -196,19 +204,19 @@ def _pivot(tab, cols, basis, r, c, den):
 @functools.lru_cache(maxsize=None)
 def _solve(n: int, d: int) -> tuple:
     """(status, optimum 1 + sum_j B_j, (B_d, ..., B_n)) of the instance
-    (n, d) in Fractions, solved once for both modes. For even d the
-    simplex sees the even distances first, d, d + 2, ..., then the odd
-    ones, d + 1, d + 3, ...; for odd d, ascending distances."""
-    cols = _columns(n)
-    order = range(d, n + 1)
-    if d % 2 == 0:
-        order = [*order[::2], *order[1::2]]
-    A = [list(row) for row in zip(*(cols[j] for j in order))]
-    status, opt, x = _simplex_max(A, [-v for v in cols[0]], [1] * len(order))
+    (n, d) in Fractions, solved once for both modes: for even d on rows
+    1..n//2 and the even distances, for odd d as (n + 1, d + 1) punctured
+    (see the module docstring)."""
+    if d % 2:
+        status, opt, x = _solve(n + 1, d + 1)
+        return status, opt, tuple(((n + 1 - j) * a + (j + 1) * b) / (n + 1)
+                                  for j, a, b in zip(range(d, n + 1), (0, *x), x))
+    cols, h = _columns(n), n // 2
+    A = [list(row) for row in zip(*(cols[j][:h] for j in range(d, n + 1, 2)))]
+    status, opt, x = _simplex_max(A, [-v for v in cols[0][:h]], [1] * len(A[0]))
     if status != "optimal":
         return status, math.inf, ()
-    by_distance = dict(zip(order, x))
-    return status, 1 + opt, tuple(by_distance[j] for j in range(d, n + 1))
+    return status, 1 + opt, tuple(Fraction(0) if t % 2 else x[t // 2] for t in range(n - d + 1))
 
 
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:

@@ -151,7 +151,7 @@ def test_table_csv_shape_and_quoting(capsys):
     # annotated rows keep commas inside one field thanks to quoting
     for row in body:
         assert len(row) == len(header)
-    # LP column filled for n <= 14
+    # LP column filled for n <= 64
     assert any(row[7] for row in body)
 
 
@@ -607,12 +607,14 @@ def test_verify_id_rehashes_from_printed_output(tmp_path, capsys, space):
 
 
 def test_lp_joins_at_the_oracle_cap_and_not_past_it(capsys):
-    """The LP oracle takes n <= 14: bound --method all adds an lp result on
-    hamming:14 and none on hamming:15, and the table fills its lp column
-    on hamming:14 and leaves it empty on hamming:15."""
-    for n, has_lp in ((14, True), (15, False)):
+    """The LP oracle takes n <= 64: bound --method all adds an lp result on
+    hamming:64 and none on hamming:65, and the table fills its lp column
+    on hamming:64 and leaves it empty on hamming:65. At d = 17 every
+    polynomial method certifies on both spaces (at d = 5 none does, and
+    the command exits 3 on hamming:65)."""
+    for n, has_lp in ((64, True), (65, False)):
         code, out = run_cli(capsys, "bound", "--space", "hamming:%d" % n,
-                            "--method", "all", "--d", "5")
+                            "--method", "all", "--d", "17")
         assert code == 0
         blob = json.loads(out)
         methods = [r["method"] for r in blob["results"] + blob["failures"]]

@@ -167,7 +167,7 @@ def test_lp_validation():
     with pytest.raises(ValidationError):
         delsarte_lp(0, 1)
     with pytest.raises(ValidationError):
-        delsarte_lp(15, 3)
+        delsarte_lp(65, 3)
     with pytest.raises(ValidationError):
         delsarte_lp(6, 2.5)
     with pytest.raises(ValidationError):
@@ -332,9 +332,9 @@ def test_integer_simplex_matches_reference_on_random_programs(monkeypatch):
 
 
 def test_solve_matches_fraction_reference_past_the_cap():
-    """Every d at n = 16 and n = 20, above delsarte_lp's MAX_N: `_solve`
-    on the recurrence table gives the status, optimum and B of the Fraction
-    tableau on the explicit sums."""
+    """Every d at n = 16 and n = 20, past the n <= 14 of the checks above:
+    `_solve`, reduced, on the recurrence table gives the status, optimum
+    and B of the full Fraction tableau on the explicit sums."""
     for n in (16, 20):
         for d in range(1, n + 1):
             A = [[-krawtchouk(n, i, j) for j in range(d, n + 1)]
@@ -345,11 +345,12 @@ def test_solve_matches_fraction_reference_past_the_cap():
             assert lp_oracle._solve(n, d) == (status, 1 + opt, tuple(x)), (n, d)
 
 
-def test_even_distances_first_takes_fewer_pivots_at_n20(monkeypatch, clear_caches):
-    """At n = 20, for every even d, `_solve` (even distances first) returns
-    the optimum and B of `_simplex_max` on the distance-ordered matrix.
-    Summed over even d it makes fewer pivots; at each single d it makes
-    no more, except at d = 4 (28 pivots instead of 23)."""
+def test_reduced_lp_takes_fewer_pivots_at_n20(monkeypatch, clear_caches):
+    """At n = 20, for every d, `_solve` (even d on rows 1..n//2 and the
+    even distances, odd d through (21, d + 1)) returns the optimum and B
+    of `_simplex_max` on the full distance-ordered matrix. At no d does it
+    make more pivots, and summed over d it makes fewer (at d = 4, 9
+    instead of 23)."""
     n, pivots = 20, []
 
     def spy(*args):
@@ -357,20 +358,61 @@ def test_even_distances_first_takes_fewer_pivots_at_n20(monkeypatch, clear_cache
         return _PIVOT(*args)
 
     monkeypatch.setattr(lp_oracle, "_pivot", spy)
-    clear_caches()
     counts = {}
-    for d in range(2, n + 1, 2):
+    for d in range(1, n + 1):
         A = [[-krawtchouk(n, i, j) for j in range(d, n + 1)] for i in range(1, n + 1)]
         b = [math.comb(n, i) for i in range(1, n + 1)]
         del pivots[:]
         status, opt, x = _simplex_max(A, b, [1] * (n - d + 1))
         plain = len(pivots)
+        clear_caches()
         del pivots[:]
         assert lp_oracle._solve(n, d) == (status, 1 + opt, tuple(x)), d
         counts[d] = (plain, len(pivots))
     assert sum(ours for _, ours in counts.values()) < sum(plain for plain, _ in counts.values())
-    assert [d for d, (plain, ours) in counts.items() if ours > plain] == [4], counts
-    assert counts[4] == (23, 28)
+    assert [d for d, (plain, ours) in counts.items() if ours > plain] == [], counts
+    assert counts[4] == (23, 9)
+
+
+def test_reflection_and_puncture_identities_in_integers():
+    """The two identities behind the reduced LP, on the recurrence table,
+    for every n <= 65: K_{n-i}(j) = (-1)^j K_i(j), and
+    (n-j) K_i^{n-1}(j) + j K_i^{n-1}(j-1) = (n-i) K_i^n(j) for i < n."""
+    for n in range(1, 66):
+        rows, below = lp_oracle._krawtchouk_rows(n), lp_oracle._krawtchouk_rows(n - 1)
+        for i in range(n + 1):
+            assert rows[n - i] == tuple((-1) ** j * v for j, v in enumerate(rows[i])), (n, i)
+        for i in range(n):
+            punctured = tuple((n - j) * a + j * b
+                              for j, a, b in zip(range(n + 1), (*below[i], 0), (0, *below[i])))
+            assert punctured == tuple((n - i) * v for v in rows[i]), (n, i)
+
+
+def test_solve_matches_the_unreduced_simplex():
+    """At every d for n <= 24, `_solve` gives the optimum of `_simplex_max`
+    on all n rows and every column d..n in distance order."""
+    for n in range(1, 25):
+        cols = lp_oracle._columns(n)
+        for d in range(1, n + 1):
+            A = [list(row) for row in zip(*cols[d:])]
+            status, opt, _ = _simplex_max(A, [-v for v in cols[0]], [1] * (n - d + 1))
+            assert lp_oracle._solve(n, d)[:2] == (status, 1 + opt), (n, d)
+
+
+def test_solved_B_is_exactly_feasible_for_the_full_lp():
+    """At every d for n <= 32, the B that `_solve` returns, zeros at odd
+    distances and punctured odd-d solutions included, meets all n rows of
+    the full LP and B >= 0, and 1 + sum B is the optimum: Fractions, no
+    slack."""
+    for n in range(1, 33):
+        rows = lp_oracle._krawtchouk_rows(n)
+        for d in range(1, n + 1):
+            status, opt, B = lp_oracle._solve(n, d)
+            assert status == "optimal" and len(B) == n - d + 1, (n, d)
+            assert all(type(v) is Fraction and v >= 0 for v in B), (n, d)
+            assert 1 + sum(B) == opt, (n, d)
+            for i in range(1, n + 1):
+                assert sum(v * k for v, k in zip(B, rows[i][d:])) >= -math.comb(n, i), (n, d, i)
 
 
 def test_exact_json_gives_the_optimum_in_rationals():
@@ -420,6 +462,9 @@ def test_float_mode_is_the_rounded_exact_optimum():
 
 
 def test_each_instance_is_solved_once_across_modes(monkeypatch):
+    """Three passes over every n <= 14 in both modes call the simplex 56
+    times, once per distinct even instance: (n, d) with even d, and
+    (n + 1, d + 1) for odd d, which n = 15 adds."""
     calls = []
     simplex = lp_oracle._simplex_max
 
@@ -436,7 +481,7 @@ def test_each_instance_is_solved_once_across_modes(monkeypatch):
                     delsarte_lp(n, d, mode=mode)
     finally:
         lp_oracle._solve.cache_clear()
-    assert len(calls) == 105
+    assert len(calls) == 56
 
 
 def test_lp_solution_is_an_immutable_named_tuple():
