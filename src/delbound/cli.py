@@ -9,12 +9,13 @@ and verify load the numpy-backed modules, inside their handlers; lp and
 nrt, like argument errors, run without them.
 
 Exit codes: 0 success, 2 validation error, 3 no certified bound,
-4 internal numeric failure. A table prints every row, marking a row that
-hit a numeric failure with status "numeric: ...", and then exits 4 if
-any row did. The DELBOUND_TOL environment variable, when set to a
-positive finite float, overrides the coefficient and sign tolerances of
-every certificate produced by the run (the strict positivity floor for
-fhat_0 stays at its default).
+4 internal numeric failure, and 1, with nothing on stderr, when the
+reader of stdout closes it early (as `| head` does). A table prints
+every row, marking a row that hit a numeric failure with status
+"numeric: ...", and then exits 4 if any row did. The DELBOUND_TOL
+environment variable, when set to a positive finite float, overrides the
+coefficient and sign tolerances of every certificate produced by the run
+(the strict positivity floor for fhat_0 stays at its default).
 """
 
 from __future__ import annotations
@@ -140,6 +141,8 @@ def cmd_bound(args) -> int:
         raise ValidationError("--d applies to Hamming spaces only; use --s")
     if has_d and args.k is not None:
         raise ValidationError("--k applies with --s only; for distance d use --s 1-2d/n")
+    if args.k is not None and args.method not in ("mrrw", "spectral"):
+        raise ValidationError("--k applies to --method mrrw or spectral only")
 
     if args.method == "all":
         methods = ["mrrw", "lev", "spectral"]
@@ -314,6 +317,7 @@ def cmd_lp(args) -> int:
 
 def cmd_nrt(args) -> int:
     shapes = nrt.enumerate_shapes(args.r, args.n)
+    nrt._check_alphabet(args.q)  # before the header, so that a refusal is all of stdout
     writer = csv.writer(sys.stdout, lineterminator="\n")
     header = ["e%d" % i for i in range(1, args.r + 1)]
     writer.writerow(header + ["e0", "metric_weight", "weight", "weight_float"])
@@ -384,16 +388,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        _print_json({"schema": 1, "error": str(exc)})
-        return 2
-    except _REFUSALS as exc:
-        _print_json({"schema": 1, "error": str(exc)})
-        return 3
-    except (NumericError, DelboundError) as exc:
-        _print_json({"schema": 1, "error": str(exc)})
-        return 4
+        try:
+            code = args.func(args)
+        except DelboundError as exc:
+            _print_json({"schema": 1, "error": str(exc)})
+            code = (2 if isinstance(exc, ValidationError) else
+                    3 if isinstance(exc, _REFUSALS) else 4)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the SIGPIPE note of the signal docs: the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ the rows at the Gauss rule of the expansion, so only p(s) runs the
 recurrence on each call.
 
 One function, _kernel_result, builds every bound, spectral_recover_bound
-over an adjacent system included. Construction never asserts cone
-membership; the feasibility module owns that decision, and no
+over an adjacent system included, at a k that its window picks or that
+a public caller's degree guard has passed. Construction never asserts
+cone membership; the feasibility module owns that decision, and no
 BoundResult is built without a passing certificate.
 """
 
@@ -49,18 +50,16 @@ from .errors import (
 )
 from .feasibility import ConeCertificate, _certificate, _evaluate, cone_certificate
 from .orthopoly import (
+    JacobiOperator,
     _basis_at,
     _check_degree,
-    _jacobi_coeffs,
+    _coeffs_cached,
     _zeros_below,
     basis_at_end,
     discrete_basis_table,
     eval_basis_table,
-    gauss_basis_table,
-    jacobi_matrix,
-    recurrence_coeffs,
 )
-from .spaces import MeasureSpec, Variant, _binomial_row, max_degree, node_weights, quadrature
+from .spaces import MeasureSpec, Variant, _binomial_row, _gauss_rule, max_degree, node_weights
 from .spectral import _operator_at, top_eigenpair
 
 _WINDOW_TIE_TOL = 1e-12
@@ -140,15 +139,15 @@ def _lev_vector(spec: MeasureSpec, k: int, s: float, e: int) -> np.ndarray:
     which Christoffel-Darboux gives on p(s) and e_k in closed form, and one
     Sherman-Morrison step (denominator det G / det(I - J_k^2) > 0) adds the
     a_k^2 corner. That form divides by 1 + s: at s = -1, G v = p(-1)."""
-    _check_degree(spec, Variant.PLUSMINUS if e else Variant.MINUS, k, "the Levenshtein kernel")
     at_s = _basis_at(spec, Variant.BASE, k + 1, s)
     one = basis_at_end(spec, Variant.BASE, k + 1, 1.0)
     ps, po = at_s.item(k + 1), one.item(k + 1)
     if not e:
         return at_s[: k + 1] - (ps / po) * one[: k + 1]
-    a = recurrence_coeffs(spec, Variant.BASE, k).a[k]
+    rc = _coeffs_cached(spec, Variant.BASE, k)
+    a = rc.a[k]
     if s == -1.0:
-        jac = jacobi_matrix(spec, Variant.BASE, k).matrix()
+        jac = JacobiOperator(diag=rc.b, off=rc.a[:k], basis=Variant.BASE).matrix()
         gram = np.eye(k + 1) - jac @ jac
         gram[k, k] -= a * a
         return np.linalg.solve(gram, at_s[: k + 1])
@@ -160,19 +159,23 @@ def _lev_vector(spec: MeasureSpec, k: int, s: float, e: int) -> np.ndarray:
     return at_s[: k + 1] + (to_one + q / po) * one[: k + 1] + (to_neg - q / pm) * neg[: k + 1]
 
 
-def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> BoundPolynomial:
+def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE,
+                        guard=None) -> BoundPolynomial:
     """c (x - s)(x + 1)^e (v . p(x))^2 over p_0..p_k of the basis system:
     the base system for every bound, an adjacent one only for
     spectral_recover_bound over it. v defaults to the vector of method,
     _lev_vector's for lev_odd and lev_even, else p(s); any other v is an
     eigenvector from the spectral route.
 
+    A public builder passes guard, the system it reads k on, to check k
+    after s and the custom budget, whose refusal keeps its class.
+
     fhat is one expansion on a rule, base rows times the weighted product
     form: the nodes of a discrete space, where v . p(x) is v times the
     cached base node table and f(1) its value at node 0 (x = 1), or the
-    (degree + 1)-point Gauss rule of fourier_expand on a continuous one,
-    where v . p(x) is v times the leading rows of the expansion's cached
-    table and f(1) reads the cached basis_at_end table. These are the
+    held (degree + 1)-point Gauss rule of fourier_expand on a continuous
+    one, where v . p(x) is v times the leading rows of the rule's table
+    and f(1) reads the cached basis_at_end table. These are the
     values the recurrence gives there, bit for bit; an adjacent system
     runs its recurrence there. Callers hold an np.errstate: an overflow
     leaves a non-finite fhat, which the certificate refuses, except an
@@ -191,6 +194,8 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
                 "Gauss rule, and %s's coefficients build at most %d points"
                 % (degree, method, degree + 1, spec.label(), points)
             )
+    if guard is not None:
+        _check_degree(spec, guard, k, method + "_poly")
     if v is None:
         v = (_lev_vector(spec, k, s, e) if method.startswith("lev")
              else _basis_at(spec, basis, k, s))
@@ -203,8 +208,7 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
         x, w = node_weights(spec, Variant.BASE)
         base_rows = discrete_basis_table(spec, Variant.BASE)[: degree + 1]
     else:
-        x, w = quadrature(spec, Variant.BASE, degree + 1)
-        base_rows = gauss_basis_table(spec, degree, degree + 1)
+        x, w, base_rows = _gauss_rule(spec, Variant.BASE, degree + 1)
     rows = base_rows[: k + 1] if basis is Variant.BASE else eval_basis_table(spec, basis, k, x)
     on_rule = product(x, rows)
     at_one = float(on_rule[0] if spec.discrete
@@ -230,27 +234,31 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE) -> 
 
 
 def mrrw_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
-    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1."""
+    """c (x - s) K_k(x, s)^2 over the base kernel, degree 2k + 1, k <= max_degree."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, k, s, "mrrw")
+        return _kernel_square_poly(spec, k, s, "mrrw", guard=Variant.BASE)
 
 
-def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
+def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
     """Closed-form value -(1-s) K_k(1,s)^2 / (a_k p_{k+1}(s) p_k(s)).
 
     Only meaningful strictly inside the window x_k < s < x_{k+1} between
     consecutive largest zeros; outside it, or within _WINDOW_TIE_TOL of
-    either edge, the expression is rejected. at_s, when given, holds
-    p_0(s)..p_{k+1}(s) from the caller's own run at s, which is then not
-    run again.
+    either edge, the expression is rejected.
     """
-    _jacobi_coeffs(spec, Variant.BASE, k)
+    _check_degree(spec, Variant.BASE, k, "mrrw_bound_closed", 1)
+    return _closed_form(spec, k, s)
+
+
+def _closed_form(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
+    """mrrw_bound_closed at a k below max_degree; at_s, when given, holds
+    p_0(s)..p_{k+1}(s) from the caller's own run at s, not run again."""
     if _base_window(spec, s, k + 1) != (k + 1, True):
         raise ValidationError("closed-form bound needs x_k < s < x_{k+1} clear of both edges, "
                               "got s=%r outside the window of k=%d" % (s, k))
     table_s = _basis_at(spec, Variant.BASE, k + 1, s) if at_s is None else at_s
     kern_one = float(table_s[: k + 1] @ basis_at_end(spec, Variant.BASE, k, 1.0))
-    denom = recurrence_coeffs(spec, Variant.BASE, k).a[k] * table_s[k + 1] * table_s[k]
+    denom = _coeffs_cached(spec, Variant.BASE, k).a[k] * table_s[k + 1] * table_s[k]
     if denom == 0.0:
         raise SingularOperatorError("closed-form denominator vanished at s=%r" % (s,))
     return -(1.0 - s) * kern_one * kern_one / denom
@@ -260,14 +268,14 @@ def lev_odd_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s) (v . p(x))^2 in the base system, degree 2k + 1, with v =
     p_{k+1}(1) p(s) - p_{k+1}(s) p(1): the minus kernel K_k^-(x, s) up to scale."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, k, s, "lev_odd")
+        return _kernel_square_poly(spec, k, s, "lev_odd", guard=Variant.MINUS)
 
 
 def lev_even_poly(spec: MeasureSpec, k: int, s: float) -> BoundPolynomial:
     """c (x - s)(x + 1) (v . p(x))^2 in the base system, degree 2k + 2, with
     v = G^-1 p(s), G = I - J_k^2 - a_k^2 e_k e_k^T: the plusminus kernel K_k^+-(x, s)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _kernel_square_poly(spec, k, s, "lev_even", e=1)
+        return _kernel_square_poly(spec, k, s, "lev_even", e=1, guard=Variant.PLUSMINUS)
 
 
 def _window_top(spec: MeasureSpec, basis: Variant) -> int:
@@ -345,15 +353,14 @@ def _kernel_result(spec: MeasureSpec, k: int, s: float, method: str, tolerances,
     lev_even, and the top eigenvector of T_k(s) over basis for spectral
     (an overflow in it is refused for its NaN residual). On the base
     system an mrrw or spectral result carries mrrw_bound_closed, from the
-    same run of p(s), where s lies inside the window of k; a spectral
-    bound must agree with it to 1e-7."""
+    same run of p(s), where it reaches p_{k+1}(s) and s lies inside the
+    window of k; a spectral bound must agree with it to 1e-7."""
     e = method == "lev_even" or basis is Variant.PLUSMINUS
     at_s = v = None
     if method == "spectral":
         T, at_s = _operator_at(spec, basis, k, s)
     elif method == "mrrw":
-        cap = max_degree(spec, Variant.BASE)
-        at_s = _basis_at(spec, Variant.BASE, k + 1 if cap is None or k < cap else k, s)
+        at_s = _basis_at(spec, Variant.BASE, k + (k != max_degree(spec, Variant.BASE)), s)
         v = at_s[: k + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "spectral":
@@ -361,9 +368,9 @@ def _kernel_result(spec: MeasureSpec, k: int, s: float, method: str, tolerances,
         poly = _kernel_square_poly(spec, k, s, method, v, e, basis)
         cert = _certificate(spec, poly, s, tolerances)
     closed = None
-    if at_s is not None and basis is Variant.BASE and cert.passed:
+    if at_s is not None and len(at_s) > k + 1 and basis is Variant.BASE and cert.passed:
         try:
-            closed = mrrw_bound_closed(spec, k, s, at_s)
+            closed = _closed_form(spec, k, s, at_s)
         except (ValidationError, SingularOperatorError):
             pass
     if (method == "spectral" and closed is not None
@@ -382,6 +389,7 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     constructions; for the base basis, inside the window of k, the result
     is checked against the closed form to 1e-7 relative and carries it.
     """
+    _check_degree(spec, basis, k, "spectral_recover_bound", 1)
     return _kernel_result(spec, k, s, "spectral", tolerances, {}, basis)
 
 
@@ -473,12 +481,14 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
     Works on any space, discrete or continuous. The kernel degree is
     selected automatically (lev by its window tiling, mrrw and spectral by
     the base window containing s); mrrw and spectral accept an explicit k
-    override. Raises NotCertifiedError rather than returning an
-    uncertified number.
+    override, to max_degree for mrrw and one less for spectral. Raises
+    NotCertifiedError rather than returning an uncertified number.
     """
     s = float(s)
     if not (-1.0 <= s < 1.0):
         raise ValidationError("s must lie in [-1, 1), got %r" % (s,))
+    if k is not None and method in ("mrrw", "spectral"):
+        _check_degree(spec, Variant.BASE, k, method + " at an explicit k", method == "spectral")
     return _bound_at(spec, s, method, k, tolerances, {})
 
 
@@ -538,11 +548,7 @@ def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:
     if not np.all(np.isfinite(coeffs)):
         raise ValidationError("coefficients must be finite")
     degree = coeffs.size - 1
-    cap = max_degree(spec, Variant.BASE)
-    if cap is not None and degree > cap:
-        raise ValidationError(
-            "coefficient list of length %d overflows max degree %d" % (coeffs.size, cap)
-        )
+    _check_degree(spec, Variant.BASE, degree, "a list of %d coefficients" % coeffs.size)
     return BoundPolynomial(
         method="custom", degree=degree, s=s, c=1.0,
         fhat=tuple(coeffs.tolist()), spec=spec,

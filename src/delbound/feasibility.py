@@ -35,6 +35,7 @@ from .errors import ValidationError
 from .orthopoly import (
     JacobiOperator,
     _audit_start,
+    _check_degree,
     _run_depth,
     _system_run,
     basis_at_end,
@@ -87,17 +88,10 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     expansion of any polynomial of degree <= n is exact up to rounding.
     Either way f is called once, on every node, and the base table there
     is read from a cache: discrete_basis_table, or gauss_basis_table at
-    the rule.
+    the rule, whose last index quadrature checks.
     """
-    if n < 0:
-        raise ValidationError("expansion degree must be nonnegative")
     if spec.discrete:
-        cap = max_degree(spec, Variant.BASE)
-        if n > cap:
-            raise ValidationError(
-                "a %d-node measure determines only %d coefficients; degree %d "
-                "overflows" % (cap + 1, cap + 1, n)
-            )
+        _check_degree(spec, Variant.BASE, n, "fourier_expand")
         x, w = node_weights(spec, Variant.BASE)
         table = discrete_basis_table(spec, Variant.BASE)[: n + 1]
         return table @ (w * np.asarray(f(x), dtype=float))

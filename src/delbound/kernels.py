@@ -13,7 +13,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ValidationError
-from .orthopoly import eval_basis_table, recurrence_coeffs
+from .orthopoly import _check_degree, eval_basis_table, recurrence_coeffs
 from .spaces import MeasureSpec, Variant, moment_functional
 
 
@@ -27,8 +27,7 @@ class KernelParams(namedtuple("KernelParams", "basis k s")):
 def cd_kernel(spec: MeasureSpec, params: KernelParams, x):
     """K_k(x, s) in the requested basis; x may be a scalar or an array."""
     basis, k, s = params
-    if k < 0:
-        raise ValidationError("kernel degree must be nonnegative")
+    _check_degree(spec, basis, k, "cd_kernel")
     scalar = np.isscalar(x)
     ps = eval_basis_table(spec, basis, k, s)[:, 0]
     px = eval_basis_table(spec, basis, k, x)

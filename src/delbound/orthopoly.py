@@ -27,6 +27,8 @@ all follow it, so each is read only as deep as an op needs, and a slice
 is the same bits whatever was read before it.
 
 _basis_at gives every layer above p(s), from the node table if it can.
+_check_degree is the one degree guard of every public function, here and
+above, that takes a degree; the bound path reads its tables unchecked.
 
 eval_basis_table runs the forward recurrence in Python floats at up to
 _FEW_POINTS points (p(s) at one point, the few points of a sphere audit),
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 from collections import namedtuple
 from functools import cached_property, lru_cache
@@ -48,7 +51,7 @@ from operator import add, neg
 import numpy as np
 
 from .errors import ValidationError
-from .spaces import MeasureSpec, Variant, _gauss_rule, max_degree, node_weights
+from .spaces import MeasureSpec, Variant, _gauss_rule, _top_index, max_degree, node_weights
 
 _EXTRAPOLATION_SLACK = 1e-12
 _EPS = float(np.finfo(float).eps)
@@ -114,15 +117,24 @@ class JacobiOperator(namedtuple("JacobiOperator", "diag off basis rho", defaults
         return m
 
 
-def _check_degree(spec: MeasureSpec, basis: Variant, needed: int, what: str):
-    cap = max_degree(spec, basis)
-    if spec.kind == "custom":
-        cap -= 1
-    if cap is not None and needed > cap:
-        raise ValidationError(
-            "%s needs coefficient index %d but %s/%s supports at most %d"
-            % (what, needed, spec.label(), basis.value, cap)
-        )
+def _check_degree(spec: MeasureSpec, basis: Variant, k, what: str, reach: int = 0,
+                  index: bool = False):
+    """The one degree guard: one ValidationError unless k, the degree or
+    index that what reads on the system, is an integer (operator.index, so
+    numpy integers pass) from 0 to the system's top less reach, where it
+    has one: max_degree, or _top_index with index. Public functions call
+    it at entry; the bound path's degrees are in range by construction."""
+    cap = (_top_index if index else max_degree)(spec, basis)
+    try:
+        valid = operator.index(k) >= 0 and (cap is None or k + reach <= cap)
+    except TypeError:
+        valid = False
+    if not valid:
+        span = ("integers from 0 (no max degree)" if cap is None else
+                "at most %d, integers from 0 (max degree %d)"
+                % (cap - reach, max_degree(spec, basis)))
+        raise ValidationError("%s needs index %s but %s/%s supports %s"
+                              % (what, k, spec.label(), basis.value, span))
 
 
 def _christoffel_step(rc: RecurrenceCoeffs, t: float, system: str) -> RecurrenceCoeffs:
@@ -159,8 +171,7 @@ def _run_depth(spec: MeasureSpec, basis: Variant, need: int) -> int:
 @lru_cache(maxsize=None)
 def _system_run(spec: MeasureSpec, basis: Variant, depth: int) -> RecurrenceCoeffs:
     """The recurrence run of the system at a depth of _run_depth: to index
-    depth - 1 on a sphere, to the top index max_degree on a Hamming space
-    and max_degree - 1 on a custom one."""
+    depth - 1 on a sphere, and to _top_index on a Hamming or custom space."""
     plusminus = basis is Variant.PLUSMINUS
     if spec.kind == "sphere":
         # The base weight (1 - x)^al (1 + x)^be has al = be = (d - 3)/2, and
@@ -205,15 +216,11 @@ def _coeffs_cached(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeff
 def recurrence_coeffs(spec: MeasureSpec, basis: Variant, m: int) -> RecurrenceCoeffs:
     """Orthonormal recurrence coefficients a_0..a_m, b_0..b_m.
 
-    Coefficient a_i couples p_i to p_{i+1}; requesting m equal to the
-    system's maximal degree is allowed and yields a trailing a_m of zero
-    for discrete measures (the residual past the support vanishes). On a
-    custom space of M pairs m reaches max_degree - 1 on every system: M - 1
-    on the base one and M - 2 on the adjacent ones.
+    Coefficient a_i couples p_i to p_{i+1}; m runs to _top_index, which on
+    a discrete measure is its maximal degree, with a trailing a_m of zero
+    (the residual past the support vanishes).
     """
-    if m < 0:
-        raise ValidationError("coefficient index must be nonnegative")
-    _check_degree(spec, basis, m, "recurrence_coeffs")
+    _check_degree(spec, basis, m, "recurrence_coeffs", index=True)
     return _coeffs_cached(spec, basis, m)
 
 
@@ -229,6 +236,7 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
     other input of that size is converted once. Larger inputs (node
     tables, Gauss rules) fill numpy rows.
     """
+    _check_degree(spec, basis, deg, "eval_basis_table")
     pts = [x] if type(x) is float else x
     if not (type(pts) is list and len(pts) <= _FEW_POINTS
             and all(type(t) is float for t in pts)):
@@ -236,12 +244,6 @@ def eval_basis_table(spec: MeasureSpec, basis: Variant, deg: int, x) -> np.ndarr
         if pts.size <= _FEW_POINTS:
             pts = pts.tolist()
     few = type(pts) is list
-    if deg < 0:
-        raise ValidationError("degree must be nonnegative")
-    cap = max_degree(spec, basis)
-    if cap is not None and deg > cap:
-        raise ValidationError("eval_basis_table degree %d exceeds %s/%s (max degree %d)"
-                              % (deg, spec.label(), basis.value, cap))
     rc = _coeffs_cached(spec, basis, max(deg - 1, 0))
     limit = 1.0 + _EXTRAPOLATION_SLACK
     if any(abs(t) > limit for t in pts) if few else np.any(np.abs(pts) > limit):
@@ -339,22 +341,10 @@ def gauss_basis_table(spec: MeasureSpec, deg: int, m: int) -> np.ndarray:
 
 
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:
-    """The (k+1) x (k+1) truncation J_k of the Jacobi matrix."""
-    rc = _jacobi_coeffs(spec, basis, k)
-    return JacobiOperator(diag=rc.b[: k + 1], off=rc.a[:k], basis=basis)
-
-
-def _jacobi_coeffs(spec: MeasureSpec, basis: Variant, k: int) -> RecurrenceCoeffs:
-    """a_0..a_k and b_0..b_k behind the order check of jacobi_matrix."""
-    if k < 0:
-        raise ValidationError("jacobi_matrix needs k >= 0")
-    cap = max_degree(spec, basis)
-    if cap is not None and k > cap - 1:
-        raise ValidationError(
-            "jacobi_matrix order %d exceeds %s/%s (max degree %d)"
-            % (k, spec.label(), basis.value, cap)
-        )
-    return _coeffs_cached(spec, basis, k)
+    """The (k+1) x (k+1) truncation J_k of the Jacobi matrix, k < max_degree."""
+    _check_degree(spec, basis, k, "jacobi_matrix", 1)
+    rc = _coeffs_cached(spec, basis, k)
+    return JacobiOperator(diag=rc.b, off=rc.a[:k], basis=basis)
 
 
 def tridiagonal_eigenvalues(diag, off) -> np.ndarray:
@@ -374,11 +364,10 @@ def zeros(spec: MeasureSpec, basis: Variant, k: int) -> np.ndarray:
     Computed as the spectrum of J_{k-1}, fresh on every call; k = 0 gives
     an empty list.
     """
-    if k < 0:
-        raise ValidationError("zeros needs k >= 0")
+    _check_degree(spec, basis, k, "zeros")
     if k == 0:
         return np.array([])
-    rc = _jacobi_coeffs(spec, basis, k - 1)
+    rc = _coeffs_cached(spec, basis, k - 1)
     return tridiagonal_eigenvalues(np.array(rc.b[:k]), np.array(rc.a[: k - 1]))
 
 
@@ -474,20 +463,19 @@ def _top_zero(diag, off) -> float:
             t, walked = lo + 0.5 * (hi - lo), False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def largest_zero(spec: MeasureSpec, basis: Variant, k: int) -> float:
     """Largest zero x_k of the degree-k polynomial; -1 by convention for k=0.
 
     The top eigenvalue of J_{k-1} rounded down (_top_zero), within a few eps
     of the top of zeros(spec, basis, k), cached per degree. Each degree is
     searched on its own, so a value does not depend on the degrees read
-    before it.
+    before it. The cache is typed, so that k = 2.0 is never served as 2.
     """
-    if k < 0:
-        raise ValidationError("zeros needs k >= 0")
+    _check_degree(spec, basis, k, "largest_zero")
     if k == 0:
         return -1.0
-    rc = _jacobi_coeffs(spec, basis, k - 1)
+    rc = _coeffs_cached(spec, basis, k - 1)
     return _top_zero(rc.b[:k], rc.a[: k - 1])
 
 

@@ -213,6 +213,13 @@ def max_degree(spec: MeasureSpec, variant: Variant = Variant.BASE):
     raise ValidationError("measure kind %r is not hamming, sphere or custom" % (spec.kind,))
 
 
+def _top_index(spec: MeasureSpec, variant: Variant):
+    """The top index of the system's coefficients, None on a sphere: max_degree
+    on a Hamming space (a_n = 0 ends its run), max_degree - 1 on a custom one."""
+    cap = max_degree(spec, variant)
+    return cap - 1 if spec.kind == "custom" else cap
+
+
 def variant_mass(spec: MeasureSpec, variant: Variant) -> float:
     """Total mass of the variant measure (1 for any base measure), as its
     run carries it: read with no coefficient, which one custom pair lacks."""
@@ -252,11 +259,12 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
     Exact for polynomials of degree <= 2m - 1. The weights sum to the
     variant's total mass, so unnormalized variants integrate as such.
     Both arrays are built once per (spec, variant, m), by _gauss_rule, and
-    returned read-only. The rule reads coefficients to index m - 1, so an
-    m whose index the system does not reach is refused, naming the m-point
-    rule: more points than a discrete support has, or on a custom space
-    more than max_degree.
+    returned read-only. The rule reads coefficients to index m - 1, so
+    the degree guard refuses an m past _top_index + 1 as the m-point rule.
     """
+    from .orthopoly import _check_degree
+
+    _check_degree(spec, variant, m - 1, "the %s-point quadrature rule" % (m,), index=True)
     return _gauss_rule(spec, variant, m)[:2]
 
 
@@ -264,13 +272,9 @@ def quadrature(spec: MeasureSpec, variant: Variant, m: int):
 def _gauss_rule(spec: MeasureSpec, variant: Variant, m: int):
     """quadrature's nodes and weights, and the table of p_0..p_{m-1} of the
     variant at the nodes that the weights are read from, all read-only."""
-    if m < 1:
-        raise ValidationError("quadrature needs m >= 1")
-    from .orthopoly import (_check_degree, eval_basis_table, recurrence_coeffs,
-                            tridiagonal_eigenvalues)
+    from .orthopoly import _coeffs_cached, eval_basis_table, tridiagonal_eigenvalues
 
-    _check_degree(spec, variant, m - 1, "the %d-point quadrature rule" % m)
-    rc = recurrence_coeffs(spec, variant, m - 1)
+    rc = _coeffs_cached(spec, variant, m - 1)
     nodes = tridiagonal_eigenvalues(rc.b[:m], rc.a[: m - 1])
     table = eval_basis_table(spec, variant, m - 1, nodes)
     weights = 1.0 / np.sum(table * table, axis=0)

@@ -24,7 +24,7 @@ from operator import add, mul
 import numpy as np
 
 from .errors import NumericError, SingularOperatorError, ValidationError
-from .orthopoly import _EPS, JacobiOperator, _basis_at
+from .orthopoly import _EPS, JacobiOperator, _basis_at, _check_degree, _coeffs_cached
 from .spaces import MeasureSpec, Variant
 
 # bound by the imports above; read before them, the package __getattr__ loads every layer
@@ -52,7 +52,7 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
     outside [-1, 1], before anything is evaluated."""
     if not -1.0 <= s <= 1.0:
         raise ValidationError("T_k(s) needs s in [-1, 1], got %r" % (s,))
-    rc = orthopoly._jacobi_coeffs(spec, basis, k)
+    rc = _coeffs_cached(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
     if abs(pk) <= max(1e-12, (k + 1) * _EPS * float(np.abs(table).max())):
@@ -66,6 +66,7 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
 
 def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
     """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
+    _check_degree(spec, basis, k, "build_Tk", 1)
     return _operator_at(spec, basis, k, s)[0]
 
 
@@ -175,6 +176,7 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     stay below 1e-9; any violation raises NumericError rather than
     returning.
     """
+    _check_degree(spec, basis, k, "verify_kernel_eigen", 1)
     T, table = _operator_at(spec, basis, k, s)
     v = table[: k + 1] / np.linalg.norm(table[: k + 1])
     residual = _residual(_diagonal(T), T.off, v.tolist(), s)

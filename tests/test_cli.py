@@ -771,3 +771,90 @@ def test_mrrw_refusal_names_each_degree_tried_and_its_failed_check(capsys, n, d,
     if n == 256:
         assert error.endswith("; k=25: fhat_0 = 1.674366e-36 is not positive beyond "
                               "tolerance 1e-12")
+
+
+def test_a_closed_stdout_exits_1_with_nothing_on_stderr(fresh_python):
+    """A reader that takes one line of a table and closes the pipe, as
+    `| head -1` does, ends the command with exit 1 and an empty stderr,
+    not a BrokenPipeError traceback. The hamming:1024 lev table is about
+    150 KB, past any pipe buffer, so its write fails."""
+    code = (
+        "import json, subprocess, sys\n"
+        "proc = subprocess.Popen([sys.executable, '-m', 'delbound.cli', 'table', '--space',\n"
+        "                         'hamming:1024', '--methods', 'lev'],\n"
+        "                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)\n"
+        "line = proc.stdout.readline()\n"
+        "proc.stdout.close()\n"
+        "err = proc.stderr.read()\n"
+        "print(json.dumps([line.decode(), proc.wait(), err.decode()]))\n"
+    )
+    proc = fresh_python(code=code, timeout=None)
+    assert proc.returncode == 0, proc.stderr
+    line, returncode, stderr = json.loads(proc.stdout)
+    assert line.startswith("space,d,s,method,")
+    assert (returncode, stderr) == (1, "")
+
+
+def test_nrt_refuses_the_alphabet_before_its_header(capsys):
+    """q = 1 is refused before the CSV header is written: stdout is the
+    error JSON alone."""
+    code, out = run_cli(capsys, "nrt", "--r", "2", "--n", "3", "--q", "1")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == "alphabet size must be at least 2"
+
+
+@pytest.mark.parametrize("method", ["all", "lev", "lp"])
+def test_k_with_a_method_that_picks_its_own_degree_is_refused_before_any_bound(
+        capsys, monkeypatch, method):
+    """--k applies to mrrw and spectral alone: with any other method it
+    exits 2 before any bound is computed, as --k with --d does."""
+    from delbound import constructions, lp_oracle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bound was computed")
+
+    monkeypatch.setattr(constructions, "bound_for_s", refuse)
+    monkeypatch.setattr(lp_oracle, "delsarte_lp", refuse)
+    code, out = run_cli(capsys, "bound", "--space", "sphere:24", "--s", "0.5", "--k", "5",
+                        "--method", method)
+    assert code == 2
+    assert json.loads(out)["error"] == "--k applies to --method mrrw or spectral only"
+
+
+@pytest.mark.parametrize("method", ["mrrw", "spectral"])
+def test_a_negative_k_is_a_validation_error(capsys, method):
+    """k = -1 is refused by the degree guard (exit 2), as input, never as
+    a refusal to certify (exit 3)."""
+    code, out = run_cli(capsys, "bound", "--space", "hamming:8", "--s", "0.5", "--k", "-1",
+                        "--method", method)
+    assert code == 2
+    assert json.loads(out)["error"].startswith("%s at an explicit k needs index -1 but "
+                                               "hamming:8/base supports at most" % method)
+
+
+def test_verify_of_an_overflowing_polynomial_exits_3(capsys):
+    """f(1) of the lev_odd polynomial of degree 1237 at hamming:1024
+    overflows to inf: a refusal to certify, exit 3, with its reason as
+    the one line of JSON."""
+    code, out = run_cli(capsys, "verify", "--space", "hamming:1024", "--method", "lev_odd",
+                        "--k", "618", "--s", "0.998046875")
+    assert code == 3
+    assert json.loads(out) == {"error": "lev_odd normalization overflowed: f(1) = inf at "
+                                        "k=618, s=0.998046875 on hamming:1024", "schema": 1}
+
+
+def test_a_numeric_failure_of_a_bound_exits_4(capsys, monkeypatch):
+    """A NumericError out of the library ends a bound with exit 4 and one
+    line of JSON naming it."""
+    from delbound import constructions
+    from delbound.errors import NumericError
+
+    def fail(*args, **kwargs):
+        raise NumericError("injected failure")
+
+    monkeypatch.setattr(constructions, "bound_for_distance", fail)
+    code, out = run_cli(capsys, "bound", "--space", "hamming:5", "--d", "3", "--method", "lev")
+    assert code == 4
+    assert out.count("\n") == 1
+    assert json.loads(out) == {"error": "injected failure", "schema": 1}

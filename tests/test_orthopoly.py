@@ -941,3 +941,94 @@ def test_jacobi_matrix_refuses_an_off_diagonal_of_the_wrong_length():
             tridiagonal_eigenvalues(diag, off)
     m = JacobiOperator((1.0, 2.0, 3.0), (4.0, 5.0), Variant.BASE, rho=0.5).matrix()
     assert m.tolist() == [[1.0, 4.0, 0.0], [4.0, 2.0, 5.0], [0.0, 5.0, 3.5]]
+
+
+def _degree_takers():
+    """Every public function that takes a degree or an explicit k, as
+    (name, system, call(spec, k), top(spec)): top is the highest k it
+    takes on a space with a top, where max_degree is D, and a coefficient
+    index (recurrence_coeffs, the last index of a quadrature rule, an
+    expansion's degree) stops one lower on a custom space, whose M pairs
+    end at index M - 1."""
+    from delbound import (bound_for_s, build_Tk, cd_kernel, fourier_expand, lev_even_poly,
+                          lev_odd_poly, mrrw_bound_closed, mrrw_poly, quadrature,
+                          spectral_recover_bound, verify_kernel_eigen)
+    from delbound.kernels import KernelParams
+
+    def degree(basis, reach=0):
+        return lambda spec: max_degree(spec, basis) - reach
+
+    def index(spec):
+        return max_degree(spec, Variant.BASE) - (spec.kind == "custom")
+
+    base, minus, plus = Variant.BASE, Variant.MINUS, Variant.PLUSMINUS
+    return [
+        ("eval_basis_table", base, lambda sp, k: eval_basis_table(sp, base, k, 0.3), degree(base)),
+        ("eval_basis", base, lambda sp, k: eval_basis(sp, base, k, 0.3), degree(base)),
+        ("recurrence_coeffs", base, lambda sp, k: recurrence_coeffs(sp, base, k), index),
+        ("jacobi_matrix", base, lambda sp, k: jacobi_matrix(sp, base, k), degree(base, 1)),
+        ("zeros", base, lambda sp, k: zeros(sp, base, k), degree(base)),
+        ("largest_zero", base, lambda sp, k: largest_zero(sp, base, k), degree(base)),
+        ("quadrature", base, lambda sp, k: quadrature(sp, base, k + 1), index),
+        ("fourier_expand", base, lambda sp, k: fourier_expand(sp, lambda x: x, k), index),
+        ("cd_kernel", base, lambda sp, k: cd_kernel(sp, KernelParams(base, k, 0.3), 0.1),
+         degree(base)),
+        ("build_Tk", base, lambda sp, k: build_Tk(sp, base, k, 0.3), degree(base, 1)),
+        ("verify_kernel_eigen", base, lambda sp, k: verify_kernel_eigen(sp, base, k, 0.3),
+         degree(base, 1)),
+        ("spectral_recover_bound", minus,
+         lambda sp, k: spectral_recover_bound(sp, minus, k, 0.3), degree(minus, 1)),
+        ("mrrw_poly", base, lambda sp, k: mrrw_poly(sp, k, 0.3), degree(base)),
+        ("lev_odd_poly", minus, lambda sp, k: lev_odd_poly(sp, k, 0.3), degree(minus)),
+        ("lev_even_poly", plus, lambda sp, k: lev_even_poly(sp, k, 0.3), degree(plus)),
+        ("mrrw_bound_closed", base, lambda sp, k: mrrw_bound_closed(sp, k, 0.3),
+         degree(base, 1)),
+        ("bound_for_s mrrw", base, lambda sp, k: bound_for_s(sp, 0.3, "mrrw", k=k), degree(base)),
+        ("bound_for_s spectral", base, lambda sp, k: bound_for_s(sp, 0.3, "spectral", k=k),
+         degree(base, 1)),
+    ]
+
+
+@pytest.mark.parametrize("label", ["hamming:8", "sphere:24", "custom"])
+def test_every_degree_is_refused_by_the_one_guard(label):
+    """Every public function that takes a degree or an explicit k refuses
+    k = -1, k = 2.0 and, on a space with a top, the first k past its range
+    with one ValidationError in the one format: what needs the index, the
+    system as label/basis and the range it supports. On a custom space
+    the builders keep their degree budget, a DegreeBudgetError, which
+    refuses a k past the range before the guard is reached. The top
+    itself, as a numpy integer, passes the guard."""
+    import re
+
+    from delbound import DegreeBudgetError, custom_space
+
+    if label == "custom":
+        pairs = recurrence_coeffs(sphere_space(8), Variant.BASE, 11)
+        spec = custom_space(pairs.a, pairs.b)
+    else:
+        spec = hamming_space(8) if label == "hamming:8" else sphere_space(24)
+    form = re.compile(r"^.+ needs index \S+ but %s/(base|minus|plusminus) supports "
+                      r"(at most \d+, integers from 0 \(max degree \d+\)|"
+                      r"integers from 0 \(no max degree\))$" % re.escape(spec.label()))
+    for name, system, call, top in _degree_takers():
+        budgeted = spec.kind == "custom" and name.endswith("_poly")
+        for k in (-1, 2.0):
+            with pytest.raises(ValidationError) as info:
+                call(spec, k)
+            assert form.match(str(info.value)), (name, k, str(info.value))
+            assert "/%s supports" % system.value in str(info.value), (name, k)
+        if spec.kind == "sphere":
+            continue
+        past = top(spec) + 1
+        if budgeted:
+            with pytest.raises(DegreeBudgetError, match="degree budget exceeded"):
+                call(spec, past)
+            continue
+        with pytest.raises(ValidationError) as info:
+            call(spec, past)
+        assert form.match(str(info.value)), (name, past, str(info.value))
+        assert "supports at most %d," % top(spec) in str(info.value), (name, str(info.value))
+        try:
+            call(spec, np.int64(top(spec)))
+        except Exception as exc:  # noqa: BLE001 - a later check of the bound, not of k
+            assert not form.match(str(exc)), (name, str(exc))
