@@ -31,11 +31,16 @@ about a quarter of its tableau, with the same optimum:
   and C(n-1, i) + C(n-1, n-i) = C(n, i).
 - Odd d reads the solution of (n + 1, d + 1), one simplex for both
   instances, and returns it punctured:
-  B_j = ((n+1-j) B'_j + (j+1) B'_{j+1})/(n+1), with the same optimum.
+  B_j = ((n+1-j) B'_j + (j+1) B'_{j+1})/(n+1), with the same optimum,
+  each entry one exact integer expression in the numerators and
+  denominators of B', read into one Fraction.
 
 Each (n, d) is solved once and shared by both modes; exact mode returns
-the optimum and B as Fractions, float mode returns float() of each, the
-correctly rounded exact optimum. Sizes are capped at n <= MAX_N.
+the optimum and B as Fractions, float mode the optimum through float()
+(which also reads the inf of a status other than optimal) and each B_j
+as its integer numerator over its integer denominator, a true division
+that Python rounds correctly, so the bits are those of float(B_j).
+Sizes are capped at n <= MAX_N.
 
 The module loads no numpy, and its result record `LPSolution` is a
 named tuple, as every record of the package is, so importing it loads no
@@ -53,6 +58,7 @@ from fractions import Fraction
 from .errors import NumericError, ValidationError
 
 MAX_N = 64
+_ZERO = Fraction(0)
 
 
 def krawtchouk(n: int, i: int, j: int) -> int:
@@ -158,7 +164,7 @@ def _simplex_max(A, b, c):
         obj = tab[m]
         col = min((j for j in range(nv) if obj[j] < 0), key=cols.__getitem__, default=None)
         if col is None:
-            x = [Fraction(0)] * nv
+            x = [_ZERO] * nv
             for i, label in enumerate(basis):
                 if label < nv:
                     x[label] = Fraction(tab[i][-1], den)
@@ -205,18 +211,23 @@ def _pivot(tab, cols, basis, r, c, den):
 def _solve(n: int, d: int) -> tuple:
     """(status, optimum 1 + sum_j B_j, (B_d, ..., B_n)) of the instance
     (n, d) in Fractions, solved once for both modes: for even d on rows
-    1..n//2 and the even distances, for odd d as (n + 1, d + 1) punctured
-    (see the module docstring)."""
+    1..n//2 and the even distances, with one shared zero at each odd
+    distance; for odd d as (n + 1, d + 1) punctured (see the module
+    docstring), each entry one Fraction(num, den) of the integer
+    numerators and denominators of B'_j and B'_{j+1}."""
     if d % 2:
         status, opt, x = _solve(n + 1, d + 1)
-        return status, opt, tuple(((n + 1 - j) * a + (j + 1) * b) / (n + 1)
-                                  for j, a, b in zip(range(d, n + 1), (0, *x), x))
+        m = n + 1
+        return status, opt, tuple(
+            Fraction((m - j) * a.numerator * b.denominator + (j + 1) * b.numerator * a.denominator,
+                     m * a.denominator * b.denominator)
+            for j, a, b in zip(range(d, m), (_ZERO, *x), x))
     cols, h = _columns(n), n // 2
     A = [list(row) for row in zip(*(cols[j][:h] for j in range(d, n + 1, 2)))]
     status, opt, x = _simplex_max(A, [-v for v in cols[0][:h]], [1] * len(A[0]))
     if status != "optimal":
         return status, math.inf, ()
-    return status, 1 + opt, tuple(Fraction(0) if t % 2 else x[t // 2] for t in range(n - d + 1))
+    return status, 1 + opt, tuple(_ZERO if t % 2 else x[t // 2] for t in range(n - d + 1))
 
 
 def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
@@ -230,7 +241,7 @@ def delsarte_lp(n: int, d: int, mode: str = "float") -> LPSolution:
         raise ValidationError("mode must be 'float' or 'exact'")
     status, value, x = _solve(n, d)
     if mode == "float":
-        value, x = float(value), [float(v) for v in x]
+        value, x = float(value), [v.numerator / v.denominator for v in x]
     B = tuple(zip(range(d, n + 1), x))
     return LPSolution(n=n, d=d, value=value, B=B, status=status, mode=mode)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections import namedtuple
 from functools import cached_property, lru_cache
 
@@ -234,8 +235,16 @@ def moment_functional(spec: MeasureSpec, variant: Variant, f, degree: int) -> fl
     """Evaluate F(f), F^-(f) or F^+-(f) for a polynomial evaluator f.
 
     The degree bound lets the continuous path pick a Gauss rule that is
-    exact for the integrand; discrete measures are summed exactly.
+    exact for the integrand; discrete measures are summed exactly, for any
+    degree. On every kind of space a degree that is not an integer from 0
+    (operator.index, so numpy integers pass) is one ValidationError.
     """
+    try:
+        valid = operator.index(degree) >= 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValidationError("moment_functional needs an integer degree >= 0, got %r" % (degree,))
     if spec.discrete:
         x, w = node_weights(spec, variant)
         vals = np.asarray(f(x), dtype=float)

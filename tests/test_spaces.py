@@ -223,6 +223,26 @@ def test_moment_functional_sphere_matches_closed_moments():
         assert odd == pytest.approx(0.0, abs=1e-14)
 
 
+def test_moment_functional_refuses_a_degree_that_is_not_an_integer_from_0():
+    """Degrees -5 and 2.5 are one ValidationError naming moment_functional
+    on a Hamming space and on a sphere alike. A Hamming space has no cap: a
+    degree past n, as `kernels.reproduce` passes, sums the nodes exactly."""
+    def one(t):
+        return np.ones_like(np.asarray(t, dtype=float))
+
+    for spec in (hamming_space(8), sphere_space(24)):
+        for degree in (-5, 2.5):
+            with pytest.raises(ValidationError,
+                               match="^moment_functional needs an integer degree >= 0, got %s$"
+                               % re.escape(repr(degree))):
+                moment_functional(spec, Variant.BASE, one, degree)
+        assert moment_functional(spec, Variant.BASE, one, np.int64(2)) == pytest.approx(1.0, rel=1e-14)
+    spec = hamming_space(8)
+    want = sum(Fraction(math.comb(8, j), 2 ** 8) * Fraction(8 - 2 * j, 8) ** 12 for j in range(9))
+    got = moment_functional(spec, Variant.BASE, lambda t: np.asarray(t) ** 12, 12)
+    assert got == pytest.approx(float(want), rel=1e-14)
+
+
 def test_quadrature_weights_positive_and_sum_to_mass():
     for spec, variant, mass in [
         (hamming_space(8), Variant.BASE, 1.0),
