@@ -206,17 +206,20 @@ def _table_row(row: dict, bound_fn, *args, **kwargs) -> dict:
 
 
 def _s_grid(args) -> list:
-    """The --s-count evenly spaced points from --s-min to --s-max, checked
-    before any row is computed: at least one point, both ends in [-1, 1)."""
-    if args.s_count < 1:
-        raise ValidationError("--s-count must be at least 1, got %d" % (args.s_count,))
-    for name, value in (("--s-min", args.s_min), ("--s-max", args.s_max)):
-        # NaN fails this comparison too
-        if not -1.0 <= value < 1.0:
-            raise ValidationError("%s must lie in [-1, 1), got %r" % (name, value))
+    """The s-grid of a sphere table, checked before any row is computed:
+    --s-count points (11 by default), at least one, evenly spaced from
+    --s-min to --s-max (-0.5 and 0.5 by default), both in [-1, 1)."""
+    from .orthopoly import _check_threshold
+
+    s_min = -0.5 if args.s_min is None else args.s_min
+    s_max = 0.5 if args.s_max is None else args.s_max
+    count = 11 if args.s_count is None else args.s_count
+    if count < 1:
+        raise ValidationError("--s-count must be at least 1, got %d" % (count,))
     import numpy as np
 
-    return [float(s) for s in np.linspace(args.s_min, args.s_max, args.s_count)]
+    ends = _check_threshold(s_min, "--s-min"), _check_threshold(s_max, "--s-max")
+    return [float(s) for s in np.linspace(*ends, count)]
 
 
 def cmd_table(args) -> int:
@@ -232,6 +235,11 @@ def cmd_table(args) -> int:
             raise ValidationError("unknown table method %r" % (m,))
     rows = []
     if spec.kind == "hamming":
+        given = [flag for flag, value in (("--s-min", args.s_min), ("--s-max", args.s_max),
+                                          ("--s-count", args.s_count)) if value is not None]
+        if given:
+            raise ValidationError("a Hamming table sweeps its distances; drop %s"
+                                  % ", ".join(given))
         n = spec.params[0]
         for d in range(1, n + 1):
             lp_val = ""
@@ -354,9 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--space", required=True)
     p_table.add_argument("--methods", default="mrrw,lev,spectral",
                          help="comma-separated method list")
-    p_table.add_argument("--s-min", type=float, default=-0.5, dest="s_min")
-    p_table.add_argument("--s-max", type=float, default=0.5, dest="s_max")
-    p_table.add_argument("--s-count", type=int, default=11, dest="s_count")
+    # no defaults, so that a Hamming table sees a flag given; _s_grid fills
+    # in a sphere's grid of 11 points from -0.5 to 0.5
+    p_table.add_argument("--s-min", type=float, dest="s_min")
+    p_table.add_argument("--s-max", type=float, dest="s_max")
+    p_table.add_argument("--s-count", type=int, dest="s_count")
     p_table.add_argument("--format", default="csv", choices=["csv", "json"])
     p_table.set_defaults(func=cmd_table)
 

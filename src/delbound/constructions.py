@@ -19,10 +19,10 @@ only the Levenshtein windows, through their coefficients.
 The product form is evaluated once, at x = 1 for c and at the expansion
 points for the coefficient vector fhat; from then on a polynomial is that
 vector, which the certificate audits as it is and whose first entry gives
-the bound 1/fhat_0. Every s-independent value is read from a cache: on a
-discrete space the base node table (x = 1 is node 0, and p(s) is a column
-when s is a node), on a continuous one basis_at_end at x = 1 and -1 and
-the rows at the Gauss rule of the expansion, so only p(s) runs the
+the bound 1/fhat_0. Every s-independent value is read from a cache:
+basis_at_end at x = 1 and -1, and the base rows of the expansion rule,
+the node table of a discrete space (x = 1 is node 0, and p(s) is a
+column when s is a node) or a Gauss rule's table, so only p(s) runs the
 recurrence on each call.
 
 One function, _kernel_result, builds every bound, spectral_recover_bound
@@ -53,13 +53,14 @@ from .orthopoly import (
     JacobiOperator,
     _basis_at,
     _check_degree,
+    _check_threshold,
     _coeffs_cached,
+    _expansion_rule,
     _zeros_below,
     basis_at_end,
-    discrete_basis_table,
     eval_basis_table,
 )
-from .spaces import MeasureSpec, Variant, _binomial_row, _gauss_rule, max_degree, node_weights
+from .spaces import MeasureSpec, Variant, _binomial_row, max_degree
 from .spectral import _operator_at, top_eigenpair
 
 _WINDOW_TIE_TOL = 1e-12
@@ -170,19 +171,17 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE,
     A public builder passes guard, the system it reads k on, to check k
     after s and the custom budget, whose refusal keeps its class.
 
-    fhat is one expansion on a rule, base rows times the weighted product
-    form: the nodes of a discrete space, where v . p(x) is v times the
-    cached base node table and f(1) its value at node 0 (x = 1), or the
-    held (degree + 1)-point Gauss rule of fourier_expand on a continuous
-    one, where v . p(x) is v times the leading rows of the rule's table
-    and f(1) reads the cached basis_at_end table. These are the
-    values the recurrence gives there, bit for bit; an adjacent system
-    runs its recurrence there. Callers hold an np.errstate: an overflow
-    leaves a non-finite fhat, which the certificate refuses, except an
-    f(1) that overflows to inf, refused here before the expansion.
+    fhat is one expansion on the rule of fourier_expand (_expansion_rule),
+    base rows times the weighted product form, where v . p(x) is v times
+    the leading rows of the rule's table; f(1) is its value at node 0 (x
+    = 1) on a discrete space, and reads the cached basis_at_end table on a
+    continuous one. These are the values the recurrence gives there, bit
+    for bit; an adjacent system runs its recurrence there. Callers hold an
+    np.errstate: an overflow leaves a non-finite fhat, which the
+    certificate refuses, except an f(1) that overflows to inf, refused
+    here before the expansion.
     """
-    if not -1.0 <= s < 1.0:
-        raise ValidationError("%s_poly needs s in [-1, 1), got %r" % (method, s))
+    s = _check_threshold(s, method + "_poly")
     degree = 2 * k + 1 + e
     if spec.kind == "custom":
         # the expansion takes degree + 1 Gauss points, and M coefficient
@@ -204,11 +203,7 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE,
         kern = v @ table
         return ((x - s) * (x + 1.0) if e else x - s) * kern * kern
 
-    if spec.discrete:
-        x, w = node_weights(spec, Variant.BASE)
-        base_rows = discrete_basis_table(spec, Variant.BASE)[: degree + 1]
-    else:
-        x, w, base_rows = _gauss_rule(spec, Variant.BASE, degree + 1)
+    x, w, base_rows = _expansion_rule(spec, degree)
     rows = base_rows[: k + 1] if basis is Variant.BASE else eval_basis_table(spec, basis, k, x)
     on_rule = product(x, rows)
     at_one = float(on_rule[0] if spec.discrete
@@ -228,7 +223,7 @@ def _kernel_square_poly(spec, k, s, method, v=None, e=0, basis=Variant.BASE,
         raise NumericError("%s normalization overflowed at k=%d, s=%r" % (method, k, s))
     fhat = base_rows @ (w * (c * on_rule))
     return BoundPolynomial(
-        method=method, degree=degree, s=float(s), c=c,
+        method=method, degree=degree, s=s, c=c,
         fhat=tuple(fhat.tolist()), spec=spec, k=k,
     )
 
@@ -247,7 +242,7 @@ def mrrw_bound_closed(spec: MeasureSpec, k: int, s: float) -> float:
     either edge, the expression is rejected.
     """
     _check_degree(spec, Variant.BASE, k, "mrrw_bound_closed", 1)
-    return _closed_form(spec, k, s)
+    return _closed_form(spec, k, _check_threshold(s, "mrrw_bound_closed"))
 
 
 def _closed_form(spec: MeasureSpec, k: int, s: float, at_s=None) -> float:
@@ -305,8 +300,7 @@ def lev_degree_select(spec: MeasureSpec, s: float):
     only the even window of the top degree k_top can hold s. Raises when s
     lies beyond every available window.
     """
-    if not s < 1.0:
-        raise ValidationError("lev_degree_select needs s < 1")
+    s = _check_threshold(s, "lev_degree_select")
     k_top = _window_top(spec, Variant.MINUS) - 1
     top_pm = _window_top(spec, Variant.PLUSMINUS)
     i = _zeros_below(spec, Variant.MINUS, s - _WINDOW_TIE_TOL, k_top + 1)
@@ -331,8 +325,9 @@ def bound_value(spec: MeasureSpec, f: BoundPolynomial) -> float:
 def _certified_result(spec: MeasureSpec, poly: BoundPolynomial, s: float,
                       tolerances=None, cert=None, **fields) -> BoundResult:
     """The bound 1/fhat_0 of poly at s, with the other fields, read from a
-    passing certificate's fhat: cert, or cone_certificate's verdict. Raises
-    NotCertifiedError on a failed certificate."""
+    passing certificate's fhat, the one place a bound is read from it:
+    cert, or cone_certificate's verdict. Raises NotCertifiedError on a
+    failed certificate."""
     cert = cert or cone_certificate(spec, poly, s, tolerances)
     if not cert.passed:
         raise NotCertifiedError(
@@ -366,18 +361,19 @@ def _kernel_result(spec: MeasureSpec, k: int, s: float, method: str, tolerances,
         if method == "spectral":
             v = top_eigenpair(T, start=s).vector
         poly = _kernel_square_poly(spec, k, s, method, v, e, basis)
-        cert = _certificate(spec, poly, s, tolerances)
+        cert = _certificate(spec, poly.fhat, s, tolerances)
     closed = None
     if at_s is not None and len(at_s) > k + 1 and basis is Variant.BASE and cert.passed:
         try:
             closed = _closed_form(spec, k, s, at_s)
         except (ValidationError, SingularOperatorError):
             pass
+    result = _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
     if (method == "spectral" and closed is not None
-            and not math.isclose(1.0 / cert.fhat[0], closed, rel_tol=1e-7)):
+            and not math.isclose(result.bound, closed, rel_tol=1e-7)):
         raise NumericError("spectral route %.12g disagrees with closed form %.12g"
-                           % (1.0 / cert.fhat[0], closed))
-    return _certified_result(spec, poly, s, tolerances, cert, closed_form=closed, **fields)
+                           % (result.bound, closed))
+    return result
 
 
 def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
@@ -390,6 +386,7 @@ def spectral_recover_bound(spec: MeasureSpec, basis: Variant, k: int, s: float,
     is checked against the closed form to 1e-7 relative and carries it.
     """
     _check_degree(spec, basis, k, "spectral_recover_bound", 1)
+    s = _check_threshold(s, "spectral_recover_bound", closed=True)
     return _kernel_result(spec, k, s, "spectral", tolerances, {}, basis)
 
 
@@ -484,9 +481,7 @@ def bound_for_s(spec: MeasureSpec, s: float, method: str = "lev", k=None,
     override, to max_degree for mrrw and one less for spectral. Raises
     NotCertifiedError rather than returning an uncertified number.
     """
-    s = float(s)
-    if not (-1.0 <= s < 1.0):
-        raise ValidationError("s must lie in [-1, 1), got %r" % (s,))
+    s = _check_threshold(s, "bound_for_s")
     if k is not None and method in ("mrrw", "spectral"):
         _check_degree(spec, Variant.BASE, k, method + " at an explicit k", method == "spectral")
     return _bound_at(spec, s, method, k, tolerances, {})
@@ -536,13 +531,13 @@ def polynomial_from_fourier(spec: MeasureSpec, coeffs, s) -> BoundPolynomial:
     Used by the verify front end. The coefficients are taken as given, so
     the fhat of an emitted certificate re-audits to the same certificate.
     They must form a nonempty flat list of finite numbers that fits the
-    space's max degree, and s must be a number.
+    space's max degree, and s must be a number in [-1, 1).
     """
     try:
         coeffs = np.asarray(coeffs, dtype=float)
-        s = float(s)
     except (TypeError, ValueError) as exc:
-        raise ValidationError("coefficients and s must be numbers: %s" % (exc,))
+        raise ValidationError("coefficients must be numbers: %s" % (exc,))
+    s = _check_threshold(s, "polynomial_from_fourier")
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValidationError("coefficients must be a nonempty flat list")
     if not np.all(np.isfinite(coeffs)):

@@ -6,8 +6,10 @@ base orthonormal system is nonnegative. Since each condition holds only
 up to a tolerance, a bound also needs fhat_0 above the default positivity
 floor and above the slack the tolerances leave. cone_certificate audits
 all of these and returns an immutable, serializable verdict, the one
-rule by which this package reports a bound or refuses it. All of them are
-read off the coefficient vector the certificate reports, so a
+rule by which this package reports a bound or refuses it. It resolves
+its polynomial argument to a coefficient vector, and _certificate, which
+every bound calls with its fhat, audits that vector alone; so all of the
+checks are read off the vector the certificate reports, and a
 certificate's own fhat re-audits to the same certificate.
 
 The checks run in a fixed order, and the first one failed is the reason:
@@ -36,12 +38,13 @@ from .orthopoly import (
     JacobiOperator,
     _audit_start,
     _check_degree,
+    _check_threshold,
+    _expansion_rule,
     _run_depth,
     _system_run,
     basis_at_end,
     discrete_basis_table,
     eval_basis_table,
-    gauss_basis_table,
 )
 from .spaces import MeasureSpec, Variant, max_degree, node_weights, quadrature
 from .strictjson import strict_json
@@ -86,17 +89,15 @@ def fourier_expand(spec: MeasureSpec, f, n: int) -> np.ndarray:
     Discrete measures are summed exactly over their nodes; continuous ones
     use the (n + 1)-point Gauss rule, exact through degree 2n + 1, so the
     expansion of any polynomial of degree <= n is exact up to rounding.
-    Either way f is called once, on every node, and the base table there
-    is read from a cache: discrete_basis_table, or gauss_basis_table at
-    the rule, whose last index quadrature checks.
+    Either way f is called once, on every point of orthopoly's
+    _expansion_rule, whose base table is cached; quadrature checks the
+    last index a Gauss rule reads.
     """
     if spec.discrete:
         _check_degree(spec, Variant.BASE, n, "fourier_expand")
-        x, w = node_weights(spec, Variant.BASE)
-        table = discrete_basis_table(spec, Variant.BASE)[: n + 1]
-        return table @ (w * np.asarray(f(x), dtype=float))
-    x, w = quadrature(spec, Variant.BASE, n + 1)
-    table = gauss_basis_table(spec, n, n + 1)
+    else:
+        quadrature(spec, Variant.BASE, n + 1)  # for its guard on the rule's last index
+    x, w, table = _expansion_rule(spec, n)
     return table @ (w * np.asarray(f(x), dtype=float))
 
 
@@ -231,7 +232,6 @@ def _audit(spec: MeasureSpec, fhat: np.ndarray, s: float):
     else:
         deriv, jac = _derivative_table(spec, fhat.size - 1)
         g = fhat @ deriv
-        s = float(s)
         pts = [-1.0, s]
         coeffs = g.tolist()
         if all(map(math.isfinite, coeffs)):
@@ -274,38 +274,37 @@ def cone_certificate(
     audit_size is 0. slack is recorded where it is computed, once the
     coefficient and sign checks pass, and is None otherwise.
 
-    What is audited is the coefficient vector fhat that the certificate
-    reports, so the certificate's own fhat re-audits to the same
-    certificate. When f carries it as f.fhat, as a BoundPolynomial does,
-    it is taken as it is: a tuple f.fhat is kept as the certificate's fhat.
-    Otherwise f must be callable on arrays and is expanded: a degree
-    attribute on f bounds the expansion; without one, a discrete space
-    expands over its full basis (exact for any function on the nodes)
-    while a continuous space has no such fallback and refuses. A
-    non-finite coefficient or audited value fails the certificate (NaN
-    compares false against every tolerance), with no overflow warning.
+    s must be a number in [-1, 1) (orthopoly._check_threshold). What is
+    audited is the coefficient vector fhat that the certificate reports,
+    so the certificate's own fhat re-audits to the same certificate. When
+    f carries it as f.fhat, as a BoundPolynomial does, it is taken as it
+    is: a tuple f.fhat is kept as the certificate's fhat. Otherwise f must
+    be callable on arrays and is expanded: a degree attribute on f bounds
+    the expansion; without one, a discrete space expands over its full
+    basis (exact for any function on the nodes) while a continuous space
+    has no such fallback and refuses. A non-finite coefficient or audited
+    value fails the certificate (NaN compares false against every
+    tolerance), with no overflow warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _certificate(spec, f, s, tolerances)
-
-
-def _certificate(spec: MeasureSpec, f, s: float, tolerances) -> ConeCertificate:
-    """cone_certificate, under the caller's np.errstate."""
-    if not (-1.0 <= s < 1.0):
-        raise ValidationError("cone parameter s must lie in [-1, 1), got %r" % (s,))
-    tol = tolerances or _DEFAULT_TOLERANCES
+    s = _check_threshold(s, "cone_certificate")
     degree = getattr(f, "degree", None)
     if spec.discrete:
         cap = max_degree(spec, Variant.BASE)
         degree = cap if degree is None else min(int(degree), cap)
     elif degree is None:
-        raise ValidationError(
-            "certificates on continuous spaces need f to carry a degree"
-        )
-    else:
-        degree = int(degree)
+        raise ValidationError("certificates on continuous spaces need f to carry a degree")
+    degree = int(degree)
     given = getattr(f, "fhat", None)
-    fhat = fourier_expand(spec, f, degree) if given is None else np.asarray(given, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fhat = fourier_expand(spec, f, degree) if given is None else given
+        return _certificate(spec, fhat, s, tolerances)
+
+
+def _certificate(spec: MeasureSpec, given, s: float, tolerances) -> ConeCertificate:
+    """The certificate of the coefficient vector given at a checked s, under
+    the caller's np.errstate; a tuple given is kept as its fhat."""
+    tol = tolerances or _DEFAULT_TOLERANCES
+    fhat = np.asarray(given, dtype=float)
 
     # argmin and argmax return the first NaN if there is one; every value
     # they locate is read once, as a Python float, and compared as one

@@ -26,9 +26,11 @@ p(+-1) of basis_at_end and the derivative block of the feasibility audit
 all follow it, so each is read only as deep as an op needs, and a slice
 is the same bits whatever was read before it.
 
-_basis_at gives every layer above p(s), from the node table if it can.
-_check_degree is the one degree guard of every public function, here and
-above, that takes a degree; the bound path reads its tables unchecked.
+_basis_at gives every layer above p(s), from the node table if it can,
+and _expansion_rule the points, weights and base rows every expansion
+reads. Two guards check the public inputs of the stack, here and above:
+_check_degree each degree and _check_threshold each threshold s; the
+bound path reads its tables unchecked.
 
 eval_basis_table runs the forward recurrence in Python floats at up to
 _FEW_POINTS points (p(s) at one point, the few points of a sphere audit),
@@ -137,21 +139,33 @@ def _check_degree(spec: MeasureSpec, basis: Variant, k, what: str, reach: int = 
                               % (what, k, spec.label(), basis.value, span))
 
 
+def _check_threshold(s, what: str, closed: bool = False) -> float:
+    """The one threshold guard of every public function that takes s:
+    float(s), or one ValidationError naming what where float() cannot read
+    s or s lies outside [-1, 1), or [-1, 1] with closed (T_k(s) exists at
+    s = 1). NaN fails the comparison, and so is refused too."""
+    try:
+        t = float(s)
+    except (TypeError, ValueError, OverflowError):
+        t = math.nan
+    if not (-1.0 <= t <= 1.0 if closed else -1.0 <= t < 1.0):
+        raise ValidationError("%s needs s in [-1, 1%s, got %r" % (what, "]" if closed else ")", s))
+    return t
+
+
 def _christoffel_step(rc: RecurrenceCoeffs, t: float, system: str) -> RecurrenceCoeffs:
     """The system of |t - x| dmu from that of dmu, t = +-1: one Cholesky
     step on t - J (Christoffel's theorem; Gautschi 2004, section 2.4), with
     b'_i = t - r_i - a_i^2/r_i, a'_i = a_i sqrt(r_{i+1}/r_i) and mass' =
     mass |r_0| for r_i the LDL^T pivots of t - J: M pairs give a' to M - 2.
-    A pivot not of t's sign means |t - x| dmu is not positive, and is
-    refused, naming the system and the pivot's index."""
+    Those are t times the pivots of 1 - tJ, which _pivots gives, exactly,
+    as negation is exact. A pivot not of t's sign means |t - x| dmu is not
+    positive, and is refused, naming the system and the pivot's index."""
     a, b, mass = rc
-    r, ri = [], math.inf
-    for bi, am in zip(b, (0.0, *a)):
-        ri = t - bi - am * am / ri
-        if not ri * t > 0.0:
-            raise ValidationError("%s measure lost positivity at pivot %d of %g - J"
-                                  % (system, len(r), t))
-        r.append(ri)
+    r = [t * ri for ri in _pivots([t * bi for bi in b], a, 1.0)[0]]
+    if not r[-1] * t > 0.0:
+        raise ValidationError("%s measure lost positivity at pivot %d of %g - J"
+                              % (system, len(r) - 1, t))
     return RecurrenceCoeffs(a=tuple(ai * math.sqrt(q / p) for ai, p, q in zip(a, r, r[1:])),
                             b=tuple(t - p - ai * ai / p for p, ai in zip(r, a)),
                             mass=mass * abs(r[0]))
@@ -314,13 +328,9 @@ def _basis_at(spec: MeasureSpec, basis: Variant, deg: int, s: float) -> np.ndarr
 @lru_cache(maxsize=None)
 def basis_at_end(spec: MeasureSpec, basis: Variant, deg: int, end: float) -> np.ndarray:
     """p_0(end)..p_deg(end) of the basis at end = 1.0 or -1.0, read-only: the
-    one table of these values. For the base system of a discrete space it
-    is the first or last column of discrete_basis_table (the nodes run from
-    1 down to -1). Elsewhere it is a leading slice of the run at end to
-    the depth of _run_depth (_end_run). Every p_i(end) reads indices up to
-    i alone, so a slice equals a run to deg bit for bit."""
-    if spec.discrete and basis is Variant.BASE:
-        return discrete_basis_table(spec, basis)[: deg + 1, 0 if end == 1.0 else -1]
+    one table of these values, a leading slice of the run at end to the
+    depth of _run_depth (_end_run). Every p_i(end) reads indices up to i
+    alone, so a slice equals a run to deg bit for bit."""
     return _end_run(spec, basis, _run_depth(spec, basis, deg - 1), end)[: deg + 1]
 
 
@@ -332,12 +342,16 @@ def _end_run(spec: MeasureSpec, basis: Variant, depth: int, end: float) -> np.nd
     return row
 
 
-def gauss_basis_table(spec: MeasureSpec, deg: int, m: int) -> np.ndarray:
-    """p_0..p_deg (deg < m) of the base system at the nodes of the m-point
-    Gauss rule of the base measure, read-only: a slice of the table the
-    rule's weights were read from, so every table at one rule is one
-    recurrence run."""
-    return _gauss_rule(spec, Variant.BASE, m)[2][: deg + 1]
+def _expansion_rule(spec: MeasureSpec, deg: int):
+    """(x, w, rows): the rule an expansion to degree deg sums on, and the
+    base p_0..p_deg at its points, read-only and unchecked. On a discrete
+    space that is every node, with a slice of the node table; on a
+    continuous one the (deg + 1)-point Gauss rule, with the very table its
+    weights were read from, so every table at one rule is one run."""
+    if spec.discrete:
+        x, w = node_weights(spec, Variant.BASE)
+        return x, w, discrete_basis_table(spec, Variant.BASE)[: deg + 1]
+    return _gauss_rule(spec, Variant.BASE, deg + 1)
 
 
 def jacobi_matrix(spec: MeasureSpec, basis: Variant, k: int) -> JacobiOperator:

@@ -48,10 +48,8 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
     from, so that a caller who needs p(s) as well runs the recurrence at s
     once. One read of the coefficients gives J_k and a_k. p_k(s) within
     (k + 1) eps of the largest |p_i(s)| of the run (or 1e-12) is rounding
-    noise of a zero of p_k, and the operator is refused, as is an s
-    outside [-1, 1], before anything is evaluated."""
-    if not -1.0 <= s <= 1.0:
-        raise ValidationError("T_k(s) needs s in [-1, 1], got %r" % (s,))
+    noise of a zero of p_k, and the operator is refused. Every caller
+    has checked s, in [-1, 1] (_check_threshold with closed)."""
     rc = _coeffs_cached(spec, basis, k)
     table = _basis_at(spec, basis, k + 1, s)
     pk, pk1 = float(table[k]), float(table[k + 1])
@@ -67,7 +65,7 @@ def _operator_at(spec: MeasureSpec, basis: Variant, k: int, s: float):
 def build_Tk(spec: MeasureSpec, basis: Variant, k: int, s: float) -> JacobiOperator:
     """The perturbed operator T_k(s) with corner weight a_k p_{k+1}(s)/p_k(s)."""
     _check_degree(spec, basis, k, "build_Tk", 1)
-    return _operator_at(spec, basis, k, s)[0]
+    return _operator_at(spec, basis, k, orthopoly._check_threshold(s, "build_Tk", closed=True))[0]
 
 
 def _diagonal(T: JacobiOperator) -> list:
@@ -177,6 +175,7 @@ def verify_kernel_eigen(spec: MeasureSpec, basis: Variant, k: int,
     returning.
     """
     _check_degree(spec, basis, k, "verify_kernel_eigen", 1)
+    s = orthopoly._check_threshold(s, "verify_kernel_eigen", closed=True)
     T, table = _operator_at(spec, basis, k, s)
     v = table[: k + 1] / np.linalg.norm(table[: k + 1])
     residual = _residual(_diagonal(T), T.off, v.tolist(), s)

@@ -181,16 +181,22 @@ def test_table_sphere_grid(capsys):
 ])
 def test_table_sphere_grid_is_checked_before_any_row(capsys, monkeypatch, grid):
     """A sphere s-grid with no point, or an end that is non-finite or
-    outside [-1, 1), exits 2 before any bound is computed."""
-    from delbound import constructions
+    outside [-1, 1), exits 2 before any bound is computed; a Hamming
+    table, which sweeps its distances, refuses any s-grid flag so, with
+    one JSON error and nothing on stderr."""
+    from delbound import constructions, lp_oracle
 
     def refuse(*args, **kwargs):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(constructions, "bound_for_s", refuse)
-    code, out = run_cli(capsys, "table", "--space", "sphere:4", *grid)
-    assert code == 2
-    assert "error" in json.loads(out)
+    for name in ("bound_for_s", "bound_for_distance"):
+        monkeypatch.setattr(constructions, name, refuse)
+    monkeypatch.setattr(lp_oracle, "delsarte_lp", refuse)
+    for space in ("sphere:4", "hamming:8"):
+        code = main(["table", "--space", space, *grid])
+        out, err = capsys.readouterr()
+        assert code == 2, space
+        assert list(json.loads(out)) == ["error", "schema"] and err == "", space
 
 
 @pytest.mark.parametrize("methods", [",", "", " , "])

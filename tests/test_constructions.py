@@ -11,6 +11,7 @@ from delbound import (
     bound_for_distance,
     bound_for_s,
     bound_value,
+    build_Tk,
     classical_baselines,
     cone_certificate,
     hamming_space,
@@ -22,7 +23,9 @@ from delbound import (
     mrrw_poly,
     polynomial_from_fourier,
     recurrence_coeffs,
+    spectral_recover_bound,
     sphere_space,
+    verify_kernel_eigen,
     zeros,
 )
 from delbound.constructions import BoundResult
@@ -892,7 +895,7 @@ def _reference_lev_window(spec, s):
     from delbound.spaces import max_degree
 
     if s >= 1.0:
-        raise ValidationError("lev_degree_select needs s < 1")
+        raise ValidationError("lev_degree_select needs s in [-1, 1), got %r" % (s,))
     cap_minus = max_degree(spec, Variant.MINUS)
     cap_pm = max_degree(spec, Variant.PLUSMINUS)
     k_top = _LEV_DEGREE_CAP if cap_minus is None else cap_minus - 1
@@ -956,12 +959,40 @@ def test_zeros_below_counts_the_direct_zeros(label):
 
 
 def test_lev_window_refuses_a_nan_threshold():
-    """No window holds a NaN s: lev_degree_select refuses it as it refuses
-    s >= 1, where a Sturm count, which no NaN clears, would read the even
-    window of degree -1."""
-    for s in (math.nan, 1.0):
-        with pytest.raises(ValidationError, match="needs s < 1"):
-            lev_degree_select(hamming_space(16), s)
+    """No window holds a NaN s, or an s below -1: lev_degree_select refuses
+    them as it refuses s >= 1, where a Sturm count, which neither clears,
+    would read the even window of degree -1."""
+    for spec in (hamming_space(16), hamming_space(8), sphere_space(4)):
+        for s in (math.nan, 1.0, -2.0, -1.5, -math.inf):
+            with pytest.raises(ValidationError, match=r"lev_degree_select needs s in \[-1, 1\)"):
+                lev_degree_select(spec, s)
+
+
+_THRESHOLD_ENTRIES = {
+    "bound_for_s": lambda spec, s: bound_for_s(spec, s),
+    "mrrw_poly": lambda spec, s: mrrw_poly(spec, 1, s),
+    "lev_odd_poly": lambda spec, s: lev_odd_poly(spec, 1, s),
+    "lev_even_poly": lambda spec, s: lev_even_poly(spec, 1, s),
+    "lev_degree_select": lambda spec, s: lev_degree_select(spec, s),
+    "mrrw_bound_closed": lambda spec, s: mrrw_bound_closed(spec, 1, s),
+    "cone_certificate": lambda spec, s: cone_certificate(spec, mrrw_poly(spec, 1, 0.2), s),
+    "build_Tk": lambda spec, s: build_Tk(spec, Variant.BASE, 1, s),
+    "verify_kernel_eigen": lambda spec, s: verify_kernel_eigen(spec, Variant.BASE, 1, s),
+    "spectral_recover_bound": lambda spec, s: spectral_recover_bound(spec, Variant.BASE, 1, s),
+    "polynomial_from_fourier": lambda spec, s: polynomial_from_fourier(spec, [1.0, 0.5], s),
+}
+
+
+@pytest.mark.parametrize("entry, s", [(entry, s) for entry in _THRESHOLD_ENTRIES
+                                      for s in ("x", None)]
+                         + [("polynomial_from_fourier", 5)])
+def test_every_threshold_entry_refuses_a_bad_s_by_name(entry, s):
+    """An s that is not a number, or polynomial_from_fourier's s = 5, is
+    refused at each public entry that takes a threshold with one
+    ValidationError naming the entry, not a bare TypeError or ValueError
+    from inside."""
+    with pytest.raises(ValidationError, match=r"^%s needs s in \[-1, 1[)\]], got " % entry):
+        _THRESHOLD_ENTRIES[entry](hamming_space(8), s)
 
 
 def test_bound_paths_compute_no_largest_zero(monkeypatch, clear_caches):

@@ -774,10 +774,11 @@ def test_no_hamming_or_sphere_coefficient_comes_from_the_christoffel_step(monkey
 
 
 def test_base_gauss_table_is_a_slice_of_the_rule():
-    """gauss_basis_table is a read-only slice of the table the m-point
-    rule's weights were read from, on sphere:4..200 through m = 61, and
-    equals a fresh recurrence run at the rule's nodes bit for bit."""
-    from delbound.orthopoly import gauss_basis_table
+    """The expansion rule of a sphere to degree deg is the (deg + 1)-point
+    Gauss rule with the read-only table its weights were read from, on
+    sphere:4..200 through deg = 60, and that table equals a fresh
+    recurrence run at the rule's nodes bit for bit."""
+    from delbound.orthopoly import _expansion_rule
     from delbound.spaces import _gauss_rule, quadrature
 
     for dim in range(4, 201):
@@ -788,9 +789,10 @@ def test_base_gauss_table_is_a_slice_of_the_rule():
             assert x is nodes and w is weights
             assert not rule.flags.writeable
             for deg in {0, m // 2, m - 1}:
-                table = gauss_basis_table(spec, deg, m)
-                assert np.shares_memory(table, rule) and not table.flags.writeable
-                fresh = eval_basis_table(spec, Variant.BASE, deg, nodes)
+                assert _expansion_rule(spec, deg) is _gauss_rule(spec, Variant.BASE, deg + 1)
+                x, _, table = _expansion_rule(spec, deg)
+                assert not table.flags.writeable
+                fresh = eval_basis_table(spec, Variant.BASE, deg, x)
                 assert np.array_equal(table, fresh), (dim, m, deg)
 
 
